@@ -30,6 +30,7 @@ from repro.graph.partition import slice_intervals
 from repro.memory.hbm import HBMConfig, HBMModel
 from repro.memory.spd import ScratchpadConfig
 from repro.models.frequency import Interconnect, max_frequency_mhz
+from repro.util import unique_id_counts
 
 #: Average tile-to-tile hops of crossing traffic on the 2x2 tile mesh
 #: (8 of 12 ordered tile pairs are adjacent, 4 are diagonal).
@@ -227,7 +228,7 @@ class CrossbarAccelerator:
         self, dst: np.ndarray, num_updates: int
     ) -> tuple[float, float]:
         cfg = self.config
-        touched = np.unique(dst) if dst.size else dst
+        touched, _ = unique_id_counts(dst)
         loads = (
             np.bincount(touched % cfg.num_pes, minlength=cfg.num_pes)
             if touched.size

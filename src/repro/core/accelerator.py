@@ -41,6 +41,7 @@ from repro.mapping import make_mapping
 from repro.mapping.destination_oriented import DestinationOrientedMapping
 from repro.memory.hbm import HBMModel
 from repro.noc.topology import MeshTopology
+from repro.util import unique_id_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultSchedule
@@ -354,7 +355,7 @@ class ScalaGraph:
         group = (
             dst if isinstance(self.mapping, DestinationOrientedMapping) else src
         )
-        vertices, degrees = np.unique(group, return_counts=True)
+        vertices, degrees = unique_id_counts(group)
         rows = self.topology.rows_of(self.mapping.home(vertices))
         compute = scatter_compute_cycles(
             degrees,
@@ -404,7 +405,7 @@ class ScalaGraph:
 
     def _apply_phase(self, dst: np.ndarray, num_updates: int) -> dict:
         cfg = self.config
-        touched = np.unique(dst) if dst.size else dst
+        touched, _ = unique_id_counts(dst)
         compute = apply_compute_cycles(
             self.mapping.home(touched), self.topology.num_nodes
         )

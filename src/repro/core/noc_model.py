@@ -27,7 +27,6 @@ from repro.mapping.row_oriented_torus import RowOrientedTorusMapping
 from repro.noc.topology import MeshTopology
 from repro.noc.torus import torus_column_link_loads
 from repro.noc.traffic import column_link_loads, mesh_link_loads
-from repro.util import grouped_arange
 
 #: How much of the ideal window coalescing SOM retains: under SOM the
 #: updates to one vertex converge only on the destination column's final
@@ -77,27 +76,47 @@ def survivor_mask(
     behaves exactly like ``window=1.0``, and any ``window < 1``
     (``0.5`` floors to ``0``) disables coalescing entirely — no update
     can be resident for a fraction of a slot.
+
+    The grouping takes one sort.  A stable (radix) argsort of the column
+    index in its narrowest dtype lines each column's stream up in order;
+    update ``i`` of that column order then gets the packed int64 key
+    ``(col * (V + 1) + dst) * n + i``, with ``V`` the largest vertex id.
+    Sorting the keys puts each (column, vertex) pair's occurrences next
+    to each other in stream order, and the gap between two of them is
+    the difference of their keys' low digits ``i`` (positions within
+    one column differ by the same amount as positions in column order).
+    The largest key is ``(max col + 1) * (V + 1) * n - 1``, so ids must
+    be non-negative and that product at most ``2**63``; other inputs
+    raise :class:`ValueError` rather than wrap around.
     """
     n = int(edge_dst.size)
     mask = np.ones(n, dtype=bool)
     window = math.floor(window)
     if n == 0 or window < 1:
         return mask
-    # Group by column, preserving stream order within each column.
-    col_order = np.argsort(dst_col, kind="stable")
-    col_sorted = dst_col[col_order]
-    pos_in_col = grouped_arange(col_sorted)
-    dst_sorted = edge_dst[col_order]
-    # Within each column, group occurrences of each vertex in order.
-    occ_order = np.lexsort((pos_in_col, dst_sorted, col_sorted))
-    k_col = col_sorted[occ_order]
-    k_dst = dst_sorted[occ_order]
-    k_pos = pos_in_col[occ_order]
-    same = (k_col[1:] == k_col[:-1]) & (k_dst[1:] == k_dst[:-1])
-    gaps = k_pos[1:] - k_pos[:-1]
+    edge_dst = np.asarray(edge_dst, dtype=np.int64)
+    dst_col = np.asarray(dst_col, dtype=np.int64)
+    if min(int(edge_dst.min()), int(dst_col.min())) < 0:
+        raise ValueError("survivor_mask: vertex and column ids must be >= 0")
+    span = int(edge_dst.max()) + 1
+    max_col = int(dst_col.max())
+    if (max_col + 1) * span * n > 2**63:
+        raise ValueError(
+            f"survivor_mask: {n} updates over {span} vertices and "
+            f"{max_col + 1} columns overflow the int64 sort key"
+        )
+    col_order = np.argsort(
+        dst_col.astype(np.min_scalar_type(max_col)), kind="stable"
+    )
+    key = dst_col[col_order] * span
+    key += edge_dst[col_order]
+    key *= n
+    key += np.arange(n, dtype=np.int64)
+    key.sort()
+    group, pos = np.divmod(key, n)
     survives = np.ones(n, dtype=bool)
-    survives[1:] = ~(same & (gaps <= window))
-    mask[col_order[occ_order]] = survives
+    survives[1:] = (group[1:] != group[:-1]) | (pos[1:] - pos[:-1] > window)
+    mask[col_order[pos]] = survives
     return mask
 
 

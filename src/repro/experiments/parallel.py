@@ -58,6 +58,7 @@ from repro.experiments.runner import (
     execute_cell,
 )
 from repro.experiments.store import CODE_MODEL_VERSION, ResultCache
+from repro.graph.datasets import _resolve
 
 #: (graph, algorithm, missing-systems) work unit shipped to a worker.
 _CellJob = Tuple[str, str, Tuple[str, ...]]
@@ -129,6 +130,12 @@ def run_matrix_parallel(
     checkpoint: Optional[Path] = None,
 ) -> ExperimentMatrix:
     """Run the sweep with cell-level process parallelism.
+
+    Cells are submitted largest first: ordered by their graph's
+    :attr:`~repro.graph.datasets.DatasetSpec.standin_edges`, descending
+    and stable on ties (nominal order within one graph).  The largest
+    graph's cells, the sweep's stragglers, then start first rather than
+    last; the returned matrix is still assembled in nominal order.
 
     Args:
         max_workers: worker processes; ``None`` lets the executor pick
@@ -213,6 +220,7 @@ def run_matrix_parallel(
                     cached[key] = report
             if missing:
                 jobs.append((graph_name, algorithm_name, tuple(missing)))
+    jobs.sort(key=lambda job: -_resolve(job[0]).standin_edges)
 
     def persist(
         key: Tuple[str, str, str], report: SimulationReport

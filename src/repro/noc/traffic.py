@@ -155,11 +155,18 @@ def _range_loads(
 
     Returns an ``(num_lanes, num_links)`` array where entry ``[l, k]``
     counts ranges on lane ``l`` covering link ``k`` (the link between
-    positions k and k+1).
+    positions k and k+1).  One ``np.bincount`` counts the range starts
+    into a first block and the stops into a second; their difference is
+    the difference array, whose running sum along each lane is the load.
     """
-    loads = np.zeros((num_lanes, num_links + 1), dtype=np.int64)
-    if lane.size:
-        np.add.at(loads, (lane, start), 1)
-        np.add.at(loads, (lane, stop), -1)
-        np.cumsum(loads, axis=1, out=loads)
+    width = num_links + 1
+    cells = num_lanes * width
+    if not lane.size:
+        return np.zeros((num_lanes, num_links), dtype=np.int64)
+    row = lane * width
+    counts = np.bincount(
+        np.concatenate((row + start, row + stop + cells)), minlength=2 * cells
+    ).reshape(2, num_lanes, width)
+    loads = counts[0] - counts[1]
+    np.cumsum(loads, axis=1, out=loads)
     return loads[:, :num_links]

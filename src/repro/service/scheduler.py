@@ -133,7 +133,7 @@ def _analytic_cell(
     for system in systems:
         report = (
             cache.get(graph, algorithm, system, scale_shift, max_iterations)
-            if cache
+            if cache is not None
             else None
         )
         if report is not None:
@@ -144,7 +144,7 @@ def _analytic_cell(
         for system, report in execute_cell(
             graph, algorithm, missing, scale_shift, max_iterations
         ):
-            if cache:
+            if cache is not None:
                 cache.put(
                     graph,
                     algorithm,

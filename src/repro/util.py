@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+
+
+def unique_id_counts(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_counts=True)`` for non-negative integer ids.
+
+    One ``np.bincount`` pass plus ``np.flatnonzero``: linear in
+    ``ids.size + ids.max()``, where ``np.unique`` sorts or hashes.  Meant
+    for vertex ids, whose maximum is bounded by the graph; both results
+    are int64 and ascending, as ``np.unique`` returns them.
+    """
+    counts = np.bincount(ids)
+    values = np.flatnonzero(counts)
+    return values, counts[values]
 
 
 def grouped_arange(sorted_keys: np.ndarray) -> np.ndarray:

@@ -1,8 +1,14 @@
 """Analytic NoC model tests, cross-checked against the detailed simulators."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import repro.core.noc_model as noc_model
 from repro.algorithms.reference import gather_frontier_edges
 from repro.core.noc_model import (
     apply_noc_service_cycles,
@@ -16,6 +22,7 @@ from repro.mapping import (
 )
 from repro.noc.aggregation import window_coalesce_count
 from repro.noc.topology import MeshTopology
+from repro.util import grouped_arange
 
 
 @pytest.fixture
@@ -108,6 +115,100 @@ class TestSurvivorMask:
         dst = np.array([7, 8, 7])
         col = np.zeros(3, dtype=np.int64)
         assert survivor_mask(dst, col, 1.5).all()
+
+
+def survivor_mask_oracle(edge_dst, dst_col, window):
+    """The argsort + three-key lexsort formulation of :func:`survivor_mask`
+    that the one-sort version replaced, kept as its differential oracle."""
+    n = int(edge_dst.size)
+    mask = np.ones(n, dtype=bool)
+    window = math.floor(window)
+    if n == 0 or window < 1:
+        return mask
+    # Group by column, preserving stream order within each column.
+    col_order = np.argsort(dst_col, kind="stable")
+    col_sorted = dst_col[col_order]
+    pos_in_col = grouped_arange(col_sorted)
+    dst_sorted = edge_dst[col_order]
+    # Within each column, group occurrences of each vertex in order.
+    occ_order = np.lexsort((pos_in_col, dst_sorted, col_sorted))
+    k_col = col_sorted[occ_order]
+    k_dst = dst_sorted[occ_order]
+    k_pos = pos_in_col[occ_order]
+    same = (k_col[1:] == k_col[:-1]) & (k_dst[1:] == k_dst[:-1])
+    gaps = k_pos[1:] - k_pos[:-1]
+    survives = np.ones(n, dtype=bool)
+    survives[1:] = ~(same & (gaps <= window))
+    mask[col_order[occ_order]] = survives
+    return mask
+
+
+@st.composite
+def update_streams(draw):
+    """(dst, col) streams; the column is drawn independently of the
+    vertex, so one vertex may appear in several columns."""
+    n = draw(st.integers(0, 200))
+    num_vertices = draw(st.integers(1, 30))
+    num_cols = draw(st.integers(1, 5))
+    dst = st.lists(st.integers(0, num_vertices - 1), min_size=n, max_size=n)
+    col = st.lists(st.integers(0, num_cols - 1), min_size=n, max_size=n)
+    return _stream(draw(dst), draw(col))
+
+
+def _stream(dst, col):
+    return np.array(dst, dtype=np.int64), np.array(col, dtype=np.int64)
+
+
+class TestSurvivorMaskOracle:
+    @pytest.mark.parametrize("window", [0, 0.5, 1, 1.5, 64])
+    @given(stream=update_streams())
+    @example(stream=_stream([], []))
+    @example(stream=_stream([3], [0]))
+    @example(stream=_stream([4, 4, 2, 4, 2, 2, 4], [0] * 7))
+    @example(stream=_stream([1, 1, 1, 1, 2, 1], [0, 1, 0, 1, 1, 0]))
+    def test_equals_oracle(self, window, stream):
+        dst, col = stream
+        assert np.array_equal(
+            survivor_mask(dst, col, window),
+            survivor_mask_oracle(dst, col, window),
+        )
+
+    def test_rejects_negative_ids(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            survivor_mask(*_stream([3, -1], [0, 0]), 4)
+        with pytest.raises(ValueError, match=">= 0"):
+            survivor_mask(*_stream([3, 1], [0, -2]), 4)
+
+    def test_rejects_int64_key_overflow(self):
+        # (max col + 1) * (V + 1) * n = 2 * (2**62 + 1) * 2 > 2**63.
+        with pytest.raises(ValueError, match="overflow"):
+            survivor_mask(*_stream([2**62, 0], [1, 0]), 4)
+
+    def test_largest_key_that_fits(self):
+        # (0 + 1) * 2**62 * 2 == 2**63: the largest key is 2**63 - 1.
+        dst, col = _stream([2**62 - 1] * 2, [0, 0])
+        assert survivor_mask(dst, col, 1).tolist() == [True, False]
+
+    def test_fig14_matrix_equals_oracle_run(self, monkeypatch):
+        """Every Fig. 14 report is unchanged with the oracle in place."""
+        from repro.experiments import run_matrix
+
+        def dicts(matrix):
+            return {
+                key: json.dumps(report.to_dict(include_iterations=True))
+                for key, report in matrix.reports.items()
+            }
+
+        production = dicts(run_matrix(scale_shift=-6))
+        calls = []
+
+        def oracle(*args):
+            calls.append(1)
+            return survivor_mask_oracle(*args)
+
+        monkeypatch.setattr(noc_model, "survivor_mask", oracle)
+        assert dicts(run_matrix(scale_shift=-6)) == production
+        assert calls and len(production) == 100
 
 
 class TestScatterStats:

@@ -9,7 +9,9 @@ from repro.experiments import run_matrix, run_matrix_parallel
 from repro.experiments.store import ResultCache
 import repro.experiments.parallel as parallel_mod
 
-GRAPHS = ["PK"]
+#: Two stand-ins of different size (TW has ~3.7x PK's edges), so the
+#: pooled runner's largest-first submission reorders the cells.
+GRAPHS = ["PK", "TW"]
 ALGORITHMS = ["bfs", "pagerank"]
 SYSTEMS = ["GraphDynS-128", "ScalaGraph-512"]
 KW = dict(scale_shift=-5, max_iterations=4)
@@ -58,6 +60,30 @@ class TestParallelEqualsSerial:
         ) == pytest.approx(
             serial_matrix.speedup("ScalaGraph-512", "GraphDynS-128")
         )
+
+
+class TestSubmissionOrder:
+    def test_largest_cells_submitted_first(self, serial_matrix, monkeypatch):
+        """Cells go to the pool largest stand-in first, stable within a
+        graph; the matrix still comes back in nominal order."""
+        submitted = []
+        real_pooled = parallel_mod._run_jobs_pooled
+
+        def recording(jobs, *args, **kwargs):
+            submitted.extend(jobs)
+            return real_pooled(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "_run_jobs_pooled", recording)
+        par = run_matrix_parallel(
+            GRAPHS, ALGORITHMS, SYSTEMS, max_workers=2, **KW
+        )
+        assert [(g, a) for g, a, _ in submitted] == [
+            ("TW", "bfs"),
+            ("TW", "pagerank"),
+            ("PK", "bfs"),
+            ("PK", "pagerank"),
+        ]
+        assert list(par.reports) == list(serial_matrix.reports)
 
 
 class TestPoolFallback:
@@ -147,8 +173,9 @@ class TestCaching:
             GRAPHS, ALGORITHMS, SYSTEMS, max_workers=1, cache=cache, **KW
         )
         # Only the pagerank cells were computed and stored.
-        assert cache.stats.stores == stores_before + len(SYSTEMS)
-        assert len(full.reports) == len(ALGORITHMS) * len(SYSTEMS)
+        cells = len(GRAPHS) * len(SYSTEMS)
+        assert cache.stats.stores == stores_before + cells
+        assert len(full.reports) == cells * len(ALGORITHMS)
         # Deterministic nominal order even with mixed cached/fresh cells.
         assert list(full.reports) == [
             (g, a, s)
@@ -177,7 +204,8 @@ class TestCaching:
 
     def test_serial_run_matrix_uses_cache_too(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
+        cells = len(GRAPHS) * len(SYSTEMS)
         run_matrix(GRAPHS, ["bfs"], SYSTEMS, cache=cache, **KW)
-        assert cache.stats.stores == len(SYSTEMS)
+        assert cache.stats.stores == cells
         run_matrix(GRAPHS, ["bfs"], SYSTEMS, cache=cache, **KW)
-        assert cache.stats.hits == len(SYSTEMS)
+        assert cache.stats.hits == cells

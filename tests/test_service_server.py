@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.errors import AdmissionError, ProtocolError
+from repro.experiments.store import ResultCache
 from repro.service.protocol import (
     DEGRADED_BREAKER_OPEN,
     DEGRADED_DEADLINE,
@@ -23,6 +24,7 @@ from repro.service.protocol import (
 from repro.service.scheduler import (
     ServicePolicy,
     SweepScheduler,
+    _analytic_cell,
     replay_journal,
 )
 from repro.service.server import _ServiceServer
@@ -115,6 +117,21 @@ class TestSchedulerLifecycle:
                 scheduler.submit(payload(chaos=["fail"]))
             await scheduler.drain()
         asyncio.run(body())
+
+
+class TestAnalyticCellCache:
+    def test_empty_cache_is_written_then_read(self, tmp_path):
+        """An empty cache directory is still a cache: the first call
+        computes the cell and stores it, the second serves it back."""
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        cell = ("PK", "bfs", ("Gunrock",), -9, None, str(cache_dir))
+        [(system, first, cached)] = _analytic_cell(*cell)
+        assert (system, cached) == ("Gunrock", False)
+        assert len(ResultCache(cache_dir)) == 1
+        [(system, second, cached)] = _analytic_cell(*cell)
+        assert (system, cached) == ("Gunrock", True)
+        assert second == first
 
 
 class TestDegradation:

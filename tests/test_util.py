@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import grouped_arange, grouped_arange_from_counts
+from repro.util import (
+    grouped_arange,
+    grouped_arange_from_counts,
+    unique_id_counts,
+)
 
 
 class TestGroupedArange:
@@ -49,6 +53,29 @@ class TestGroupedArangeFromCounts:
         counts = np.array(counts, dtype=np.int64)
         out = grouped_arange_from_counts(counts)
         assert out.size == counts.sum()
+
+
+class TestUniqueIdCounts:
+    """The bincount distinct set and counts equal ``np.unique``'s."""
+
+    @staticmethod
+    def check(ids):
+        values, counts = unique_id_counts(ids)
+        want_values, want_counts = np.unique(ids, return_counts=True)
+        assert values.dtype == want_values.dtype == np.int64
+        assert counts.dtype == want_counts.dtype
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(counts, want_counts)
+
+    def test_empty(self):
+        self.check(np.array([], dtype=np.int64))
+
+    def test_single_max_id(self):
+        self.check(np.array([(1 << 20) - 1], dtype=np.int64))
+
+    @given(st.lists(st.integers(0, 300), max_size=200))
+    def test_property_matches_np_unique(self, values):
+        self.check(np.array(values, dtype=np.int64))
 
 
 class TestEndToEndDeterminism:
