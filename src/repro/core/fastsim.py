@@ -563,14 +563,7 @@ def scatter_phase_fast(
             else:
                 r_pes, t_r, v_r, x_r = fifo_pes, t_f, v_f, x_f
             if r_pes.size:
-                ok = network.inject_batch(
-                    r_pes,
-                    t_r,
-                    v_r,
-                    x_r,
-                    assume_unique=True,
-                    checked=False,
-                )
+                ok = network.inject_batch(r_pes, t_r, v_r, x_r)
                 if ok.all():
                     out.drop(r_pes)
                 elif ok.any():
@@ -604,14 +597,7 @@ def scatter_phase_fast(
                 else:
                     r_pes, t_r, v_r, x_r = emit_pes, t_e, v_e, x_e
                 if r_pes.size:
-                    ok = network.inject_batch(
-                        r_pes,
-                        t_r,
-                        v_r,
-                        x_r,
-                        assume_unique=True,
-                        checked=False,
-                    )
+                    ok = network.inject_batch(r_pes, t_r, v_r, x_r)
                     if not ok.all():
                         # Backpressure: the PE's FIFO is empty (that is
                         # what allowed the drain emit), so appending

@@ -424,7 +424,7 @@ def route_with_faults(
 
     ``dead_row`` is the node's row of :meth:`FaultSchedule.link_dead_mask`
     for the current cycle.  Policy (mirrored exactly by the vectorised
-    engine — see ``FastMeshNetwork._arbitrate_and_move``):
+    engine — see ``deflect`` in ``repro/noc/meshkernel.c``):
 
     1. Compute the pure XY port.  LOCAL, or an alive link: use it.
     2. Dead X-direction link: deflect one hop along Y *toward* the

@@ -4,8 +4,9 @@ ScalaGraph replaces the centralised crossbar of prior accelerators with a
 2D-mesh NoC (Section III-A).  This subpackage provides:
 
 * cycle-level simulators for the mesh — the auditable reference
-  (:mod:`repro.noc.mesh`) and the vectorised struct-of-arrays engine
-  (:mod:`repro.noc.fastmesh`), equivalence-gated against each other and
+  (:mod:`repro.noc.mesh`) and the struct-of-arrays engine
+  (:mod:`repro.noc.fastmesh`, whose cycle step is compiled C built by
+  :mod:`repro.noc.meshkernel`), equivalence-gated against each other and
   selected via :func:`~repro.noc.fastmesh.make_mesh_network` — and the
   VOQ crossbar (:mod:`repro.noc.crossbar`),
 * the Benes multistage network (:mod:`repro.noc.benes`) used in the

@@ -1,4 +1,4 @@
-"""Vectorised struct-of-arrays mesh NoC engine.
+"""Struct-of-arrays mesh NoC engine with a compiled cycle step.
 
 :class:`~repro.noc.mesh.MeshNetwork` is the *reference* simulator: one
 :class:`~repro.noc.router.Router` object per node, advanced with Python
@@ -11,16 +11,24 @@ keeps **all** router state in a handful of NumPy buffers —
 * ``(nodes, 5)`` head/occupancy/round-robin/link-busy matrices,
 * flat per-packet ``dst``/``flits``/``injected_cycle`` arrays —
 
-and advances a whole cycle with batched array operations: XY route
-computation, switch allocation with the reference's deterministic
-round-robin priority, credit backpressure, and link traversal.
+and advances a whole cycle in one call into a small C kernel
+(``meshkernel.c``, built and loaded by :mod:`repro.noc.meshkernel`):
+link-busy tick, XY routing with fault deflection, switch allocation
+with the reference's round-robin priority, credit backpressure, then
+commit, ejection and link traversal.  :meth:`FastMeshNetwork.inject_batch`
+runs in the same kernel.  Python keeps the object-packet paths
+(:meth:`~FastMeshNetwork.schedule`, :meth:`~FastMeshNetwork.inject`,
+deferred injections and multi-flit landings), the sanitizer hooks and
+every :class:`~repro.noc.mesh.MeshStats` write: the kernel returns
+counts.
 
-**Equivalence contract.**  The vectorised engine is packet-for-packet
-and cycle-for-cycle identical to the reference simulator: identical
+**Equivalence contract.**  The engine is packet-for-packet and
+cycle-for-cycle identical to the reference simulator: identical
 :class:`~repro.noc.mesh.MeshStats` (cycles, injected, delivered, hops,
-latency, peak occupancy, stalled moves) and identical delivery order,
-for any workload — including multi-flit packets, deferred injections,
-and single-entry buffers.  ``tests/test_fastmesh.py`` enforces this
+latency, peak occupancy, stalled moves, fault counters) and identical
+delivery order, for any workload — including multi-flit packets,
+deferred injections, fault schedules and single-entry buffers.
+``tests/test_fastmesh.py`` and ``tests/test_faults.py`` enforce this
 differentially across mesh sizes, traffic patterns, and the full
 cycle-accurate simulator; treat any divergence as a bug in this module,
 never as acceptable drift.
@@ -34,30 +42,26 @@ fast-forwarded and stepped runs report identical ``MeshStats``.
 
 Engine selection is wired through
 :attr:`repro.core.config.ScalaGraphConfig.noc_engine` and the
-:func:`make_mesh_network` factory; ``"auto"`` picks the vectorised
-engine for meshes of :data:`AUTO_VECTORIZE_MIN_NODES` nodes or more.
+:func:`make_mesh_network` factory; ``"auto"`` picks this engine for
+meshes of :data:`AUTO_VECTORIZE_MIN_NODES` nodes or more when the kernel
+can be built, and falls back to the reference with a warning when no C
+compiler is available.
 """
 
 from __future__ import annotations
 
 import heapq
+import warnings
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.noc import meshkernel
 from repro.noc.mesh import MeshNetwork, MeshStats
 from repro.noc.packet import Packet, batch_packets
-from repro.noc.router import (
-    EAST,
-    LOCAL,
-    NORTH,
-    NUM_PORTS,
-    PORT_NAMES,
-    SOUTH,
-    WEST,
-)
+from repro.noc.router import LOCAL, NUM_PORTS, PORT_NAMES
 from repro.noc.topology import MeshTopology
 
 if TYPE_CHECKING:  # import-free at runtime: the hooks are duck-typed
@@ -73,49 +77,14 @@ __all__ = [
 ]
 
 #: ``noc_engine="auto"`` selects the vectorised engine for meshes with at
-#: least this many nodes.  Below it the reference simulator's per-object
-#: Python loops are cheap enough that NumPy dispatch overhead dominates.
+#: least this many nodes.  The NumPy dispatch overhead that once set
+#: this floor went with the compiled step; the value stays 64 because
+#: lowering it would move the daemon's small cycle-fidelity meshes (4x4,
+#: 4x8) off the reference engine, which needs its own measured change.
 AUTO_VECTORIZE_MIN_NODES = 64
 
 #: Either cycle-level mesh engine (they are behaviourally identical).
 MeshEngine = Union[MeshNetwork, "FastMeshNetwork"]
-
-#: Input port seen by the downstream router of each output port
-#: (mirrors ``mesh._LINK_OF_OUTPUT``; LOCAL has no link).
-_DOWN_IN = np.array([-1, SOUTH, NORTH, EAST, WEST], dtype=np.int64)
-
-#: ``_WINNER_LUT[r, m]`` — winning input port when the requesting
-#: inputs form bitmask ``m`` and the round-robin pointer is ``r``: the
-#: set bit with the smallest ``(i - r) % NUM_PORTS`` distance, i.e.
-#: exactly ``argmin`` over the per-input keys.  ``m = 0`` (no request)
-#: is never read because such outputs are not granted.
-_WINNER_LUT = np.zeros((NUM_PORTS, 1 << NUM_PORTS), dtype=np.int64)
-for _r in range(NUM_PORTS):
-    for _m in range(1, 1 << NUM_PORTS):
-        _WINNER_LUT[_r, _m] = min(
-            (i for i in range(NUM_PORTS) if _m >> i & 1),
-            key=lambda i, _r=_r: (i - _r) % NUM_PORTS,
-        )
-del _r, _m
-
-#: Base-6 digit weights packing a node's five head-of-line output
-#: requests (each ``-1..4``, stored as ``out + 1``) into one code.
-_POW6 = (6 ** np.arange(NUM_PORTS)).astype(np.int64)
-
-#: Flat view of :data:`_WINNER_LUT` for single-gather ``np.take`` with a
-#: precomputed ``rr * 32 + mask`` index (row stride is ``1 << NUM_PORTS``).
-_WINNER_FLAT = _WINNER_LUT.reshape(-1)
-
-#: ``_MASK_LUT[code, o]`` — bitmask of input ports whose packed request
-#: digit equals output port ``o`` (digit value ``o + 1``; digit 0 is
-#: the "no request" sentinel).
-_MASK_LUT = np.zeros((6**NUM_PORTS, NUM_PORTS), dtype=np.int64)
-for _c in range(6**NUM_PORTS):
-    for _i in range(NUM_PORTS):
-        _d = _c // (6**_i) % 6
-        if _d:
-            _MASK_LUT[_c, _d - 1] |= 1 << _i
-del _c, _i, _d
 
 #: Engine-twin declaration consumed by the whole-program analyzer
 #: (:mod:`repro.analysis.project`).  SIM601 audits that this module and
@@ -133,6 +102,8 @@ ENGINE_TWIN = {
 #: SIM604 checks every ``np.zeros/full/empty/ones`` call site assigned
 #: to these attributes against this table, so a dtype change must be
 #: made here — visibly — rather than slipping through one allocation.
+#: :meth:`FastMeshNetwork._bind` checks every buffer handed to the C
+#: kernel against it at run time.
 BUFFER_DTYPES = {
     "_buf": "int64",
     "_head": "int64",
@@ -146,32 +117,48 @@ BUFFER_DTYPES = {
     "_pkt_value": "float64",
     # Delivery log: registry indices in delivery order (cursor _dlv_n).
     "_dlv_pidx": "int64",
-    # Per-cycle arbitration scratch, sliced to the active-node count and
-    # written with np.take(..., out=)/in-place ufuncs so steady-state
-    # cycles allocate no full-width temporaries.
-    "_scr_cnt": "int64",
-    "_scr_occ": "bool",
-    "_scr_nocc": "bool",
-    "_scr_heads": "int64",
-    "_scr_dst": "int64",
-    "_scr_out": "int64",
-    "_scr_flat": "int64",
-    "_scr_rr": "int64",
-    "_scr_mask": "int64",
-    "_scr_winner": "int64",
-    "_scr_granted": "bool",
-    "_scr_code": "int64",
-    "_scr_nbase": "int64",
-    "_scr_pernode": "int64",
-    "_scr_route8": "int8",
-    # Head-route cache: fault-free XY output port of each (node, port)
-    # head-of-line packet, -1 when that FIFO is empty.
-    "_head_route": "int64",
+    # Fault masks of the current fault window (dead output links,
+    # frozen input FIFOs).
+    "_dead": "bool",
+    "_stall": "bool",
+    # Kernel scratch: the cycle's accepted moves, and multi-flit link
+    # departures as (arrive_cycle, node, in_port, pidx) rows.
+    "_moves": "int64",
+    "_departed": "int64",
+    # inject_batch staging: arguments in, acceptance mask out.
+    "_in_src": "int64",
+    "_in_dst": "int64",
+    "_in_vertex": "int64",
+    "_in_value": "float64",
+    "_in_ok": "bool",
+    # The kernel's table: buffer addresses, geometry, step counters.
+    "_table": "int64",
 }
+
+#: Buffers handed to the kernel, in the order of ``BUFFERS`` in
+#: ``meshkernel.c``; the table holds their addresses in this order.
+_KERNEL_BUFFERS = (
+    "_buf", "_head", "_count", "_rr", "_link_busy",
+    "_pkt_dst", "_pkt_flits", "_pkt_injected", "_pkt_vertex", "_pkt_value",
+    "_dlv_pidx", "_dead", "_stall", "_moves", "_departed",
+    "_in_src", "_in_dst", "_in_vertex", "_in_value", "_in_ok",
+)
+#: The same list as the kernel spells it (``MeshKernel.layout``): each
+#: buffer with its element kind and size, e.g. ``("_dead", "b1")`` (a
+#: dtype's ``str`` minus its byte-order character).
+_KERNEL_LAYOUT = tuple(
+    (name, np.dtype(BUFFER_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
+)
+#: Table slots after the addresses (``enum slot``): geometry, then the
+#: eight counters ``fm_step`` reports.
+_SLOT_GEOMETRY = len(_KERNEL_BUFFERS)
+_SLOT_COUNTS = _SLOT_GEOMETRY + 4
+_TABLE_SLOTS = _SLOT_COUNTS + 8
 
 
 class FastMeshNetwork:
-    """A ``rows x cols`` mesh advanced one cycle at a time, vectorised.
+    """A ``rows x cols`` mesh advanced one cycle at a time by the
+    compiled step.
 
     Public surface mirrors :class:`~repro.noc.mesh.MeshNetwork`:
     :meth:`schedule` / :meth:`inject` packets, :meth:`step` or
@@ -179,8 +166,9 @@ class FastMeshNetwork:
 
     Packets are registered once and referenced by integer index inside
     the FIFO arrays; the :class:`~repro.noc.packet.Packet` objects
-    themselves are only touched at injection and delivery, so the
-    per-cycle work is pure array math.
+    themselves are only touched at injection and delivery.  Raises
+    :class:`~repro.errors.ConfigurationError` when the kernel cannot be
+    built (see :mod:`repro.noc.meshkernel`).
     """
 
     def __init__(
@@ -193,6 +181,16 @@ class FastMeshNetwork:
     ) -> None:
         if buffer_depth <= 0:
             raise ConfigurationError("buffer_depth must be positive")
+        self._kernel = meshkernel.load()
+        if (self._kernel.layout, self._kernel.table_slots) != (
+            _KERNEL_LAYOUT, _TABLE_SLOTS
+        ):
+            raise SimulationError(
+                f"mesh kernel {self._kernel.path} does not match fastmesh: "
+                f"table {self._kernel.layout} + "
+                f"{self._kernel.table_slots} slots, expected "
+                f"{_KERNEL_LAYOUT} + {_TABLE_SLOTS} slots"
+            )
         self.topology = topology
         self.buffer_depth = buffer_depth
         #: With ``lean_packets``, :meth:`inject_batch` is the only entry
@@ -229,15 +227,12 @@ class FastMeshNetwork:
         #: Remaining busy cycles per (node, output port) — multi-flit
         #: serialisation (mirrors the reference's ``_link_busy`` dict).
         self._link_busy = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        #: True once any packet with ``flits > 1`` was registered.
-        #: ``_link_busy`` only ever becomes non-zero through such
-        #: packets, so while this stays False the busy decrement, the
-        #: grant busy-check, and the serialisation branches are skipped
-        #: wholesale (the dominant single-flit workload).
-        self._has_multiflit = False
 
-        # --- packet registry (None entries = lean, array-only packets) -
-        self._pkts: List[Optional[Packet]] = []
+        # --- packet registry -------------------------------------------
+        #: Packet objects by registry index (empty in lean mode).
+        self._pkts: List[Packet] = []
+        #: Registered packets (the next registry index).
+        self._n_pkts = 0
         cap = 1024
         self._pkt_dst = np.zeros(cap, dtype=np.int64)
         self._pkt_flits = np.ones(cap, dtype=np.int64)
@@ -246,16 +241,11 @@ class FastMeshNetwork:
         self._pkt_value = np.zeros(cap, dtype=np.float64)
         #: Registry indices of delivered packets, in delivery order
         #: (parallel to :attr:`delivered`; feeds
-        #: :meth:`delivered_arrays`).  Growable array + cursor, so the
-        #: per-cycle delivery log is a slice assignment and
-        #: :meth:`delivered_arrays` reads a view, never a Python list.
-        self._dlv_pidx = np.zeros(1024, dtype=np.int64)
+        #: :meth:`delivered_arrays`).  Growable array + cursor; the
+        #: kernel appends to it, so it always has room for one delivery
+        #: per node beyond the cursor.
+        self._dlv_pidx = np.zeros(max(1024, 2 * n), dtype=np.int64)
         self._dlv_n = 0
-        #: Packets removed from router FIFOs by the current arbitrate
-        #: pass (ejections + multi-flit link departures) — lets
-        #: :meth:`step` derive post-pass occupancy from the pre-pass
-        #: per-node sums instead of a second full reduction.
-        self._removed_by_pass = 0
         #: Router-FIFO occupancy as of the end of the last :meth:`step`
         #: (cheap read for per-cycle driver loops; equal to
         #: :meth:`total_occupancy` until the next injection).
@@ -274,113 +264,47 @@ class FastMeshNetwork:
         #: Packets in flight on a link: (arrive_cycle, node, in_port, pidx).
         self._in_flight: List[Tuple[int, int, int, int]] = []
 
-        # --- precomputed geometry --------------------------------------
-        node = np.arange(n, dtype=np.int64)
-        cols = topology.cols
-        self._node_row = node // cols
-        self._node_col = node % cols
-        down = np.full((n, NUM_PORTS), -1, dtype=np.int64)
-        down[:, NORTH] = node - cols
-        down[:, SOUTH] = node + cols
-        down[:, WEST] = node - 1
-        down[:, EAST] = node + 1
-        self._down_node = down
-        self._arange_nodes = np.arange(n, dtype=np.int64)
-        # (node, dst) -> XY output port, one gather per cycle instead of
-        # the divmod/where route chain.  Quadratic in nodes, so only
-        # built for meshes where the table stays small (int8, <= 16 MiB
-        # — covers the 48x48 paper-scale probes).
-        if n <= 4096:
-            nr = self._node_row[:, None]
-            nc = self._node_col[:, None]
-            dr = self._node_row[None, :]
-            dc = self._node_col[None, :]
-            self._route_table = np.where(
-                nc < dc,
-                EAST,
-                np.where(
-                    nc > dc,
-                    WEST,
-                    np.where(
-                        nr < dr, SOUTH, np.where(nr > dr, NORTH, LOCAL)
-                    ),
-                ),
-            ).astype(np.int8)
-        else:
-            self._route_table = None
-        self._port_row = np.arange(NUM_PORTS, dtype=np.int64).reshape(
-            1, NUM_PORTS
+        # --- fault masks and kernel scratch ----------------------------
+        #: This cycle's dead output links and frozen input FIFOs (all
+        #: clear without a fault schedule).
+        self._dead = np.zeros((n, NUM_PORTS), dtype=bool)
+        self._stall = np.zeros((n, NUM_PORTS), dtype=bool)
+        self._moves = np.zeros(n * NUM_PORTS, dtype=np.int64)
+        self._departed = np.zeros((n * 4, 4), dtype=np.int64)
+        self._in_src = np.zeros(n, dtype=np.int64)
+        self._in_dst = np.zeros(n, dtype=np.int64)
+        self._in_vertex = np.zeros(n, dtype=np.int64)
+        self._in_value = np.zeros(n, dtype=np.float64)
+        self._in_ok = np.zeros(n, dtype=bool)
+        self._table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
+        self._table[_SLOT_GEOMETRY:_SLOT_COUNTS] = (
+            n, topology.rows, topology.cols, depth
         )
+        self._bind()
 
-        # --- preallocated arbitration scratch --------------------------
-        # One row per node, sliced to the active subset each cycle; all
-        # hot-path gathers/compares land here via np.take(..., out=) and
-        # in-place ufuncs, so a steady-state cycle performs zero
-        # full-width allocations (only grant-sized index arrays remain).
-        self._buf_flat = self._buf.reshape(-1)
-        self._head_flat = self._head.reshape(-1)
-        self._count_flat = self._count.reshape(-1)
-        self._rr_flat = self._rr.reshape(-1)
-        self._down_node_flat = self._down_node.reshape(-1)
-        #: Flat base index of (node, port, slot 0) into ``_buf_flat``;
-        #: adding the head slot yields the head-of-line gather index.
-        self._flat_node_port = (
-            node[:, None] * NUM_PORTS + np.arange(NUM_PORTS, dtype=np.int64)
-        ) * depth
-        #: Flat base index of (node, dst 0) into the route table.
-        self._rt_base = node * np.int64(n)
-        #: Downstream flat (node, port) row per flat (node, out-port)
-        #: grant index: ``down_node * NUM_PORTS + down_in`` in one
-        #: gather when the whole mesh is active.
-        self._down_flat_lut = (
-            self._down_node * NUM_PORTS + _DOWN_IN[None, :]
-        ).reshape(-1)
-        self._route_flat = (
-            self._route_table.reshape(-1)
-            if self._route_table is not None
-            else None
-        )
-        self._scr_cnt = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_occ = np.zeros((n, NUM_PORTS), dtype=bool)
-        self._scr_nocc = np.zeros((n, NUM_PORTS), dtype=bool)
-        self._scr_heads = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_dst = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_out = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_flat = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_rr = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_mask = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_winner = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        self._scr_granted = np.zeros((n, NUM_PORTS), dtype=bool)
-        self._scr_code = np.zeros(n, dtype=np.int64)
-        self._scr_nbase = np.zeros(n, dtype=np.int64)
-        self._scr_pernode = np.zeros(n, dtype=np.int64)
-        self._scr_route8 = np.zeros((n, NUM_PORTS), dtype=np.int8)
-        # Head-route cache: the fault-free XY output port of the
-        # head-of-line packet per (node, port), -1 when empty.  Kept
-        # current at every write that can change a head (injection,
-        # commit-pass pop, link landing), which touches far fewer rows
-        # per cycle than the full head+route gather chain it replaces in
-        # the fault-free arbitrate pass.  Routes are destination-only,
-        # so the cache stays valid across fault windows (the fault
-        # branch recomputes deflections from scratch and never reads
-        # it).
-        if self._route_flat is not None:
-            self._head_route = np.full((n, NUM_PORTS), -1, dtype=np.int64)
-            self._head_route_flat = self._head_route.reshape(-1)
-        else:
-            self._head_route = None
-            self._head_route_flat = None
-        # Deferred maintenance: mutation sites append their touched flat
-        # rows here; the fault-free arbitrate pass flushes the union in
-        # ONE recompute per cycle (a per-site eager refresh costs more
-        # in fixed numpy overhead than the cached gather saves).
-        self._hr_dirty: List[np.ndarray] = []
-        # Cleared when the fault branch runs (it bypasses maintenance
-        # reads); the next fault-free pass then rebuilds every row.
-        self._hr_valid = True
-        #: node * num_nodes per flat (node, port) row — route-table row
-        #: base for :meth:`_refresh_head_route` without a divide.
-        self._rt_base_pp = np.repeat(node * np.int64(n), NUM_PORTS)
+    def _bind(self) -> None:
+        """Write the kernel table's buffer addresses.
+
+        Runs before the first kernel call and after every reallocation,
+        before the next kernel call: the table holds raw addresses of
+        the arrays these attributes reference.  A buffer of the wrong
+        dtype or layout would be read as raw memory by the kernel, so
+        each is checked against :data:`BUFFER_DTYPES` first (the
+        constructor has checked that the kernel expects those dtypes).
+        """
+        arrays = tuple(getattr(self, name) for name in _KERNEL_BUFFERS)
+        for name, arr in zip(
+            _KERNEL_BUFFERS + ("_table",), arrays + (self._table,)
+        ):
+            want = np.dtype(BUFFER_DTYPES[name])
+            if arr.dtype != want or not arr.flags.c_contiguous:
+                raise SimulationError(
+                    f"mesh kernel buffer {name} must be a C-contiguous "
+                    f"{want} array, got {arr.dtype} "
+                    f"(C-contiguous: {arr.flags.c_contiguous})"
+                )
+        self._table[:_SLOT_GEOMETRY] = [a.ctypes.data for a in arrays]
+        self._table_addr = self._table.ctypes.data
 
     # ------------------------------------------------------------------
     # Injection
@@ -423,9 +347,6 @@ class FastMeshNetwork:
         )
         self._buf[src, LOCAL, slot] = pidx
         self._count[src, LOCAL] += 1
-        if self._head_route_flat is not None:
-            self._refresh_head_route_one(src, LOCAL)
-        self._pkt_injected[pidx] = self.cycle
         self.stats.injected += 1
         return True
 
@@ -435,123 +356,46 @@ class FastMeshNetwork:
         dsts: np.ndarray,
         vertices: np.ndarray,
         values: np.ndarray,
-        assume_unique: bool = False,
-        checked: bool = True,
     ) -> np.ndarray:
-        """Inject one packet per entry, in argument order; returns the
-        per-entry acceptance mask.
+        """Inject one single-flit packet per entry, in argument order;
+        returns the per-entry acceptance mask.
 
         Equivalent to calling :meth:`inject` sequentially on freshly
         built packets: entries from the same source compete for that
-        router's remaining local-buffer space in argument order, so
-        entry ``i`` is accepted iff fewer earlier same-source entries
-        fit than there were free slots.  One Packet object is built per
-        *accepted* entry (rejected entries cost nothing), and all
-        registry/buffer updates are batched array writes.
-
-        ``assume_unique=True`` asserts that ``srcs`` has no repeats
-        (one packet per PE per cycle), skipping the duplicate scan.
-        ``checked=False`` additionally asserts every node index is in
-        range, skipping the bounds scan (four array reductions) — for
-        trusted per-cycle callers like the vectorised scatter engine.
+        router's remaining local-buffer space in argument order.  The
+        kernel checks every node index before it writes anything, so an
+        out-of-mesh entry raises :class:`ConfigurationError` and
+        injects nothing.
         """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        if srcs.size == 0:
-            return np.zeros(0, dtype=bool)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        n = self.topology.num_nodes
-        if checked:
-            lo = min(int(srcs.min()), int(dsts.min()))
-            hi = max(int(srcs.max()), int(dsts.max()))
-            if lo < 0 or hi >= n:
-                bad = lo if lo < 0 else hi
-                raise ConfigurationError(
-                    f"node {bad} outside mesh with {n} nodes"
-                )
-        sf = srcs * NUM_PORTS  # flat (src, LOCAL) rows; LOCAL == 0
-        space = self.buffer_depth - self._count_flat.take(sf)
-        # Rank each entry within its source group (argument order) —
-        # rank r fits iff r < free slots, exactly sequential inject().
-        # The scatter engines inject at most one packet per source per
-        # cycle, so the all-unique fast path is the common one.
-        unique = assume_unique or (
-            srcs.size == 1
-            or int(np.bincount(srcs, minlength=n).max()) <= 1
-        )
-        if unique:
-            rank = None
-            ok = space > 0
-        else:
-            order = np.argsort(srcs, kind="stable")
-            sorted_srcs = srcs[order]
-            group_start = np.concatenate(
-                ([True], sorted_srcs[1:] != sorted_srcs[:-1])
-            )
-            starts = np.flatnonzero(group_start)
-            rank = np.empty(srcs.size, dtype=np.int64)
-            rank[order] = np.arange(srcs.size) - starts[
-                np.cumsum(group_start) - 1
-            ]
-            ok = rank < space
-        if ok.all():
-            # All accepted (the steady-state case): skip the nonzero
-            # and five masked gathers below.
-            acc = None
-            a_src, a_dst = srcs, dsts
-            a_vtx = np.asarray(vertices, dtype=np.int64)
-            a_val = np.asarray(values, dtype=np.float64)
-            a_sf = sf
-        else:
-            acc = ok.nonzero()[0]
-            if acc.size == 0:
-                return ok
-            a_src = srcs[acc]
-            a_dst = dsts[acc]
-            a_vtx = np.asarray(vertices, dtype=np.int64)[acc]
-            a_val = np.asarray(values, dtype=np.float64)[acc]
-            a_sf = sf[acc]
-        cycle = self.cycle
-        n_acc = int(a_src.size)
-        base = len(self._pkts)
-        need = base + n_acc
-        if need > self._pkt_dst.size:
-            grow = self._pkt_dst.size
-            while grow < need:
-                grow *= 2
-            self._grow_registry(grow)
-        if self.lean_packets:
-            self._pkts += [None] * n_acc
-        else:
+        m = len(srcs)
+        if m > self._in_src.size:
+            self._grow_staging(m)
+        self._in_src[:m] = srcs
+        self._in_dst[:m] = dsts
+        self._in_vertex[:m] = vertices
+        self._in_value[:m] = values
+        base = self._n_pkts
+        if base + m > self._pkt_dst.size:
+            self._grow_registry(base + m)
+        accepted = self._kernel.inject(self._table_addr, m, self.cycle, base)
+        if accepted < 0:  # entry -1 - accepted names an out-of-mesh node
+            i = -1 - accepted
+            src, dst = int(self._in_src[i]), int(self._in_dst[i])
+            self._check_node(src)
+            self._check_node(dst)
+        ok = self._in_ok[:m].copy()
+        self._n_pkts = base + accepted
+        if accepted and not self.lean_packets:
             self._pkts.extend(
                 batch_packets(
-                    a_src.tolist(),
-                    a_dst.tolist(),
-                    a_vtx.tolist(),
-                    a_val.tolist(),
-                    cycle,
+                    self._in_src[:m][ok].tolist(),
+                    self._in_dst[:m][ok].tolist(),
+                    self._in_vertex[:m][ok].tolist(),
+                    self._in_value[:m][ok].tolist(),
+                    self.cycle,
                 )
             )
-        pidx = np.arange(base, need, dtype=np.int64)
-        self._pkt_dst[base:need] = a_dst
-        self._pkt_flits[base:need] = 1
-        self._pkt_injected[base:need] = cycle
-        self._pkt_vertex[base:need] = a_vtx
-        self._pkt_value[base:need] = a_val
-        slot = self._head_flat.take(a_sf)
-        slot += self._count_flat.take(a_sf)
-        if rank is not None:
-            slot += rank if acc is None else rank[acc]
-        slot %= self.buffer_depth
-        bidx = a_sf * self.buffer_depth
-        bidx += slot
-        self._buf_flat[bidx] = pidx
-        if rank is None:
-            self._count_flat[a_sf] += 1
-        else:
-            np.add.at(self._count_flat, a_sf, 1)
-        if self._head_route_flat is not None:
-            self._hr_dirty.append(a_sf)
-        self.stats.injected += n_acc
+        self.stats.injected += accepted
         return ok
 
     # ------------------------------------------------------------------
@@ -560,29 +404,42 @@ class FastMeshNetwork:
     def step(self) -> None:
         """Advance the network by one cycle (same three phases as the
         reference: injection, landing + link bookkeeping, then one
-        batched arbitrate/reserve/commit pass over every router)."""
+        arbitrate/reserve/commit pass over every router, in C)."""
         if self._pending:
             self._inject_pending()
         if self._in_flight:
             self._land_in_flight()
-        if self._has_multiflit:
-            busy = self._link_busy
-            np.subtract(busy, 1, out=busy)
-            np.maximum(busy, 0, out=busy)
-
-        per_node = self._scr_pernode
-        self._count.sum(axis=1, out=per_node)
-        active = per_node.nonzero()[0]
-        if active.size:
-            # _arbitrate_and_move records how many packets left the
-            # FIFOs (ejections + multi-flit link departures); link moves
-            # are occupancy-neutral, so post-pass occupancy follows from
-            # the pre-pass sum without a second full reduction.
-            self._removed_by_pass = 0
-            self._arbitrate_and_move(active)
-            occupancy = int(per_node.sum()) - self._removed_by_pass
-        else:
-            occupancy = 0
+        faults = self.faults
+        if faults is not None:
+            np.copyto(self._dead, faults.link_dead_mask(self.cycle))
+            np.copyto(self._stall, faults.fifo_stall_mask(self.cycle))
+        n0 = self._dlv_n
+        if n0 + self.topology.num_nodes > self._dlv_pidx.size:
+            # One doubling suffices: the log starts >= 2 * nodes long
+            # and a step appends at most one delivery per node.
+            self._dlv_pidx = np.resize(self._dlv_pidx, 2 * self._dlv_pidx.size)
+            self._bind()
+        self._kernel.step(self._table_addr, self.cycle, n0)
+        (
+            delivered, hops, latency, stalled, rerouted, degraded,
+            departures, occupancy,
+        ) = self._table[_SLOT_COUNTS:].tolist()
+        self.stats.delivered += delivered
+        self.stats.total_hops += hops
+        self.stats.total_latency += latency
+        self.stats.stalled_moves += stalled
+        self.stats.rerouted_packets += rerouted
+        self.stats.degraded_cycles += degraded
+        self._dlv_n = n0 + delivered
+        if delivered and not self.lean_packets:
+            self._materialise_deliveries(n0)
+        if departures:
+            self._in_flight.extend(
+                (arrive, node, port, pidx)
+                for arrive, node, port, pidx in self._departed[
+                    :departures
+                ].tolist()
+            )
         self.last_occupancy = occupancy
         if occupancy > self.stats.max_occupancy:
             self.stats.max_occupancy = occupancy
@@ -591,334 +448,14 @@ class FastMeshNetwork:
         if self.sanitizer is not None:
             self._run_sanitizer(occupancy)
 
-    def _arbitrate_and_move(self, active: np.ndarray) -> None:
-        """One switch-allocation pass over the ``active`` node subset.
-
-        Reproduces the reference pipeline exactly: per-output round-robin
-        grants from head-of-line XY requests, downstream space
-        reservation against *pre-commit* occupancy, then simultaneous
-        commit of every accepted move.
-        """
-        depth = self.buffer_depth
-        count = self._count
-        a = active.size
-        faults = self.faults
-        out = self._scr_out[:a]
-        flat = self._scr_flat[:a]
-        if faults is None and self._head_route is not None:
-            # Fault-free fast path: the head-route cache already holds
-            # each head packet's XY output port (-1 for empty rows), so
-            # one 2-D gather replaces the whole head+route chain below.
-            # Flush deferred maintenance first — one batched recompute
-            # of every row touched since the last read.
-            dirty = self._hr_dirty
-            if not self._hr_valid:
-                self._refresh_head_route(
-                    np.arange(
-                        self._head_route_flat.size, dtype=np.int64
-                    )
-                )
-                self._hr_valid = True
-                dirty.clear()
-            elif dirty:
-                self._refresh_head_route(
-                    dirty[0] if len(dirty) == 1 else np.concatenate(dirty)
-                )
-                dirty.clear()
-            self._head_route.take(active, axis=0, out=out, mode="clip")
-        elif faults is None:
-            # No route table (mesh too large): gather head-of-line
-            # state and compute dimension-order routes directly.
-            cnt = self._scr_cnt[:a]
-            count.take(active, axis=0, out=cnt, mode="clip")
-            occ = self._scr_occ[:a]  # ports with a head-of-line packet
-            np.greater(cnt, 0, out=occ)
-            self._flat_node_port.take(active, axis=0, out=flat, mode="clip")
-            heads = self._scr_heads[:a]
-            self._head.take(active, axis=0, out=heads, mode="clip")
-            flat += heads  # flat (node, port, head-slot) index into _buf
-            self._buf_flat.take(
-                flat.reshape(-1), out=heads.reshape(-1), mode="clip"
-            )
-            dst = self._scr_dst[:a]
-            self._pkt_dst.take(heads, out=dst, mode="clip")
-            nocc = self._scr_nocc[:a]
-            np.logical_not(occ, out=nocc)
-            dst_row, dst_col = np.divmod(dst, self.topology.cols)
-            row = self._node_row[active][:, None]
-            col = self._node_col[active][:, None]
-            out[...] = np.where(
-                col < dst_col,
-                EAST,
-                np.where(
-                    col > dst_col,
-                    WEST,
-                    np.where(
-                        row < dst_row,
-                        SOUTH,
-                        np.where(row > dst_row, NORTH, LOCAL),
-                    ),
-                ),
-            )
-            np.copyto(out, -1, where=nocc)
-        else:
-            # Fault branch: gather head-of-line state, then apply the
-            # vectorised deflection policy.  It never reads the cache,
-            # so maintenance pauses here: mark the cache invalid and
-            # drop the dirty backlog — the next fault-free pass
-            # rebuilds every row from the live FIFO arrays.
-            if self._head_route is not None:
-                self._hr_valid = False
-                self._hr_dirty.clear()
-            cnt = self._scr_cnt[:a]
-            count.take(active, axis=0, out=cnt, mode="clip")
-            occ = self._scr_occ[:a]  # ports with a head-of-line packet
-            np.greater(cnt, 0, out=occ)
-            self._flat_node_port.take(active, axis=0, out=flat, mode="clip")
-            heads = self._scr_heads[:a]
-            self._head.take(active, axis=0, out=heads, mode="clip")
-            flat += heads  # flat (node, port, head-slot) index into _buf
-            self._buf_flat.take(
-                flat.reshape(-1), out=heads.reshape(-1), mode="clip"
-            )
-            dst = self._scr_dst[:a]
-            self._pkt_dst.take(heads, out=dst, mode="clip")
-            dst_row, dst_col = np.divmod(dst, self.topology.cols)
-            row = self._node_row[active][:, None]
-            col = self._node_col[active][:, None]
-            # Dimension-order routing for every head packet at once.
-            fout = np.where(
-                col < dst_col,
-                EAST,
-                np.where(
-                    col > dst_col,
-                    WEST,
-                    np.where(
-                        row < dst_row,
-                        SOUTH,
-                        np.where(row > dst_row, NORTH, LOCAL),
-                    ),
-                ),
-            )
-            # Vectorised mirror of repro.faults.route_with_faults: dead
-            # XY links deflect one hop along the other axis (toward the
-            # destination row, or the mesh interior), a dead deflection
-            # blocks the packet this cycle, and frozen FIFOs withhold
-            # their requests entirely.  Kept decision-for-decision
-            # identical to the reference engine's scalar policy.
-            dead = faults.link_dead_mask(self.cycle)[active]
-            stall = faults.fifo_stall_mask(self.cycle)[active]
-            valid = occ & ~stall
-            a_col = np.arange(active.size)[:, None]
-            xy_dead = valid & dead[a_col, fout]  # dead[:, LOCAL] is False
-            fault_seen = bool(xy_dead.any()) or bool((stall & occ).any())
-            if xy_dead.any():
-                rows_total = self.topology.rows
-                cols_total = self.topology.cols
-                is_x = (fout == EAST) | (fout == WEST)
-                deflect_same_row = np.where(
-                    row + 1 < rows_total, SOUTH, NORTH
-                )
-                alt_x = np.where(
-                    row < dst_row,
-                    SOUTH,
-                    np.where(row > dst_row, NORTH, deflect_same_row),
-                )
-                alt_y = np.where(col + 1 < cols_total, EAST, WEST)
-                alt = np.where(is_x, alt_x, alt_y)
-                blocked = dead[a_col, alt]
-                if rows_total == 1:
-                    blocked = blocked | is_x  # no Y axis to deflect along
-                if cols_total == 1:
-                    blocked = blocked | ~is_x  # no X axis to deflect along
-                fout = np.where(
-                    xy_dead, np.where(blocked, -1, alt), fout
-                )
-            if fault_seen:
-                self.stats.degraded_cycles += 1
-            out[...] = np.where(valid, fout, -1)
-
-        # Switch allocation: for each (node, out port), the contending
-        # input port closest at-or-after the round-robin pointer wins.
-        # A node's five head requests (each -1..4) form one base-6 code;
-        # _MASK_LUT turns the code into per-output request bitmasks and
-        # _WINNER_LUT resolves each mask against the round-robin
-        # pointer — two table gathers instead of an (active, out, in)
-        # match/argmin tensor pass.
-        out += 1  # request digits 0..5 (0 = no request)
-        code = self._scr_code[:a]
-        np.dot(out, _POW6, out=code)  # (a,)
-        mask = self._scr_mask[:a]  # (a, out) request bitmasks
-        _MASK_LUT.take(code, axis=0, out=mask, mode="clip")
-        rr = self._scr_rr[:a]
-        self._rr.take(active, axis=0, out=rr, mode="clip")
-        np.multiply(rr, _WINNER_LUT.shape[1], out=flat)
-        flat += mask
-        winner = self._scr_winner[:a]  # (a, out)
-        _WINNER_FLAT.take(
-            flat.reshape(-1), out=winner.reshape(-1), mode="clip"
-        )
-        granted = self._scr_granted[:a]
-        np.not_equal(mask, 0, out=granted)
-        if self._has_multiflit:
-            granted &= self._link_busy[active] == 0
-
-        # Split local ejections from link traversals.  All gathers and
-        # scatters below index the flat (node*NUM_PORTS + port) views —
-        # single-array integer indexing skips the multi-array iterator
-        # setup that dominated this tail.
-        winner_flat = winner.reshape(-1)
-        full = a == self._arange_nodes.size
-        lm = np.flatnonzero(granted[:, LOCAL])
-        local_nodes = lm if full else active.take(lm)
-        local_in = winner_flat.take(lm * NUM_PORTS)  # LOCAL == 0
-        granted[:, LOCAL] = False
-        # Flat nonzero over the contiguous grant matrix, then split the
-        # flat index into its (node-row, out-port) digits — one pass
-        # instead of np.nonzero's two output arrays, and when every
-        # node is active the flat index doubles directly as the
-        # (node, port) gather index.
-        gfl = np.flatnonzero(granted.reshape(-1))
-        gin = winner_flat.take(gfl)
-        go = gfl % NUM_PORTS
-        if full:
-            gnode = gfl // NUM_PORTS
-            dnf = self._down_flat_lut.take(gfl)
-        else:
-            gnode = active.take(gfl // NUM_PORTS)
-            dnf = self._down_flat_lut.take(gnode * NUM_PORTS + go)
-        # Credit backpressure: reserve downstream space now (pre-commit
-        # occupancy); a grant without space is a stalled move.
-        space = self._count_flat.take(dnf) < depth
-        stalled = int(go.size - np.count_nonzero(space))
-        if stalled:
-            self.stats.stalled_moves += stalled
-            gnode, go, gin = gnode[space], go[space], gin[space]
-            dnf = dnf[space]
-
-        # Commit: dequeue every granted head and rotate the pointers.
-        # (node, in) pairs are unique — each input port requests exactly
-        # one output — so the fancy-indexed updates cannot collide.
-        num_local = local_nodes.size
-        if num_local and gnode.size:
-            pop_node = np.concatenate([local_nodes, gnode])
-            pop_in = np.concatenate([local_in, gin])
-        elif num_local:
-            pop_node, pop_in = local_nodes, local_in
-        else:
-            pop_node, pop_in = gnode, gin
-        pf = pop_node * NUM_PORTS + pop_in
-        pop_head = self._head_flat.take(pf)
-        bidx = pf * depth
-        bidx += pop_head
-        pidx = self._buf_flat.take(bidx)
-        pop_head += 1
-        pop_head %= depth
-        self._head_flat[pf] = pop_head
-        self._count_flat[pf] -= 1
-        # Round-robin pointer of the granting *output* port: the flat
-        # index is node*NUM_PORTS + out, i.e. pf with the input digit
-        # swapped for the output digit (LOCAL == 0 for ejections).
-        rr_idx = pf - pop_in
-        rr_idx[num_local:] += go
-        rr_val = pop_in + 1
-        rr_val %= NUM_PORTS
-        self._rr_flat[rr_idx] = rr_val
-        if self._head_route_flat is not None:
-            self._hr_dirty.append(pf)
-        # serial=None means "every popped packet is single-flit", which
-        # is guaranteed while no flits>1 packet was ever registered.
-        serial = (
-            np.maximum(self._pkt_flits[pidx], 1) - 1
-            if self._has_multiflit
-            else None
-        )
-        if faults is not None and gnode.size:
-            # Committed traversals leaving through a non-XY port are the
-            # detours (counted at commit, same as the reference engine).
-            t_dst = self._pkt_dst[pidx[num_local:]]
-            t_row, t_col = np.divmod(t_dst, self.topology.cols)
-            n_row = self._node_row[gnode]
-            n_col = self._node_col[gnode]
-            pure = np.where(
-                n_col < t_col,
-                EAST,
-                np.where(
-                    n_col > t_col,
-                    WEST,
-                    np.where(
-                        n_row < t_row,
-                        SOUTH,
-                        np.where(n_row > t_row, NORTH, LOCAL),
-                    ),
-                ),
-            )
-            self.stats.rerouted_packets += int(np.count_nonzero(go != pure))
-
-        if num_local:
-            self._deliver(
-                local_nodes,
-                pidx[:num_local],
-                None if serial is None else serial[:num_local],
-            )
-        if gnode.size:
-            self._traverse(
-                gnode,
-                go,
-                dnf,
-                pidx[num_local:],
-                None if serial is None else serial[num_local:],
-            )
-
-    def _deliver(
-        self,
-        nodes: np.ndarray,
-        pidx: np.ndarray,
-        serial: Optional[np.ndarray],
-    ) -> None:
-        """Eject packets at their destination (ascending node order —
-        the same intra-cycle delivery order the reference produces).
-        ``serial=None`` asserts every packet is single-flit."""
-        self.stats.delivered += nodes.size
-        self._removed_by_pass += int(nodes.size)
-        if serial is None:
-            self.stats.total_latency += int(
-                nodes.size * self.cycle - self._pkt_injected[pidx].sum()
-            )
-            delivered_cycle = None
-        else:
-            delivered_cycle = self.cycle + serial
-            self.stats.total_latency += int(
-                (delivered_cycle - self._pkt_injected[pidx]).sum()
-            )
-            multi = serial > 0
-            if multi.any():
-                # +1 because the counter ticks at the start of the next
-                # cycle: block exactly `serial` cycles.
-                self._link_busy[nodes[multi], LOCAL] = serial[multi] + 1
-        n0 = self._dlv_n
-        need = n0 + pidx.size
-        if need > self._dlv_pidx.size:
-            grow = self._dlv_pidx.size
-            while grow < need:
-                grow *= 2
-            log = np.zeros(grow, dtype=np.int64)
-            log[:n0] = self._dlv_pidx[:n0]
-            self._dlv_pidx = log
-        self._dlv_pidx[n0:need] = pidx
-        self._dlv_n = need
-        if self.lean_packets:
-            return
-        packets = self._pkts
-        out = self.delivered
-        for i in range(nodes.size):
-            packet = packets[pidx[i]]
-            packet.delivered_cycle = (
-                self.cycle
-                if delivered_cycle is None
-                else int(delivered_cycle[i])
-            )
-            out.append(packet)
+    def _materialise_deliveries(self, start: int) -> None:
+        """Stamp and append the Packet objects the last step ejected
+        (ascending node order — the reference's intra-cycle order)."""
+        cycle = self.cycle
+        for pidx in self._dlv_pidx[start:self._dlv_n].tolist():
+            packet = self._pkts[pidx]
+            packet.delivered_cycle = cycle + max(int(packet.flits), 1) - 1
+            self.delivered.append(packet)
 
     def delivered_count(self) -> int:
         """Packets delivered so far (lean-mode-safe cursor for
@@ -942,60 +479,6 @@ class FastMeshNetwork:
             self._pkt_vertex[idx],
             self._pkt_value[idx],
         )
-
-    def _traverse(
-        self,
-        nodes: np.ndarray,
-        outs: np.ndarray,
-        df: np.ndarray,
-        pidx: np.ndarray,
-        serial: Optional[np.ndarray],
-    ) -> None:
-        """Move packets across links: single-flit packets land in the
-        downstream FIFO this cycle; wider ones occupy the link and land
-        once fully serialised (store-and-forward).  ``df`` is the flat
-        ``down_node * NUM_PORTS + down_in`` row per packet.
-        ``serial=None`` asserts every packet is single-flit."""
-        depth = self.buffer_depth
-        self.stats.total_hops += nodes.size
-        if serial is None:
-            slot = self._head_flat.take(df)
-            slot += self._count_flat.take(df)
-            slot %= depth
-            bidx = df * depth
-            bidx += slot
-            self._buf_flat[bidx] = pidx
-            self._count_flat[df] += 1
-            if self._head_route_flat is not None:
-                self._hr_dirty.append(df)
-            return
-        down_node, down_in = np.divmod(df, NUM_PORTS)
-        single = serial == 0
-        arr_node, arr_in, arr_pidx = (
-            down_node[single],
-            down_in[single],
-            pidx[single],
-        )
-        if arr_node.size:
-            slot = (
-                self._head[arr_node, arr_in] + self._count[arr_node, arr_in]
-            ) % depth
-            self._buf[arr_node, arr_in, slot] = arr_pidx
-            self._count[arr_node, arr_in] += 1
-            if self._head_route_flat is not None:
-                self._hr_dirty.append(arr_node * NUM_PORTS + arr_in)
-        if not single.all():
-            for k in np.flatnonzero(~single):
-                self._removed_by_pass += 1
-                self._link_busy[nodes[k], outs[k]] = serial[k] + 1
-                self._in_flight.append(
-                    (
-                        self.cycle + int(serial[k]),
-                        int(down_node[k]),
-                        int(down_in[k]),
-                        int(pidx[k]),
-                    )
-                )
 
     def run_until_drained(
         self, max_cycles: int = 1_000_000, fast_forward: bool = True
@@ -1067,48 +550,12 @@ class FastMeshNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _refresh_head_route(self, pf: np.ndarray) -> None:
-        """Recompute the head-route cache for the flat
-        ``node * NUM_PORTS + port`` rows ``pf``.
-
-        Idempotent — rows may be in any state (duplicates included),
-        each is recomputed from the live FIFO arrays: the XY route of
-        the current head packet, or -1 when the row is empty.
-        """
-        bidx = pf * self.buffer_depth
-        bidx += self._head_flat.take(pf)
-        pidx = self._buf_flat.take(bidx)
-        dst = self._pkt_dst.take(pidx, mode="clip")
-        rt = self._rt_base_pp.take(pf)
-        rt += dst
-        route = self._route_flat.take(rt)
-        self._head_route_flat[pf] = np.where(
-            self._count_flat.take(pf) > 0, route, -1
-        )
-
-    def _refresh_head_route_one(self, node: int, port: int) -> None:
-        """Scalar form of :meth:`_refresh_head_route` for the
-        object-packet slow paths (``inject``/``_inject_pending``/
-        ``_land_in_flight``)."""
-        f = node * NUM_PORTS + port
-        if self._count_flat[f] > 0:
-            pidx = int(
-                self._buf_flat[f * self.buffer_depth + self._head_flat[f]]
-            )
-            dst = int(self._pkt_dst[pidx])
-            self._head_route_flat[f] = self._route_flat[
-                node * self.topology.num_nodes + dst
-            ]
-        else:
-            self._head_route_flat[f] = -1
-
     def _register(self, packet: Packet) -> int:
-        pidx = len(self._pkts)
+        pidx = self._n_pkts
         self._pkts.append(packet)
-        if packet.flits > 1:
-            self._has_multiflit = True
+        self._n_pkts += 1
         if pidx >= self._pkt_dst.size:
-            self._grow_registry(self._pkt_dst.size * 2)
+            self._grow_registry(pidx + 1)
         self._pkt_dst[pidx] = packet.dst
         self._pkt_flits[pidx] = packet.flits
         self._pkt_injected[pidx] = packet.injected_cycle
@@ -1116,12 +563,24 @@ class FastMeshNetwork:
         self._pkt_value[pidx] = packet.value
         return pidx
 
-    def _grow_registry(self, grow: int) -> None:
+    def _grow_registry(self, need: int) -> None:
+        grow = self._pkt_dst.size
+        while grow < need:
+            grow *= 2
         self._pkt_dst = np.resize(self._pkt_dst, grow)
         self._pkt_flits = np.resize(self._pkt_flits, grow)
         self._pkt_injected = np.resize(self._pkt_injected, grow)
         self._pkt_vertex = np.resize(self._pkt_vertex, grow)
         self._pkt_value = np.resize(self._pkt_value, grow)
+        self._bind()
+
+    def _grow_staging(self, need: int) -> None:
+        self._in_src = np.resize(self._in_src, need)
+        self._in_dst = np.resize(self._in_dst, need)
+        self._in_vertex = np.resize(self._in_vertex, need)
+        self._in_value = np.resize(self._in_value, need)
+        self._in_ok = np.resize(self._in_ok, need)
+        self._bind()
 
     def _inject_pending(self) -> None:
         """Drain due injections into local buffers, in (when, seq) order
@@ -1198,10 +657,6 @@ class FastMeshNetwork:
             self._count[upd_node, LOCAL] += np.asarray(
                 upd_fits, dtype=np.int64
             )
-            if self._head_route_flat is not None:
-                self._hr_dirty.append(
-                    np.asarray(upd_node, dtype=np.int64) * NUM_PORTS
-                )
             self.stats.injected += len(slot_node)
 
     def _land_in_flight(self) -> None:
@@ -1219,8 +674,6 @@ class FastMeshNetwork:
                 ) % depth
                 self._buf[node, in_port, slot] = pidx
                 self._count[node, in_port] += 1
-                if self._head_route_flat is not None:
-                    self._refresh_head_route_one(node, in_port)
             else:
                 self.stats.stalled_moves += 1
                 remaining.append((self.cycle + 1, node, in_port, pidx))
@@ -1260,19 +713,35 @@ class FastMeshNetwork:
 # ----------------------------------------------------------------------
 def resolve_engine(engine: str, topology: MeshTopology) -> str:
     """Resolve an engine name (``auto``/``reference``/``vectorized``)
-    to a concrete one, choosing by mesh size for ``auto``."""
+    to a concrete one, choosing by mesh size for ``auto``.
+
+    The vectorised engine needs the compiled kernel: when it cannot be
+    built, ``auto`` falls back to the reference with a
+    :class:`RuntimeWarning` and ``vectorized`` raises
+    :class:`ConfigurationError`.  Resolving to the reference never
+    touches the compiler.
+    """
     name = engine.lower()
-    if name == "auto":
-        return (
-            "vectorized"
-            if topology.num_nodes >= AUTO_VECTORIZE_MIN_NODES
-            else "reference"
+    if name not in ("auto", "reference", "vectorized"):
+        raise ConfigurationError(
+            f"unknown NoC engine {engine!r} (auto/reference/vectorized)"
         )
-    if name in ("reference", "vectorized"):
-        return name
-    raise ConfigurationError(
-        f"unknown NoC engine {engine!r} (auto/reference/vectorized)"
-    )
+    if name == "reference" or (
+        name == "auto" and topology.num_nodes < AUTO_VECTORIZE_MIN_NODES
+    ):
+        return "reference"
+    try:
+        meshkernel.load()
+    except ConfigurationError as exc:
+        if name == "vectorized":
+            raise
+        warnings.warn(
+            f"{exc}; using the reference mesh engine",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return "reference"
+    return "vectorized"
 
 
 def make_mesh_network(
@@ -1288,9 +757,9 @@ def make_mesh_network(
     ``engine`` selects the implementation: ``"reference"`` (one Router
     object per node — the auditable golden model), ``"vectorized"``
     (:class:`FastMeshNetwork`), or ``"auto"`` (vectorised at or above
-    :data:`AUTO_VECTORIZE_MIN_NODES` nodes).  Both produce identical
-    packets, cycles, and stats — including fault replay when a
-    :class:`~repro.faults.schedule.FaultSchedule` is armed.
+    :data:`AUTO_VECTORIZE_MIN_NODES` nodes; see :func:`resolve_engine`).
+    Both produce identical packets, cycles, and stats — including fault
+    replay when a :class:`~repro.faults.schedule.FaultSchedule` is armed.
     """
     if resolve_engine(engine, topology) == "vectorized":
         return FastMeshNetwork(

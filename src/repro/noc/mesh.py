@@ -8,9 +8,9 @@ accelerator simulations (tests cross-check the two on small meshes) and to
 measure routing-conflict behaviour directly (Figure 6, Section II-C).
 
 For at-scale cycle-level runs use :mod:`repro.noc.fastmesh`: a
-struct-of-arrays NumPy engine that is packet-for-packet and
-cycle-for-cycle identical to this one (differential tests enforce it)
-but advances whole cycles with batched array operations.  This class
+struct-of-arrays engine that is packet-for-packet and cycle-for-cycle
+identical to this one (differential tests enforce it) but advances
+whole cycles in one compiled call.  This class
 remains the golden model the fast engine is gated against.
 """
 
@@ -162,14 +162,11 @@ class MeshNetwork:
         dsts: np.ndarray,
         vertices: np.ndarray,
         values: np.ndarray,
-        assume_unique: bool = False,
-        checked: bool = True,
     ) -> np.ndarray:
         """Inject one packet per entry, in argument order; returns the
         per-entry acceptance mask.  Loop form of
         :meth:`~repro.noc.fastmesh.FastMeshNetwork.inject_batch` so both
-        engines expose the same batched surface (``assume_unique`` and
-        ``checked`` are pure hints; the loop form never needs them)."""
+        engines expose the same batched surface."""
         ok = np.zeros(len(srcs), dtype=bool)
         for i in range(len(srcs)):
             ok[i] = self.inject(

@@ -123,6 +123,12 @@ class TestDifferentialEquivalence:
             buffer_depth=1,
         )
 
+    def test_paper_scale_mesh(self):
+        # 32x32 is the paper's largest mesh (Table IV, Fig. 21).
+        topology = MeshTopology(32, 32)
+        src, dst = generate("uniform", topology, 320, seed=13)
+        _assert_equivalent(topology, src, dst, stagger=3)
+
     def test_inject_backpressure_parity(self):
         # Direct inject() refuses the (depth+1)-th packet on both engines.
         for cls in (MeshNetwork, FastMeshNetwork):

@@ -402,6 +402,7 @@ class TestLeanPackets:
             full.step()
         assert lean.stats == full.stats
         assert lean.delivered == []  # the point of lean mode
+        assert lean._pkts == []  # lean packets are only counted
         assert lean.delivered_count() == full.delivered_count()
         assert full.delivered_count() == len(full.delivered)
         l_dst, l_vtx, l_val = lean.delivered_arrays()

@@ -158,6 +158,19 @@ class TestFaultEquivalence:
         src, dst = generate("hotspot", topology, 72, seed=9)
         _assert_fault_equivalent(topology, src, dst, buffer_depth=1)
 
+    @pytest.mark.parametrize("buffer_depth", [1, 2])
+    def test_non_square_auto_sized_mesh(self, buffer_depth):
+        """A 9x8 mesh (72 nodes: ``auto`` picks the compiled engine)
+        with multi-flit packets and shallow buffers."""
+        topology = MeshTopology(9, 8)
+        src, dst = generate("uniform", topology, 288, seed=23)
+        stats, _ = _assert_fault_equivalent(
+            topology, src, dst, flit_pattern=(1, 3, 2),
+            buffer_depth=buffer_depth,
+        )
+        assert stats["degraded_cycles"] > 0
+        assert stats["rerouted_packets"] > 0
+
     @pytest.mark.parametrize("rows,cols", [(1, 4), (4, 1)])
     def test_degenerate_meshes(self, rows, cols):
         topology = MeshTopology(rows, cols)
