@@ -1,19 +1,22 @@
 """Crash-safe sweep checkpointing.
 
-A :class:`SweepCheckpoint` is an append-only JSONL journal of completed
-(graph, algorithm, system) cells.  The parallel runner appends each
-cell's report the moment it lands (fsync'd), so an interrupted sweep —
-killed workers, OOM, ctrl-C, power loss — loses at most the cells that
-were literally in flight; re-invoking the sweep with the same
-checkpoint path resumes from the journal instead of recomputing.
+A :class:`SweepCheckpoint` journals a sweep's completed (graph,
+algorithm, system) cells.  The parallel runner appends each cell's
+report the moment it lands (fsync'd), so an interrupted sweep — killed
+workers, OOM, ctrl-C, power loss — loses at most the cells that were
+literally in flight; re-invoking the sweep with the same checkpoint
+path resumes from the journal instead of recomputing.
 
-The journal is self-describing: its first line is a header carrying a
-digest of the sweep's identity (axes, scale shift, iteration cap, model
-version).  A checkpoint written for a *different* sweep is ignored and
-rewritten rather than trusted — resuming PageRank cells into a BFS
-sweep would silently corrupt the matrix.  A torn final line (the writer
-died mid-append) is tolerated: parsing stops at the first undecodable
-line and everything before it is kept.
+The file is a one-request journal in the daemon's format
+(:class:`~repro.experiments.executor.Journal`): the sweep's identity
+(axes, scale shift, iteration cap, model version) is the request, its
+SHA-256 digest the request id, and every completed cell a ``cell``
+record carrying the full report.  A checkpoint written for a
+*different* sweep — or in another format, such as the retired
+``repro-sweep-checkpoint/1`` — is ignored and rewritten rather than
+trusted: resuming PageRank cells into a BFS sweep would silently
+corrupt the matrix.  A torn final line (the writer died mid-append) is
+dropped on load and truncated before the next append.
 """
 
 from __future__ import annotations
@@ -22,20 +25,13 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.stats import SimulationReport
-
-_SCHEMA = "repro-sweep-checkpoint/1"
+from repro.experiments.executor import Journal, replay_journal
 
 #: A (graph, algorithm, system) cell key.
 CellKey = Tuple[str, str, str]
-
-
-def _signature_digest(signature: Dict) -> str:
-    return hashlib.sha256(
-        json.dumps(signature, sort_keys=True, default=str).encode()
-    ).hexdigest()
 
 
 class SweepCheckpoint:
@@ -45,117 +41,80 @@ class SweepCheckpoint:
         path: journal file location (created on first append; parent
             directories are created as needed).
         signature: JSON-serialisable description of the sweep's identity
-            (axes, scale shift, iteration cap, model version).  Only its
-            digest is stored; a stored digest that does not match means
-            the journal belongs to a different sweep and is discarded.
+            (axes, scale shift, iteration cap, model version).  A
+            journal of any other signature belongs to a different sweep
+            and is discarded.
     """
 
     def __init__(self, path: os.PathLike, signature: Dict) -> None:
         self.path = Path(path)
-        self.digest = _signature_digest(signature)
-        self._fh: Optional[TextIO] = None
+        self.signature = signature
+        self.digest = hashlib.sha256(
+            json.dumps(signature, sort_keys=True, default=str).encode()
+        ).hexdigest()
+        self._journal: Optional[Journal] = None
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     def load(self) -> Dict[CellKey, SimulationReport]:
         """Completed cells journaled by a previous (interrupted) run.
 
-        Returns an empty mapping when the file is absent, carries a
-        mismatched signature, or is corrupt before any cell landed.
-        Parsing stops at the first torn/undecodable line; for duplicate
-        keys the last complete entry wins.
+        Returns an empty mapping when the file is absent, belongs to
+        another sweep, or is corrupt before any cell landed.  Parsing
+        stops at the first torn/undecodable record; for duplicate keys
+        the last complete entry wins.
         """
-        try:
-            raw = self.path.read_text()
-        except OSError:
-            return {}
-        lines = raw.splitlines()
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            return {}
-        if (
-            not isinstance(header, dict)
-            or header.get("schema") != _SCHEMA
-            or header.get("signature") != self.digest
-        ):
-            return {}
         cells: Dict[CellKey, SimulationReport] = {}
-        for line in lines[1:]:
+        for record in replay_journal(self.path).cells.get(self.digest, []):
             try:
-                entry = json.loads(line)
-                key = tuple(entry["key"])
-                if len(key) != 3:
-                    raise ValueError("malformed cell key")
-                report = SimulationReport.from_dict(entry["report"])
+                key = (record["graph"], record["algorithm"], record["system"])
+                cells[key] = SimulationReport.from_dict(record["report"])
             except (KeyError, TypeError, ValueError):
-                break  # torn tail: keep everything before it
-            cells[key] = report  # type: ignore[index]
+                break
         return cells
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def start(self, reset: bool = False) -> None:
         """Open the journal for appending.
 
-        An existing journal with a matching header is kept (its cells
-        stay resumable); anything else — or ``reset=True`` — is
-        rewritten with a fresh header.
+        A journal of this sweep is kept (its cells stay resumable, a
+        torn tail is cut off); anything else — or ``reset=True`` — is
+        rewritten from scratch.
         """
-        keep = not reset and self._header_matches()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not keep:
-            self._fh = self.path.open("w")
-            self._fh.write(
-                json.dumps({"schema": _SCHEMA, "signature": self.digest})
-                + "\n"
+        valid_bytes = 0
+        if not reset:
+            replay = replay_journal(self.path)
+            if self.digest in replay.requests:
+                valid_bytes = replay.valid_bytes
+        self._journal = Journal(self.path, valid_bytes=valid_bytes)
+        if valid_bytes == 0:
+            self._journal.append(
+                {
+                    "kind": "request",
+                    "request_id": self.digest,
+                    "request": self.signature,
+                }
             )
-            self._flush()
-        else:
-            self._fh = self.path.open("a")
-
-    def _header_matches(self) -> bool:
-        try:
-            with self.path.open() as fh:
-                header = json.loads(fh.readline())
-        except (OSError, ValueError):
-            return False
-        return (
-            isinstance(header, dict)
-            and header.get("schema") == _SCHEMA
-            and header.get("signature") == self.digest
-        )
 
     def append(self, key: CellKey, report: SimulationReport) -> None:
         """Journal one completed cell (flushed and fsync'd: after this
         returns the cell survives any crash)."""
-        if self._fh is None:
+        if self._journal is None:
             self.start()
-        assert self._fh is not None
-        self._fh.write(
-            json.dumps(
-                {
-                    "key": list(key),
-                    "report": report.to_dict(include_iterations=True),
-                }
-            )
-            + "\n"
+        assert self._journal is not None
+        graph, algorithm, system = key
+        self._journal.append(
+            {
+                "kind": "cell",
+                "request_id": self.digest,
+                "graph": graph,
+                "algorithm": algorithm,
+                "system": system,
+                "report": report.to_dict(include_iterations=True),
+            }
         )
-        self._flush()
-
-    def _flush(self) -> None:
-        assert self._fh is not None
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def __enter__(self) -> "SweepCheckpoint":
         self.start()

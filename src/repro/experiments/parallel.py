@@ -18,16 +18,17 @@ Design notes:
   pickling normally cannot fail; if it does — or multiprocessing is
   unavailable altogether — the runner falls back to in-process serial
   execution rather than raising.
-* **Crash isolation** (:class:`RetryPolicy`): a worker that dies (OOM
-  kill, segfault) breaks the whole ``ProcessPoolExecutor``; instead of
-  aborting the sweep, the runner requeues the in-flight cells, rebuilds
-  the pool, and retries each cell up to ``max_retries`` times with
-  exponential backoff.  Cells that exhaust their retries are recomputed
-  serially in-process (``serial_fallback=True``, the default) or
-  reported via :class:`~repro.errors.WorkerCrashError`.
-* **Timeouts**: with ``cell_timeout`` set, a cell that exceeds its
-  wall-clock budget is cancelled (or, if already running, its pool is
-  torn down) and retried like a crashed cell.
+* **Crash isolation**: the pooled path is a thin layer over
+  :class:`~repro.experiments.executor.CellExecutor`, the executor the
+  sweep daemon uses too.  One task per job, gated to the pool width,
+  runs the job's attempts: a worker that dies (OOM kill, segfault) or
+  a cell that exceeds ``cell_timeout`` rebuilds the pool, and the cell
+  is retried up to ``max_retries`` times after a jittered exponential
+  backoff (:class:`RetryPolicy`).  Cells that exhaust their retries are
+  recomputed serially in-process (``serial_fallback=True``, the
+  default) or reported via :class:`~repro.errors.WorkerCrashError`.
+  Any other exception a cell raises (a model error) reaches the caller
+  unchanged.
 * **Incremental persistence**: with a
   :class:`~repro.experiments.store.ResultCache`, cached cells are
   loaded in the parent before any worker is spawned and fresh results
@@ -40,16 +41,17 @@ Design notes:
 
 from __future__ import annotations
 
+import asyncio
+import os
 import pickle
-import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import SimulationReport
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.experiments.checkpoint import SweepCheckpoint
+from repro.experiments.executor import CellExecutor, CellFailed
 from repro.experiments.runner import (
     ALGORITHM_ORDER,
     GRAPH_ORDER,
@@ -73,15 +75,13 @@ class RetryPolicy:
 
     Attributes:
         cell_timeout: wall-clock seconds one cell (its whole worker
-            call) may take before it is cancelled and retried; None
-            disables timeouts.
+            call) may take before its pool is torn down and the cell
+            retried; None disables timeouts.
         max_retries: times a crashed/timed-out cell is retried on a
             fresh pool before it is given up on (0 = no retries).
         backoff: base of the exponential retry delay; retry *n* sleeps
-            ``backoff * 2**(n-1)`` seconds (capped at 2 s).
-        poll_interval: seconds the parent blocks per wait() call while
-            supervising in-flight cells; bounds timeout-detection
-            latency.
+            ``backoff * 2**(n-1)`` seconds plus up to as much seeded
+            jitter, capped at 2 s.
         serial_fallback: recompute cells that exhausted their retries
             serially in-process (True, the default) instead of raising
             :class:`~repro.errors.WorkerCrashError`.
@@ -90,7 +90,6 @@ class RetryPolicy:
     cell_timeout: Optional[float] = None
     max_retries: int = 2
     backoff: float = 0.05
-    poll_interval: float = 0.1
     serial_fallback: bool = True
 
     def __post_init__(self) -> None:
@@ -100,8 +99,6 @@ class RetryPolicy:
             raise ConfigurationError("max_retries must be >= 0")
         if self.backoff < 0:
             raise ConfigurationError("backoff must be >= 0")
-        if self.poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive")
 
 
 def _cell_worker(
@@ -185,7 +182,7 @@ def run_matrix_parallel(
         if not refresh:
             resumed = ckpt.load()
 
-    cached: Dict[Tuple[str, str, str], SimulationReport] = {}
+    reports: Dict[Tuple[str, str, str], SimulationReport] = {}
     jobs: List[_CellJob] = []
     for graph_name in graphs:
         for algorithm_name in algorithms:
@@ -217,7 +214,7 @@ def run_matrix_parallel(
                 if report is None:
                     missing.append(system_label)
                 else:
-                    cached[key] = report
+                    reports[key] = report
             if missing:
                 jobs.append((graph_name, algorithm_name, tuple(missing)))
     jobs.sort(key=lambda job: -_resolve(job[0]).standin_edges)
@@ -229,9 +226,7 @@ def run_matrix_parallel(
         # completes, so a crash later in the sweep loses nothing.
         if cache is not None:
             cache.put(
-                key[0],
-                key[1],
-                key[2],
+                *key,
                 report,
                 scale_shift=scale_shift,
                 max_iterations=max_iterations,
@@ -239,22 +234,19 @@ def run_matrix_parallel(
         if ckpt is not None:
             ckpt.append(key, report)
 
-    on_result = persist if (cache is not None or ckpt is not None) else None
-
-    computed: Dict[Tuple[str, str, str], SimulationReport] = {}
     if jobs:
         if ckpt is not None:
             ckpt.start(reset=refresh)
         try:
             if max_workers == 1 or len(jobs) == 1:
                 _run_jobs_serial(
-                    jobs, scale_shift, max_iterations, computed,
-                    on_result=on_result,
+                    jobs, scale_shift, max_iterations, reports,
+                    on_result=persist,
                 )
             else:
                 _run_jobs_pooled(
-                    jobs, scale_shift, max_iterations, max_workers, computed,
-                    policy=policy, on_result=on_result,
+                    jobs, scale_shift, max_iterations, max_workers, reports,
+                    policy=policy, on_result=persist,
                 )
         finally:
             if ckpt is not None:
@@ -265,9 +257,7 @@ def run_matrix_parallel(
         for algorithm_name in algorithms:
             for system_label in systems:
                 key = (graph_name, algorithm_name, system_label)
-                matrix.reports[key] = (
-                    computed[key] if key in computed else cached[key]
-                )
+                matrix.reports[key] = reports[key]
     return matrix
 
 
@@ -291,14 +281,6 @@ def _run_jobs_serial(
                 on_result(key, report)
 
 
-def _terminate_pool(pool) -> None:
-    """Tear a pool down without waiting on its (possibly hung) workers."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def _run_jobs_pooled(
     jobs: Sequence[_CellJob],
     scale_shift: int,
@@ -310,134 +292,56 @@ def _run_jobs_pooled(
 ) -> None:
     """Fan the jobs over a process pool with crash isolation.
 
-    A dying worker breaks the whole ``ProcessPoolExecutor`` (every
-    outstanding future raises ``BrokenProcessPool``); the supervisor
-    loop below requeues the in-flight cells, rebuilds the pool, and
-    retries them under the :class:`RetryPolicy`.  Cells that exhaust
-    their retries fall back to in-process serial execution (or raise
+    Each job is one task of a :class:`CellExecutor` sweep, started
+    largest first as pool slots free up.  Jobs that exhaust their
+    attempts fall back to in-process serial execution (or raise
     :class:`~repro.errors.WorkerCrashError` when the policy forbids the
     fallback).  When the pool cannot be used at all (no multiprocessing
     support) or a payload will not pickle, whatever cells are still
     missing are recomputed serially; completed results are never
     discarded or overwritten.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
     policy = policy or RetryPolicy()
-    if max_workers is not None:
-        max_workers = min(max_workers, len(jobs))
+    width = min(max_workers or os.cpu_count() or 1, len(jobs))
+    executor = CellExecutor(
+        width,
+        start_method=None,
+        backoff_base=policy.backoff,
+        backoff_cap=2.0,
+        seed="sweep-backoff",
+    )
+    # Jobs given up on -> the exception that failed their last attempt.
+    failed: Dict[_CellJob, Optional[BaseException]] = {}
 
-    pending: Deque[Tuple[_CellJob, int]] = deque((job, 0) for job in jobs)
-    failed: List[_CellJob] = []
-    # Last failure context per job, so a cell given up on after N pool
-    # rebuilds still reports *why* its attempts failed (the original
-    # BrokenProcessPool / timeout), not just a bare give-up.
-    last_cause: Dict[_CellJob, BaseException] = {}
-
-    def record(job: _CellJob, results) -> None:
-        graph_name, algorithm_name, _ = job
-        last_cause.pop(job, None)
+    async def run_job(job: _CellJob, gate: asyncio.Semaphore) -> None:
+        async with gate:
+            try:
+                results, _ = await executor.run(
+                    _cell_worker,
+                    (*job, scale_shift, max_iterations),
+                    attempts=policy.max_retries + 1,
+                    timeout=policy.cell_timeout,
+                )
+            except CellFailed as failure:
+                failed[job] = failure.cause
+                return
         for system_label, report in results:
-            key = (graph_name, algorithm_name, system_label)
+            key = (job[0], job[1], system_label)
             out[key] = report
             if on_result is not None:
                 on_result(key, report)
 
-    def requeue(
-        job: _CellJob,
-        attempts: int,
-        cause: Optional[BaseException] = None,
-    ) -> None:
-        if cause is not None:
-            last_cause[job] = cause
-        if attempts > policy.max_retries:
-            failed.append(job)
-            return
-        if policy.backoff > 0 and attempts > 0:
-            time.sleep(min(policy.backoff * 2 ** (attempts - 1), 2.0))
-        pending.append((job, attempts))
+    async def sweep() -> None:
+        gate = asyncio.Semaphore(width)
+        await asyncio.gather(*(run_job(job, gate) for job in jobs))
 
     try:
-        while pending:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            limit = getattr(pool, "_max_workers", None) or len(jobs)
-            # future -> (job, attempts, deadline)
-            inflight: Dict = {}
-            broken = False
-            try:
-                while (pending or inflight) and not broken:
-                    while pending and len(inflight) < limit and not broken:
-                        job, attempts = pending.popleft()
-                        try:
-                            future = pool.submit(
-                                _cell_worker,
-                                job[0],
-                                job[1],
-                                job[2],
-                                scale_shift,
-                                max_iterations,
-                            )
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            requeue(job, attempts + 1, cause=exc)
-                            break
-                        deadline = (
-                            None
-                            if policy.cell_timeout is None
-                            else time.monotonic() + policy.cell_timeout
-                        )
-                        inflight[future] = (job, attempts, deadline)
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=policy.poll_interval,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        job, attempts, _ = inflight.pop(future)
-                        try:
-                            results = future.result(timeout=0)
-                        except BrokenProcessPool as exc:
-                            # A worker died; this future may be the
-                            # victim or a bystander — both retry.
-                            broken = True
-                            requeue(job, attempts + 1, cause=exc)
-                        else:
-                            record(job, results)
-                    if broken:
-                        continue
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_, _, deadline) in inflight.items()
-                        if deadline is not None and now >= deadline
-                    ]
-                    for future in expired:
-                        job, attempts, _ = inflight.pop(future)
-                        if not future.cancel():
-                            # Already running: the only way to reclaim
-                            # the worker is to tear the pool down.
-                            broken = True
-                        requeue(
-                            job,
-                            attempts + 1,
-                            cause=TimeoutError(
-                                f"cell {job[0]}/{job[1]} exceeded its "
-                                f"{policy.cell_timeout:g}s wall-clock "
-                                "budget"
-                            ),
-                        )
-            finally:
-                # Whatever is still in flight goes back to the queue: a
-                # cancelled-before-start cell keeps its attempt count, a
-                # victim of a broken/torn-down pool is charged one.
-                for future, (job, attempts, _) in inflight.items():
-                    if future.cancel():
-                        pending.appendleft((job, attempts))
-                    else:
-                        requeue(job, attempts + 1)
-                inflight.clear()
-                _terminate_pool(pool)
+        try:
+            asyncio.run(sweep())
+        finally:
+            # asyncio.run has cancelled and awaited every task by now,
+            # so no attempt can start a pool after this.
+            executor.close()
     except (pickle.PicklingError, OSError, ImportError):
         # No/broken multiprocessing support, or an unpicklable payload:
         # recompute whatever is still missing in-process.
@@ -450,35 +354,21 @@ def _run_jobs_pooled(
         )
         return
 
-    if failed:
-        if policy.serial_fallback:
-            _run_jobs_serial(
-                _still_missing(failed, out),
-                scale_shift,
-                max_iterations,
-                out,
-                on_result=on_result,
-            )
-        else:
-            cells = [
-                (graph_name, algorithm_name, system_label)
-                for graph_name, algorithm_name, missing in failed
-                for system_label in missing
-                if (graph_name, algorithm_name, system_label) not in out
-            ]
-            causes = {
-                (graph_name, algorithm_name, system_label): last_cause[
-                    (graph_name, algorithm_name, missing)
-                ]
-                for graph_name, algorithm_name, missing in failed
-                for system_label in missing
-                if (graph_name, algorithm_name, missing) in last_cause
-                and (graph_name, algorithm_name, system_label) not in out
-            }
-            error = WorkerCrashError(cells, causes=causes)
-            # Chain the first original failure so the traceback shows
-            # what actually broke inside the pool.
-            raise error from next(iter(causes.values()), None)
+    if failed and policy.serial_fallback:
+        _run_jobs_serial(
+            list(failed), scale_shift, max_iterations, out, on_result=on_result
+        )
+    elif failed:
+        causes = {
+            (graph_name, algorithm_name, system_label): cause
+            for (graph_name, algorithm_name, missing), cause in failed.items()
+            for system_label in missing
+        }
+        # Chain the first original failure so the traceback shows what
+        # actually broke inside the pool.
+        raise WorkerCrashError(list(causes), causes=causes) from next(
+            iter(causes.values()), None
+        )
 
 
 def _still_missing(

@@ -18,10 +18,12 @@ itself:
   repeated worker crashes / sanitizer trips open the family and shed it
   to *degraded* responses (analytic model instead of cycle-accurate,
   marked ``degraded: true``) until a cooldown probe succeeds.
-* :mod:`~repro.service.scheduler` — the async execution core: worker
-  pool with crash isolation and rebuild, SLO deadline propagation into
-  per-cell timeouts, jittered exponential retry backoff, an fsync'd
-  service journal making admitted requests durable across restarts.
+* :mod:`~repro.service.scheduler` — the async execution core: SLO
+  deadline propagation into per-cell timeouts and degradation, over the
+  batch sweep's own :class:`~repro.experiments.executor.CellExecutor`
+  (worker pool with crash isolation and rebuild, jittered exponential
+  retry backoff) and fsync'd journal, which makes admitted requests
+  durable across restarts.
 * :mod:`~repro.service.server` — the asyncio HTTP/JSON daemon:
   submit/status/stream endpoints (incremental chunked-JSONL result
   streaming), health/readiness with queue depth and breaker state, and

@@ -333,7 +333,7 @@ def cell_record(
 
     This is the unit of the chunked-JSONL stream *and* of the service
     journal, so a client tailing ``/stream`` and a recovery scan of the
-    journal see byte-identical records.
+    journal see the same records.
     """
     record: Dict[str, Any] = {
         "kind": "cell",

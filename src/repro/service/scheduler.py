@@ -2,19 +2,18 @@
 
 :class:`SweepScheduler` owns everything between admission and response:
 
-* a **durable journal** (:class:`ServiceJournal`) — an fsync'd
+* a **durable journal** (:class:`ServiceJournal`, the shared
+  :class:`~repro.experiments.executor.Journal`) — an fsync'd
   append-only JSONL file recording every admitted request, every
-  finished cell, and every completed request.  Like
-  :class:`~repro.experiments.checkpoint.SweepCheckpoint` it tolerates a
-  torn tail (a daemon SIGKILLed mid-write loses at most the record
-  being written); on boot the valid prefix is replayed, unfinished
-  requests are re-admitted, and their already-journaled cells are
-  *not* re-executed — the monotone-recovery property the chaos soak
-  asserts.
-* a **worker pool** with crash isolation: cells run in a
-  ``ProcessPoolExecutor``; a SIGKILLed worker breaks the pool
-  (``BrokenProcessPool``), which the scheduler absorbs by rebuilding
-  the pool and retrying the cell under jittered exponential backoff.
+  finished cell, and every completed request.  A daemon SIGKILLed
+  mid-write loses at most the record being written; on boot the valid
+  prefix is replayed, unfinished requests are re-admitted, and their
+  already-journaled cells are *not* re-executed — the
+  monotone-recovery property the chaos soak asserts.
+* a **worker pool** with crash isolation, run by the same
+  :class:`~repro.experiments.executor.CellExecutor` as the batch sweep:
+  a SIGKILLed worker breaks the pool (``BrokenProcessPool``), which is
+  rebuilt, and the cell is retried under jittered exponential backoff.
 * **SLO deadline propagation**: a request's ``deadline_s`` budget is
   anchored at admission and converted into per-cell timeouts
   (``min(cell_timeout_s, remaining)``); once the budget is spent the
@@ -35,18 +34,12 @@ admission queue's weighted round-robin order.
 from __future__ import annotations
 
 import asyncio
-import json
-import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import (
     CircuitOpenError,
@@ -54,10 +47,11 @@ from repro.errors import (
     ReproError,
     SanitizerError,
 )
-from repro.experiments.parallel import _terminate_pool
+from repro.experiments.executor import CellExecutor, CellFailed
+from repro.experiments.executor import Journal as ServiceJournal
+from repro.experiments.executor import JournalReplay, replay_journal  # noqa: F401
 from repro.experiments.runner import execute_cell
 from repro.experiments.store import CODE_MODEL_VERSION, ResultCache
-from repro.graph.datasets import stable_seed
 from repro.service.breaker import BreakerPolicy, CircuitBreakerBank
 from repro.service.protocol import (
     DEGRADED_BREAKER_OPEN,
@@ -72,8 +66,6 @@ from repro.service.protocol import (
     request_key,
 )
 from repro.service.queue import AdmissionQueue
-
-_JOURNAL_SCHEMA = "repro-service-journal/1"
 
 
 # ----------------------------------------------------------------------
@@ -245,111 +237,6 @@ def _service_cell_worker(
 
 
 # ----------------------------------------------------------------------
-# Durable journal
-# ----------------------------------------------------------------------
-@dataclass
-class JournalReplay:
-    """The valid prefix of a service journal, parsed.
-
-    ``valid_bytes`` is the byte length of that prefix — recovery
-    truncates the file there before appending, so one torn tail cannot
-    poison the next record.
-    """
-
-    requests: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    cells: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
-    done: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    valid_bytes: int = 0
-
-
-def replay_journal(path: Path) -> JournalReplay:
-    """Parse a journal's valid prefix; tolerant of any torn tail.
-
-    Reading stops at the first line that is incomplete (no trailing
-    newline), fails to decode, or is not an object — everything before
-    it is trusted (each record was fsync'd before the next began).  An
-    unrecognised header schema discards the whole file (fail-safe: an
-    incompatible journal must not be half-replayed).
-    """
-    replay = JournalReplay()
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return replay
-    offset = 0
-    first = True
-    while offset < len(raw):
-        end = raw.find(b"\n", offset)
-        if end < 0:
-            break  # torn tail: record was being written when we died
-        line = raw[offset : end + 1]
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
-        if not isinstance(record, dict):
-            break
-        if first:
-            if record.get("schema") != _JOURNAL_SCHEMA:
-                return JournalReplay()
-            first = False
-        else:
-            kind = record.get("kind")
-            request_id = record.get("request_id")
-            if not isinstance(request_id, str):
-                break
-            if kind == "request":
-                replay.requests[request_id] = record.get("request", {})
-            elif kind == "cell":
-                replay.cells.setdefault(request_id, []).append(record)
-            elif kind == "done":
-                replay.done[request_id] = record
-            else:
-                break
-        offset = end + 1
-        replay.valid_bytes = offset
-    return replay
-
-
-class ServiceJournal:
-    """Append-only fsync'd JSONL journal of the service's commitments.
-
-    Every ``append`` is flush+fsync before returning, so a record the
-    scheduler believes durable *is* durable — the property that lets
-    the soak harness SIGKILL the daemon at arbitrary points and still
-    demand zero lost requests.
-    """
-
-    def __init__(self, path: Path, valid_bytes: int = 0) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or valid_bytes == 0
-        self._fh = open(self.path, "a+b")
-        self._fh.seek(0, os.SEEK_END)
-        if not fresh and self._fh.tell() > valid_bytes:
-            # Torn tail from a previous incarnation: drop it before the
-            # next append would glue two half-records together.
-            self._fh.truncate(valid_bytes)
-            self._fh.seek(0, os.SEEK_END)
-        if fresh:
-            self._fh.truncate(0)
-            self.append(
-                {"schema": _JOURNAL_SCHEMA, "model_version": CODE_MODEL_VERSION}
-            )
-
-    def append(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-
-
-# ----------------------------------------------------------------------
 # Scheduler
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -455,13 +342,19 @@ class SweepScheduler:
         )
         self.requests: Dict[str, _RequestState] = {}
         self.recovered_requests = 0
-        self._rng = np.random.default_rng(
-            stable_seed(f"service-backoff:{self.policy.seed}")
+        # Spawn, not fork: a forked worker inherits the asyncio signal
+        # machinery (the wakeup-fd self-pipe is shared across fork), so
+        # a SIGTERM aimed at a worker during pool teardown would fire
+        # the *daemon's* SIGTERM handler and drain the whole service.
+        # Spawned workers share no loop state with the daemon.
+        self._executor = CellExecutor(
+            self.policy.workers,
+            start_method="spawn",
+            backoff_base=self.policy.backoff_base_s,
+            backoff_cap=self.policy.backoff_cap_s,
+            seed=f"service-backoff:{self.policy.seed}",
         )
         self._journal: Optional[ServiceJournal] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_generation = 0
-        self._pool_lock = asyncio.Lock()
         self._wake = asyncio.Event()
         self._loop_task: Optional[asyncio.Task] = None
         self._draining = False
@@ -509,10 +402,7 @@ class SweepScheduler:
         if self._loop_task is not None:
             await self._loop_task
             self._loop_task = None
-        async with self._pool_lock:
-            if self._pool is not None:
-                _terminate_pool(self._pool)
-                self._pool = None
+        self._executor.close()
         if self._journal is not None:
             self._journal.close()
         self.drained = True
@@ -605,7 +495,7 @@ class SweepScheduler:
             "breakers": self.breakers.snapshot(),
             "requests": states,
             "recovered_requests": self.recovered_requests,
-            "pool_generation": self._pool_generation,
+            "pool_generation": self._executor.generation,
             "chaos_enabled": self.chaos_enabled,
         }
 
@@ -698,69 +588,51 @@ class SweepScheduler:
             return self._degraded(
                 state, graph, algorithm, systems, DEGRADED_BREAKER_OPEN, 0
             )
-        attempts = 0
-        while attempts < self.policy.max_attempts:
-            attempts += 1
-            timeout = self.policy.cell_timeout_s
-            if state.deadline is not None:
-                remaining = state.deadline - time.monotonic()
-                if remaining <= 0:
-                    return self._degraded(
-                        state, graph, algorithm, systems, DEGRADED_DEADLINE, attempts - 1
-                    )
-                timeout = min(timeout, remaining)
-            pool, generation = await self._ensure_pool()
-            loop = asyncio.get_running_loop()
-            try:
-                payload = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        pool,
-                        _service_cell_worker,
-                        graph,
-                        algorithm,
-                        systems,
-                        request.scale_shift,
-                        request.max_iterations,
-                        request.fidelity,
-                        request.fault_seed,
-                        str(self.cache_dir),
-                        request.chaos,
-                        str(self.chaos_dir),
-                        state.request_id,
-                    ),
-                    timeout=timeout,
-                )
-            except BrokenProcessPool:
-                await self._rebuild_pool(generation)
-                self.breakers.record_failure(family, time.monotonic())
-                await self._backoff(attempts)
-                continue
-            except (asyncio.TimeoutError, TimeoutError):
-                # The worker may be hung: tearing the pool down is the
-                # only way to reclaim it.
-                await self._rebuild_pool(generation)
-                self.breakers.record_failure(family, time.monotonic())
-                await self._backoff(attempts)
-                continue
-            except ReproError:
-                self.breakers.record_failure(family, time.monotonic())
-                await self._backoff(attempts)
-                continue
-            self.breakers.record_success(family)
-            return [
-                cell_record(
-                    state.request_id,
+        try:
+            payload, attempts = await self._executor.run(
+                _service_cell_worker,
+                (
                     graph,
                     algorithm,
-                    system,
-                    dict(summary, cached=cached),
-                    attempts=attempts,
-                )
-                for system, summary, cached in payload
-            ]
-        return self._degraded(
-            state, graph, algorithm, systems, DEGRADED_RETRIES_EXHAUSTED, attempts
-        )
+                    systems,
+                    request.scale_shift,
+                    request.max_iterations,
+                    request.fidelity,
+                    request.fault_seed,
+                    str(self.cache_dir),
+                    request.chaos,
+                    str(self.chaos_dir),
+                    state.request_id,
+                ),
+                attempts=self.policy.max_attempts,
+                timeout=self.policy.cell_timeout_s,
+                deadline=state.deadline,
+                retry_on=(ReproError,),
+                on_failure=lambda _: self.breakers.record_failure(
+                    family, time.monotonic()
+                ),
+            )
+        except CellFailed as failure:
+            reason = (
+                DEGRADED_DEADLINE
+                if failure.expired
+                else DEGRADED_RETRIES_EXHAUSTED
+            )
+            return self._degraded(
+                state, graph, algorithm, systems, reason, failure.attempts
+            )
+        self.breakers.record_success(family)
+        return [
+            cell_record(
+                state.request_id,
+                graph,
+                algorithm,
+                system,
+                dict(summary, cached=cached),
+                attempts=attempts,
+            )
+            for system, summary, cached in payload
+        ]
 
     def _degraded(
         self,
@@ -809,45 +681,3 @@ class SweepScheduler:
             )
             for system in systems
         ]
-
-    # ------------------------------------------------------------------
-    # Pool management + backoff
-    # ------------------------------------------------------------------
-    async def _ensure_pool(self) -> Tuple[ProcessPoolExecutor, int]:
-        async with self._pool_lock:
-            if self._pool is None:
-                # Spawn, not fork: a forked worker inherits the asyncio
-                # signal machinery (the wakeup-fd self-pipe is shared
-                # across fork), so a SIGTERM aimed at a worker during
-                # pool teardown would fire the *daemon's* SIGTERM
-                # handler and drain the whole service.  Spawned workers
-                # share no loop state with the daemon.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.policy.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            return self._pool, self._pool_generation
-
-    async def _rebuild_pool(self, generation: int) -> None:
-        """Tear down and forget the pool, once per failure generation.
-
-        Concurrent cells hitting the same broken pool all call in; the
-        generation check makes the teardown idempotent so the second
-        caller does not destroy the freshly built replacement.
-        """
-        async with self._pool_lock:
-            if generation != self._pool_generation:
-                return
-            if self._pool is not None:
-                _terminate_pool(self._pool)
-                self._pool = None
-            self._pool_generation += 1
-
-    async def _backoff(self, attempt: int) -> None:
-        """Jittered exponential backoff between one cell's attempts."""
-        base = min(
-            self.policy.backoff_base_s * (2.0 ** (attempt - 1)),
-            self.policy.backoff_cap_s,
-        )
-        jitter = float(self._rng.uniform(0.0, base))
-        await asyncio.sleep(base + jitter)

@@ -11,12 +11,15 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments.parallel as parallel_mod
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.experiments import (
@@ -110,6 +113,46 @@ def slow_once_worker(
     )
 
 
+def model_error_worker(
+    graph_name, algorithm_name, systems, scale_shift, max_iterations
+):
+    """Raises a plain model error (no crash) on the poison cell."""
+    _record_invocation(graph_name, algorithm_name)
+    if (graph_name, algorithm_name) == POISON:
+        raise ValueError("model error in the poison cell")
+    return execute_cell(
+        graph_name, algorithm_name, systems, scale_shift, max_iterations
+    )
+
+
+#: Run in a subprocess: a pooled sweep whose workers hang mid-cell,
+#: each leaving a ``worker-<pid>`` marker once it is running.
+_HANGING_SWEEP = """
+import os, sys, time
+import repro.experiments.parallel as parallel_mod
+
+def hanging_worker(graph_name, algorithm_name, systems, shift, cap):
+    open(os.path.join(sys.argv[1], f"worker-{os.getpid()}"), "w").close()
+    time.sleep(120.0)
+
+parallel_mod._cell_worker = hanging_worker
+parallel_mod.run_matrix_parallel(
+    ["PK"], ["bfs", "pagerank", "cc", "sssp"], ["ScalaGraph-512"],
+    scale_shift=-5, max_iterations=3, max_workers=2,
+)
+print("sweep finished")
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether a process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture()
 def resilience_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESILIENCE_DIR", str(tmp_path))
@@ -145,8 +188,6 @@ class TestRetryPolicyValidation:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff=-0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(poll_interval=0)
 
 
 class TestCrashIsolation:
@@ -160,7 +201,7 @@ class TestCrashIsolation:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
-            policy=RetryPolicy(max_retries=2, poll_interval=0.02),
+            policy=RetryPolicy(max_retries=2),
             **KW,
         )
         assert _flag("crash-armed").read_text() == "fired"
@@ -181,7 +222,6 @@ class TestCrashIsolation:
                 policy=RetryPolicy(
                     max_retries=0,
                     backoff=0.01,
-                    poll_interval=0.02,
                     serial_fallback=False,
                 ),
                 **KW,
@@ -208,9 +248,7 @@ class TestCrashIsolation:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
-            policy=RetryPolicy(
-                cell_timeout=2.0, max_retries=2, poll_interval=0.05
-            ),
+            policy=RetryPolicy(cell_timeout=2.0, max_retries=2),
             **KW,
         )
         elapsed = time.monotonic() - start
@@ -232,12 +270,85 @@ class TestCrashIsolation:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
-            policy=RetryPolicy(
-                max_retries=1, backoff=0.01, poll_interval=0.02
-            ),
+            policy=RetryPolicy(max_retries=1, backoff=0.01),
             **KW,
         )
         assert_matches_serial(matrix, serial_matrix)
+
+
+class TestModelError:
+    def test_model_error_reaches_caller_unchanged(
+        self, resilience_dir, tmp_path, monkeypatch
+    ):
+        """An exception a cell raises (not a crash or timeout) is the
+        caller's: not retried, not rerun serially, not wrapped — and the
+        cells that finished before it are already cached."""
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(parallel_mod, "_cell_worker", model_error_worker)
+        monkeypatch.setattr(
+            parallel_mod, "execute_cell", recording_execute_cell
+        )
+        with pytest.raises(ValueError, match="model error in the poison"):
+            run_matrix_parallel(
+                GRAPHS,
+                ALGORITHMS,
+                SYSTEMS,
+                max_workers=2,
+                cache=cache,
+                policy=RetryPolicy(max_retries=2, backoff=0.01),
+                **KW,
+            )
+        runs = sum(
+            len(marker.read_text().splitlines())
+            for marker in resilience_dir.glob(
+                f"invoked-{POISON[0]}-{POISON[1]}-*"
+            )
+        )
+        assert runs == 1  # one pooled attempt, no retry, no serial rerun
+        for algorithm_name in ("bfs", "pagerank"):
+            assert cache.get(
+                "PK", algorithm_name, SYSTEMS[0], **KW
+            ) is not None
+
+
+class TestInterrupt:
+    def test_ctrl_c_stops_sweep_and_leaves_no_worker(self, tmp_path):
+        """SIGINT to the whole process group (a terminal's Ctrl-C)
+        stops a pooled sweep, and its workers do not outlive it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p
+            for p in (str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH"))
+            if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HANGING_SWEEP, str(tmp_path)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(list(tmp_path.glob("worker-*"))) < 2:
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60.0)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=30.0)
+        assert proc.returncode != 0
+        assert b"sweep finished" not in out
+        assert b"KeyboardInterrupt" in err
+        deadline = time.monotonic() + 30.0
+        for marker in tmp_path.glob("worker-*"):
+            pid = int(marker.name.split("-")[1])
+            while _running(pid):
+                assert time.monotonic() < deadline, f"worker {pid} survived"
+                time.sleep(0.05)
 
 
 class TestCheckpointResume:
@@ -261,7 +372,6 @@ class TestCheckpointResume:
                 policy=RetryPolicy(
                     max_retries=0,
                     backoff=0.01,
-                    poll_interval=0.02,
                     serial_fallback=False,
                 ),
                 checkpoint=ckpt_path,
@@ -298,7 +408,7 @@ class TestCheckpointResume:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
-            policy=RetryPolicy(poll_interval=0.02),
+            policy=RetryPolicy(),
             checkpoint=ckpt_path,
             **KW,
         )
@@ -325,7 +435,6 @@ class TestCheckpointResume:
                 policy=RetryPolicy(
                     max_retries=0,
                     backoff=0.01,
-                    poll_interval=0.02,
                     serial_fallback=False,
                 ),
                 **KW,
@@ -340,7 +449,7 @@ class TestCheckpointResume:
             SYSTEMS,
             max_workers=2,
             cache=cache,
-            policy=RetryPolicy(poll_interval=0.02),
+            policy=RetryPolicy(),
             **KW,
         )
         assert len(matrix.reports) == len(ALGORITHMS)
@@ -362,6 +471,23 @@ class TestCheckpointResume:
             SweepCheckpoint(ckpt_path, signature={"axes": "b"}).load() == {}
         )
 
+    def test_old_checkpoint_format_is_foreign(self, tmp_path):
+        """A ``repro-sweep-checkpoint/1`` file, the format before the
+        shared journal, is ignored and rewritten like another sweep's."""
+        ckpt_path = tmp_path / "sweep.ckpt"
+        ckpt_path.write_text(
+            json.dumps({"schema": "repro-sweep-checkpoint/1", "signature": "x"})
+            + "\n"
+            + json.dumps({"key": ["PK", "bfs", SYSTEMS[0]], "report": {}})
+            + "\n"
+        )
+        ckpt = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
+        assert ckpt.load() == {}
+        with ckpt:
+            pass
+        header = json.loads(ckpt_path.read_text().splitlines()[0])
+        assert header["schema"] == "repro-service-journal/1"
+
     def test_checkpoint_truncated_at_every_byte_offset(self, tmp_path):
         """Chop the journal after every byte of the last record: resume
         must never lose a fully-journaled cell, never raise, and never
@@ -373,7 +499,6 @@ class TestCheckpointResume:
         first = ("PK", "bfs", SYSTEMS[0])
         second = ("PK", "pagerank", SYSTEMS[0])
         ckpt.append(first, reports.reports[first])
-        ckpt._flush()
         first_end = ckpt_path.stat().st_size
         ckpt.append(second, reports.reports[second])
         ckpt.close()
@@ -406,3 +531,26 @@ class TestCheckpointResume:
         assert json.dumps(
             loaded[("PK", "bfs", SYSTEMS[0])].to_dict()
         ) == json.dumps(report.to_dict())
+
+    def test_resumed_cells_survive_a_torn_tail(self, tmp_path):
+        """Journal a cell, tear a write, resume and journal a second
+        cell, resume again: both cells load.  The torn bytes are cut
+        off before the resumed sweep's first append, which would
+        otherwise be glued to them and lost."""
+        ckpt_path = tmp_path / "sweep.ckpt"
+        reports = run_matrix(GRAPHS, ["bfs", "pagerank"], SYSTEMS, **KW)
+        first = ("PK", "bfs", SYSTEMS[0])
+        second = ("PK", "pagerank", SYSTEMS[0])
+        with SweepCheckpoint(ckpt_path, signature={"axes": "a"}) as ckpt:
+            ckpt.append(first, reports.reports[first])
+        with ckpt_path.open("a") as fh:
+            fh.write('{"kind": "cell", "gra')  # torn write
+        resumed = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
+        assert set(resumed.load()) == {first}
+        with resumed:
+            resumed.append(second, reports.reports[second])
+        loaded = SweepCheckpoint(ckpt_path, signature={"axes": "a"}).load()
+        assert set(loaded) == {first, second}
+        assert json.dumps(loaded[second].to_dict()) == json.dumps(
+            reports.reports[second].to_dict()
+        )

@@ -9,6 +9,7 @@ dedupe, degradation reasons, journal recovery, stream framing.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -174,6 +175,38 @@ class TestDegradation:
             assert cells[0]["degraded_reason"] == DEGRADED_BREAKER_OPEN
             await scheduler.drain()
         asyncio.run(body())
+
+
+class TestBackoff:
+    def test_retry_delays_never_exceed_the_cap(self, tmp_path, monkeypatch):
+        """backoff_cap_s bounds every retry delay, jitter included."""
+        cap = 0.05
+        policy = dataclasses.replace(
+            FAST, max_attempts=9, backoff_base_s=cap, backoff_cap_s=cap
+        )
+        delays = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            delays.append(delay)
+            await real_sleep(0)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+        async def body():
+            scheduler = SweepScheduler(
+                tmp_path, policy=policy, chaos_enabled=True
+            )
+            await scheduler.start()
+            status = scheduler.submit(payload(chaos=["fail"]))
+            records = await wait_done(scheduler, status["request_id"])
+            cells = [r for r in records if r["kind"] == "cell"]
+            assert cells[0]["degraded_reason"] == DEGRADED_RETRIES_EXHAUSTED
+            assert cells[0]["attempts"] == policy.max_attempts
+            await scheduler.drain()
+        asyncio.run(body())
+        assert len(delays) >= 8
+        assert max(delays) <= cap
 
 
 class TestJournalRecovery:
