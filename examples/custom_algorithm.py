@@ -8,14 +8,14 @@ path is monotonically *increasing*, so it is still safe under the
 inter-phase pipelining of Section IV-D.
 
 The example validates the program on the functional reference engine and
-the detailed cycle-level simulator, then measures it on the 512-PE
+the cycle-accurate tile simulator, then measures it on the 512-PE
 timing model.
 """
 
 import numpy as np
 
 from repro import (
-    FunctionalScalaGraph,
+    CycleAccurateScalaGraph,
     ScalaGraph,
     ScalaGraphConfig,
     load_dataset,
@@ -103,9 +103,10 @@ def main() -> None:
     assert np.array_equal(ours, gold), "vertex-centric widest path is wrong!"
     print("validated against Dijkstra on a 256-vertex projection")
 
-    # 3. The detailed cycle-level architecture computes the same thing.
+    # 3. The cycle-accurate simulator (a 1x4x4 tile by default) computes
+    #    the same thing.
     tiny = graph.subgraph(np.arange(128))
-    detailed = FunctionalScalaGraph().run(WidestPath(source=0), tiny)
+    detailed = CycleAccurateScalaGraph().run(WidestPath(source=0), tiny)
     assert np.array_equal(
         detailed.properties, run_reference(WidestPath(0), tiny).properties
     )

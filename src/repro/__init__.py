@@ -7,7 +7,8 @@ vertex-centric programming model, cycle-level NoC simulators
 (mesh/crossbar/Benes), the Figure 11 aggregation pipeline, HBM and
 scratchpad models, the three workload mappings, FPGA
 frequency/area/energy models, and the GraphDynS/AccuGraph/Gunrock
-baselines.
+baselines.  The analytic :class:`ScalaGraph` model produces every
+figure; :class:`CycleAccurateScalaGraph` validates it tile by tile.
 
 Quickstart::
 
@@ -30,16 +31,14 @@ from repro.algorithms import (
     run_direction_optimizing_bfs,
     run_reference,
 )
-from repro.baselines import AccuGraph, GraphDynS, GraphPulse, Gunrock
+from repro.baselines import AccuGraph, GraphDynS, Gunrock
 from repro.core import (
     CycleAccurateScalaGraph,
-    FunctionalScalaGraph,
     ScalaGraph,
     ScalaGraphConfig,
     SimulationReport,
     TimingParams,
 )
-from repro.engines import EventDrivenEngine
 from repro.validate import validate_report, validate_timing_envelope
 from repro.errors import (
     CapacityError,
@@ -64,7 +63,6 @@ __all__ = [
     "AccuGraph",
     "GraphDynS",
     "Gunrock",
-    "FunctionalScalaGraph",
     "ScalaGraph",
     "ScalaGraphConfig",
     "SimulationReport",
@@ -81,9 +79,7 @@ __all__ = [
     "SpMV",
     "WidestPath",
     "run_direction_optimizing_bfs",
-    "GraphPulse",
     "CycleAccurateScalaGraph",
-    "EventDrivenEngine",
     "validate_report",
     "validate_timing_envelope",
     "__version__",

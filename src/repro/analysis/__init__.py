@@ -15,9 +15,10 @@ A third, whole-program half sits on top of simlint:
 * :mod:`repro.analysis.project` — parses the entire package into a
   cross-module :class:`~repro.analysis.project.ProjectModel` and runs
   the SIM6xx rules (:mod:`repro.analysis.project_rules`): engine-twin
-  parity, dead/phantom config knobs, stats-field conservation, and
-  dtype contracts.  Run via ``repro lint --project``; accepted
-  findings live in ``analysis-baseline.json``.  See docs/ANALYSIS.md.
+  parity, dead/phantom config knobs, stats-field conservation, dtype
+  contracts, and code only tests reach.  Run via ``repro lint
+  --project``; accepted findings live in ``analysis-baseline.json``.
+  See docs/ANALYSIS.md.
 """
 
 from repro.analysis.sanitizer import (

@@ -20,6 +20,9 @@ package into a :class:`ProjectModel` and runs the SIM6xx project rules
 * **SIM604** — dtype contract drift: a struct-of-arrays buffer
   allocated with a dtype differing from the module's declared
   ``BUFFER_DTYPES`` contract table.
+* **SIM605** — only tests reach this: a public module-level ``def`` or
+  ``class`` whose name no other module of the package, and no consumer
+  of it (the benchmarks), loads.
 
 Twin pairs are *declared in the engines themselves*: the vectorized
 module carries a module-level ``ENGINE_TWIN`` dict literal naming its
@@ -60,6 +63,7 @@ __all__ = [
     "AttrAccess",
     "CallSite",
     "AllocationSite",
+    "Definition",
     "ClassModel",
     "ModuleModel",
     "TwinPair",
@@ -138,6 +142,22 @@ class AllocationSite(NamedTuple):
     col: int
 
 
+class Definition(NamedTuple):
+    """One public module-level ``def`` or ``class``.
+
+    ``lineno``..``end_lineno`` spans the definition, so a load inside
+    its own body (recursion, a class naming itself) is told apart from
+    a use elsewhere in the module.  ``decorators`` holds the last
+    dotted part of each decorator's name.
+    """
+
+    name: str
+    kind: str
+    lineno: int
+    end_lineno: int
+    decorators: Tuple[str, ...]
+
+
 @dataclasses.dataclass
 class ClassModel:
     """One class definition as the project rules see it."""
@@ -166,6 +186,12 @@ class ModuleModel:
         self.method_calls: List[CallSite] = []
         self.allocations: List[AllocationSite] = []
         self.classes: Dict[str, ClassModel] = {}
+        #: public module-level defs and classes
+        self.definitions: List[Definition] = []
+        #: (name, lineno) of every name loaded bare (``f``) or as an
+        #: attribute (``mod.f``); imports and ``__all__`` strings are not
+        #: loads
+        self.name_loads: List[Tuple[str, int]] = []
         #: module-level literal declarations (ENGINE_TWIN, BUFFER_DTYPES)
         self.declarations: Dict[str, object] = {}
         self.declaration_lines: Dict[str, int] = {}
@@ -181,7 +207,18 @@ class ModuleModel:
         self.attr_accesses = accesses
         self.method_calls = calls
         self.allocations = allocs
+        self.name_loads = [
+            (a.name, a.lineno) for a in accesses if not a.is_write
+        ] + [
+            (node.id, node.lineno)
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        ]
         for node in self.tree.body:
+            if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and not node.name.startswith("_"):
+                self.definitions.append(_definition(node))
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = _class_model(node)
                 self._scopes[node.name] = node
@@ -238,6 +275,24 @@ class ModuleModel:
 
     def has_scope(self, qualname: str) -> bool:
         return qualname in self._scopes
+
+
+def _definition(
+    node: "ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef",
+) -> Definition:
+    decorators: List[str] = []
+    for deco in node.decorator_list:
+        target: ast.AST = deco.func if isinstance(deco, ast.Call) else deco
+        name = _dotted_name(target)
+        if name is not None:
+            decorators.append(name.split(".")[-1])
+    return Definition(
+        name=node.name,
+        kind="class" if isinstance(node, ast.ClassDef) else "function",
+        lineno=node.lineno,
+        end_lineno=node.end_lineno or node.lineno,
+        decorators=tuple(decorators),
+    )
 
 
 def _class_model(node: ast.ClassDef) -> ClassModel:
@@ -396,10 +451,13 @@ class ProjectModel:
         package: str,
         modules: Dict[str, ModuleModel],
         assertion_modules: Dict[str, ModuleModel],
+        consumer_modules: Dict[str, ModuleModel],
     ) -> None:
         self.package = package
         self.modules = modules
         self.assertion_modules = assertion_modules
+        #: code outside the package that uses it (SIM605's roots)
+        self.consumer_modules = consumer_modules
         #: analyzer meta-findings (SIM600) discovered while building
         self.problems: List[Finding] = []
         self._twin_pairs = self._resolve_twin_pairs()
@@ -686,6 +744,7 @@ def load_project(
     package_root: Path,
     assertion_roots: Sequence[Path] = (),
     source_overrides: Optional[Dict[str, str]] = None,
+    consumer_roots: Sequence[Path] = (),
 ) -> ProjectModel:
     """Parse a package directory into a :class:`ProjectModel`.
 
@@ -693,7 +752,9 @@ def load_project(
     ``__init__.py``; its basename becomes the root of every dotted
     module name.  ``assertion_roots`` are directories (or files) of
     test/assertion code parsed into ``assertion_modules`` — consulted by
-    SIM603 but never themselves linted.  ``source_overrides`` maps
+    SIM603 but never themselves linted.  ``consumer_roots`` are parsed
+    the same way into ``consumer_modules``: code outside the package
+    whose uses of it count for SIM605.  ``source_overrides`` maps
     dotted module names to replacement source text, letting tests model
     "what if this line were deleted" without touching disk.
     """
@@ -716,26 +777,33 @@ def load_project(
         module = _parse_module(name, str(py), source, problems)
         if module is not None:
             modules[name] = module
-    assertion_modules: Dict[str, ModuleModel] = {}
-    for root in assertion_roots:
+    model = ProjectModel(
+        package=package_root.name,
+        modules=modules,
+        assertion_modules=_parse_roots(assertion_roots, "assert", problems),
+        consumer_modules=_parse_roots(consumer_roots, "consumer", problems),
+    )
+    model.problems.extend(problems)
+    return model
+
+
+def _parse_roots(
+    roots: Sequence[Path], tag: str, problems: List[Finding]
+) -> Dict[str, ModuleModel]:
+    parsed: Dict[str, ModuleModel] = {}
+    for root in roots:
         root = Path(root)
         files = (
             sorted(root.rglob("*.py")) if root.is_dir() else [root]
         )
         for py in files:
-            name = f"<assert>{py}"
+            name = f"<{tag}>{py}"
             module = _parse_module(name, str(py), py.read_text(
                 encoding="utf-8"
             ), problems)
             if module is not None:
-                assertion_modules[name] = module
-    model = ProjectModel(
-        package=package_root.name,
-        modules=modules,
-        assertion_modules=assertion_modules,
-    )
-    model.problems.extend(problems)
-    return model
+                parsed[name] = module
+    return parsed
 
 
 def _parse_module(
@@ -806,6 +874,7 @@ def analyze_project(
     baseline: Optional[Baseline] = None,
     select: Optional[Iterable[str]] = None,
     source_overrides: Optional[Dict[str, str]] = None,
+    consumer_roots: Sequence[Path] = (),
 ) -> ProjectReport:
     """Run the SIM6xx project rules over a package.
 
@@ -818,6 +887,7 @@ def analyze_project(
         package_root,
         assertion_roots=assertion_roots,
         source_overrides=source_overrides,
+        consumer_roots=consumer_roots,
     )
     selected = all_project_rules()
     if select is not None:

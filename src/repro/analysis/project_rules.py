@@ -15,6 +15,10 @@ method is called on a receiver ending in ``faults``/``schedule``.  This
 keeps unrelated attributes that happen to share a field name (e.g. a
 local ``mapping`` object vs the ``ScalaGraphConfig.mapping`` field)
 from polluting the comparison sets.
+
+SIM605 matches by name alone instead: any load of a name, bare or as
+an attribute, counts as a use of every definition so named, so a
+collision can hide a finding but never invent one.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "dead_or_phantom_config_knob",
     "stats_field_conservation",
     "dtype_contract_drift",
+    "reached_only_by_tests",
 ]
 
 #: Receiver tails treated as a config object for field-read purposes.
@@ -62,6 +67,10 @@ FAULT_KIND_BY_METHOD: Dict[str, str] = {
     "hbm_bandwidth_fraction": "hbm-degradation",
     "apply_to_config": "analytic-derate",
 }
+
+#: Decorators that store the function they wrap in a registry: callers
+#: reach it through the registry without loading its name (SIM605).
+REGISTERING_DECORATORS = frozenset({"register", "register_project_rule"})
 
 #: Default dtype numpy gives ``zeros``/``ones``/``empty`` when the call
 #: site omits ``dtype=``; ``full`` infers from the fill value instead,
@@ -486,6 +495,55 @@ def dtype_contract_drift(model: ProjectModel) -> List[Finding]:
                     f"'{name}' but no np.zeros/full/empty/ones "
                     f"allocation for it exists in {module.name}",
                     key=f"stale-contract:{module.name}:{name}",
+                )
+            )
+    return findings
+
+
+# ----------------------------------------------------------------------
+# SIM605 — code only tests reach
+# ----------------------------------------------------------------------
+@register_project_rule(
+    "SIM605",
+    Severity.WARNING,
+    "only tests reach this: public module-level def or class whose name "
+    "no other module of the package or its consumers loads",
+)
+def reached_only_by_tests(model: ProjectModel) -> List[Finding]:
+    if not model.consumer_modules:
+        # The consumers are the package's entry points from outside;
+        # without them every name only they use would look unreached.
+        return []
+    loads: Dict[str, List[Tuple[str, int]]] = {}
+    for module in (
+        *model.modules.values(),
+        *model.consumer_modules.values(),
+    ):
+        for name, lineno in module.name_loads:
+            loads.setdefault(name, []).append((module.name, lineno))
+    findings: List[Finding] = []
+    for module in sorted(model.modules.values(), key=lambda m: m.name):
+        for definition in module.definitions:
+            if REGISTERING_DECORATORS.intersection(definition.decorators):
+                continue
+            if any(
+                where != module.name
+                or not definition.lineno <= lineno <= definition.end_lineno
+                for where, lineno in loads.get(definition.name, ())
+            ):
+                continue
+            findings.append(
+                _site_finding(
+                    "SIM605",
+                    Severity.WARNING,
+                    module,
+                    definition.lineno,
+                    0,
+                    f"only tests reach this: public {definition.kind} "
+                    f"'{definition.name}' is loaded by no other module "
+                    f"of the package or its consumers (re-exports, "
+                    f"__all__, tests and examples do not count)",
+                    key=f"test-only:{module.name}:{definition.name}",
                 )
             )
     return findings

@@ -7,8 +7,6 @@
   used in the Figure 4 crossbar study.
 * :class:`Gunrock` — the GPU graph system on an NVIDIA V100, modelled
   analytically (memory-transaction amplification + atomic stalls).
-* :class:`GraphPulse` — the event-driven accelerator with a coalescing
-  event queue behind a multi-stage crossbar (related work, Section VI).
 """
 
 from repro.baselines.base import (
@@ -17,7 +15,6 @@ from repro.baselines.base import (
 )
 from repro.baselines.accugraph import AccuGraph
 from repro.baselines.graphdyns import GraphDynS
-from repro.baselines.graphpulse import GraphPulse, GraphPulseConfig
 from repro.baselines.gunrock import Gunrock, GunrockConfig
 
 __all__ = [
@@ -25,8 +22,6 @@ __all__ = [
     "CrossbarAcceleratorConfig",
     "AccuGraph",
     "GraphDynS",
-    "GraphPulse",
-    "GraphPulseConfig",
     "Gunrock",
     "GunrockConfig",
 ]

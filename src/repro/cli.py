@@ -239,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the simlint rules (determinism, unit "
         "discipline, accounting hygiene) over Python sources; with "
         "--project, also the SIM6xx whole-program rules (engine-twin "
-        "parity, config-knob flow, dtype contracts). Exits 2 when any "
-        "error-severity finding survives, 1 for warnings only, 0 when "
-        "clean.",
+        "parity, config-knob flow, dtype contracts, code only tests "
+        "reach). Exits 2 when any error-severity finding survives, 1 "
+        "for warnings only, 0 when clean.",
     )
     lint_p.add_argument(
         "paths",
@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the whole-program SIM6xx analysis over the "
         "package (engine twins, config knobs, stats conservation, "
-        "dtype contracts)",
+        "dtype contracts, code only tests reach; ./benchmarks, when "
+        "present, counts as the package's consumer)",
     )
     lint_p.add_argument(
         "--baseline",
@@ -1012,11 +1013,13 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
             Path(args.tests_dir) if args.tests_dir else Path("tests")
         )
         assertion_roots = [tests_dir] if tests_dir.exists() else []
+        consumers_dir = Path("benchmarks")
         report = analyze_project(
             package_root,
             assertion_roots=assertion_roots,
             baseline=baseline,
             select=project_select,
+            consumer_roots=[consumers_dir] if consumers_dir.is_dir() else [],
         )
         findings = findings + report.findings
         if keep_suppressed:

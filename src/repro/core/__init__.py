@@ -14,16 +14,17 @@ engine (gold results) and then replays each iteration through the
 cycle-approximate timing model: degree-aware dispatch (Section IV-C),
 row-oriented mapping with column-link contention (Section IV-A), update
 aggregation (Section IV-B), SPD serialisation, HBM bandwidth, and
-inter-phase pipelining (Section IV-D).  A detailed cycle-level functional
-simulator (:mod:`repro.core.functional`) cross-validates the architecture
-on small graphs.
+inter-phase pipelining (Section IV-D).  The cycle-accurate tile
+simulator (:mod:`repro.core.cycle_sim`, with its vectorized twin
+:mod:`repro.core.fastsim`) routes every update through the real
+aggregation pipelines, mesh and scratchpads and cross-validates both the
+architecture's results and the timing model on small tiles.
 """
 
 from repro.core.config import ScalaGraphConfig, TimingParams
 from repro.core.accelerator import ScalaGraph
 from repro.core.profiling import NULL_PROFILER, NullProfiler, Profiler
 from repro.core.stats import IterationStats, PhaseCycles, SimulationReport
-from repro.core.functional import FunctionalScalaGraph
 from repro.core.cycle_sim import CycleAccurateScalaGraph
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "IterationStats",
     "PhaseCycles",
     "SimulationReport",
-    "FunctionalScalaGraph",
     "CycleAccurateScalaGraph",
     "Profiler",
     "NullProfiler",

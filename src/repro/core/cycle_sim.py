@@ -1,24 +1,24 @@
 """Cycle-accurate single-tile simulator.
 
 Where :class:`~repro.core.accelerator.ScalaGraph` computes analytic
-bounds and :class:`~repro.core.functional.FunctionalScalaGraph` checks
-functional equivalence, this simulator advances a whole tile **cycle by
-cycle**: every cycle each row's dispatching unit issues one line of edge
-workloads (degree-aware packing, Section IV-C), every GU processes one
-workload, every RU offers its update to its aggregation pipeline and
-injects at most one surviving update into the mesh (Section IV-B), the
-routers move flits under XY routing with backpressure, and every SPD
-slice retires one Reduce per cycle.
+bounds, this simulator advances a whole tile **cycle by cycle**: every
+cycle each row's dispatching unit issues one line of edge workloads
+(degree-aware packing, Section IV-C), every GU processes one workload,
+every RU offers its update to its aggregation pipeline and injects at
+most one surviving update into the mesh (Section IV-B), the routers
+move flits under XY routing with backpressure, and every SPD slice
+retires one Reduce per cycle.
 
 It exists to validate the analytic timing model: tests check that on
 small graphs the two models' Scatter-phase cycle counts agree within a
-small factor, and that the architecture still computes exactly the
-Figure 1 result.  Two independently selectable engines cover the
-per-cycle work: the mesh-NoC step is delegated to
-:attr:`~repro.core.config.ScalaGraphConfig.noc_engine` (vectorised
-struct-of-arrays at 16x16 and beyond; see :mod:`repro.noc.fastmesh`),
-and the scatter-phase loops around it — dispatch, aggregation, RU
-egress, SPD retire — to
+small factor, that without aggregation its NoC hop count equals the
+mapping's analytic link-load accounting, and that the architecture
+still computes exactly the Figure 1 result.  Two independently
+selectable engines cover the per-cycle work: the mesh-NoC step is
+delegated to :attr:`~repro.core.config.ScalaGraphConfig.noc_engine`
+(vectorised struct-of-arrays at 16x16 and beyond; see
+:mod:`repro.noc.fastmesh`), and the scatter-phase loops around it —
+dispatch, aggregation, RU egress, SPD retire — to
 :attr:`~repro.core.config.ScalaGraphConfig.cycle_engine` (the
 behaviourally identical :mod:`repro.core.fastsim` engine at the same
 threshold; this class's ``_scatter_phase`` is the auditable

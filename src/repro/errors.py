@@ -120,18 +120,6 @@ class AdmissionError(ServiceError):
         )
 
 
-class DeadlineExceededError(ServiceError):
-    """A request's SLO deadline expired before its work completed.
-
-    Attributes:
-        budget_s: the deadline budget the request carried, in seconds.
-    """
-
-    def __init__(self, message: str, budget_s: Optional[float] = None) -> None:
-        self.budget_s = budget_s
-        super().__init__(message)
-
-
 class CircuitOpenError(ServiceError):
     """A config-family's circuit breaker is open; full-fidelity
     execution is being shed for that family.

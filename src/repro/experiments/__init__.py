@@ -10,7 +10,6 @@ figures.
 from repro.experiments.breakdown import (
     bar_chart,
     bottleneck_histogram,
-    compare_reports,
     describe,
     phase_shares,
 )
@@ -31,12 +30,11 @@ from repro.experiments.store import (
     CODE_MODEL_VERSION,
     CacheStats,
     ResultCache,
-    compare_to_saved,
     dataset_fingerprint,
     load_matrix_summaries,
     save_matrix,
 )
-from repro.experiments.tables import format_series, format_table, normalize
+from repro.experiments.tables import format_series, format_table
 
 __all__ = [
     "ALGORITHM_ORDER",
@@ -57,13 +55,10 @@ __all__ = [
     "run_matrix_parallel",
     "format_series",
     "format_table",
-    "normalize",
     "bar_chart",
     "bottleneck_histogram",
-    "compare_reports",
     "describe",
     "phase_shares",
-    "compare_to_saved",
     "load_matrix_summaries",
     "save_matrix",
 ]

@@ -8,7 +8,7 @@ the cycles went, and quick terminal bar charts for sweeps.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from repro.core.stats import SimulationReport
 
@@ -88,14 +88,3 @@ def bar_chart(
             f"{label.rjust(label_width)} | {bar} {value_fmt.format(value)}"
         )
     return "\n".join(lines)
-
-
-def compare_reports(
-    reports: Sequence[SimulationReport], metric: str = "gteps"
-) -> str:
-    """Bar-chart several runs against each other on one metric."""
-    values = {}
-    for report in reports:
-        key = f"{report.accelerator} ({report.algorithm}/{report.graph_name})"
-        values[key] = float(getattr(report, metric))
-    return bar_chart(values)

@@ -29,6 +29,7 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -66,15 +67,30 @@ class CellFailed(Exception):
         self.expired = expired
 
 
-def _ignore_sigint() -> None:
-    """Pool initializer: Ctrl-C belongs to the process that owns the pool.
+def _init_worker() -> None:
+    """Pool initializer: a worker lives and dies with the pool's owner.
 
-    A terminal sends SIGINT to the whole process group.  The owner
-    cancels its cells and terminates the pool; a forked worker would
-    instead run the handler it inherited from the owner (``asyncio.run``
-    installs one on Python 3.11+).
+    Ctrl-C belongs to the owner.  A terminal sends SIGINT to the whole
+    process group.  The owner cancels its cells and terminates the pool;
+    a forked worker would instead run the handler it inherited from the
+    owner (``asyncio.run`` installs one on Python 3.11+).
+
+    A SIGKILLed owner terminates nothing, and its workers would block
+    forever on the pool's queues (and keep multiprocessing's resource
+    tracker alive).  A daemon thread waits for the owner to exit and
+    then ends the worker.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    owner = multiprocessing.parent_process()
+    if owner is not None:
+        threading.Thread(
+            target=_exit_with, args=(owner,), daemon=True
+        ).start()
+
+
+def _exit_with(owner: multiprocessing.process.BaseProcess) -> None:
+    owner.join()
+    os._exit(1)
 
 
 class CellExecutor:
@@ -184,7 +200,7 @@ class CellExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._context,
-                initializer=_ignore_sigint,
+                initializer=_init_worker,
             )
         future = asyncio.wrap_future(self._pool.submit(fn, *args))
         try:

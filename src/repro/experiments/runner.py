@@ -8,8 +8,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms import make_algorithm
-from repro.algorithms.base import VertexProgram
-from repro.algorithms.reference import ReferenceResult, run_reference
+from repro.algorithms.reference import run_reference
 from repro.baselines import GraphDynS, Gunrock
 from repro.core import ScalaGraph, ScalaGraphConfig
 from repro.core.stats import SimulationReport
@@ -240,18 +239,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric mean requires positive values")
     return float(np.exp(np.mean(np.log(arr))))
-
-
-def run_single(
-    system_label: str,
-    graph_name: str,
-    algorithm_name: str,
-    scale_shift: int = 0,
-    program: Optional[VertexProgram] = None,
-    reference: Optional[ReferenceResult] = None,
-) -> SimulationReport:
-    """Run one cell (convenience for examples and tests)."""
-    graph = load_benchmark_graph(graph_name, algorithm_name, scale_shift)
-    prog = program or make_algorithm(algorithm_name)
-    system = build_system(system_label)
-    return system.run(prog, graph, reference=reference)

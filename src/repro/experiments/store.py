@@ -4,9 +4,8 @@ Full sweeps take minutes; this module provides two layers:
 
 * :func:`save_matrix` / :func:`load_matrix_summaries` — save a whole
   :class:`~repro.experiments.runner.ExperimentMatrix` as one JSON file
-  for analyses and regression comparisons (gold property arrays are
-  summarised, not embedded — rerun the reference engine if you need
-  them).
+  for offline analysis (gold property arrays are summarised, not
+  embedded — rerun the reference engine if you need them).
 * :class:`ResultCache` — a per-cell on-disk cache the matrix runners
   consult, keyed by (dataset fingerprint, run-config hash, code-model
   version), so re-running a sweep recomputes only stale cells.  Cached
@@ -69,7 +68,7 @@ def load_matrix_summaries(
     """Load saved reports as plain dicts keyed like the matrix.
 
     Returns summary dicts (not SimulationReport objects — the gold
-    properties are not persisted), suitable for plotting/regression
+    properties are not persisted), suitable for plotting and
     comparison.
     """
     path = Path(path)
@@ -343,30 +342,3 @@ class ResultCache:
         for path in self.root.glob(".put-*.tmp"):
             path.unlink(missing_ok=True)
         return removed
-
-
-def compare_to_saved(
-    matrix: ExperimentMatrix,
-    path: PathLike,
-    metric: str = "gteps",
-    tolerance: float = 0.05,
-) -> Dict[Tuple[str, str, str], Tuple[float, float]]:
-    """Regression check: cells whose metric drifted beyond tolerance.
-
-    Returns ``{cell: (saved_value, current_value)}`` for every drifted
-    cell (empty dict = no regressions).
-    """
-    saved = load_matrix_summaries(path)
-    drifted = {}
-    for key, report in matrix.reports.items():
-        if key not in saved:
-            continue
-        old = float(saved[key][metric])
-        new = float(getattr(report, metric))
-        if old == 0:
-            if new != 0:
-                drifted[key] = (old, new)
-            continue
-        if abs(new - old) / abs(old) > tolerance:
-            drifted[key] = (old, new)
-    return drifted

@@ -6,7 +6,7 @@ and figures report; these helpers keep the formatting uniform.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 
 def format_table(
@@ -63,13 +63,3 @@ def format_series(
             row.append("-" if value is None else float(value))
         rows.append(row)
     return format_table(headers, rows, title=title, float_fmt=float_fmt)
-
-
-def normalize(
-    values: Mapping[object, float], baseline_key: object
-) -> Dict[object, float]:
-    """Normalise a series to one of its entries (paper-figure style)."""
-    baseline = values[baseline_key]
-    if baseline == 0:
-        raise ValueError("cannot normalise to a zero baseline")
-    return {key: value / baseline for key, value in values.items()}

@@ -86,9 +86,3 @@ def slice_intervals(
             Partition(index=i, lo=lo, hi=hi, edge_mask_count=edges_in)
         )
     return partitions
-
-
-def partition_of(vertex_ids: np.ndarray, partitions: List[Partition]) -> np.ndarray:
-    """Map each vertex ID to the index of the partition owning it."""
-    bounds = np.array([p.hi for p in partitions], dtype=np.int64)
-    return np.searchsorted(bounds, np.asarray(vertex_ids), side="right")

@@ -80,13 +80,3 @@ def lane_reorder(
         weights=new_weights,
         name=graph.name,
     )
-
-
-def lane_of_position(edge_offsets: np.ndarray, lanes: int) -> np.ndarray:
-    """PE column implied by an edge's position within its cacheline.
-
-    After :func:`lane_reorder`, edge ``i`` of a vertex is dispatched to
-    column ``i % lanes`` of the PE row; this helper makes the dispatch
-    rule explicit for the dispatcher model and its tests.
-    """
-    return np.asarray(edge_offsets) % lanes

@@ -9,7 +9,7 @@ and single-port serialisation of same-slice reduces.
 
 from repro.memory.hbm import HBMConfig, HBMModel
 from repro.memory.interleave import ChannelInterleaver, ChannelLoadReport
-from repro.memory.request import AccessType, MemoryRequest, cachelines_touched
+from repro.memory.request import cachelines_touched
 from repro.memory.spd import ScratchpadConfig, ScratchpadSlice
 
 __all__ = [
@@ -17,8 +17,6 @@ __all__ = [
     "HBMModel",
     "ChannelInterleaver",
     "ChannelLoadReport",
-    "AccessType",
-    "MemoryRequest",
     "cachelines_touched",
     "ScratchpadConfig",
     "ScratchpadSlice",

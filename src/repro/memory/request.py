@@ -1,43 +1,8 @@
-"""Memory request records and access-granularity accounting."""
+"""Access-granularity accounting for off-chip requests."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class AccessType(enum.Enum):
-    """What a memory request fetches (matches the paper's traffic
-    classes: edges and the active vertex list stream from HBM, vertex
-    properties live on-chip)."""
-
-    EDGE = "edge"
-    ACTIVE_VERTEX = "active_vertex"
-    VERTEX_PROPERTY = "vertex_property"
-    WRITE_BACK = "write_back"
-
-
-@dataclass(frozen=True)
-class MemoryRequest:
-    """One off-chip request.
-
-    Attributes:
-        address: byte address.
-        size: useful bytes requested.
-        access: traffic class.
-    """
-
-    address: int
-    size: int
-    access: AccessType = AccessType.EDGE
-
-    def lines(self, line_size: int = 64) -> int:
-        """64-byte lines the request actually occupies on the bus."""
-        first = self.address // line_size
-        last = (self.address + max(self.size, 1) - 1) // line_size
-        return int(last - first + 1)
 
 
 def cachelines_touched(addresses: np.ndarray, line_size: int = 64) -> int:

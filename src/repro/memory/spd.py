@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import CapacityError, ConfigurationError
 
 MB = 1 << 20
@@ -88,10 +86,3 @@ class ScratchpadSlice:
 
     def clear(self) -> None:
         self._store.clear()
-
-
-def slice_of(vertex_ids: np.ndarray, num_pes: int) -> np.ndarray:
-    """The simple vertex-ID hash that spreads properties over slices
-    (Section III-A: 'evenly partitioned to all SPDs via a simple hashing
-    upon vertex IDs')."""
-    return np.asarray(vertex_ids) % num_pes

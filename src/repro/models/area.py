@@ -102,15 +102,3 @@ def resource_utilization(
     reg = _REG_BASE + _REG_PER_PE * num_pes + xbar_reg
     bram = _BRAM_BASE_XBAR + _BRAM_PER_PE_XBAR * num_pes
     return ResourceUtilization(lut, reg, bram)
-
-
-def max_mesh_pes_that_fit() -> int:
-    """Largest power-of-two mesh PE count fitting the U280's LUTs.
-
-    Section V-E: 'When the number of PEs exceeds 1,024, the LUT resources
-    on FPGA will be exhausted.'
-    """
-    n = 1
-    while resource_utilization(n * 2, Interconnect.MESH).fits:
-        n *= 2
-    return n

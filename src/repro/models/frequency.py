@@ -30,7 +30,7 @@ class Interconnect(enum.Enum):
     """On-chip interconnects compared in Figure 8."""
 
     CROSSBAR = "crossbar"  # O(N^2): Graphicionado/AccuGraph/GraphDynS
-    MULTISTAGE_CROSSBAR = "multistage_crossbar"  # GraphPulse/Chronos
+    MULTISTAGE_CROSSBAR = "multistage_crossbar"  # event-driven designs (§VI)
     BENES = "benes"  # O(N log N)
     MESH = "mesh"  # O(N): ScalaGraph
     TORUS = "torus"  # O(N) + wrap links (future-work NoC exploration)

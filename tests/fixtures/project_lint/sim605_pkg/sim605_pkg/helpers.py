@@ -1,0 +1,61 @@
+"""One helper per SIM605 case: what counts as a use and what does not."""
+
+from dataclasses import dataclass
+
+REGISTRY = []
+
+
+def register(fn):
+    REGISTRY.append(fn)
+    return fn
+
+
+@register
+def registered():
+    """Reached through REGISTRY, never by name: counts as used."""
+    return 0
+
+
+def in_table():
+    """Reached through TABLE: a registry entry counts as used."""
+    return 1
+
+
+TABLE = {"one": in_table}
+
+
+def used_in_module():
+    """Loaded by caller() below: a use in its own module counts."""
+    return 2
+
+
+def caller():
+    return used_in_module()
+
+
+def used_by_consumer():
+    """Loaded by the consumer root: counts as used."""
+    return 3
+
+
+def only_tested():
+    """Re-exported and listed in __all__, loaded only by checks/:
+    flagged."""
+    return 4
+
+
+def recursive(n):
+    """Loaded only inside its own body: flagged."""
+    return 0 if n == 0 else recursive(n - 1)
+
+
+@dataclass
+class UnusedRecord:
+    """``@dataclass`` registers nothing: flagged."""
+
+    value: int = 0
+
+
+def _private():
+    """Private names are never candidates."""
+    return 5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SpMV, WidestPath, make_algorithm, run_reference
-from repro.core import FunctionalScalaGraph, ScalaGraph, ScalaGraphConfig
+from repro.core import CycleAccurateScalaGraph, ScalaGraph, ScalaGraphConfig
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
@@ -75,8 +75,9 @@ class TestSpMV:
         assert len(report.iterations) == 1
 
     def test_functional_sim_close(self):
+        """The cycle-accurate tile computes the gold SpMV result."""
         g = rmat_graph(5, edge_factor=5, seed=3).with_random_weights(1, 9)
-        sim = FunctionalScalaGraph().run(SpMV(), g)
+        sim = CycleAccurateScalaGraph().run(SpMV(), g)
         assert np.allclose(
             sim.properties, gold_spmv(g, np.ones(g.num_vertices))
         )
@@ -122,8 +123,9 @@ class TestWidestPath:
             run_reference(WidestPath(), g)
 
     def test_functional_sim_exact(self):
+        """The cycle-accurate tile computes the reference widths."""
         g = rmat_graph(5, edge_factor=5, seed=5).with_random_weights(1, 20)
-        sim = FunctionalScalaGraph().run(WidestPath(), g)
+        sim = CycleAccurateScalaGraph().run(WidestPath(), g)
         ref = run_reference(WidestPath(), g)
         assert np.array_equal(sim.properties, ref.properties)
 

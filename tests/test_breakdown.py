@@ -7,7 +7,6 @@ from repro.core import ScalaGraph, ScalaGraphConfig
 from repro.experiments import (
     bar_chart,
     bottleneck_histogram,
-    compare_reports,
     describe,
     phase_shares,
 )
@@ -79,8 +78,3 @@ class TestBarChart:
     def test_zero_values(self):
         text = bar_chart({"a": 0.0})
         assert "#" not in text
-
-    def test_compare_reports(self, report):
-        text = compare_reports([report])
-        assert "ScalaGraph-512" in text
-        assert "#" in text

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import ScalaGraphConfig, TimingParams
-from repro.core.tile import build_tiles
 from repro.errors import ConfigurationError
 
 
@@ -69,19 +68,3 @@ class TestTimingParams:
         with pytest.raises(ConfigurationError):
             TimingParams(pipelining_efficiency=1.5)
 
-
-class TestTiles:
-    def test_flagship_tiles(self):
-        tiles = build_tiles(ScalaGraphConfig())
-        assert len(tiles) == 2
-        assert tiles[0].num_pes == 256
-        assert tiles[0].hbm_stack == 0
-        assert tiles[1].hbm_stack == 1
-        assert tiles[1].col_offset == 16
-
-    def test_tile_bindings(self):
-        tiles = build_tiles(ScalaGraphConfig())
-        for tile in tiles:
-            assert tile.num_dispatch_units == 16  # one DU per row
-            assert tile.num_prefetchers == 16  # one per pseudo channel
-            assert tile.topology().num_nodes == tile.num_pes

@@ -10,8 +10,13 @@ from repro.algorithms import (
     PageRank,
     run_reference,
 )
+from repro.algorithms.reference import gather_frontier_edges
 from repro.core import CycleAccurateScalaGraph, ScalaGraph, ScalaGraphConfig
 from repro.graph.generators import rmat_graph, star_graph
+from repro.mapping import RowOrientedMapping
+from repro.noc.topology import MeshTopology
+
+ENGINES = ["reference", "vectorized"]
 
 
 def small_config(**kwargs):
@@ -159,3 +164,68 @@ class TestTimingAccounting:
         assert result.stats.total_cycles == sum(
             result.stats.scatter_cycles
         ) + sum(result.stats.apply_cycles)
+
+
+class TestArchitecturalAccounting:
+    """Accounting checks that hold for both cycle engines."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rom_hops_match_mapping_model_without_aggregation(self, engine):
+        """Without aggregation the routed hop count equals the analytic
+        link-load accounting: the cross-check that validates the
+        at-scale timing model."""
+        g = rmat_graph(6, edge_factor=4, seed=11)
+        config = small_config(
+            cycle_engine=engine, mapping="rom", aggregation_registers=0
+        )
+        result = CycleAccurateScalaGraph(config).run(PageRank(max_iters=1), g)
+        src, dst, _ = gather_frontier_edges(g, np.arange(g.num_vertices))
+        expected = RowOrientedMapping(MeshTopology(4, 4)).scatter_traffic(
+            src, dst
+        )
+        assert result.stats.noc_hops == expected.total_hops
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rom_fewer_hops_than_som(self, engine):
+        g = rmat_graph(6, edge_factor=8, seed=9)
+        hops = {
+            mapping: CycleAccurateScalaGraph(
+                small_config(
+                    cycle_engine=engine,
+                    mapping=mapping,
+                    aggregation_registers=0,
+                )
+            ).run(PageRank(max_iters=2), g).stats.noc_hops
+            for mapping in ("rom", "som")
+        }
+        assert hops["rom"] < hops["som"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_aggregation_coalesces_and_cuts_spd_reduces(self, engine):
+        g = rmat_graph(6, edge_factor=8, seed=7)
+        with_agg, without = (
+            CycleAccurateScalaGraph(
+                small_config(cycle_engine=engine, aggregation_registers=r)
+            ).run(PageRank(max_iters=3), g).stats
+            for r in (16, 0)
+        )
+        assert with_agg.updates_coalesced > 0
+        assert without.updates_coalesced == 0
+        assert with_agg.spd_reduces < without.spd_reduces
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "program",
+        [BFS(), ConnectedComponents(), PageRank(max_iters=3)],
+        ids=["bfs", "cc", "pagerank-capped"],
+    )
+    def test_iterations_and_convergence_match_reference(
+        self, engine, program
+    ):
+        g = rmat_graph(6, edge_factor=5, seed=12)
+        result = CycleAccurateScalaGraph(
+            small_config(cycle_engine=engine)
+        ).run(program, g)
+        ref = run_reference(program, g)
+        assert result.stats.iterations == ref.num_iterations
+        assert result.converged == ref.converged

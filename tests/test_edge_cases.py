@@ -6,7 +6,6 @@ import pytest
 from repro.algorithms import BFS, ConnectedComponents, PageRank, run_reference
 from repro.core import (
     CycleAccurateScalaGraph,
-    FunctionalScalaGraph,
     ScalaGraph,
     ScalaGraphConfig,
 )
@@ -34,7 +33,6 @@ class TestDegenerateGraphs:
     def test_single_vertex_everywhere(self, empty_graph):
         for simulator in (
             ScalaGraph(ScalaGraphConfig()),
-            FunctionalScalaGraph(),
             CycleAccurateScalaGraph(),
         ):
             result = simulator.run(BFS(), empty_graph)
@@ -61,7 +59,6 @@ class TestDegenerateGraphs:
     def test_self_loops_handled(self, self_loop_graph):
         for simulator in (
             ScalaGraph(ScalaGraphConfig()),
-            FunctionalScalaGraph(),
             CycleAccurateScalaGraph(),
         ):
             result = simulator.run(BFS(), self_loop_graph)

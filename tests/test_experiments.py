@@ -7,10 +7,8 @@ from repro.experiments import (
     format_series,
     format_table,
     geometric_mean,
-    normalize,
     run_matrix,
 )
-from repro.experiments.runner import run_single
 
 
 class TestRegistry:
@@ -65,13 +63,6 @@ class TestRunner:
         )
         assert by_algo["pagerank"] == pytest.approx(ratio)
 
-    def test_run_single(self):
-        report = run_single(
-            "ScalaGraph-512", "PK", "sssp", scale_shift=-5
-        )
-        assert report.algorithm == "sssp"
-        assert report.graph_name == "PK"
-
     def test_weighted_algorithms_get_weights(self):
         from repro.experiments.runner import load_benchmark_graph
 
@@ -119,11 +110,3 @@ class TestFormatting:
         )
         assert "PEs" in text and "mesh" in text
         assert "-" in text  # missing crossbar value at 64
-
-    def test_normalize(self):
-        out = normalize({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_normalize_zero_baseline(self):
-        with pytest.raises(ValueError):
-            normalize({"a": 0.0}, "a")

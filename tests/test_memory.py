@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.memory.hbm import HBMConfig, HBMModel
-from repro.memory.request import AccessType, MemoryRequest, cachelines_touched
-from repro.memory.spd import ScratchpadConfig, ScratchpadSlice, slice_of
+from repro.memory.request import cachelines_touched
+from repro.memory.spd import ScratchpadConfig, ScratchpadSlice
 
 
 class TestHBMConfig:
@@ -121,11 +121,6 @@ class TestScratchpad:
         spd.clear()
         assert len(spd) == 0
 
-    def test_hash_distribution(self):
-        homes = slice_of(np.arange(1000), 16)
-        counts = np.bincount(homes, minlength=16)
-        assert counts.min() >= 62  # even spread of sequential IDs
-
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             ScratchpadConfig(total_bytes=0)
@@ -134,22 +129,6 @@ class TestScratchpad:
 
 
 class TestRequests:
-    def test_lines_single(self):
-        req = MemoryRequest(address=0, size=4)
-        assert req.lines() == 1
-
-    def test_lines_straddling(self):
-        req = MemoryRequest(address=60, size=8)
-        assert req.lines() == 2
-
-    def test_lines_exact(self):
-        req = MemoryRequest(address=64, size=64)
-        assert req.lines() == 1
-
-    def test_access_types(self):
-        assert AccessType.EDGE.value == "edge"
-        req = MemoryRequest(0, 4, AccessType.WRITE_BACK)
-        assert req.access is AccessType.WRITE_BACK
 
     def test_cachelines_touched_dedup(self):
         addrs = np.array([0, 4, 8, 64, 68])

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SynthesisError
-from repro.models.area import (
-    max_mesh_pes_that_fit,
-    resource_utilization,
-)
+from repro.models.area import resource_utilization
 from repro.models.energy import (
     POWER_BREAKDOWN,
     accelerator_power_watts,
@@ -54,6 +51,13 @@ class TestFrequencyFigure8:
             assert synthesizes(kind, 256)
             with pytest.raises(SynthesisError):
                 max_frequency_mhz(kind, 512)
+
+    def test_multistage_clock_at_256(self):
+        """Section VI: a multi-stage crossbar reaches 256 PEs, but at
+        98 MHz, about a third of the mesh's clock."""
+        assert max_frequency_mhz("multistage_crossbar", 256) == pytest.approx(
+            98.0
+        )
 
     def test_complexity_ordering(self):
         """At any synthesizable size, lower-complexity interconnects
@@ -165,7 +169,6 @@ class TestAreaModelFigure16:
 
     def test_mesh_lut_exhaustion_beyond_1024(self):
         """Section V-E: beyond 1,024 PEs the LUTs run out."""
-        assert max_mesh_pes_that_fit() == 1024
         assert resource_utilization(1024, "mesh").fits
         assert not resource_utilization(2048, "mesh").fits
 

@@ -144,6 +144,39 @@ print("sweep finished")
 """
 
 
+#: Run as a script: owns a CellExecutor (start method argv[2]) whose
+#: two workers each hang in a cell after leaving a ``worker-<pid>``
+#: marker in argv[1].  A file, not ``-c``, so spawn workers can import
+#: ``hang`` from it.
+_HANGING_OWNER = """
+import asyncio, os, sys, time
+from repro.experiments.executor import CellExecutor
+
+def hang(marker_dir):
+    open(os.path.join(marker_dir, f"worker-{os.getpid()}"), "w").close()
+    time.sleep(120.0)
+
+async def main():
+    executor = CellExecutor(2, sys.argv[2], 0.01, 0.01, "owner")
+    await asyncio.gather(
+        *(executor.run(hang, [sys.argv[1]], attempts=1) for _ in range(2))
+    )
+
+if __name__ == "__main__":
+    asyncio.run(main())
+"""
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p
+        for p in (str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH"))
+        if p
+    )
+    return env
+
+
 def _running(pid: int) -> bool:
     """Whether a process exists and is not a zombie."""
     try:
@@ -315,15 +348,9 @@ class TestInterrupt:
     def test_ctrl_c_stops_sweep_and_leaves_no_worker(self, tmp_path):
         """SIGINT to the whole process group (a terminal's Ctrl-C)
         stops a pooled sweep, and its workers do not outlive it."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p
-            for p in (str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH"))
-            if p
-        )
         proc = subprocess.Popen(
             [sys.executable, "-c", _HANGING_SWEEP, str(tmp_path)],
-            env=env,
+            env=_subprocess_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             start_new_session=True,
@@ -349,6 +376,51 @@ class TestInterrupt:
             while _running(pid):
                 assert time.monotonic() < deadline, f"worker {pid} survived"
                 time.sleep(0.05)
+
+
+class TestOwnerDeath:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_exit_when_owner_is_killed(self, tmp_path, start_method):
+        """A SIGKILLed owner terminates nothing; its pool workers must
+        notice and exit on their own instead of blocking forever."""
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("reads process state from /proc")
+        script = tmp_path / "owner.py"
+        script.write_text(_HANGING_OWNER)
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path), start_method],
+            env=_subprocess_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(list(tmp_path.glob("worker-*"))) < 2:
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+            pids = [
+                int(marker.name.split("-")[1])
+                for marker in tmp_path.glob("worker-*")
+            ]
+            proc.kill()
+            proc.communicate(timeout=30.0)
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    f"workers {[p for p in pids if _running(p)]} outlived "
+                    f"their SIGKILLed owner"
+                )
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30.0)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestCheckpointResume:

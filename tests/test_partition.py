@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph
-from repro.graph.partition import (
-    num_partitions_for,
-    partition_of,
-    slice_intervals,
-)
+from repro.graph.partition import num_partitions_for, slice_intervals
 
 
 class TestPartitionCount:
@@ -70,12 +66,6 @@ class TestSlicing:
 
 
 class TestPartitionOf:
-    def test_maps_vertices_to_owners(self, medium_rmat):
-        parts = slice_intervals(medium_rmat, 100)
-        vids = np.arange(medium_rmat.num_vertices)
-        owners = partition_of(vids, parts)
-        for p in parts:
-            assert np.all(owners[p.lo : p.hi] == p.index)
 
     def test_round_robin_order(self, medium_rmat):
         parts = slice_intervals(medium_rmat, 256)

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
-from repro.graph.preprocess import (
-    default_lane_hash,
-    lane_of_position,
-    lane_reorder,
-)
+from repro.graph.preprocess import default_lane_hash, lane_reorder
 
 
 class TestLaneReorder:
@@ -99,12 +95,3 @@ class TestLaneReorder:
         g = CSRGraph.from_edges(8, edges)
         out = lane_reorder(g, lanes=lanes)
         assert sorted(out.edges()) == sorted(g.edges())
-
-
-class TestLaneOfPosition:
-    def test_positions_map_to_columns(self):
-        offsets = np.arange(20)
-        lanes = lane_of_position(offsets, 16)
-        assert lanes[0] == 0
-        assert lanes[15] == 15
-        assert lanes[16] == 0

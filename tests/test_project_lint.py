@@ -32,9 +32,11 @@ BASELINE_PATH = REPO_ROOT / "analysis-baseline.json"
 
 
 def run_fixture(name, **kwargs):
+    consumers = FIXTURES / name / "consumers"
     return analyze_project(
         FIXTURES / name / name,
         assertion_roots=[FIXTURES / name / "checks"],
+        consumer_roots=[consumers] if consumers.is_dir() else [],
         **kwargs,
     )
 
@@ -60,6 +62,7 @@ class TestFixturePairs:
             ("sim602_pkg", "SIM602", "unused_knob"),
             ("sim603_pkg", "SIM603", "'dropped'"),
             ("sim604_pkg", "SIM604", "'_vid'"),
+            ("sim605_pkg", "SIM605", "'only_tested'"),
         ],
     )
     def test_each_drift_caught_by_exactly_the_intended_rule(
@@ -75,6 +78,18 @@ class TestFixturePairs:
         messages = " | ".join(f.message for f in report.findings)
         assert "dead config knob" in messages
         assert "phantom config knob" in messages
+
+    def test_sim605_counts_only_non_test_loads(self):
+        """Registry entries, registering decorators, same-module and
+        consumer loads are uses; a re-export, an ``__all__`` string, a
+        load inside the definition itself and a ``@dataclass`` are
+        not."""
+        report = run_fixture("sim605_pkg")
+        assert {f.key for f in report.findings} == {
+            "test-only:sim605_pkg.helpers:only_tested",
+            "test-only:sim605_pkg.helpers:recursive",
+            "test-only:sim605_pkg.helpers:UnusedRecord",
+        }
 
     def test_findings_carry_stable_keys(self):
         report = run_fixture("sim601_pkg")
@@ -155,6 +170,7 @@ class TestRealRepoClean:
             PACKAGE_ROOT,
             assertion_roots=[REPO_ROOT / "tests"],
             baseline=baseline,
+            consumer_roots=[REPO_ROOT / "benchmarks"],
         )
         assert report.findings == [], [
             f"{f.path}:{f.line}: {f.rule} {f.message}"
@@ -234,7 +250,9 @@ class TestCliIntegration:
             p["name"] for p in report["project"]["twin_pairs"]
         }
         assert pair_names == {"noc-engine", "cycle-engine"}
-        assert report["project"]["num_baselined"] == 1
+        assert report["project"]["num_baselined"] == len(
+            Baseline.from_file(BASELINE_PATH).entries
+        )
         # Baselined findings are visible, flagged suppressed.
         suppressed = [
             f for f in report["findings"] if f["suppressed"]
@@ -272,5 +290,5 @@ class TestCliIntegration:
     def test_list_rules_includes_project_family(self):
         code, output = run_cli("lint", "--list-rules")
         assert code == 0
-        for rule_id in ("SIM601", "SIM602", "SIM603", "SIM604"):
+        for rule_id in ("SIM601", "SIM602", "SIM603", "SIM604", "SIM605"):
             assert rule_id in output

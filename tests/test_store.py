@@ -10,7 +10,6 @@ from repro.errors import ReproError
 from repro.experiments import (
     CODE_MODEL_VERSION,
     ResultCache,
-    compare_to_saved,
     dataset_fingerprint,
     load_matrix_summaries,
     run_matrix,
@@ -62,35 +61,6 @@ class TestSaveLoad:
         path.write_text(json.dumps({"format_version": 99, "cells": []}))
         with pytest.raises(ReproError):
             load_matrix_summaries(path)
-
-
-class TestRegressionCompare:
-    def test_no_drift_against_self(self, matrix, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_matrix(matrix, path)
-        assert compare_to_saved(matrix, path) == {}
-
-    def test_detects_drift(self, matrix, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_matrix(matrix, path)
-        payload = json.loads(path.read_text())
-        payload["cells"][0]["report"]["gteps"] *= 2  # corrupt the baseline
-        path.write_text(json.dumps(payload))
-        drifted = compare_to_saved(matrix, path)
-        assert len(drifted) == 1
-        (old, new), = drifted.values()
-        assert old == pytest.approx(2 * new, rel=1e-9)
-
-    def test_unknown_cells_ignored(self, matrix, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_matrix(matrix, path)
-        partial = run_matrix(
-            graphs=["PK"],
-            algorithms=["bfs"],
-            systems=["ScalaGraph-512"],
-            scale_shift=-4,
-        )
-        assert compare_to_saved(partial, path) == {}
 
 
 class TestDatasetFingerprint:
