@@ -109,11 +109,13 @@ class ScalaGraphConfig:
             propagate, e.g. in engine debugging sessions).
         cycle_engine: scatter-phase implementation of the cycle-accurate
             simulator — 'reference' (per-object Python loops, the
-            auditable golden model), 'vectorized' (struct-of-arrays
-            NumPy engine over dispatch/aggregation/egress/SPD,
-            behaviourally identical; see repro.core.fastsim), or
-            'auto' (vectorized at or above
-            repro.core.fastsim.AUTO_CYCLE_ENGINE_MIN_NODES nodes).
+            auditable golden model), 'vectorized' (the whole cycle loop
+            in compiled code, stepping the compiled mesh, behaviourally
+            identical; see repro.core.fastsim), or 'auto' (vectorized
+            at or above repro.core.fastsim.AUTO_CYCLE_ENGINE_MIN_NODES
+            nodes, unless noc_engine is 'reference' or the program's
+            reduce is not np.add/np.minimum/np.maximum).  'vectorized'
+            with noc_engine='reference' is rejected.
         hbm: off-chip memory parameters.
         spd: scratchpad parameters.
         edge_bytes: stored bytes per edge (4, Section I).
@@ -161,6 +163,14 @@ class ScalaGraphConfig:
             raise ConfigurationError(
                 f"unknown cycle_engine {self.cycle_engine!r} "
                 "(auto/reference/vectorized)"
+            )
+        if (
+            self.cycle_engine.lower() == "vectorized"
+            and self.noc_engine.lower() == "reference"
+        ):
+            raise ConfigurationError(
+                "cycle_engine='vectorized' steps the compiled mesh; it "
+                "cannot run with noc_engine='reference'"
             )
         if self.aggregation_registers < 0:
             raise ConfigurationError("aggregation_registers must be >= 0")

@@ -21,9 +21,9 @@ delegated to :attr:`~repro.core.config.ScalaGraphConfig.noc_engine`
 dispatch, aggregation, RU egress, SPD retire — to
 :attr:`~repro.core.config.ScalaGraphConfig.cycle_engine` (the
 behaviourally identical :mod:`repro.core.fastsim` engine at the same
-threshold; this class's ``_scatter_phase`` is the auditable
-reference).  Fully idle cycles fast-forward to the mesh's next
-scheduled event under either engine.
+threshold, which runs the whole cycle loop, mesh step included, in
+compiled code; this class's ``_scatter_phase`` is the auditable
+reference).
 """
 
 from __future__ import annotations
@@ -213,9 +213,17 @@ class CycleAccurateScalaGraph:
         Disable via ``config.noc_engine_fallback=False``; an
         all-reference failure always propagates.
         """
-        engine = resolve_engine(self.config.noc_engine, self.topology)
         cycle_engine = resolve_cycle_engine(
-            self.config.cycle_engine, self.topology
+            self.config.cycle_engine,
+            self.topology,
+            self.config.noc_engine,
+            program.reduce_ufunc,
+        )
+        # The vectorized scatter phase always steps the compiled mesh.
+        engine = (
+            "vectorized"
+            if cycle_engine == "vectorized"
+            else resolve_engine(self.config.noc_engine, self.topology)
         )
         try:
             return self._run(
@@ -283,7 +291,7 @@ class CycleAccurateScalaGraph:
                 if cycle_engine == "vectorized":
                     cycles = scatter_phase_fast(
                         self, program, ctx, graph, active, props, vtemp,
-                        touched_mask, stats, max_cycles_per_phase, engine,
+                        touched_mask, stats, max_cycles_per_phase,
                     )
                 else:
                     cycles = self._scatter_phase(

@@ -3,55 +3,55 @@
 The reference :meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.
 _scatter_phase` walks every dispatcher, PE, FIFO entry, and SPD slot in
 Python objects each cycle — O(cycles x PEs) interpreter work that caps
-real cycle-accurate runs at 16x16 meshes.  This module applies the
-fastmesh recipe (PR 3) to everything *around* the NoC step: dispatcher
-schedules, per-PE aggregation register arrays, out/SPD FIFOs, and
-PE-stall state live in struct-of-arrays NumPy buffers, and each cycle's
-dispatch -> RU egress -> SPD retire runs as whole-cycle batched array
-operations.  The mesh step itself is delegated to the engine selected
-by :attr:`~repro.core.config.ScalaGraphConfig.noc_engine`, unchanged.
+real cycle-accurate runs at 16x16 meshes.  This engine runs the whole
+cycle loop in the compiled kernel that already steps the mesh
+(``fs_run`` in ``repro/noc/meshkernel.c``): one call advances a phase
+through dispatch with aggregation offer, RU egress, the mesh step and
+SPD retire, cycle by cycle, up to the phase's end or the next
+fault-window edge.  Python keeps the set-up (frontier gather, the
+dispatch schedule, the execution/home lookup tables), the fault-mask
+loads, the sanitizer hooks and every ``CycleStats`` and ``MeshStats``
+write; the kernel keeps its state in Python-owned arrays (the register
+arrays of :class:`~repro.noc.aggregation.BatchedAggregationArray`, the
+mesh of :class:`~repro.noc.fastmesh.FastMeshNetwork`, and the phase
+buffers of :class:`_Phase`) and returns counts.
 
 The engine is **behaviourally identical** to the reference, not merely
 statistically similar: every per-cycle decision (dispatch order, offer
 order per register column, eviction order, egress/injection order per
-PE, SPD retire order, stall handling, idle fast-forwarding) reproduces
-the reference exactly, so stats are equal integer for integer and the
-computed properties bit for bit.  Two structural facts make this
-possible without simulating objects:
-
-* **Dispatch is unconditional** — dispatchers never experience
-  backpressure, so each row's whole line schedule is a pure function of
-  its queue and can be precomputed once per phase
-  (:func:`dispatch_schedule`); the cycle loop then just slices a
-  flat edge array.
-* **Within a cycle, same-column offers are the only ordered
-  interaction** — ranking offers within their ``(pe, column)`` group
-  and processing rank rounds in order preserves the reference's
-  register-array evolution while each round is one conflict-free
-  fancy-indexed pass (see
-  :class:`~repro.noc.aggregation.BatchedAggregationArray`).
+PE, SPD retire order, stall handling) reproduces the reference exactly,
+so stats are equal integer for integer and the computed properties bit
+for bit.  Dispatch is unconditional — dispatchers never experience
+backpressure — so each row's whole line schedule is a pure function of
+its queue and is precomputed once per phase (:func:`dispatch_schedule`).
+The kernel implements the ``np.add``, ``np.minimum`` and ``np.maximum``
+reduces exactly; a program with any other reduce runs on the reference.
 
 Selection follows the ``noc_engine`` pattern:
 ``config.cycle_engine='auto'`` picks the vectorised engine at or above
-:data:`AUTO_CYCLE_ENGINE_MIN_NODES` nodes, and a SanitizerError raised
-mid-run falls back to the reference engines once (see
+:data:`AUTO_CYCLE_ENGINE_MIN_NODES` nodes when the kernel can be built
+(see :func:`resolve_cycle_engine`), and a SanitizerError raised mid-run
+falls back to the reference engines once (see
 :meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+import warnings
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.profiling import NULL_PROFILER
 from repro.errors import ConfigurationError, SimulationError
+from repro.noc import meshkernel
+from repro.noc.aggregation import BUFFER_DTYPES as REGISTER_DTYPES
 from repro.noc.aggregation import (
     BatchedAggregationArray,
     aggregation_geometry,
-    run_ranks,
 )
-from repro.noc.fastmesh import make_mesh_network
+from repro.noc.fastmesh import FastMeshNetwork
+from repro.noc.meshkernel import MeshKernel
+from repro.noc.router import NUM_PORTS
 from repro.noc.topology import MeshTopology
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -68,11 +68,8 @@ __all__ = [
 
 #: Mesh size at which ``cycle_engine='auto'`` switches to the
 #: vectorised engine.  Same threshold as the mesh engines: below it the
-#: fixed cost of whole-array operations outweighs the loop savings.
+#: daemon's small cycle-fidelity meshes stay on the reference engines.
 AUTO_CYCLE_ENGINE_MIN_NODES = 64
-
-#: Shared empty PE-index array for scalar-total fast paths.
-_EMPTY_PES = np.zeros(0, dtype=np.int64)
 
 #: Engine-twin declaration consumed by the whole-program analyzer
 #: (:mod:`repro.analysis.project`).  The reference scatter phase lives
@@ -89,33 +86,121 @@ ENGINE_TWIN = {
     ],
 }
 
-#: Declared dtype contract for the struct-of-arrays PE FIFO state
-#: (:class:`_PEFifoArray`).  Audited by SIM604 at every allocation
-#: call site, including the reallocation in ``_grow_to``.
+#: Declared dtype contract of the phase buffers (:class:`_Phase`).
+#: SIM604 checks every allocation against it, and the kernel table is
+#: built only from arrays that match it.
 BUFFER_DTYPES = {
-    "vid": "int64",
-    "val": "float64",
-    "head": "int64",
-    "count": "int64",
+    "d_pe": "int64",
+    "d_vtx": "int64",
+    "d_val": "float64",
+    "offsets": "int64",
+    "lines": "int64",
+    "home": "int64",
+    "pe_stall": "bool",
+    "out_end": "int64",
+    "out_head": "int64",
+    "out_tail": "int64",
+    "out_vid": "int64",
+    "out_val": "float64",
+    "spd_end": "int64",
+    "spd_head": "int64",
+    "spd_tail": "int64",
+    "spd_vid": "int64",
+    "spd_val": "float64",
+    "free_pkts": "int64",
+    "vtemp": "float64",
+    "touched": "bool",
+    # The kernel's table: buffer addresses, settings, state, counts.
+    "table": "int64",
 }
+_DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES}
+
+#: Buffers of the phase table, in the order of ``PHASE_BUFFERS`` in
+#: ``meshkernel.c``: the register array's (:data:`REGISTER_DTYPES`)
+#: come from :class:`BatchedAggregationArray`, the rest from
+#: :class:`_Phase`.
+_KERNEL_BUFFERS = (
+    "d_pe", "d_vtx", "d_val", "offsets", "lines", "home", "pe_stall",
+    "vid", "val", "occ", "rr", "offered", "coalesced", "stored",
+    "rejected", "emitted", "out_end", "out_head", "out_tail", "out_vid",
+    "out_val", "spd_end", "spd_head", "spd_tail", "spd_vid", "spd_val",
+    "free_pkts", "vtemp", "touched",
+)
+#: The same list as the kernel spells it (``MeshKernel.phase_layout``).
+_KERNEL_LAYOUT = tuple(
+    (name, np.dtype(_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
+)
+#: Table slots after the addresses (``enum phase_slot``): seven
+#: settings, the carried cycle and free-packet count, then the counts of
+#: one call — CycleStats (4), mesh steps, MeshStats (9), and the four
+#: stage timers.
+_SLOT_SETTINGS = len(_KERNEL_BUFFERS)
+_SLOT_CYCLE = _SLOT_SETTINGS + 7
+_SLOT_FREE = _SLOT_CYCLE + 1
+_SLOT_COUNTS = _SLOT_FREE + 1
+_TABLE_SLOTS = _SLOT_COUNTS + 18
+#: ``fs_run`` results (``RUNNING`` is 0).
+_DRAINED, _OVERRUN, _CORRUPT = 1, 2, 3
+
+#: The reduces the kernel implements, by its ``REDUCE`` code.
+_REDUCE_OPS: Dict[np.ufunc, int] = {np.add: 0, np.minimum: 1, np.maximum: 2}
+
+#: Cycles one kernel call may run before returning to Python, so a
+#: KeyboardInterrupt lands within a fraction of a second in a long
+#: phase (a saturated 32x32 cycle takes ~0.2 ms).
+_CALL_CYCLES = 1024
 
 
-def resolve_cycle_engine(engine: str, topology: MeshTopology) -> str:
+def resolve_cycle_engine(
+    engine: str,
+    topology: MeshTopology,
+    noc_engine: str = "auto",
+    reduce_ufunc: np.ufunc = np.add,
+) -> str:
     """Resolve a scatter-engine name (``auto``/``reference``/
-    ``vectorized``) to a concrete one, choosing by mesh size for
-    ``auto``."""
+    ``vectorized``) to a concrete one.
+
+    The vectorised engine steps the compiled mesh and implements the
+    ``np.add``, ``np.minimum`` and ``np.maximum`` reduces.  ``auto``
+    picks it at or above :data:`AUTO_CYCLE_ENGINE_MIN_NODES` nodes
+    unless ``noc_engine`` asks for the reference mesh or the program
+    reduces with another ufunc, and falls back to the reference with a
+    :class:`RuntimeWarning` when the kernel cannot be built.  Asked for
+    by name, the vectorised engine raises :class:`ConfigurationError`
+    instead.  Resolving to the reference never touches the compiler.
+    """
     name = engine.lower()
-    if name == "auto":
-        return (
-            "vectorized"
-            if topology.num_nodes >= AUTO_CYCLE_ENGINE_MIN_NODES
-            else "reference"
-        )
-    if name not in ("reference", "vectorized"):
+    if name not in ("auto", "reference", "vectorized"):
         raise ConfigurationError(
             f"unknown cycle_engine {engine!r} (auto/reference/vectorized)"
         )
-    return name
+    supported = reduce_ufunc in _REDUCE_OPS
+    if name == "vectorized" and not supported:
+        raise ConfigurationError(
+            f"cycle_engine='vectorized' runs the np.add, np.minimum and "
+            f"np.maximum reduces only, not {reduce_ufunc!r}"
+        )
+    if name == "reference" or (
+        name == "auto"
+        and (
+            topology.num_nodes < AUTO_CYCLE_ENGINE_MIN_NODES
+            or noc_engine.lower() == "reference"
+            or not supported
+        )
+    ):
+        return "reference"
+    try:
+        meshkernel.load()
+    except ConfigurationError as exc:
+        if name == "vectorized":
+            raise
+        warnings.warn(
+            f"{exc}; using the reference scatter engine",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return "reference"
+    return "vectorized"
 
 
 # ----------------------------------------------------------------------
@@ -236,146 +321,139 @@ def dispatch_schedule(
 
 
 # ----------------------------------------------------------------------
-# Growable per-PE FIFO ring buffers
+# The compiled scatter phase
 # ----------------------------------------------------------------------
-class _PEFifoArray:
-    """One FIFO per PE, stored as shared ring buffers.
+def _check_layout(kernel: MeshKernel) -> None:
+    """Refuse a kernel whose phase table differs from this module's."""
+    if (kernel.phase_layout, kernel.phase_table_slots) != (
+        _KERNEL_LAYOUT, _TABLE_SLOTS
+    ):
+        raise SimulationError(
+            f"phase kernel {kernel.path} does not match fastsim: table "
+            f"{kernel.phase_layout} + {kernel.phase_table_slots} slots, "
+            f"expected {_KERNEL_LAYOUT} + {_TABLE_SLOTS} slots"
+        )
 
-    ``vid``/``val`` are ``(num_pes, cap)`` rings with per-PE ``head``
-    and ``count``; ``cap`` doubles on demand (compacting every ring to
-    offset 0).  All operations are batched over PE index arrays;
-    ``append`` preserves the argument order for repeated PEs.
+
+class _Phase:
+    """One scatter phase's kernel state: the buffers ``fs_run`` reads
+    and writes, and the table of their addresses.
+
+    Every queue gets one slice per PE, sized by the phase's own bound:
+    an update enters a PE's out queue at most once (at its execution
+    PE) and its SPD queue at most once (at its destination's home), and
+    at most ``nodes x ports x depth`` packets fit in the mesh at once,
+    so the kernel never needs more room mid-phase.
     """
 
-    __slots__ = (
-        "num_pes",
-        "cap",
-        "vid",
-        "val",
-        "head",
-        "count",
-        "_vid_flat",
-        "_val_flat",
-        "_total",
-    )
-
-    def __init__(self, num_pes: int, capacity: int = 16) -> None:
-        self.num_pes = num_pes
-        self.cap = capacity
-        self.vid = np.zeros((num_pes, capacity), dtype=np.int64)
-        self.val = np.zeros((num_pes, capacity))
-        self.head = np.zeros(num_pes, dtype=np.int64)
-        self.count = np.zeros(num_pes, dtype=np.int64)
-        # Flat views for single-array gathers/scatters (row pe, slot s
-        # lives at pe * cap + s); rebuilt on every reallocation.
-        self._vid_flat = self.vid.reshape(-1)
-        self._val_flat = self.val.reshape(-1)
-        # Scalar occupancy mirror of count.sum(), maintained by
-        # append/drop so per-cycle emptiness checks cost no reduction.
-        self._total = 0
-
-    def total(self) -> int:
-        return self._total
-
-    def _grow_to(self, needed: int) -> None:
-        # Geometric growth straight from the needed size (next power of
-        # two, but never less than one doubling) — no re-loop from the
-        # current cap.
-        new_cap = max(self.cap * 2, 1 << (int(needed) - 1).bit_length())
-        vid = np.zeros((self.num_pes, new_cap), dtype=np.int64)
-        val = np.zeros((self.num_pes, new_cap))
-        if self.head.any():
-            rows = np.arange(self.num_pes)[:, None]
-            idx = (
-                self.head[:, None] + np.arange(self.cap)[None, :]
-            ) % self.cap
-            vid[:, : self.cap] = self.vid[rows, idx]
-            val[:, : self.cap] = self.val[rows, idx]
-            self.head[:] = 0
-        else:
-            # Every ring already starts at offset 0 (the common growth
-            # path: capacity outgrown before any pop) — plain copy, no
-            # modular gather.
-            vid[:, : self.cap] = self.vid
-            val[:, : self.cap] = self.val
-        self.vid, self.val = vid, val
-        self._vid_flat = vid.reshape(-1)
-        self._val_flat = val.reshape(-1)
-        self.cap = new_cap
-
-    def append(
+    def __init__(
         self,
-        pes: np.ndarray,
-        vids: np.ndarray,
-        vals: np.ndarray,
-        assume_unique: bool = False,
+        network: FastMeshNetwork,
+        agg: Optional[BatchedAggregationArray],
+        schedule: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        exec_pe: np.ndarray,
+        dst: np.ndarray,
+        values: np.ndarray,
+        home: np.ndarray,
+        vtemp: np.ndarray,
+        reduce_op: int,
+        max_cycles: int,
+        profiled: bool,
     ) -> None:
-        if pes.size == 0:
-            return
-        if assume_unique:
-            # Caller asserts no repeated PEs (e.g. flatnonzero-derived
-            # index sets): touch only the listed rows.
-            cnt = self.count.take(pes)
-            if int(cnt.max()) >= self.cap:
-                self._grow_to(int(cnt.max()) + 1)
-                cnt = self.count.take(pes)
-            pos = self.head.take(pes)
-            pos += cnt
-            pos %= self.cap
-            idx = pes * self.cap
-            idx += pos
-            self._vid_flat[idx] = vids
-            self._val_flat[idx] = vals
-            self.count[pes] = cnt + 1
-            self._total += int(pes.size)
-            return
-        mult = np.bincount(pes, minlength=self.num_pes)
-        deepest = int((self.count + mult).max())
-        if deepest > self.cap:
-            self._grow_to(deepest)
-        if pes.size == 1 or int(mult.max()) <= 1:
-            # All-unique fast path: no intra-call ordering to resolve.
-            pos = (self.head.take(pes) + self.count.take(pes)) % self.cap
-            idx = pes * self.cap + pos
-            self._vid_flat[idx] = vids
-            self._val_flat[idx] = vals
-        else:
-            order = np.argsort(pes, kind="stable")
-            sp = pes[order]
-            rank = run_ranks(sp)
-            pos = (self.head.take(sp) + self.count.take(sp) + rank) % self.cap
-            idx = sp * self.cap + pos
-            self._vid_flat[idx] = vids[order]
-            self._val_flat[idx] = vals[order]
-        self.count += mult
-        self._total += int(pes.size)
+        self._kernel = meshkernel.load()
+        _check_layout(self._kernel)
+        n = network.topology.num_nodes
+        for role, pes in (("execution", exec_pe), ("home", home)):
+            if int(pes.min()) < 0 or int(pes.max()) >= n:
+                raise ConfigurationError(
+                    f"the mapping names a {role} PE outside the {n}-PE mesh"
+                )
+        edge_order, offsets, lines = schedule
+        updates = edge_order.size
+        self.d_pe = np.empty(updates, dtype=np.int64)
+        self.d_pe[:] = exec_pe[edge_order]
+        self.d_vtx = np.empty(updates, dtype=np.int64)
+        self.d_vtx[:] = dst[edge_order]
+        self.d_val = np.empty(updates, dtype=np.float64)
+        self.d_val[:] = values[edge_order]
+        self.offsets = np.empty(offsets.size, dtype=np.int64)
+        self.offsets[:] = offsets
+        self.lines = np.empty(lines.size, dtype=np.int64)
+        self.lines[:] = lines
+        self.home = np.empty(home.size, dtype=np.int64)
+        self.home[:] = home
+        self.pe_stall = np.zeros(n, dtype=bool)
 
-    def peek(self, pes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        idx = pes * self.cap
-        idx += self.head.take(pes)
-        return self._vid_flat.take(idx), self._val_flat.take(idx)
+        out_bound = np.bincount(exec_pe, minlength=n)
+        self.out_end = np.empty(n, dtype=np.int64)
+        np.cumsum(out_bound, out=self.out_end)
+        self.out_head = np.empty(n, dtype=np.int64)
+        self.out_head[:] = self.out_end - out_bound
+        self.out_tail = np.empty(n, dtype=np.int64)
+        self.out_tail[:] = self.out_head
+        self.out_vid = np.empty(updates, dtype=np.int64)
+        self.out_val = np.empty(updates, dtype=np.float64)
+        spd_bound = np.bincount(home[dst], minlength=n)
+        self.spd_end = np.empty(n, dtype=np.int64)
+        np.cumsum(spd_bound, out=self.spd_end)
+        self.spd_head = np.empty(n, dtype=np.int64)
+        self.spd_head[:] = self.spd_end - spd_bound
+        self.spd_tail = np.empty(n, dtype=np.int64)
+        self.spd_tail[:] = self.spd_head
+        self.spd_vid = np.empty(updates, dtype=np.int64)
+        self.spd_val = np.empty(updates, dtype=np.float64)
 
-    def pop(self, pes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop the head of each listed FIFO (PEs must be unique)."""
-        v, x = self.peek(pes)
-        self.drop(pes)
-        return v, x
+        packets = n * NUM_PORTS * network.buffer_depth
+        self.free_pkts = np.empty(packets, dtype=np.int64)
+        self.free_pkts[:] = np.arange(packets)
+        self.vtemp = np.empty(vtemp.size, dtype=np.float64)
+        self.vtemp[:] = vtemp
+        self.touched = np.zeros(vtemp.size, dtype=bool)
 
-    def drop(self, pes: np.ndarray) -> None:
-        """Advance the head of each listed FIFO without gathering the
-        values — for callers that already hold them from :meth:`peek`
-        (PEs must be unique)."""
-        h = self.head.take(pes)
-        h += 1
-        h %= self.cap
-        self.head[pes] = h
-        self.count[pes] -= 1
-        self._total -= int(pes.size)
+        self.table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
+        for slot, name in enumerate(_KERNEL_BUFFERS):
+            owner = agg if name in REGISTER_DTYPES else self
+            if owner is not None:  # no register array: the slots stay 0
+                self.table[slot] = _address(name, getattr(owner, name))
+        self.table[_SLOT_SETTINGS:_SLOT_CYCLE] = (
+            network.kernel_table(packets),
+            agg.num_stages if agg is not None else 0,
+            agg.num_columns if agg is not None else 0,
+            reduce_op,
+            lines.size,
+            max_cycles,
+            profiled,
+        )
+        self.table[_SLOT_FREE] = packets
+        self._address = _address("table", self.table)
+
+    def run(self, stop: int) -> int:
+        """Advance the phase until it drains or reaches cycle ``stop``;
+        returns the kernel's status."""
+        return int(self._kernel.phase(self._address, stop))
+
+    def queued(self) -> int:
+        """Updates waiting in the out and SPD queues."""
+        return int(
+            (self.out_tail - self.out_head).sum()
+            + (self.spd_tail - self.spd_head).sum()
+        )
 
 
-# ----------------------------------------------------------------------
-# The vectorised scatter phase
-# ----------------------------------------------------------------------
+def _address(name: str, array: np.ndarray) -> int:
+    """``array``'s data address, once it is checked to be C-contiguous
+    and of the dtype declared for ``name``: the kernel reads it as raw
+    memory of that type."""
+    want = np.dtype(_DTYPES[name])
+    if array.dtype != want or not array.flags.c_contiguous:
+        raise SimulationError(
+            f"phase kernel buffer {name} must be a C-contiguous {want} "
+            f"array, got {array.dtype} "
+            f"(C-contiguous: {array.flags.c_contiguous})"
+        )
+    return int(array.ctypes.data)
+
+
 def scatter_phase_fast(
     sim: "CycleAccurateScalaGraph",
     program: "VertexProgram",
@@ -387,18 +465,16 @@ def scatter_phase_fast(
     touched_mask: np.ndarray,
     stats: "CycleStats",
     max_cycles: int,
-    noc_engine: str,
 ) -> int:
     """Drop-in replacement for the reference ``_scatter_phase`` —
-    identical stats and properties, whole-cycle array operations."""
+    identical stats and properties, every cycle run by the kernel."""
     from repro.algorithms.reference import gather_frontier_edges
 
-    cfg = sim.config
     topology = sim.topology
     mapping = sim.mapping
     sanitizer = sim.sanitizer
     faults = sim.faults
-    num_pes = topology.num_nodes
+    profiler = sim.profiler
     coalesced_before = stats.updates_coalesced
     spd_reduces_before = stats.spd_reduces
 
@@ -413,410 +489,87 @@ def scatter_phase_fast(
         dtype=np.float64,
     )
     exec_pe = np.asarray(mapping.execution_pe(src, dst), dtype=np.int64)
-    reduce_ufunc = program.reduce_ufunc
-
-    edge_order, cycle_offsets, lines_per_cycle = dispatch_schedule(
-        sim, src, dst
-    )
-    d_pe = exec_pe[edge_order]
-    d_vtx = np.asarray(dst, dtype=np.int64)[edge_order]
-    d_val = values[edge_order]
-    n_dispatch_cycles = lines_per_cycle.size
-
-    registers = cfg.aggregation_registers
-    agg: Optional[BatchedAggregationArray] = None
-    if registers > 0:
-        stages, columns = aggregation_geometry(registers)
-        agg = BatchedAggregationArray(
-            num_pes, stages, columns, reduce_ufunc, sanitizer=sanitizer
-        )
-    out = _PEFifoArray(num_pes)
-    spd = _PEFifoArray(num_pes)
-    if sanitizer is not None:
-        sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
-    network = make_mesh_network(
-        topology,
-        buffer_depth=sim.noc_buffer_depth,
-        sanitizer=sanitizer,
-        engine=noc_engine,
-        faults=faults,
-        # This engine reads deliveries via delivered_arrays and never
-        # touches Packet objects; skip materialising them (fastmesh
-        # only — the reference mesh ignores the flag).
-        lean_packets=True,
-    )
-    noc_timer = (sim.profiler or NULL_PROFILER).block_timer(
-        "cycle_sim.noc_step"
-    )
-    # Array-form delivery drain (fastmesh only; the reference mesh
-    # falls back to reading Packet attributes).
-    delivered_arrays = getattr(network, "delivered_arrays", None)
-    delivered_count = (
-        network.delivered_count
-        if delivered_arrays is not None
-        else lambda: len(network.delivered)
-    )
-    fast_net = delivered_arrays is not None
-
-    # Vertex-home lookup table: one mapping call up front turns the two
-    # per-cycle ``mapping.home`` calls into plain array gathers.
-    home_all = np.asarray(
+    home = np.asarray(
         mapping.home(np.arange(graph.num_vertices, dtype=np.int64)),
         dtype=np.int64,
     )
-    # Preallocated per-cycle occupancy masks (steady-state cycles reuse
-    # these instead of allocating fresh boolean temporaries).
-    fifo_has = np.empty(num_pes, dtype=bool)
-    pipe_has = np.empty(num_pes, dtype=bool) if agg is not None else None
-    spd_has = np.empty(num_pes, dtype=bool)
-    emit_sel = np.empty(num_pes, dtype=bool)
-
-    total_edges = int(src.size)
+    registers = sim.config.aggregation_registers
+    agg = (
+        BatchedAggregationArray(
+            topology.num_nodes, *aggregation_geometry(registers)
+        )
+        if registers > 0
+        else None
+    )
+    if sanitizer is not None:
+        sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
+    network = FastMeshNetwork(
+        topology,
+        buffer_depth=sim.noc_buffer_depth,
+        sanitizer=sanitizer,
+        faults=faults,
+    )
+    phase = _Phase(
+        network,
+        agg,
+        dispatch_schedule(sim, src, dst),
+        exec_pe,
+        dst,
+        values,
+        home,
+        vtemp,
+        _REDUCE_OPS[program.reduce_ufunc],
+        max_cycles,
+        profiler is not None,
+    )
     cycle = 0
-    edges_remaining = total_edges
-    drained_early = False
+    edge: Optional[int] = 0  # the next fault-window edge
     while True:
-        # Drain-mode hand-off: once the dispatcher schedule is done and
-        # both the egress FIFOs and aggregation registers are empty,
-        # stages 1-2 can never act again — nothing refills `out`
-        # (dispatch is exhausted, the registers are empty, and SPD
-        # traffic never re-enters the egress path) — so the rest of the
-        # phase is mesh traffic landing and retiring.  The batched loop
-        # below the main one runs exactly stages 3-4 per cycle,
-        # cycle-for-cycle identical, freed of the dispatch/egress glue.
-        if (
-            cycle >= n_dispatch_cycles
-            and out.total() == 0
-            and (agg is None or agg.total_occupancy() == 0)
-        ):
-            drained_early = True
-            break
-        progressed = False
-        pe_stall_hit = False
+        if faults is not None and edge is not None and cycle >= edge:
+            np.copyto(phase.pe_stall, faults.pe_stall_mask(cycle))
+            network.load_fault_masks(cycle)
+            edge = faults.next_boundary_cycle(cycle)
+        stop = cycle + (1 if sanitizer is not None else _CALL_CYCLES)
+        if faults is not None and edge is not None:
+            stop = min(stop, edge)
+        status = phase.run(stop)
+        (
+            lines, coalesced, reduces, stall_degraded, steps, *mesh_counts,
+            ns_dispatch, ns_egress, ns_step, ns_retire,
+        ) = phase.table[_SLOT_COUNTS:].tolist()
         net_degraded_before = network.stats.degraded_cycles
-        stall = faults.pe_stall_mask(cycle) if faults is not None else None
-
-        # 1. Dispatch: every row's line for this cycle, one batch.
-        if cycle < n_dispatch_cycles:
-            lo = int(cycle_offsets[cycle])
-            hi = int(cycle_offsets[cycle + 1])
-            if hi > lo:
-                progressed = True
-                stats.dispatch_lines += int(lines_per_cycle[cycle])
-                b_pe = d_pe[lo:hi]
-                b_vtx = d_vtx[lo:hi]
-                b_val = d_val[lo:hi]
-                if agg is None:
-                    out.append(b_pe, b_vtx, b_val)
-                else:
-                    ncoal, ev_pe, ev_vid, ev_val = agg.offer_batch(
-                        b_pe, b_vtx, b_val
-                    )
-                    stats.updates_coalesced += ncoal
-                    out.append(ev_pe, ev_vid, ev_val)
-
-        # 2. RU egress: each PE emits one update — FIFO head first,
-        #    then pipeline drain once dispatch for the phase is done.
-        #    FIFO pops only commit when the mesh accepts the injection,
-        #    which is the batched equivalent of the reference's
-        #    requeue-at-head on backpressure.
-        drain_pipelines = cycle >= n_dispatch_cycles - 1
-        out_any = out.total() > 0
-        if out_any:
-            np.greater(out.count, 0, out=fifo_has)
-        else:
-            # Scalar-total fast path: every egress FIFO is empty, so
-            # the mask compute and nonzero scan below are skipped.
-            fifo_has.fill(False)
-        if agg is not None:
-            np.greater(agg.occ, 0, out=pipe_has)
-        if stall is None:
-            can_act = None  # all PEs act
-            fifo_sel = fifo_has
-        else:
-            held = fifo_has
-            if drain_pipelines and pipe_has is not None:
-                held = held | pipe_has
-            if bool((stall & held).any()):
-                pe_stall_hit = True
-            can_act = ~stall
-            fifo_sel = fifo_has & can_act
-        fifo_pes = fifo_sel.nonzero()[0] if out_any else _EMPTY_PES
-        if fifo_pes.size:
-            progressed = True
-            v_f, x_f = out.peek(fifo_pes)
-            t_f = home_all.take(v_f)
-            local = t_f == fifo_pes
-            if local.any():
-                li = local.nonzero()[0]
-                local_pes = fifo_pes.take(li)
-                out.drop(local_pes)
-                spd.append(
-                    local_pes,
-                    v_f.take(li),
-                    x_f.take(li),
-                    assume_unique=True,
-                )
-                ri = np.logical_not(local, out=local).nonzero()[0]
-                r_pes = fifo_pes.take(ri)
-                t_r, v_r, x_r = t_f.take(ri), v_f.take(ri), x_f.take(ri)
-            else:
-                r_pes, t_r, v_r, x_r = fifo_pes, t_f, v_f, x_f
-            if r_pes.size:
-                ok = network.inject_batch(r_pes, t_r, v_r, x_r)
-                if ok.all():
-                    out.drop(r_pes)
-                elif ok.any():
-                    out.drop(r_pes[ok])
-        if drain_pipelines and agg is not None:
-            np.logical_not(fifo_has, out=emit_sel)
-            emit_sel &= pipe_has
-            if stall is not None:
-                emit_sel &= can_act
-            emit_pes = emit_sel.nonzero()[0]
-            if emit_pes.size:
-                progressed = True
-                v_e, x_e = agg.emit_round_robin(emit_pes)
-                t_e = home_all.take(v_e)
-                local = t_e == emit_pes
-                if local.any():
-                    li = local.nonzero()[0]
-                    spd.append(
-                        emit_pes.take(li),
-                        v_e.take(li),
-                        x_e.take(li),
-                        assume_unique=True,
-                    )
-                    ri = np.logical_not(local, out=local).nonzero()[0]
-                    r_pes = emit_pes.take(ri)
-                    t_r, v_r, x_r = (
-                        t_e.take(ri),
-                        v_e.take(ri),
-                        x_e.take(ri),
-                    )
-                else:
-                    r_pes, t_r, v_r, x_r = emit_pes, t_e, v_e, x_e
-                if r_pes.size:
-                    ok = network.inject_batch(r_pes, t_r, v_r, x_r)
-                    if not ok.all():
-                        # Backpressure: the PE's FIFO is empty (that is
-                        # what allowed the drain emit), so appending
-                        # equals the reference's requeue-at-head.
-                        bad = ~ok
-                        out.append(
-                            r_pes[bad],
-                            v_r[bad],
-                            x_r[bad],
-                            assume_unique=True,
-                        )
-
-        # 3. NoC: one router cycle; deliveries feed the SPD FIFOs.
-        before = delivered_count()
-        with noc_timer:
-            network.step()
-        n_landed = delivered_count() - before
-        if n_landed:
-            if delivered_arrays is not None:
-                # Each router ejects at most one packet per cycle, so
-                # the landed destinations are unique.
-                spd.append(*delivered_arrays(before), assume_unique=True)
-            else:
-                landed = network.delivered[before:]
-                spd.append(
-                    np.fromiter(
-                        (p.dst for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.vertex for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.value for p in landed),
-                        dtype=np.float64,
-                        count=n_landed,
-                    ),
-                )
-        occ_now = (
-            network.last_occupancy
-            if fast_net
-            else network.total_occupancy()
+        network.record_steps(steps, *mesh_counts)
+        stats.dispatch_lines += lines
+        stats.updates_coalesced += coalesced
+        stats.spd_reduces += reduces
+        # A cycle is degraded when a stalled PE held work or the mesh
+        # met a fault on live traffic.
+        stats.degraded_cycles += stall_degraded + (
+            network.stats.degraded_cycles - net_degraded_before
         )
-        if n_landed or occ_now:
-            progressed = True
-
-        # 4. SPD: one Reduce per slice per cycle.  The popped vertices
-        #    are distinct across PEs (each vertex retires only at its
-        #    home), so the scatter-reduce below is exact.
-        if spd.total():
-            np.greater(spd.count, 0, out=spd_has)
-            if stall is None:
-                retire = spd_has
-            else:
-                if bool((spd_has & stall).any()):
-                    pe_stall_hit = True
-                retire = spd_has & ~stall
-            retire_pes = retire.nonzero()[0]
-        else:
-            retire_pes = _EMPTY_PES
-        if retire_pes.size:
-            rv, rx = spd.pop(retire_pes)
-            vtemp[rv] = reduce_ufunc(vtemp.take(rv), rx)
-            touched_mask[rv] = True
-            stats.spd_reduces += int(retire_pes.size)
-            progressed = True
-
-        if faults is not None and (
-            pe_stall_hit
-            or network.stats.degraded_cycles > net_degraded_before
-        ):
-            stats.degraded_cycles += 1
+        if profiler is not None:
+            profiler.add_time("cycle_sim.dispatch", ns_dispatch * 1e-9, steps)
+            profiler.add_time("cycle_sim.egress", ns_egress * 1e-9, steps)
+            profiler.add_time("cycle_sim.noc_step", ns_step * 1e-9, steps)
+            profiler.add_time("cycle_sim.retire", ns_retire * 1e-9, steps)
         if sanitizer is not None and agg is not None:
             sanitizer.check_aggregation_ledger_arrays(agg, cycle=cycle)
-
-        cycle += 1
-        if cycle > max_cycles:
+        cycle = int(phase.table[_SLOT_CYCLE])
+        if status == _DRAINED:
+            break
+        if status == _OVERRUN:
             raise SimulationError(
                 f"scatter phase did not drain in {max_cycles} cycles"
             )
-
-        edges_remaining = total_edges - int(
-            cycle_offsets[min(cycle, n_dispatch_cycles)]
-        )
-        if (
-            not progressed
-            and edges_remaining == 0
-            and out.total() == 0
-            and (agg is None or agg.total_occupancy() == 0)
-            and spd.total() == 0
-            and not occ_now
-            and not network.in_flight_packets()
-        ):
-            break
-
-        # Idle-cycle fast-forward (same conditions as the reference: a
-        # stalled PE holding work pins the clock to real cycles).
-        if not progressed and not pe_stall_hit:
-            target = network.next_event_cycle()
-            if target is not None and target > network.cycle:
-                cycle += network.fast_forward(target)
-
-    # ------------------------------------------------------------------
-    # Drain mode: dispatch and egress are provably inert, so each cycle
-    # is exactly stage 3 (mesh step + landings) and stage 4 (SPD
-    # retire), with the same fault accounting, sanitizer hooks, cycle
-    # bookkeeping, and exit condition as the main loop — stats are
-    # cycle-for-cycle identical, minus the dead glue.
-    # ------------------------------------------------------------------
-    while drained_early:
-        progressed = False
-        pe_stall_hit = False
-        net_degraded_before = network.stats.degraded_cycles
-        stall = faults.pe_stall_mask(cycle) if faults is not None else None
-
-        before = delivered_count()
-        with noc_timer:
-            network.step()
-        n_landed = delivered_count() - before
-        if n_landed:
-            if delivered_arrays is not None:
-                spd.append(*delivered_arrays(before), assume_unique=True)
-            else:
-                landed = network.delivered[before:]
-                spd.append(
-                    np.fromiter(
-                        (p.dst for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.vertex for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.value for p in landed),
-                        dtype=np.float64,
-                        count=n_landed,
-                    ),
-                )
-        occ_now = (
-            network.last_occupancy
-            if fast_net
-            else network.total_occupancy()
-        )
-        if n_landed or occ_now:
-            progressed = True
-
-        if spd.total():
-            np.greater(spd.count, 0, out=spd_has)
-            if stall is None:
-                retire = spd_has
-            else:
-                if bool((spd_has & stall).any()):
-                    pe_stall_hit = True
-                retire = spd_has & ~stall
-            retire_pes = retire.nonzero()[0]
-        else:
-            retire_pes = _EMPTY_PES
-        if retire_pes.size:
-            rv, rx = spd.pop(retire_pes)
-            vtemp[rv] = reduce_ufunc(vtemp.take(rv), rx)
-            touched_mask[rv] = True
-            stats.spd_reduces += int(retire_pes.size)
-            progressed = True
-
-        if faults is not None and (
-            pe_stall_hit
-            or network.stats.degraded_cycles > net_degraded_before
-        ):
-            stats.degraded_cycles += 1
-        if sanitizer is not None and agg is not None:
-            sanitizer.check_aggregation_ledger_arrays(agg, cycle=cycle)
-
-        cycle += 1
-        if cycle > max_cycles:
+        if status == _CORRUPT:
             raise SimulationError(
-                f"scatter phase did not drain in {max_cycles} cycles"
+                "compiled scatter phase found a queue slice overflowing "
+                "or a register array with no live column"
             )
-        if (
-            not progressed
-            and spd.total() == 0
-            and not occ_now
-            and not network.in_flight_packets()
-        ):
-            break
 
-        if not progressed and not pe_stall_hit:
-            # Idle gap: jump to the mesh's next scheduled event.
-            target = network.next_event_cycle()
-            if target is not None and target > network.cycle:
-                cycle += network.fast_forward(target)
-        elif (
-            pe_stall_hit
-            and faults is not None
-            and retire_pes.size == 0
-            and occ_now == 0
-            and not network.in_flight_packets()
-            and network.next_event_cycle() is None
-        ):
-            # Stall-window fast-forward: the mesh is fully inert (no
-            # buffered, in-flight, or pending packets) and every
-            # SPD-holding PE sits in a stall window.  All fault masks
-            # are constant until the next window boundary, so each
-            # intervening cycle would replay exactly this one: no
-            # retire, one degraded cycle (stepping an *empty* mesh can
-            # never raise fault_seen, so the mesh's own degraded count
-            # cannot move).  Jump straight to the boundary.
-            boundary = faults.next_boundary_cycle(cycle - 1)
-            if boundary is not None and boundary > cycle:
-                skipped = boundary - cycle
-                cycle = boundary
-                stats.degraded_cycles += skipped
-                network.fast_forward(network.cycle + skipped)
-
+    np.copyto(vtemp, phase.vtemp)
+    touched_mask |= phase.touched
+    total_edges = int(src.size)
     stats.updates_processed += total_edges
     stats.noc_hops += network.stats.total_hops
     stats.rerouted_packets += network.stats.rerouted_packets
@@ -827,10 +580,8 @@ def scatter_phase_fast(
     stats.phase_spd_reduces.append(phase_spd)
     if sanitizer is not None:
         in_flight = (
-            edges_remaining
-            + out.total()
-            + spd.total()
-            + (agg.total_occupancy() if agg is not None else 0)
+            phase.queued()
+            + (int(agg.occ.sum()) if agg is not None else 0)
             + network.total_occupancy()
             + network.in_flight_packets()
         )

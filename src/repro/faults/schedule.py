@@ -295,9 +295,8 @@ class FaultSchedule:
         Every mask this schedule serves (:meth:`link_dead_mask`,
         :meth:`fifo_stall_mask`, :meth:`pe_stall_mask`) is constant on
         ``[cycle, next_boundary_cycle(cycle))`` — the contract the
-        drain-mode batching in the vectorised scatter engine relies on
-        to fast-forward through stall windows without re-evaluating the
-        masks each cycle.
+        vectorised scatter engine relies on to run each window in one
+        kernel call without re-evaluating the masks each cycle.
         """
         best: Optional[int] = None
         for windows in (self.link_outages, self.fifo_stalls, self.pe_stalls):

@@ -8,10 +8,13 @@ update is hashed to a register column and flows down the stages until it
 finds a matching vertex ID (coalesce) or an empty register (store); reads
 pop the first stage and shift the column up systolically.
 
-Two models live here:
+Three models live here:
 
-* :class:`AggregationPipeline` — a faithful cycle-level register array
-  used by unit tests and the detailed simulations.
+* :class:`AggregationPipeline` — a faithful cycle-level register array,
+  the one the reference cycle engine runs.
+* :class:`BatchedAggregationArray` — every PE's register array as flat
+  arrays, offered to and drained by the compiled scatter phase of the
+  vectorized cycle engine, with the same semantics.
 * :func:`window_coalesce_count` / :func:`window_coalesce` — the
   statistical window model used by the at-scale timing simulations: with
   ``R`` registers of residency an update coalesces iff the previous
@@ -32,6 +35,23 @@ if TYPE_CHECKING:  # hook is duck-typed; no runtime import needed
     from repro.analysis.sanitizer import SimSanitizer
 
 ReduceFn = Callable[[float, float], float]
+
+#: Declared dtype contract of :class:`BatchedAggregationArray`, whose
+#: arrays the compiled scatter phase reads and writes as raw memory.
+#: SIM604 checks every allocation below against it, and
+#: :mod:`repro.core.fastsim` checks every array against it before
+#: handing it to the kernel.
+BUFFER_DTYPES = {
+    "vid": "int64",
+    "val": "float64",
+    "occ": "int64",
+    "rr": "int64",
+    "offered": "int64",
+    "coalesced": "int64",
+    "stored": "int64",
+    "rejected": "int64",
+    "emitted": "int64",
+}
 
 
 def aggregation_geometry(registers: int) -> Tuple[int, int]:
@@ -216,85 +236,39 @@ class AggregationPipeline:
         return None
 
 
-def run_ranks(sorted_keys: np.ndarray) -> np.ndarray:
-    """Rank of each element within its run of equal consecutive keys.
-
-    ``sorted_keys`` must already be sorted (or at least grouped); the
-    result for ``[3, 3, 7, 7, 7]`` is ``[0, 1, 0, 1, 2]``.  This is the
-    primitive behind conflict-free scatter rounds: elements of rank
-    ``r`` hit each key at most once.
-    """
-    n = sorted_keys.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    boundary = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    starts = np.flatnonzero(boundary)
-    group = np.cumsum(boundary) - 1
-    return np.arange(n, dtype=np.int64) - starts[group]
-
-
 class BatchedAggregationArray:
     """Every PE's Figure 11 register array in one struct-of-arrays state.
 
     Semantically this is ``num_pes`` independent
     :class:`AggregationPipeline` instances (same geometry, same default
     ``vid % num_columns`` column hash, same round-robin read pointer),
-    but offers and emits are batched whole-cycle array operations for
-    the vectorised scatter engine (:mod:`repro.core.fastsim`).  A batch
-    is processed in *rounds*: offers are ranked within their
-    ``(pe, column)`` group, and rank ``r`` touches each column at most
-    once, so a round is one conflict-free fancy-indexed pass; rounds run
-    in rank order, which preserves the reference's per-column offer
-    order exactly (offers to different columns never interact).
+    held as the arrays the compiled scatter phase
+    (:mod:`repro.core.fastsim`) offers updates to and drains: the
+    kernel runs :meth:`AggregationPipeline.offer` and
+    :meth:`AggregationPipeline.emit` on them in place.
 
     Registers are ``(num_pes, num_columns, num_stages)`` arrays with
     ``vid == -1`` marking an empty register; columns are prefix-dense
-    (occupied stages first), mirroring the reference invariant.  The
-    column-major layout keeps each ``(pe, column)`` register column
-    contiguous, so the hot offer/emit paths are flat row gathers on the
-     2-D views ``_vid2``/``_val2`` (``pe * num_columns + col`` rows)
-    instead of strided two-array advanced indexing.
+    (occupied stages first), mirroring the reference invariant.  ``occ``
+    counts live registers per PE, ``rr`` is each PE's round-robin read
+    column, and the per-PE ledger counters mean what
+    :class:`AggregationStats` does; the sanitizer audits all of them
+    (``check_aggregation_ledger_arrays``).
     """
 
     def __init__(
-        self,
-        num_pes: int,
-        num_stages: int,
-        num_columns: int,
-        reduce_ufunc: np.ufunc = np.add,
-        sanitizer: Optional["SimSanitizer"] = None,
+        self, num_pes: int, num_stages: int, num_columns: int
     ) -> None:
         if num_pes <= 0 or num_stages <= 0 or num_columns <= 0:
             raise ConfigurationError("array dimensions must be positive")
         self.num_pes = num_pes
         self.num_stages = num_stages
         self.num_columns = num_columns
-        self.reduce_ufunc = reduce_ufunc
-        self.sanitizer = sanitizer
-        self.vid = np.full(
-            (num_pes, num_columns, num_stages), -1, dtype=np.int64
-        )
-        self.val = np.zeros((num_pes, num_columns, num_stages))
-        # Flat (pe * num_columns + col, stage) views of the registers —
-        # the row index is exactly the offer key, so the hot paths are
-        # contiguous row takes/puts.
-        self._vid2 = self.vid.reshape(num_pes * num_columns, num_stages)
-        self._val2 = self.val.reshape(num_pes * num_columns, num_stages)
-        self._vid_flat = self.vid.reshape(-1)
-        self._val_flat = self.val.reshape(-1)
-        self._arange_cols = np.arange(num_columns, dtype=np.int64)
-        #: Live registers per PE (kept incrementally; audited on demand).
+        shape = (num_pes, num_columns, num_stages)
+        self.vid = np.full(shape, -1, dtype=np.int64)
+        self.val = np.zeros(shape, dtype=np.float64)
         self.occ = np.zeros(num_pes, dtype=np.int64)
-        # Scalar mirror of occ.sum(), maintained at the two occ writes
-        # so the per-cycle drain check costs no reduction.
-        self._total_occ = 0
-        #: Round-robin read column per PE.
         self.rr = np.zeros(num_pes, dtype=np.int64)
-        # Per-PE ledger counters, same meaning as AggregationStats.
-        # Maintained only when a sanitizer is armed — they exist to be
-        # audited by check_aggregation_ledger_arrays, and the unarmed
-        # fast path skips the bookkeeping.  `occ` is load-bearing
-        # (engine control flow) and always maintained.
         self.offered = np.zeros(num_pes, dtype=np.int64)
         self.coalesced = np.zeros(num_pes, dtype=np.int64)
         self.stored = np.zeros(num_pes, dtype=np.int64)
@@ -304,172 +278,6 @@ class BatchedAggregationArray:
     @property
     def capacity(self) -> int:
         return self.num_stages * self.num_columns
-
-    def total_occupancy(self) -> int:
-        return self._total_occ
-
-    # ------------------------------------------------------------------
-    # Write path: one cycle's worth of offers, batched
-    # ------------------------------------------------------------------
-    def offer_batch(
-        self, pe: np.ndarray, vertex: np.ndarray, value: np.ndarray
-    ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Offer one cycle's dispatched updates to their PEs' arrays.
-
-        Mirrors the reference dispatch loop: a full column with no match
-        evicts its stage-0 register (systolic shift) and stores the
-        newcomer in the freed last stage.  Returns ``(num_coalesced,
-        evict_pe, evict_vertex, evict_value)`` with evictions ordered by
-        the position of the offer that caused them — exactly the order
-        the reference appends them to the out-FIFOs.
-        """
-        n = int(pe.size)
-        if n == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return 0, empty, empty, np.zeros(0)
-        col = vertex % self.num_columns
-        key = pe * self.num_columns + col
-        order = np.argsort(key, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = run_ranks(key[order])
-        # Pre-slice the rounds: a stable sort by rank keeps each round's
-        # offers in stream order (ascending original position).
-        by_rank = np.argsort(rank, kind="stable")
-        n_rounds = int(rank[by_rank[-1]]) + 1
-        round_bounds = np.searchsorted(rank[by_rank], np.arange(n_rounds + 1))
-        # Per-PE ledgers exist to be audited; the unarmed path skips
-        # them (`occ` is load-bearing and always maintained).
-        audit = self.sanitizer is not None
-
-        coalesced_total = 0
-        ev_pos: List[np.ndarray] = []
-        ev_pe: List[np.ndarray] = []
-        ev_vid: List[np.ndarray] = []
-        ev_val: List[np.ndarray] = []
-        vid2, val2 = self._vid2, self._val2
-        for r in range(n_rounds):
-            sel = by_rank[round_bounds[r]:round_bounds[r + 1]]
-            # PE indices are only needed for sparse subsets below —
-            # recovered from the key digits on demand (k // columns)
-            # instead of a full gather per round.
-            k = key.take(sel)  # flat (pe, column) register-column rows
-            v, x = vertex.take(sel), value.take(sel)
-            if audit:
-                np.add.at(self.offered, k // self.num_columns, 1)
-            # (k, num_stages) copies of each offer's target column.
-            block_v = vid2.take(k, axis=0)
-            match = block_v == v[:, None]
-            has_match = match.any(axis=1)
-            if has_match.any():
-                m = has_match.nonzero()[0]
-                stage = match.take(m, axis=0).argmax(axis=1)
-                km = k.take(m)
-                fi = km * self.num_stages
-                fi += stage
-                self._val_flat[fi] = self.reduce_ufunc(
-                    self._val_flat.take(fi), x.take(m)
-                )
-                if audit:
-                    np.add.at(self.coalesced, km // self.num_columns, 1)
-                coalesced_total += int(m.size)
-            rest = (~has_match).nonzero()[0]
-            if rest.size == 0:
-                continue
-            empty = block_v.take(rest, axis=0) == -1
-            has_empty = empty.any(axis=1)
-            if has_empty.all():
-                st = None  # every spill finds an empty stage
-                i = rest
-                stage = empty.argmax(axis=1)
-            else:
-                st = has_empty.nonzero()[0]
-                i = rest.take(st)
-                stage = empty.take(st, axis=0).argmax(axis=1)
-            if i.size:
-                ki = k.take(i)
-                fi = ki * self.num_stages
-                fi += stage
-                self._vid_flat[fi] = v.take(i)
-                self._val_flat[fi] = x.take(i)
-                pi = ki // self.num_columns
-                if audit:
-                    np.add.at(self.stored, pi, 1)
-                self.occ += np.bincount(pi, minlength=self.num_pes)
-                self._total_occ += int(i.size)
-            if st is None:
-                continue
-            rj = rest[(~has_empty).nonzero()[0]]
-            if rj.size:
-                # Rejected: evict stage 0 of the full column, shift the
-                # column up, store the newcomer in the freed last stage.
-                # Ledger mirrors the reference's emit + second offer.
-                kj = k.take(rj)
-                pj = kj // self.num_columns
-                ev_pos.append(sel[rj])
-                ev_pe.append(pj.copy())
-                col_v = vid2.take(kj, axis=0)
-                col_x = val2.take(kj, axis=0)
-                ev_vid.append(col_v[:, 0].copy())
-                ev_val.append(col_x[:, 0].copy())
-                col_v[:, :-1] = col_v[:, 1:]
-                col_x[:, :-1] = col_x[:, 1:]
-                col_v[:, -1] = v[rj]
-                col_x[:, -1] = x[rj]
-                vid2[kj] = col_v
-                val2[kj] = col_x
-                if audit:
-                    np.add.at(self.rejected, pj, 1)
-                    np.add.at(self.emitted, pj, 1)
-                    np.add.at(self.offered, pj, 1)
-                    np.add.at(self.stored, pj, 1)
-        if not ev_pe:
-            empty = np.zeros(0, dtype=np.int64)
-            return coalesced_total, empty, empty, np.zeros(0)
-        pos = np.concatenate(ev_pos)
-        stream_order = np.argsort(pos, kind="stable")
-        return (
-            coalesced_total,
-            np.concatenate(ev_pe)[stream_order],
-            np.concatenate(ev_vid)[stream_order],
-            np.concatenate(ev_val)[stream_order],
-        )
-
-    # ------------------------------------------------------------------
-    # Read path: round-robin emit for the drain phase, batched
-    # ------------------------------------------------------------------
-    def emit_round_robin(
-        self, pes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop one register from each listed PE (all must be non-empty):
-        the stage-0 entry of its next non-empty column in round-robin
-        order, shifting that column up — exactly
-        :meth:`AggregationPipeline.emit` with ``column=None``."""
-        occupied = self.vid[pes, :, 0] != -1  # prefix-dense columns
-        step = (
-            self._arange_cols - self.rr.take(pes)[:, None]
-        ) % self.num_columns
-        col = np.where(occupied, step, self.num_columns).argmin(axis=1)
-        if int(self.occ.take(pes).min()) <= 0:
-            raise SimulationError(
-                "emit_round_robin called on an empty register array"
-            )
-        rows = pes * self.num_columns + col
-        col_v = self._vid2.take(rows, axis=0)
-        col_x = self._val2.take(rows, axis=0)
-        v = col_v[:, 0].copy()
-        x = col_x[:, 0].copy()
-        col_v[:, :-1] = col_v[:, 1:]
-        col_x[:, :-1] = col_x[:, 1:]
-        col_v[:, -1] = -1
-        col_x[:, -1] = 0.0
-        self._vid2[rows] = col_v
-        self._val2[rows] = col_x
-        self.rr[pes] = (col + 1) % self.num_columns
-        self.occ[pes] -= 1
-        self._total_occ -= int(pes.size)
-        if self.sanitizer is not None:
-            self.emitted[pes] += 1
-        return v, x
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,13 @@ and advances a whole cycle in one call into a small C kernel
 link-busy tick, XY routing with fault deflection, switch allocation
 with the reference's round-robin priority, credit backpressure, then
 commit, ejection and link traversal.  :meth:`FastMeshNetwork.inject_batch`
-runs in the same kernel.  Python keeps the object-packet paths
-(:meth:`~FastMeshNetwork.schedule`, :meth:`~FastMeshNetwork.inject`,
-deferred injections and multi-flit landings), the sanitizer hooks and
-every :class:`~repro.noc.mesh.MeshStats` write: the kernel returns
-counts.
+runs in the same kernel, and so does the vectorized scatter phase
+(:mod:`repro.core.fastsim`), which steps this mesh from inside its own
+compiled loop (:meth:`FastMeshNetwork.kernel_table`).  Python keeps the
+object-packet paths (:meth:`~FastMeshNetwork.schedule`,
+:meth:`~FastMeshNetwork.inject`, deferred injections and multi-flit
+landings), the fault-mask loads, the sanitizer hooks and every
+:class:`~repro.noc.mesh.MeshStats` write: the kernel returns counts.
 
 **Equivalence contract.**  The engine is packet-for-packet and
 cycle-for-cycle identical to the reference simulator: identical
@@ -246,10 +248,6 @@ class FastMeshNetwork:
         #: per node beyond the cursor.
         self._dlv_pidx = np.zeros(max(1024, 2 * n), dtype=np.int64)
         self._dlv_n = 0
-        #: Router-FIFO occupancy as of the end of the last :meth:`step`
-        #: (cheap read for per-cycle driver loops; equal to
-        #: :meth:`total_occupancy` until the next injection).
-        self.last_occupancy = 0
 
         # --- injection / link-traversal bookkeeping --------------------
         # Per source node: (future-injection heap keyed (when, seq),
@@ -409,10 +407,7 @@ class FastMeshNetwork:
             self._inject_pending()
         if self._in_flight:
             self._land_in_flight()
-        faults = self.faults
-        if faults is not None:
-            np.copyto(self._dead, faults.link_dead_mask(self.cycle))
-            np.copyto(self._stall, faults.fifo_stall_mask(self.cycle))
+        self.load_fault_masks(self.cycle)
         n0 = self._dlv_n
         if n0 + self.topology.num_nodes > self._dlv_pidx.size:
             # One doubling suffices: the log starts >= 2 * nodes long
@@ -424,12 +419,6 @@ class FastMeshNetwork:
             delivered, hops, latency, stalled, rerouted, degraded,
             departures, occupancy,
         ) = self._table[_SLOT_COUNTS:].tolist()
-        self.stats.delivered += delivered
-        self.stats.total_hops += hops
-        self.stats.total_latency += latency
-        self.stats.stalled_moves += stalled
-        self.stats.rerouted_packets += rerouted
-        self.stats.degraded_cycles += degraded
         self._dlv_n = n0 + delivered
         if delivered and not self.lean_packets:
             self._materialise_deliveries(n0)
@@ -440,10 +429,57 @@ class FastMeshNetwork:
                     :departures
                 ].tolist()
             )
-        self.last_occupancy = occupancy
-        if occupancy > self.stats.max_occupancy:
-            self.stats.max_occupancy = occupancy
-        self.cycle += 1
+        self.record_steps(
+            1, 0, delivered, hops, latency, stalled, rerouted, degraded,
+            occupancy, occupancy,
+        )
+
+    def load_fault_masks(self, cycle: int) -> None:
+        """Copy the fault schedule's dead links and frozen FIFOs at
+        ``cycle`` into the kernel's masks (no-op without a schedule)."""
+        faults = self.faults
+        if faults is not None:
+            np.copyto(self._dead, faults.link_dead_mask(cycle))
+            np.copyto(self._stall, faults.fifo_stall_mask(cycle))
+
+    def kernel_table(self, packets: int) -> int:
+        """Address of the kernel's mesh table, for a compiled caller that
+        steps this mesh itself, keeping registry indices
+        ``0..packets-1`` for its own single-flit packets (the registry
+        grows to hold them).  The caller loads the fault masks and
+        reports what it ran through :meth:`load_fault_masks` and
+        :meth:`record_steps`."""
+        if packets > self._pkt_dst.size:
+            self._grow_registry(packets)
+        return self._table_addr
+
+    def record_steps(
+        self,
+        cycles: int,
+        injected: int,
+        delivered: int,
+        hops: int,
+        latency: int,
+        stalled: int,
+        rerouted: int,
+        degraded: int,
+        peak: int,
+        occupancy: int,
+    ) -> None:
+        """Add ``cycles`` kernel steps to :attr:`stats` and the clock:
+        their packet counts, their peak FIFO occupancy and the occupancy
+        after the last one; then run the end-of-cycle audit when a
+        sanitizer is armed."""
+        self.stats.injected += injected
+        self.stats.delivered += delivered
+        self.stats.total_hops += hops
+        self.stats.total_latency += latency
+        self.stats.stalled_moves += stalled
+        self.stats.rerouted_packets += rerouted
+        self.stats.degraded_cycles += degraded
+        if peak > self.stats.max_occupancy:
+            self.stats.max_occupancy = peak
+        self.cycle += cycles
         self.stats.cycles = self.cycle
         if self.sanitizer is not None:
             self._run_sanitizer(occupancy)

@@ -1,8 +1,9 @@
 /*
- * Compiled per-cycle step of repro.noc.fastmesh.FastMeshNetwork.
+ * Compiled cycle loops of the vectorized engines.
  *
- * fm_step advances every router of the mesh by one cycle, exactly as the
- * reference engine (repro.noc.mesh.MeshNetwork) does:
+ * fm_step advances every router of a repro.noc.fastmesh.FastMeshNetwork
+ * by one cycle, exactly as the reference engine (repro.noc.mesh.
+ * MeshNetwork) does:
  *
  *   1. link-busy tick (multi-flit serialisation);
  *   2. head-of-line XY routing, with the fault deflection policy of
@@ -18,13 +19,22 @@
  * fm_inject places a batch of single-flit packets into the local input
  * FIFOs, competing for space in argument order like sequential inject().
  *
- * Python owns every buffer.  It passes one int64 table: the buffer
- * addresses in the order of BUFFERS, then the mesh geometry, then the
- * counters fm_step reports (enum slot).  fm_layout and fm_table_slots
- * spell both lists out, so fastmesh can check them against
- * _KERNEL_BUFFERS, BUFFER_DTYPES and _TABLE_SLOTS before the first call.
+ * fs_run advances a scatter phase of repro.core.fastsim, cycle by cycle,
+ * exactly as the reference CycleAccurateScalaGraph._scatter_phase does:
+ * dispatch with aggregation offer, RU egress, one mesh step (the same
+ * step fm_step runs) and SPD retire, until the phase drains or the cycle
+ * the caller names.
+ *
+ * Python owns every buffer.  It passes int64 tables: the buffer
+ * addresses in the order of BUFFERS (mesh) or PHASE_BUFFERS (phase),
+ * then scalar slots (enum slot, enum phase_slot).  fm_layout,
+ * fm_table_slots, fs_layout and fs_table_slots spell the tables out, so
+ * fastmesh and fastsim can check them against their own declarations
+ * before the first call.
  */
+#define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c99 */
 #include <stdint.h>
+#include <time.h>
 
 enum { LOCAL, NORTH, SOUTH, WEST, EAST, NPORTS };
 
@@ -101,7 +111,7 @@ static int deflect(int64_t node, int64_t dst, int out, const uint8_t *dead,
     return dead[alt] ? -1 : alt;
 }
 
-int64_t fm_step(int64_t *t, int64_t cycle, int64_t ndlv)
+static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
 {
     i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
     i8 *count = BUFFER(count, i8), *rr = BUFFER(rr, i8);
@@ -208,38 +218,386 @@ int64_t fm_step(int64_t *t, int64_t cycle, int64_t ndlv)
     return delivered;
 }
 
+int64_t fm_step(int64_t *t, int64_t cycle, int64_t ndlv)
+{
+    return mesh_step(t, cycle, ndlv);
+}
+
+/* Queue single-flit packet pidx (src -> dst, carrying vertex, value) in
+ * node src's local input FIFO; 0 when that FIFO is full. */
+static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
+                 i8 vertex, f8 value, int64_t cycle)
+{
+    i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
+    i8 *count = BUFFER(count, i8);
+    const int64_t depth = t[S_DEPTH], f = src * NPORTS; /* LOCAL FIFO */
+    if (count[f] >= depth) return 0;
+    buf[f * depth + (head[f] + count[f]) % depth] = pidx;
+    count[f]++;
+    BUFFER(pkt_dst, i8)[pidx] = dst;
+    BUFFER(pkt_flits, i8)[pidx] = 1;
+    BUFFER(pkt_injected, i8)[pidx] = cycle;
+    BUFFER(pkt_vertex, i8)[pidx] = vertex;
+    BUFFER(pkt_value, f8)[pidx] = value;
+    return 1;
+}
+
 /* Returns the number of accepted packets, or -1 - i when entry i names a
  * node outside the mesh (checked for every entry before any write). */
 int64_t fm_inject(int64_t *t, int64_t m, int64_t cycle, int64_t base)
 {
-    i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
-    i8 *count = BUFFER(count, i8);
-    i8 *dst = BUFFER(pkt_dst, i8), *flits = BUFFER(pkt_flits, i8);
-    i8 *injected = BUFFER(pkt_injected, i8);
-    i8 *vertex = BUFFER(pkt_vertex, i8);
-    f8 *value = BUFFER(pkt_value, f8);
     const i8 *in_src = BUFFER(in_src, i8), *in_dst = BUFFER(in_dst, i8);
     const i8 *in_vertex = BUFFER(in_vertex, i8);
     const f8 *in_value = BUFFER(in_value, f8);
     b1 *ok = BUFFER(in_ok, b1);
-    const int64_t n = t[S_NODES], depth = t[S_DEPTH];
+    const int64_t n = t[S_NODES];
     int64_t accepted = 0;
 
     for (int64_t i = 0; i < m; i++)
         if (in_src[i] < 0 || in_src[i] >= n || in_dst[i] < 0 || in_dst[i] >= n)
             return -1 - i;
     for (int64_t i = 0; i < m; i++) {
-        const int64_t f = in_src[i] * NPORTS; /* LOCAL input FIFO */
-        ok[i] = count[f] < depth;
-        if (!ok[i]) continue;
-        const int64_t pidx = base + accepted++;
-        buf[f * depth + (head[f] + count[f]) % depth] = pidx;
-        count[f]++;
-        dst[pidx] = in_dst[i];
-        flits[pidx] = 1;
-        injected[pidx] = cycle;
-        vertex[pidx] = in_vertex[i];
-        value[pidx] = in_value[i];
+        ok[i] = (b1)place(t, base + accepted, in_src[i], in_dst[i],
+                          in_vertex[i], in_value[i], cycle);
+        accepted += ok[i];
     }
     return accepted;
+}
+
+/* ------------------------------------------------------------------ */
+/* The scatter phase                                                   */
+/* ------------------------------------------------------------------ */
+
+/* Table order of the phase buffers: Python attribute name, element type.
+ *   d_pe, d_vtx, d_val   the phase's updates in dispatch order, cycle c
+ *                        issuing [offsets[c], offsets[c + 1]) in lines[c]
+ *                        lines; home: each vertex's home PE;
+ *   pe_stall             PEs stalled in the current fault window;
+ *   vid .. emitted       every PE's register array (vid -1 = empty) and
+ *                        ledger (repro.noc.aggregation);
+ *   out_*, spd_*         each PE's egress and SPD queue: one slice per
+ *                        PE ending at *_end[pe], live in [head, tail);
+ *   free_pkts            mesh packet indices not in flight (a stack);
+ *   vtemp, touched       the phase's reduced values and touched marks. */
+#define PHASE_BUFFERS(X)                                                   \
+    X(d_pe, i8) X(d_vtx, i8) X(d_val, f8) X(offsets, i8) X(lines, i8)      \
+    X(home, i8) X(pe_stall, b1) X(vid, i8) X(val, f8) X(occ, i8) X(rr, i8) \
+    X(offered, i8) X(coalesced, i8) X(stored, i8) X(rejected, i8)          \
+    X(emitted, i8) X(out_end, i8) X(out_head, i8) X(out_tail, i8)          \
+    X(out_vid, i8) X(out_val, f8) X(spd_end, i8) X(spd_head, i8)           \
+    X(spd_tail, i8) X(spd_vid, i8) X(spd_val, f8) X(free_pkts, i8)        \
+    X(vtemp, f8) X(touched, b1)
+
+#define AS_PHASE_ENUM(name, type) P_##name,
+#define AS_PHASE_TEXT(name, type) #name ":" #type " "
+enum phase_buffer { PHASE_BUFFERS(AS_PHASE_ENUM) NPHASE_BUFFERS };
+
+#define PHASE(name, type) ((type *)p[P_##name])
+
+enum phase_slot {
+    /* Set up by Python once per phase.  MESH is the mesh's table;
+     * COLUMNS 0 means no register array (its buffers are unset);
+     * REDUCE is 0 for np.add, 1 for np.minimum, 2 for np.maximum. */
+    Q_MESH = NPHASE_BUFFERS, Q_STAGES, Q_COLUMNS, Q_REDUCE,
+    Q_DISPATCH_CYCLES, Q_MAX_CYCLES, Q_PROFILE,
+    /* Carried from call to call. */
+    Q_CYCLE, Q_FREE,
+    /* Counts of the last call: CycleStats (STALL_DEGRADED counts the
+     * cycles a stalled PE held work while the mesh met no fault), then
+     * MeshStats, then the nanoseconds of each stage when PROFILE is set. */
+    Q_DISPATCH_LINES, Q_COALESCED, Q_SPD_REDUCES, Q_STALL_DEGRADED, Q_STEPS,
+    Q_INJECTED, Q_DELIVERED, Q_HOPS, Q_LATENCY, Q_STALLED, Q_REROUTED,
+    Q_MESH_DEGRADED, Q_PEAK, Q_OCCUPANCY,
+    Q_NS_DISPATCH, Q_NS_EGRESS, Q_NS_STEP, Q_NS_RETIRE,
+    NPHASE_SLOTS
+};
+
+/* fs_run's results: stopped at the named cycle, drained, ran past
+ * MAX_CYCLES, or found a queue or register array inconsistent. */
+enum { RUNNING, DRAINED, OVERRUN, CORRUPT };
+
+int64_t fs_table_slots(void) { return NPHASE_SLOTS; }
+
+const char *fs_layout(void) { return PHASE_BUFFERS(AS_PHASE_TEXT); }
+
+struct queue {
+    const i8 *end;
+    i8 *head, *tail, *vid;
+    f8 *val;
+};
+
+struct regs {
+    i8 *vid, *occ, *rr, *offered, *coalesced, *stored, *rejected, *emitted;
+    f8 *val;
+    int64_t stages, columns;
+    int reduce;
+};
+
+/* np.add, np.minimum and np.maximum (op 0, 1, 2) exactly: a NaN operand
+ * wins, and a tie (0.0 against -0.0) returns b. */
+static f8 reduce(int op, f8 a, f8 b)
+{
+    if (op == 1) return a < b || a != a ? a : b;
+    if (op == 2) return a > b || a != a ? a : b;
+    return a + b;
+}
+
+/* Append to PE pe's queue; 0 when its slice is already full. */
+static int push(struct queue *q, int64_t pe, i8 vertex, f8 value)
+{
+    const int64_t at = q->tail[pe];
+    if (at >= q->end[pe]) return 0;
+    q->vid[at] = vertex;
+    q->val[at] = value;
+    q->tail[pe] = at + 1;
+    return 1;
+}
+
+/* AggregationPipeline.offer on PE pe's register array.  A full column
+ * without a match evicts its stage-0 register into the out queue, shifts
+ * up and stores the update last; the ledger counts that as an emit and a
+ * second offer.  Returns 1 when the update coalesced, 0 when it was
+ * stored, -1 when the out queue overflowed. */
+static int offer(struct regs *r, struct queue *out, int64_t pe, i8 vertex,
+                 f8 value)
+{
+    const int64_t stages = r->stages;
+    const int64_t at = (pe * r->columns + vertex % r->columns) * stages;
+    i8 *cv = r->vid + at;
+    f8 *cx = r->val + at;
+    r->offered[pe]++;
+    for (int64_t s = 0; s < stages; s++) {
+        if (cv[s] == -1) {
+            cv[s] = vertex;
+            cx[s] = value;
+            r->stored[pe]++;
+            r->occ[pe]++;
+            return 0;
+        }
+        if (cv[s] == vertex) {
+            cx[s] = reduce(r->reduce, cx[s], value);
+            r->coalesced[pe]++;
+            return 1;
+        }
+    }
+    if (!push(out, pe, cv[0], cx[0])) return -1;
+    r->rejected[pe]++;
+    r->emitted[pe]++;
+    r->offered[pe]++;
+    r->stored[pe]++;
+    for (int64_t s = 0; s + 1 < stages; s++) {
+        cv[s] = cv[s + 1];
+        cx[s] = cx[s + 1];
+    }
+    cv[stages - 1] = vertex;
+    cx[stages - 1] = value;
+    return 0;
+}
+
+/* AggregationPipeline.emit(column=None) on PE pe: pop the stage-0
+ * register of its next live column in round-robin order and shift that
+ * column up.  Returns 0, or -1 when no column is live. */
+static int emit(struct regs *r, int64_t pe, i8 *vertex, f8 *value)
+{
+    const int64_t columns = r->columns, stages = r->stages;
+    int64_t col = r->rr[pe];
+    for (int64_t k = 0; r->vid[(pe * columns + col) * stages] == -1; k++) {
+        if (k + 1 == columns) return -1;
+        col = col + 1 == columns ? 0 : col + 1;
+    }
+    i8 *cv = r->vid + (pe * columns + col) * stages;
+    f8 *cx = r->val + (pe * columns + col) * stages;
+    *vertex = cv[0];
+    *value = cx[0];
+    for (int64_t s = 0; s + 1 < stages; s++) {
+        cv[s] = cv[s + 1];
+        cx[s] = cx[s + 1];
+    }
+    cv[stages - 1] = -1;
+    cx[stages - 1] = 0.0;
+    r->rr[pe] = col + 1 == columns ? 0 : col + 1;
+    r->occ[pe]--;
+    r->emitted[pe]++;
+    return 0;
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* When profiling, add the time since `lap` to stage counter `slot`. */
+#define LAP(slot)                                                          \
+    do {                                                                   \
+        if (profile) {                                                     \
+            const int64_t now_ = now_ns();                                 \
+            p[slot] += now_ - lap;                                         \
+            lap = now_;                                                    \
+        }                                                                  \
+    } while (0)
+
+/* Run the phase from cycle p[Q_CYCLE] until it drains or reaches cycle
+ * `stop`, with the fault masks of that whole range already loaded. */
+int64_t fs_run(int64_t *p, int64_t stop)
+{
+    int64_t *t = (int64_t *)p[Q_MESH];
+    const i8 *d_pe = PHASE(d_pe, i8), *d_vtx = PHASE(d_vtx, i8);
+    const f8 *d_val = PHASE(d_val, f8);
+    const i8 *offsets = PHASE(offsets, i8), *lines = PHASE(lines, i8);
+    const i8 *home = PHASE(home, i8);
+    const b1 *stalled = PHASE(pe_stall, b1);
+    struct regs r = {
+        PHASE(vid, i8), PHASE(occ, i8), PHASE(rr, i8), PHASE(offered, i8),
+        PHASE(coalesced, i8), PHASE(stored, i8), PHASE(rejected, i8),
+        PHASE(emitted, i8), PHASE(val, f8), p[Q_STAGES], p[Q_COLUMNS],
+        (int)p[Q_REDUCE],
+    };
+    struct queue out = {
+        PHASE(out_end, i8), PHASE(out_head, i8), PHASE(out_tail, i8),
+        PHASE(out_vid, i8), PHASE(out_val, f8),
+    };
+    struct queue spd = {
+        PHASE(spd_end, i8), PHASE(spd_head, i8), PHASE(spd_tail, i8),
+        PHASE(spd_vid, i8), PHASE(spd_val, f8),
+    };
+    i8 *free_pkts = PHASE(free_pkts, i8);
+    f8 *vtemp = PHASE(vtemp, f8);
+    b1 *touched = PHASE(touched, b1);
+    const i8 *dlv = BUFFER(dlv_pidx, i8), *pkt_dst = BUFFER(pkt_dst, i8);
+    const i8 *pkt_vertex = BUFFER(pkt_vertex, i8);
+    const f8 *pkt_value = BUFFER(pkt_value, f8);
+    const int64_t n = t[S_NODES], dispatch_cycles = p[Q_DISPATCH_CYCLES];
+    const int aggregate = r.columns > 0, profile = p[Q_PROFILE] != 0;
+    int64_t cycle = p[Q_CYCLE], nfree = p[Q_FREE], status = RUNNING;
+    int64_t lap = profile ? now_ns() : 0;
+
+    for (int slot = Q_DISPATCH_LINES; slot < NPHASE_SLOTS; slot++)
+        p[slot] = 0;
+    while (cycle < stop) {
+        int progressed = 0, stall_hit = 0;
+
+        /* 1. Dispatch: this cycle's lines, each update offered to its
+         *    execution PE's register array (or queued for egress). */
+        if (cycle < dispatch_cycles) {
+            const int64_t lo = offsets[cycle], hi = offsets[cycle + 1];
+            if (hi > lo) {
+                progressed = 1;
+                p[Q_DISPATCH_LINES] += lines[cycle];
+            }
+            for (int64_t e = lo; e < hi; e++) {
+                if (!aggregate) {
+                    if (!push(&out, d_pe[e], d_vtx[e], d_val[e])) goto corrupt;
+                    continue;
+                }
+                const int got = offer(&r, &out, d_pe[e], d_vtx[e], d_val[e]);
+                if (got < 0) goto corrupt;
+                p[Q_COALESCED] += got;
+            }
+        }
+        LAP(Q_NS_DISPATCH);
+
+        /* 2. RU egress, one update per PE: the out queue's head, else a
+         *    register once dispatch is done.  The head leaves its queue
+         *    only when the mesh takes it; a refused register waits at the
+         *    head of the (empty) out queue.  Each PE injects into its own
+         *    local FIFO only, so PE order does not matter. */
+        const int drain = cycle + 1 >= dispatch_cycles;
+        for (int64_t pe = 0; pe < n; pe++) {
+            const int queued = out.head[pe] < out.tail[pe];
+            const int live = aggregate && drain && r.occ[pe] > 0;
+            if (!queued && !live) continue;
+            if (stalled[pe]) {
+                stall_hit = 1;
+                continue;
+            }
+            progressed = 1;
+            i8 vertex;
+            f8 value;
+            if (queued) {
+                vertex = out.vid[out.head[pe]];
+                value = out.val[out.head[pe]];
+            } else if (emit(&r, pe, &vertex, &value)) {
+                goto corrupt;
+            }
+            const int64_t to = home[vertex];
+            int sent;
+            if (to == pe) {
+                sent = push(&spd, pe, vertex, value);
+                if (!sent) goto corrupt;
+            } else {
+                sent = nfree > 0 && place(t, free_pkts[nfree - 1], pe, to,
+                                          vertex, value, cycle);
+                nfree -= sent;
+                p[Q_INJECTED] += sent;
+            }
+            if (queued) out.head[pe] += sent;
+            else if (!sent && !push(&out, pe, vertex, value)) goto corrupt;
+        }
+        LAP(Q_NS_EGRESS);
+
+        /* 3. One mesh cycle; deliveries join their home's SPD queue and
+         *    free their packet index. */
+        const int64_t delivered = mesh_step(t, cycle, 0);
+        for (int64_t k = 0; k < delivered; k++) {
+            const int64_t pidx = dlv[k];
+            if (!push(&spd, pkt_dst[pidx], pkt_vertex[pidx], pkt_value[pidx]))
+                goto corrupt;
+            free_pkts[nfree++] = pidx;
+        }
+        const int64_t occupancy = t[S_OCCUPANCY];
+        p[Q_STEPS]++;
+        p[Q_DELIVERED] += delivered;
+        p[Q_HOPS] += t[S_HOPS];
+        p[Q_LATENCY] += t[S_LATENCY];
+        p[Q_STALLED] += t[S_STALLED];
+        p[Q_REROUTED] += t[S_REROUTED];
+        p[Q_MESH_DEGRADED] += t[S_DEGRADED];
+        if (occupancy > p[Q_PEAK]) p[Q_PEAK] = occupancy;
+        p[Q_OCCUPANCY] = occupancy;
+        progressed |= delivered || occupancy;
+        LAP(Q_NS_STEP);
+
+        /* 4. SPD: one Reduce per slice, the vtemp value as first operand.
+         *    Vertices retire only at their home, so PE order does not
+         *    matter.  `held` counts every update still in a PE. */
+        int64_t held = 0;
+        for (int64_t pe = 0; pe < n; pe++) {
+            int64_t h = spd.head[pe];
+            if (h < spd.tail[pe]) {
+                if (stalled[pe]) {
+                    stall_hit = 1;
+                } else {
+                    const i8 vertex = spd.vid[h];
+                    vtemp[vertex] = reduce(r.reduce, vtemp[vertex], spd.val[h]);
+                    touched[vertex] = 1;
+                    spd.head[pe] = ++h;
+                    p[Q_SPD_REDUCES]++;
+                    progressed = 1;
+                }
+            }
+            held += spd.tail[pe] - h + out.tail[pe] - out.head[pe];
+            if (aggregate) held += r.occ[pe];
+        }
+        LAP(Q_NS_RETIRE);
+
+        p[Q_STALL_DEGRADED] += stall_hit && !t[S_DEGRADED];
+        cycle++;
+        if (cycle > p[Q_MAX_CYCLES]) {
+            status = OVERRUN;
+            break;
+        }
+        if (!progressed && cycle >= dispatch_cycles && !held && !occupancy) {
+            status = DRAINED;
+            break;
+        }
+    }
+    goto done;
+corrupt:
+    status = CORRUPT;
+done:
+    p[Q_CYCLE] = cycle;
+    p[Q_FREE] = nfree;
+    return status;
 }

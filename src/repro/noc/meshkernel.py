@@ -1,11 +1,13 @@
-"""Build and load the compiled mesh step (``meshkernel.c``).
+"""Build and load the compiled cycle loops (``meshkernel.c``).
 
 :class:`~repro.noc.fastmesh.FastMeshNetwork` runs its per-cycle work —
 link-busy tick, XY routing, fault deflection, round-robin switch
 allocation, credit backpressure, commit, ejection and link traversal —
 and its batched injection in one small C source shipped beside this
-module.  The source is compiled once per machine with the system ``cc``
-and called through :mod:`ctypes`, so NumPy stays the only Python
+module; the vectorized scatter phase (:mod:`repro.core.fastsim`) runs
+its whole cycle loop there too, stepping the mesh with the same code.
+The source is compiled once per machine with the system ``cc`` and
+called through :mod:`ctypes`, so NumPy stays the only Python
 dependency.
 
 The shared library lives in a per-user cache, ``$XDG_CACHE_HOME/repro``
@@ -34,7 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -51,28 +53,39 @@ class MeshKernel:
 
     ``step(table, cycle, delivered_so_far)`` and
     ``inject(table, count, cycle, first_packet_index)`` take the address
-    of the int64 table described in ``meshkernel.c``.  ``layout`` is the
-    table's buffer list as compiled, ``(attribute, element type)`` pairs
-    such as ``("_buf", "i8")``, and ``table_slots`` the table's length.
+    of the mesh's int64 table, ``phase(table, stop_cycle)`` that of a
+    scatter phase's; ``meshkernel.c`` describes both.  ``layout`` and
+    ``phase_layout`` are the tables' buffer lists as compiled,
+    ``(attribute, element type)`` pairs such as ``("_buf", "i8")``, and
+    ``table_slots`` and ``phase_table_slots`` the tables' lengths.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self._lib = ctypes.CDLL(str(path))
-        self.step = self._lib.fm_step
-        self.step.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2
-        self.step.restype = ctypes.c_int64
-        self.inject = self._lib.fm_inject
-        self.inject.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3
-        self.inject.restype = ctypes.c_int64
-        slots = self._lib.fm_table_slots
+        self.step = self._function("fm_step", 2)
+        self.inject = self._function("fm_inject", 3)
+        self.phase = self._function("fs_run", 1)
+        self.table_slots, self.layout = self._table("fm")
+        self.phase_table_slots, self.phase_layout = self._table("fs")
+
+    def _function(self, name: str, scalars: int) -> Any:
+        """Kernel entry ``name``: a table address, then ``scalars``
+        int64 arguments; returns an int64."""
+        function = getattr(self._lib, name)
+        function.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * scalars
+        function.restype = ctypes.c_int64
+        return function
+
+    def _table(self, prefix: str) -> Tuple[int, Tuple[Tuple[str, str], ...]]:
+        """Length and buffer layout of the ``prefix`` table."""
+        slots = getattr(self._lib, f"{prefix}_table_slots")
         slots.argtypes = []
         slots.restype = ctypes.c_int64
-        self.table_slots = int(slots())
-        layout = self._lib.fm_layout
+        layout = getattr(self._lib, f"{prefix}_layout")
         layout.argtypes = []
         layout.restype = ctypes.c_char_p
-        self.layout: Tuple[Tuple[str, str], ...] = tuple(
+        return int(slots()), tuple(
             (name, kind)
             for name, _, kind in (
                 entry.partition(":") for entry in layout().decode().split()

@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.algorithms.base import VertexProgram
+from repro.analysis.sanitizer import SimSanitizer
 from repro.core.config import ScalaGraphConfig
 from repro.core.cycle_sim import CycleAccurateScalaGraph
 from repro.core.fastsim import (
     AUTO_CYCLE_ENGINE_MIN_NODES,
     resolve_cycle_engine,
 )
+from repro.core.profiling import Profiler
 from repro.errors import (
     ConfigurationError,
     EngineFallbackWarning,
@@ -33,7 +36,7 @@ from repro.faults.schedule import (
     PEStallWindow,
 )
 from repro.graph.generators import rmat_graph, star_graph
-from repro.noc.fastmesh import FastMeshNetwork
+from repro.noc.fastmesh import AUTO_VECTORIZE_MIN_NODES, FastMeshNetwork
 from repro.noc.mesh import EAST, SOUTH
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
@@ -65,6 +68,8 @@ def _run(
     fault_schedule=None,
     window=None,
     buffer_depth=None,
+    program=None,
+    profiler=None,
     **alg_kwargs,
 ):
     cfg_kwargs = dict(
@@ -85,13 +90,14 @@ def _run(
         # Factory, not an instance: each engine run gets a fresh
         # schedule so per-instance instrumentation stays per-run.
         faults = fault_schedule()
-    sim_kwargs = dict(sanitize=True, faults=faults)
+    sim_kwargs = dict(sanitize=True, faults=faults, profiler=profiler)
     if buffer_depth is not None:
         sim_kwargs["noc_buffer_depth"] = buffer_depth
     sim = CycleAccurateScalaGraph(config, **sim_kwargs)
     if algorithm == "pagerank":
         alg_kwargs.setdefault("max_iters", 2)
-    program = make_algorithm(algorithm, **alg_kwargs)
+    if program is None:
+        program = make_algorithm(algorithm, **alg_kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = sim.run(program, graph)
@@ -103,6 +109,41 @@ def _assert_identical(case_kwargs):
     vec = _run("vectorized", **case_kwargs)
     assert _fingerprint(ref) == _fingerprint(vec)
     np.testing.assert_array_equal(ref.properties, vec.properties)
+
+
+class _SpecialValues(VertexProgram):
+    """One all-active iteration reducing, with ``ufunc``, scatter values
+    that cycle through +-0.0, +-inf, NaN and ordinary numbers."""
+
+    all_active = True
+    VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 0.0])
+
+    def __init__(self, ufunc):
+        self.ufunc = ufunc
+
+    def initial_properties(self, ctx):
+        return np.zeros(ctx.num_vertices)
+
+    def initial_active(self, ctx):
+        return np.arange(ctx.num_vertices, dtype=np.int64)
+
+    @property
+    def reduce_ufunc(self):
+        return self.ufunc
+
+    @property
+    def reduce_identity(self):
+        return 1.0 if self.ufunc is np.multiply else 0.0
+
+    def scatter_value(self, ctx, edge_src, edge_weight, src_prop):
+        order = np.arange(edge_src.size) * 3 + edge_src
+        return self.VALUES[order % self.VALUES.size]
+
+    def apply_values(self, ctx, props, vtemp):
+        return vtemp.copy()
+
+    def max_iterations(self, ctx):
+        return 1
 
 
 class TestResolveCycleEngine:
@@ -128,6 +169,29 @@ class TestResolveCycleEngine:
             ScalaGraphConfig(
                 num_tiles=1, pe_rows=8, pe_cols=8, cycle_engine="turbo"
             )
+
+    def test_vectorized_scatter_needs_the_compiled_mesh(self):
+        with pytest.raises(ConfigurationError, match="noc_engine"):
+            ScalaGraphConfig(
+                num_tiles=1, pe_rows=8, pe_cols=8,
+                cycle_engine="vectorized", noc_engine="reference",
+            )
+        topo = MeshTopology(8, 8)
+        assert resolve_cycle_engine("auto", topo, "reference") == "reference"
+        assert resolve_cycle_engine("auto", topo, "vectorized") == (
+            "vectorized"
+        )
+
+    def test_unsupported_reduce(self):
+        topo = MeshTopology(8, 8)
+        with pytest.raises(ConfigurationError) as err:
+            resolve_cycle_engine("vectorized", topo, "auto", np.multiply)
+        for name in ("np.add", "np.minimum", "np.maximum"):
+            assert name in str(err.value)
+        assert (
+            resolve_cycle_engine("auto", topo, "auto", np.multiply)
+            == "reference"
+        )
 
 
 class TestDifferentialEquivalence:
@@ -177,35 +241,64 @@ class TestDifferentialEquivalence:
         # 9 registers -> 1x9 geometry (exact capacity, no quantisation).
         _assert_identical(dict(registers=9, mapping="som"))
 
-    def test_small_mesh_uses_reference_noc(self):
-        """Below the NoC auto-threshold the vectorized scatter engine
-        drives the reference MeshNetwork (Packet-object delivery path)."""
+    def test_small_mesh_steps_the_compiled_mesh(self):
+        """Below the NoC auto-threshold (where noc_engine='auto' alone
+        resolves to the reference mesh) the vectorized scatter engine
+        still steps the compiled mesh."""
+        assert 4 * 8 < AUTO_VECTORIZE_MIN_NODES
         _assert_identical(dict(rows=4, cols=8, registers=8))
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.minimum, np.maximum])
+    def test_reduce_parity_bit_for_bit(self, ufunc):
+        """The kernel's reduces are NumPy's, signed zeros, infinities and
+        NaNs included, in the register and at the SPD."""
+        case = dict(registers=4, program=_SpecialValues(ufunc))
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN here
+            ref = _run("reference", **case)
+            vec = _run("vectorized", **case)
+        assert _fingerprint(ref) == _fingerprint(vec)
+        assert np.isnan(vec.properties).any()
+        np.testing.assert_array_equal(
+            ref.properties.view(np.int64), vec.properties.view(np.int64)
+        )
+
+    def test_other_reduce_runs_the_reference_under_auto(self):
+        program = _SpecialValues(np.multiply)
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN here
+            auto = _run("auto", registers=4, program=program)
+            ref = _run("reference", registers=4, program=program)
+        assert _fingerprint(auto) == _fingerprint(ref)
+        np.testing.assert_array_equal(
+            auto.properties.view(np.int64), ref.properties.view(np.int64)
+        )
+        with pytest.raises(ConfigurationError, match="np.minimum"):
+            _run("vectorized", registers=4, program=program)
 
 
 class TestDrainModeFaultWindows:
-    """Fault windows whose edges fall inside drain-mode batched gaps.
+    """Fault windows whose edges fall inside the phase's drain tail.
 
-    The vectorized engine's drain loop fast-forwards through provably
-    inert cycle ranges (idle mesh gaps, and all-stalled SPD windows via
-    ``FaultSchedule.next_boundary_cycle``).  These cases pin explicit
-    windows — including windows nested strictly *inside* a
-    fast-forwarded stall gap — and require the fingerprint to stay
-    integer-identical to the reference engine, which steps every one of
-    those cycles, with the sanitizer armed on both runs.
+    The vectorized engine's kernel runs every cycle of a phase in one
+    loop, one call per fault window: Python loads the masks at each
+    ``FaultSchedule.next_boundary_cycle`` edge.  These cases pin
+    explicit windows — including windows nested strictly *inside* an
+    all-PE stall window while the egress queues are already drained —
+    and require the fingerprint to stay integer-identical to the
+    reference engine, with the sanitizer armed on both runs.
 
     Placement is calibrated to the 8x8 PageRank workload: each scatter
     phase runs ~34 phase-local cycles, so an all-PE stall opening in
-    the mid-20s lands after egress drains (drain mode active) while
-    update packets are still in flight — the exact state the
-    stall-window fast-forward handles.
+    the mid-20s lands after egress drains while update packets are
+    still in flight — a state the engine once fast-forwarded through
+    and now steps cycle by cycle, as the reference does.
     """
 
     @staticmethod
     def _schedule(links=(), fifos=(), pes=()):
         """Factory building a schedule with explicit windows and a
-        counter on ``next_boundary_cycle`` (only the drain-mode
-        stall fast-forward calls it), exposed as ``factory.last``."""
+        counter on ``next_boundary_cycle`` (the vectorized engine calls
+        it at each window edge), exposed as
+        ``factory.last``."""
 
         def build():
             sched = FaultSchedule(
@@ -243,13 +336,13 @@ class TestDrainModeFaultWindows:
 
     def test_stall_gap_fast_forward_engages_and_matches(self):
         vec, sched = self._differential(pes=self.ALL_PE_STALL)
-        # The window really degraded the run, and the vectorized drain
-        # loop really jumped (boundary queries happen nowhere else).
+        # The window really degraded the run, and the vectorized engine
+        # really split its kernel calls at the window's edges.
         assert vec.stats.degraded_cycles > 0
         assert sched.boundary_calls > 0
 
     def test_link_outage_nested_inside_stall_gap(self):
-        # The outage's open/close edges split the fast-forwarded jump;
+        # The outage's open/close edges fall inside the stall window;
         # the mesh is empty there, so degraded/rerouted accounting must
         # come out exactly as the reference's cycle-by-cycle walk.
         vec, sched = self._differential(
@@ -266,9 +359,8 @@ class TestDrainModeFaultWindows:
         assert sched.boundary_calls > 0
 
     def test_fifo_stall_freezing_in_flight_drain_traffic(self):
-        # Mesh is NOT inert here: frozen FIFOs hold live packets, so
-        # the drain loop must keep stepping real cycles instead of
-        # fast-forwarding past a state that can still change.
+        # Mesh is NOT inert here: frozen FIFOs hold live packets that
+        # move again when the windows close.
         vec, _ = self._differential(
             fifos=[(27, SOUTH, 28, 60), (9, EAST, 30, 55)]
         )
@@ -317,6 +409,82 @@ class TestCycleEngineFallback:
         sim = CycleAccurateScalaGraph(config, sanitize=True)
         with pytest.raises(SanitizerError):
             sim.run(make_algorithm("bfs"), GRAPH)
+
+
+class TestKernelStateAudits:
+    """State the kernel keeps between calls, corrupted where the
+    sanitizer hooks see it, must trip those hooks: the run raises, or
+    falls back to the reference engines with identical results."""
+
+    @staticmethod
+    def _bump_occupancy(batch, *args, **kwargs):
+        batch.occ[5] += 1  # the register array's live buffer
+
+    @staticmethod
+    def _overfill_fifo(occupancies, depth, *args, **kwargs):
+        occupancies[5, 0] = depth + 1  # the mesh's live FIFO counts
+
+    CASES = [
+        ("check_aggregation_ledger_arrays", "_bump_occupancy",
+         "aggregation-ledger"),
+        ("check_fifo_depth_array", "_overfill_fifo", "fifo-depth"),
+    ]
+
+    @pytest.fixture(params=CASES, ids=[c[2] for c in CASES])
+    def corrupted(self, request, monkeypatch):
+        hook, corrupt, invariant = request.param
+        original = getattr(SimSanitizer, hook)
+
+        def corrupting(san, state, *args, **kwargs):
+            getattr(self, corrupt)(state, *args, **kwargs)
+            return original(san, state, *args, **kwargs)
+
+        monkeypatch.setattr(SimSanitizer, hook, corrupting)
+        return invariant
+
+    @staticmethod
+    def _sim(engine, fallback=True):
+        config = ScalaGraphConfig(
+            num_tiles=1, pe_rows=8, pe_cols=8, cycle_engine=engine,
+            noc_engine=engine, noc_engine_fallback=fallback,
+        )
+        return CycleAccurateScalaGraph(config, sanitize=True)
+
+    def test_corruption_raises(self, corrupted):
+        with pytest.raises(SanitizerError) as err:
+            self._sim("vectorized", False).run(make_algorithm("bfs"), GRAPH)
+        assert err.value.invariant == corrupted
+
+    def test_corruption_falls_back_to_the_reference(self, corrupted):
+        with pytest.warns(EngineFallbackWarning):
+            result = self._sim("vectorized").run(make_algorithm("bfs"), GRAPH)
+        # The reference engines run neither corrupted hook.
+        ref = self._sim("reference").run(make_algorithm("bfs"), GRAPH)
+        assert _fingerprint(result) == _fingerprint(ref)
+        np.testing.assert_array_equal(result.properties, ref.properties)
+
+
+class TestStageTimers:
+    """The kernel's per-stage host time, added to an attached Profiler."""
+
+    STAGES = ("dispatch", "egress", "noc_step", "retire")
+
+    def test_profiling_changes_nothing(self):
+        profiled = _run("vectorized", profiler=Profiler())
+        plain = _run("vectorized")
+        assert _fingerprint(profiled) == _fingerprint(plain)
+        np.testing.assert_array_equal(profiled.properties, plain.properties)
+
+    def test_stage_timers(self):
+        result = _run("vectorized", profiler=Profiler())
+        timers = result.profile["timers"]
+        steps = timers["cycle_sim.noc_step"]["calls"]
+        assert steps == sum(result.stats.scatter_cycles)
+        stages = sum(
+            timers[f"cycle_sim.{stage}"]["total_seconds"]
+            for stage in self.STAGES
+        )
+        assert 0 < stages <= timers["cycle_sim.scatter"]["total_seconds"]
 
 
 class TestInjectBatch:

@@ -20,6 +20,8 @@ import pytest
 
 from repro.algorithms import BFS
 from repro.core import CycleAccurateScalaGraph, ScalaGraph, ScalaGraphConfig
+from repro.core import fastsim
+from repro.core.fastsim import resolve_cycle_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.generators import rmat_graph
 from repro.noc import (
@@ -143,15 +145,22 @@ class TestWithoutCompiler:
             assert resolve_engine("auto", big) == "reference"
         with pytest.warns(RuntimeWarning):
             assert isinstance(make_mesh_network(big), MeshNetwork)
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            assert resolve_cycle_engine("auto", big) == "reference"
 
     def test_vectorized_raises(self, no_cc):
         with pytest.raises(ConfigurationError, match="no C compiler"):
             resolve_engine("vectorized", MeshTopology(8, 8))
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            resolve_cycle_engine("vectorized", MeshTopology(8, 8))
         with pytest.raises(ConfigurationError):
             FastMeshNetwork(MeshTopology(2, 2))
 
     def test_small_auto_mesh_needs_no_compiler(self, no_cc, recwarn):
         assert resolve_engine("auto", MeshTopology(4, 4)) == "reference"
+        assert resolve_cycle_engine("auto", MeshTopology(4, 4)) == (
+            "reference"
+        )
         assert not recwarn.list
 
 
@@ -197,6 +206,36 @@ class TestAbiChecks:
             monkeypatch.setattr(kernel, "table_slots", kernel.table_slots + 1)
         with pytest.raises(SimulationError, match="does not match"):
             FastMeshNetwork(MeshTopology(2, 2))
+
+    def test_phase_layout_matches_the_kernel(self):
+        kernel = meshkernel.load()
+        assert [name for name, _ in kernel.phase_layout] == list(
+            fastsim._KERNEL_BUFFERS
+        )
+        assert dict(kernel.phase_layout)["touched"] == "b1"
+        assert dict(kernel.phase_layout)["val"] == "f8"
+
+    @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])
+    def test_phase_layout_mismatch_rejected(self, monkeypatch, change):
+        kernel = meshkernel.load()
+        layout = list(kernel.phase_layout)
+        if change == "reorder":  # same count, two buffers swapped
+            layout[7], layout[8] = layout[8], layout[7]
+            monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
+        elif change == "retype":
+            layout[8] = ("val", "i8")
+            monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
+        else:
+            monkeypatch.setattr(
+                kernel, "phase_table_slots", kernel.phase_table_slots + 1
+            )
+        config = ScalaGraphConfig(
+            num_tiles=1, pe_rows=2, pe_cols=2, cycle_engine="vectorized"
+        )
+        with pytest.raises(SimulationError, match="does not match"):
+            CycleAccurateScalaGraph(config).run(
+                BFS(), rmat_graph(4, edge_factor=4, seed=3)
+            )
 
     def test_wrong_dtype_rejected(self):
         net = FastMeshNetwork(MeshTopology(2, 2))

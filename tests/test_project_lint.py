@@ -198,7 +198,7 @@ class TestRealRepoClean:
             # cycle twin: drop the vectorized scatter's dispatch_lines
             (
                 "repro.core.fastsim",
-                "stats.dispatch_lines += int(lines_per_cycle[cycle])",
+                "stats.dispatch_lines += lines",
                 "'dispatch_lines'",
             ),
         ],
