@@ -539,101 +539,6 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _probe_noc_engines(
-    rows: int = 8, cols: int = 8, packets: int = 512, seed: int = 0
-) -> dict:
-    """Time one uniform-random drain on each mesh engine.
-
-    A small in-process rendition of ``benchmarks/bench_noc_engine_speed``
-    so ``repro bench --json`` always carries a current reference-vs-
-    vectorized cycles/sec comparison (the full artefact lives in
-    ``BENCH_PR3.json``).  Both engines must agree on the cycle count —
-    a cheap standing equivalence probe.
-    """
-    from repro.noc import MeshTopology, Packet, make_mesh_network
-    from repro.noc.patterns import generate
-
-    topology = MeshTopology(rows, cols)
-    src, dst = generate("uniform", topology, packets, seed=seed)
-    probe = {
-        "mesh": f"{rows}x{cols}",
-        "packets": packets,
-        "seed": seed,
-        "engines": {},
-    }
-    cycles_seen = set()
-    for engine in ("reference", "vectorized"):
-        network = make_mesh_network(topology, engine=engine)
-        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-            network.schedule(
-                Packet(src=s, dst=d, vertex=i, injected_cycle=0)
-            )
-        start = time.perf_counter()
-        stats = network.run_until_drained()
-        elapsed = time.perf_counter() - start
-        cycles_seen.add(stats.cycles)
-        probe["engines"][engine] = {
-            "cycles": stats.cycles,
-            "seconds": elapsed,
-            "cycles_per_second": stats.cycles / elapsed if elapsed else 0.0,
-        }
-    probe["cycles_agree"] = len(cycles_seen) == 1
-    ref = probe["engines"]["reference"]["cycles_per_second"]
-    vec = probe["engines"]["vectorized"]["cycles_per_second"]
-    probe["speedup"] = vec / ref if ref else 0.0
-    return probe
-
-
-def _probe_cycle_engines(
-    rows: int = 8, cols: int = 8, scale: int = 6, seed: int = 3
-) -> dict:
-    """Time one end-to-end cycle-sim run on each scatter-phase engine.
-
-    The cycle-engine counterpart of :func:`_probe_noc_engines`: a small
-    in-process rendition of ``benchmarks/bench_cycle_engine_speed`` (the
-    full artefact lives in ``BENCH_PR6.json``).  Both engines must agree
-    on total cycles — a cheap standing equivalence probe.
-    """
-    from repro.algorithms import make_algorithm
-    from repro.core.cycle_sim import CycleAccurateScalaGraph
-    from repro.graph.generators import rmat_graph
-
-    graph = rmat_graph(scale, edge_factor=8, seed=seed)
-    probe = {
-        "mesh": f"{rows}x{cols}",
-        "graph": f"rmat(scale={scale}, edge_factor=8, seed={seed})",
-        "algorithm": "pagerank(max_iters=2)",
-        "engines": {},
-    }
-    cycles_seen = set()
-    for engine in ("reference", "vectorized"):
-        config = ScalaGraphConfig(
-            num_tiles=1,
-            pe_rows=rows,
-            pe_cols=cols,
-            aggregation_registers=16,
-            cycle_engine=engine,
-        )
-        sim = CycleAccurateScalaGraph(config)
-        program = make_algorithm("pagerank", max_iters=2)
-        start = time.perf_counter()
-        result = sim.run(program, graph)
-        elapsed = time.perf_counter() - start
-        cycles_seen.add(result.stats.total_cycles)
-        probe["engines"][engine] = {
-            "cycles": result.stats.total_cycles,
-            "seconds": elapsed,
-            "cycles_per_second": (
-                result.stats.total_cycles / elapsed if elapsed else 0.0
-            ),
-        }
-    probe["cycles_agree"] = len(cycles_seen) == 1
-    ref = probe["engines"]["reference"]["cycles_per_second"]
-    vec = probe["engines"]["vectorized"]["cycles_per_second"]
-    probe["speedup"] = vec / ref if ref else 0.0
-    return probe
-
-
 def _fault_replay(
     rows: int,
     cols: int,
@@ -800,7 +705,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     ).run(program, cycle_graph, max_iterations=args.max_iterations)
 
     summary = {
-        "schema": "repro-bench/1",
+        "schema": "repro-bench/2",
         "wall_seconds": time.perf_counter() - wall_start,
         "sweep": {
             "datasets": list(args.datasets),
@@ -846,8 +751,6 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
             "spd_reduces": cycle_result.stats.spd_reduces,
             "updates_coalesced": cycle_result.stats.updates_coalesced,
         },
-        "noc_engine_probe": _probe_noc_engines(),
-        "cycle_engine_probe": _probe_cycle_engines(),
         "fault_probe": _bench_fault_probe(),
     }
 
@@ -898,30 +801,9 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
                 f"{entry['total_seconds'] * 1e3:>10.2f} ms",
                 file=out,
             )
-    probe = summary["noc_engine_probe"]
-    print(
-        f"\nnoc engines ({probe['mesh']}, {probe['packets']} packets): "
-        f"reference "
-        f"{probe['engines']['reference']['cycles_per_second']:,.0f} cyc/s, "
-        f"vectorized "
-        f"{probe['engines']['vectorized']['cycles_per_second']:,.0f} cyc/s "
-        f"({probe['speedup']:.1f}x)",
-        file=out,
-    )
-    cprobe = summary["cycle_engine_probe"]
-    print(
-        f"cycle engines ({cprobe['mesh']}, {cprobe['graph']}): "
-        f"reference "
-        f"{cprobe['engines']['reference']['cycles_per_second']:,.0f} cyc/s, "
-        f"vectorized "
-        f"{cprobe['engines']['vectorized']['cycles_per_second']:,.0f} cyc/s "
-        f"({cprobe['speedup']:.1f}x, cycles agree: "
-        f"{'yes' if cprobe['cycles_agree'] else 'NO'})",
-        file=out,
-    )
     fault_probe = summary["fault_probe"]
     print(
-        f"fault replay ({fault_probe['mesh']}): "
+        f"\nfault replay ({fault_probe['mesh']}): "
         f"degraded_cycles "
         f"{fault_probe['engines']['reference']['degraded_cycles']}, "
         f"rerouted_packets "

@@ -98,8 +98,9 @@ class ScalaGraphConfig:
             monotonic algorithms (Section IV-D).
         noc_engine: cycle-level mesh simulator implementation —
             'reference' (one Router object per node, the auditable
-            golden model), 'vectorized' (struct-of-arrays NumPy engine,
-            behaviourally identical), or 'auto' (vectorized at or above
+            golden model), 'vectorized' (struct-of-arrays engine whose
+            cycle step is compiled C, behaviourally identical; see
+            repro.noc.fastmesh), or 'auto' (vectorized at or above
             repro.noc.fastmesh.AUTO_VECTORIZE_MIN_NODES nodes).
         noc_engine_fallback: when a vectorized engine (mesh or scatter)
             trips a SanitizerError mid-run, transparently retry the

@@ -6,8 +6,9 @@ cycle each row's dispatching unit issues one line of edge workloads
 (degree-aware packing, Section IV-C), every GU processes one workload,
 every RU offers its update to its aggregation pipeline and injects at
 most one surviving update into the mesh (Section IV-B), the routers
-move flits under XY routing with backpressure, and every SPD slice
-retires one Reduce per cycle.
+move single-flit update packets (one per link per cycle) under XY
+routing with backpressure, and every SPD slice retires one Reduce per
+cycle.
 
 It exists to validate the analytic timing model: tests check that on
 small graphs the two models' Scatter-phase cycle counts agree within a
@@ -16,9 +17,9 @@ mapping's analytic link-load accounting, and that the architecture
 still computes exactly the Figure 1 result.  Two independently
 selectable engines cover the per-cycle work: the mesh-NoC step is
 delegated to :attr:`~repro.core.config.ScalaGraphConfig.noc_engine`
-(vectorised struct-of-arrays at 16x16 and beyond; see
-:mod:`repro.noc.fastmesh`), and the scatter-phase loops around it —
-dispatch, aggregation, RU egress, SPD retire — to
+(the compiled struct-of-arrays engine at 64 nodes, e.g. 8x8, and
+beyond; see :mod:`repro.noc.fastmesh`), and the scatter-phase loops
+around it — dispatch, aggregation, RU egress, SPD retire — to
 :attr:`~repro.core.config.ScalaGraphConfig.cycle_engine` (the
 behaviourally identical :mod:`repro.core.fastsim` engine at the same
 threshold, which runs the whole cycle loop, mesh step included, in
@@ -581,21 +582,8 @@ class CycleAccurateScalaGraph:
                 and not any(pipelines[p].occupancy() for p in pipelines)
                 and not any(spd_fifos)
                 and not network.total_occupancy()
-                and not network.in_flight_packets()
             ):
                 break
-
-            # Idle-cycle fast-forward: nothing moved this cycle and the
-            # mesh is quiescent, so jump straight to its next scheduled
-            # event (an in-flight landing) instead of spinning.  The
-            # jump is stats-neutral; idle cycles only tick counters.  A
-            # stalled PE holding work is *not* idle — fast-forwarding
-            # would skip the rest of its stall window, so hold the jump
-            # until the window has visibly passed cycle by cycle.
-            if not progressed and not pe_stall_hit:
-                target = network.next_event_cycle()
-                if target is not None and target > network.cycle:
-                    cycle += network.fast_forward(target)
 
         stats.updates_processed += int(src.size)
         stats.noc_hops += network.stats.total_hops
@@ -612,7 +600,6 @@ class CycleAccurateScalaGraph:
                 + sum(len(f) for f in spd_fifos)
                 + sum(p.occupancy() for p in pipelines.values())
                 + network.total_occupancy()
-                + network.in_flight_packets()
             )
             self.sanitizer.check_conservation(
                 injected=int(src.size),

@@ -583,7 +583,6 @@ def scatter_phase_fast(
             phase.queued()
             + (int(agg.occ.sum()) if agg is not None else 0)
             + network.total_occupancy()
-            + network.in_flight_packets()
         )
         sanitizer.check_conservation(
             injected=total_edges,

@@ -8,37 +8,36 @@ This module provides :class:`FastMeshNetwork`, a drop-in engine that
 keeps **all** router state in a handful of NumPy buffers —
 
 * ``(nodes, 5-ports, depth)`` FIFO ring buffers of packet indices,
-* ``(nodes, 5)`` head/occupancy/round-robin/link-busy matrices,
-* flat per-packet ``dst``/``flits``/``injected_cycle`` arrays —
+* ``(nodes, 5)`` head/occupancy/round-robin matrices,
+* flat per-packet ``dst``/``injected_cycle``/``vertex``/``value`` arrays —
 
 and advances a whole cycle in one call into a small C kernel
 (``meshkernel.c``, built and loaded by :mod:`repro.noc.meshkernel`):
-link-busy tick, XY routing with fault deflection, switch allocation
-with the reference's round-robin priority, credit backpressure, then
-commit, ejection and link traversal.  :meth:`FastMeshNetwork.inject_batch`
-runs in the same kernel, and so does the vectorized scatter phase
-(:mod:`repro.core.fastsim`), which steps this mesh from inside its own
-compiled loop (:meth:`FastMeshNetwork.kernel_table`).  Python keeps the
-object-packet paths (:meth:`~FastMeshNetwork.schedule`,
-:meth:`~FastMeshNetwork.inject`, deferred injections and multi-flit
-landings), the fault-mask loads, the sanitizer hooks and every
-:class:`~repro.noc.mesh.MeshStats` write: the kernel returns counts.
+XY routing with fault deflection, switch allocation with the
+reference's round-robin priority, credit backpressure, then commit,
+ejection and link traversal, one single-flit packet per link per cycle.
+The vectorized scatter phase (:mod:`repro.core.fastsim`) steps this mesh
+with the same code from inside its own compiled loop
+(:meth:`FastMeshNetwork.kernel_table`).  Python keeps the object-packet
+paths (:meth:`~FastMeshNetwork.schedule`, :meth:`~FastMeshNetwork.inject`
+and deferred injections), the fault-mask loads, the sanitizer hooks and
+every :class:`~repro.noc.mesh.MeshStats` write: the kernel returns
+counts.
 
 **Equivalence contract.**  The engine is packet-for-packet and
 cycle-for-cycle identical to the reference simulator: identical
 :class:`~repro.noc.mesh.MeshStats` (cycles, injected, delivered, hops,
 latency, peak occupancy, stalled moves, fault counters) and identical
-delivery order, for any workload — including multi-flit packets,
-deferred injections, fault schedules and single-entry buffers.
+delivery order, for any workload — including deferred injections,
+fault schedules and single-entry buffers.
 ``tests/test_fastmesh.py`` and ``tests/test_faults.py`` enforce this
 differentially across mesh sizes, traffic patterns, and the full
 cycle-accurate simulator; treat any divergence as a bug in this module,
 never as acceptable drift.
 
 Both engines also support an *idle-cycle fast-forward*: when every FIFO
-is empty and no link is busy, :meth:`run_until_drained` jumps the cycle
-counter to the next scheduled event (pending injection or in-flight
-landing) instead of spinning one cycle at a time.  The jump is
+is empty, :meth:`run_until_drained` jumps the cycle counter to the next
+pending injection instead of spinning one cycle at a time.  The jump is
 stats-neutral — idle cycles change nothing but the counter — so
 fast-forwarded and stepped runs report identical ``MeshStats``.
 
@@ -62,7 +61,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc import meshkernel
 from repro.noc.mesh import MeshNetwork, MeshStats
-from repro.noc.packet import Packet, batch_packets
+from repro.noc.packet import Packet
 from repro.noc.router import LOCAL, NUM_PORTS, PORT_NAMES
 from repro.noc.topology import MeshTopology
 
@@ -111,9 +110,7 @@ BUFFER_DTYPES = {
     "_head": "int64",
     "_count": "int64",
     "_rr": "int64",
-    "_link_busy": "int64",
     "_pkt_dst": "int64",
-    "_pkt_flits": "int64",
     "_pkt_injected": "int64",
     "_pkt_vertex": "int64",
     "_pkt_value": "float64",
@@ -123,16 +120,8 @@ BUFFER_DTYPES = {
     # frozen input FIFOs).
     "_dead": "bool",
     "_stall": "bool",
-    # Kernel scratch: the cycle's accepted moves, and multi-flit link
-    # departures as (arrive_cycle, node, in_port, pidx) rows.
+    # Kernel scratch: the cycle's accepted moves.
     "_moves": "int64",
-    "_departed": "int64",
-    # inject_batch staging: arguments in, acceptance mask out.
-    "_in_src": "int64",
-    "_in_dst": "int64",
-    "_in_vertex": "int64",
-    "_in_value": "float64",
-    "_in_ok": "bool",
     # The kernel's table: buffer addresses, geometry, step counters.
     "_table": "int64",
 }
@@ -140,10 +129,9 @@ BUFFER_DTYPES = {
 #: Buffers handed to the kernel, in the order of ``BUFFERS`` in
 #: ``meshkernel.c``; the table holds their addresses in this order.
 _KERNEL_BUFFERS = (
-    "_buf", "_head", "_count", "_rr", "_link_busy",
-    "_pkt_dst", "_pkt_flits", "_pkt_injected", "_pkt_vertex", "_pkt_value",
-    "_dlv_pidx", "_dead", "_stall", "_moves", "_departed",
-    "_in_src", "_in_dst", "_in_vertex", "_in_value", "_in_ok",
+    "_buf", "_head", "_count", "_rr",
+    "_pkt_dst", "_pkt_injected", "_pkt_vertex", "_pkt_value",
+    "_dlv_pidx", "_dead", "_stall", "_moves",
 )
 #: The same list as the kernel spells it (``MeshKernel.layout``): each
 #: buffer with its element kind and size, e.g. ``("_dead", "b1")`` (a
@@ -152,10 +140,20 @@ _KERNEL_LAYOUT = tuple(
     (name, np.dtype(BUFFER_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
 )
 #: Table slots after the addresses (``enum slot``): geometry, then the
-#: eight counters ``fm_step`` reports.
+#: seven counters ``fm_step`` reports.
 _SLOT_GEOMETRY = len(_KERNEL_BUFFERS)
 _SLOT_COUNTS = _SLOT_GEOMETRY + 4
-_TABLE_SLOTS = _SLOT_COUNTS + 8
+_TABLE_SLOTS = _SLOT_COUNTS + 7
+
+
+def _check_layout(kernel: meshkernel.MeshKernel) -> None:
+    """Refuse a kernel whose mesh table differs from this module's."""
+    if (kernel.layout, kernel.table_slots) != (_KERNEL_LAYOUT, _TABLE_SLOTS):
+        raise SimulationError(
+            f"mesh kernel {kernel.path} does not match fastmesh: table "
+            f"{kernel.layout} + {kernel.table_slots} slots, expected "
+            f"{_KERNEL_LAYOUT} + {_TABLE_SLOTS} slots"
+        )
 
 
 class FastMeshNetwork:
@@ -179,31 +177,13 @@ class FastMeshNetwork:
         buffer_depth: int = 4,
         sanitizer: Optional["SimSanitizer"] = None,
         faults: Optional["FaultSchedule"] = None,
-        lean_packets: bool = False,
     ) -> None:
         if buffer_depth <= 0:
             raise ConfigurationError("buffer_depth must be positive")
         self._kernel = meshkernel.load()
-        if (self._kernel.layout, self._kernel.table_slots) != (
-            _KERNEL_LAYOUT, _TABLE_SLOTS
-        ):
-            raise SimulationError(
-                f"mesh kernel {self._kernel.path} does not match fastmesh: "
-                f"table {self._kernel.layout} + "
-                f"{self._kernel.table_slots} slots, expected "
-                f"{_KERNEL_LAYOUT} + {_TABLE_SLOTS} slots"
-            )
+        _check_layout(self._kernel)
         self.topology = topology
         self.buffer_depth = buffer_depth
-        #: With ``lean_packets``, :meth:`inject_batch` is the only entry
-        #: point and no Packet objects are materialised: the packet
-        #: lifecycle lives entirely in the registry arrays,
-        #: :attr:`delivered` stays empty, and :meth:`delivered_arrays` /
-        #: :meth:`delivered_count` are the delivery views.  Stats are
-        #: identical either way; this only drops the per-packet object
-        #: work for callers (the vectorised scatter engine) that never
-        #: read Packet instances.
-        self.lean_packets = lean_packets
         #: Optional runtime invariant checker (see
         #: :mod:`repro.analysis.sanitizer`); None = zero overhead.
         self.sanitizer = sanitizer
@@ -226,30 +206,25 @@ class FastMeshNetwork:
         self._count = np.zeros((n, NUM_PORTS), dtype=np.int64)
         #: Round-robin pointer per (node, output port).
         self._rr = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        #: Remaining busy cycles per (node, output port) — multi-flit
-        #: serialisation (mirrors the reference's ``_link_busy`` dict).
-        self._link_busy = np.zeros((n, NUM_PORTS), dtype=np.int64)
 
         # --- packet registry -------------------------------------------
-        #: Packet objects by registry index (empty in lean mode).
+        #: Packet objects by registry index.
         self._pkts: List[Packet] = []
         #: Registered packets (the next registry index).
         self._n_pkts = 0
         cap = 1024
         self._pkt_dst = np.zeros(cap, dtype=np.int64)
-        self._pkt_flits = np.ones(cap, dtype=np.int64)
         self._pkt_injected = np.zeros(cap, dtype=np.int64)
         self._pkt_vertex = np.zeros(cap, dtype=np.int64)
         self._pkt_value = np.zeros(cap, dtype=np.float64)
         #: Registry indices of delivered packets, in delivery order
-        #: (parallel to :attr:`delivered`; feeds
-        #: :meth:`delivered_arrays`).  Growable array + cursor; the
+        #: (parallel to :attr:`delivered`).  Growable array + cursor; the
         #: kernel appends to it, so it always has room for one delivery
         #: per node beyond the cursor.
         self._dlv_pidx = np.zeros(max(1024, 2 * n), dtype=np.int64)
         self._dlv_n = 0
 
-        # --- injection / link-traversal bookkeeping --------------------
+        # --- deferred injections ---------------------------------------
         # Per source node: (future-injection heap keyed (when, seq),
         # ready deque of (seq, pidx, when, merged_cycle)).  Splitting
         # ready packets out of the heap avoids the reference's
@@ -259,8 +234,6 @@ class FastMeshNetwork:
             int, Tuple[List[List[int]], Deque[Tuple[int, int, int, int]]]
         ] = {}
         self._seq = 0
-        #: Packets in flight on a link: (arrive_cycle, node, in_port, pidx).
-        self._in_flight: List[Tuple[int, int, int, int]] = []
 
         # --- fault masks and kernel scratch ----------------------------
         #: This cycle's dead output links and frozen input FIFOs (all
@@ -268,12 +241,6 @@ class FastMeshNetwork:
         self._dead = np.zeros((n, NUM_PORTS), dtype=bool)
         self._stall = np.zeros((n, NUM_PORTS), dtype=bool)
         self._moves = np.zeros(n * NUM_PORTS, dtype=np.int64)
-        self._departed = np.zeros((n * 4, 4), dtype=np.int64)
-        self._in_src = np.zeros(n, dtype=np.int64)
-        self._in_dst = np.zeros(n, dtype=np.int64)
-        self._in_vertex = np.zeros(n, dtype=np.int64)
-        self._in_value = np.zeros(n, dtype=np.float64)
-        self._in_ok = np.zeros(n, dtype=bool)
         self._table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
         self._table[_SLOT_GEOMETRY:_SLOT_COUNTS] = (
             n, topology.rows, topology.cols, depth
@@ -312,10 +279,6 @@ class FastMeshNetwork:
         ``injected_cycle``).  Injection is retried every cycle until the
         source router's local buffer has space."""
         when = packet.injected_cycle if cycle is None else cycle
-        if self.lean_packets:
-            raise ConfigurationError(
-                "lean_packets networks accept only inject_batch"
-            )
         self._check_node(packet.src)
         self._check_node(packet.dst)
         pidx = self._register(packet)
@@ -329,10 +292,6 @@ class FastMeshNetwork:
     def inject(self, packet: Packet) -> bool:
         """Immediately place a packet into its source router's local
         input buffer.  Returns False when the buffer is full."""
-        if self.lean_packets:
-            raise ConfigurationError(
-                "lean_packets networks accept only inject_batch"
-            )
         self._check_node(packet.src)
         self._check_node(packet.dst)
         src = packet.src
@@ -348,65 +307,15 @@ class FastMeshNetwork:
         self.stats.injected += 1
         return True
 
-    def inject_batch(
-        self,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        vertices: np.ndarray,
-        values: np.ndarray,
-    ) -> np.ndarray:
-        """Inject one single-flit packet per entry, in argument order;
-        returns the per-entry acceptance mask.
-
-        Equivalent to calling :meth:`inject` sequentially on freshly
-        built packets: entries from the same source compete for that
-        router's remaining local-buffer space in argument order.  The
-        kernel checks every node index before it writes anything, so an
-        out-of-mesh entry raises :class:`ConfigurationError` and
-        injects nothing.
-        """
-        m = len(srcs)
-        if m > self._in_src.size:
-            self._grow_staging(m)
-        self._in_src[:m] = srcs
-        self._in_dst[:m] = dsts
-        self._in_vertex[:m] = vertices
-        self._in_value[:m] = values
-        base = self._n_pkts
-        if base + m > self._pkt_dst.size:
-            self._grow_registry(base + m)
-        accepted = self._kernel.inject(self._table_addr, m, self.cycle, base)
-        if accepted < 0:  # entry -1 - accepted names an out-of-mesh node
-            i = -1 - accepted
-            src, dst = int(self._in_src[i]), int(self._in_dst[i])
-            self._check_node(src)
-            self._check_node(dst)
-        ok = self._in_ok[:m].copy()
-        self._n_pkts = base + accepted
-        if accepted and not self.lean_packets:
-            self._pkts.extend(
-                batch_packets(
-                    self._in_src[:m][ok].tolist(),
-                    self._in_dst[:m][ok].tolist(),
-                    self._in_vertex[:m][ok].tolist(),
-                    self._in_value[:m][ok].tolist(),
-                    self.cycle,
-                )
-            )
-        self.stats.injected += accepted
-        return ok
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the network by one cycle (same three phases as the
-        reference: injection, landing + link bookkeeping, then one
-        arbitrate/reserve/commit pass over every router, in C)."""
+        """Advance the network by one cycle (the reference's phases:
+        injection, then one arbitrate/reserve/commit pass over every
+        router, in C)."""
         if self._pending:
             self._inject_pending()
-        if self._in_flight:
-            self._land_in_flight()
         self.load_fault_masks(self.cycle)
         n0 = self._dlv_n
         if n0 + self.topology.num_nodes > self._dlv_pidx.size:
@@ -416,19 +325,11 @@ class FastMeshNetwork:
             self._bind()
         self._kernel.step(self._table_addr, self.cycle, n0)
         (
-            delivered, hops, latency, stalled, rerouted, degraded,
-            departures, occupancy,
+            delivered, hops, latency, stalled, rerouted, degraded, occupancy,
         ) = self._table[_SLOT_COUNTS:].tolist()
         self._dlv_n = n0 + delivered
-        if delivered and not self.lean_packets:
+        if delivered:
             self._materialise_deliveries(n0)
-        if departures:
-            self._in_flight.extend(
-                (arrive, node, port, pidx)
-                for arrive, node, port, pidx in self._departed[
-                    :departures
-                ].tolist()
-            )
         self.record_steps(
             1, 0, delivered, hops, latency, stalled, rerouted, degraded,
             occupancy, occupancy,
@@ -445,10 +346,9 @@ class FastMeshNetwork:
     def kernel_table(self, packets: int) -> int:
         """Address of the kernel's mesh table, for a compiled caller that
         steps this mesh itself, keeping registry indices
-        ``0..packets-1`` for its own single-flit packets (the registry
-        grows to hold them).  The caller loads the fault masks and
-        reports what it ran through :meth:`load_fault_masks` and
-        :meth:`record_steps`."""
+        ``0..packets-1`` for its own packets (the registry grows to hold
+        them).  The caller loads the fault masks and reports what it ran
+        through :meth:`load_fault_masks` and :meth:`record_steps`."""
         if packets > self._pkt_dst.size:
             self._grow_registry(packets)
         return self._table_addr
@@ -490,51 +390,25 @@ class FastMeshNetwork:
         cycle = self.cycle
         for pidx in self._dlv_pidx[start:self._dlv_n].tolist():
             packet = self._pkts[pidx]
-            packet.delivered_cycle = cycle + max(int(packet.flits), 1) - 1
+            packet.delivered_cycle = cycle
             self.delivered.append(packet)
 
-    def delivered_count(self) -> int:
-        """Packets delivered so far (lean-mode-safe cursor for
-        :meth:`delivered_arrays`; equals ``len(delivered)`` when packets
-        are materialised)."""
-        return self._dlv_n
-
-    def delivered_arrays(
-        self, start: int = 0
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(dst, vertex, value)`` of ``delivered[start:]`` as arrays.
-
-        Batched read of the delivery stream for the vectorised scatter
-        engine: the same packets as ``self.delivered[start:]``, without
-        touching the Packet objects (three fancy-indexed reads of the
-        registry sliced straight off the delivery log).
-        """
-        idx = self._dlv_pidx[start:self._dlv_n]
-        return (
-            self._pkt_dst[idx],
-            self._pkt_vertex[idx],
-            self._pkt_value[idx],
-        )
-
-    def run_until_drained(
-        self, max_cycles: int = 1_000_000, fast_forward: bool = True
-    ) -> MeshStats:
+    def run_until_drained(self, max_cycles: int = 1_000_000) -> MeshStats:
         """Step until every scheduled packet has been delivered.
 
-        With ``fast_forward`` (default), idle gaps — no FIFO occupancy,
-        no busy link — are skipped by jumping straight to the next
-        pending-injection or in-flight-landing cycle; the resulting
-        stats are identical to stepping through the gap.
+        Idle gaps — empty FIFOs — are skipped by jumping straight to the
+        next pending injection; the resulting stats are identical to
+        stepping through the gap.
         """
         while True:
             occupancy = self.total_occupancy()
-            if not (self._pending or self._in_flight or occupancy):
+            if not (self._pending or occupancy):
                 break
             if self.cycle >= max_cycles:
                 raise SimulationError(
                     f"mesh did not drain within {max_cycles} cycles"
                 )
-            if fast_forward and not occupancy:
+            if not occupancy:
                 target = self.next_event_cycle()
                 if target is not None and target > self.cycle:
                     self.fast_forward(min(target, max_cycles))
@@ -545,25 +419,19 @@ class FastMeshNetwork:
     # Engine-agnostic inspection (shared with MeshNetwork)
     # ------------------------------------------------------------------
     def total_occupancy(self) -> int:
-        """Total packets buffered in router FIFOs (excludes in-flight
-        multi-flit packets; see :meth:`in_flight_packets`)."""
+        """Total packets buffered in router FIFOs."""
         return int(self._count.sum())
-
-    def in_flight_packets(self) -> int:
-        """Packets currently serialising across a link."""
-        return len(self._in_flight)
 
     def next_event_cycle(self) -> Optional[int]:
         """Cycle of the next scheduled event while the mesh is idle.
 
-        Returns None unless the network is *quiescent* — empty FIFOs,
-        no busy links — with work still scheduled (pending injections
-        or in-flight landings).  Jumping the cycle counter to the
+        Returns None unless the network is *quiescent* — empty FIFOs —
+        with injections still pending.  Jumping the cycle counter to the
         returned value is then observationally identical to stepping.
         """
-        if self.total_occupancy() or self._link_busy.any():
+        if self.total_occupancy():
             return None
-        events = [arrive for arrive, _n, _p, _i in self._in_flight]
+        events: List[int] = []
         for future, ready in self._pending.values():
             if ready:
                 return None  # a past-due packet is retrying: not idle
@@ -593,7 +461,6 @@ class FastMeshNetwork:
         if pidx >= self._pkt_dst.size:
             self._grow_registry(pidx + 1)
         self._pkt_dst[pidx] = packet.dst
-        self._pkt_flits[pidx] = packet.flits
         self._pkt_injected[pidx] = packet.injected_cycle
         self._pkt_vertex[pidx] = packet.vertex
         self._pkt_value[pidx] = packet.value
@@ -604,18 +471,9 @@ class FastMeshNetwork:
         while grow < need:
             grow *= 2
         self._pkt_dst = np.resize(self._pkt_dst, grow)
-        self._pkt_flits = np.resize(self._pkt_flits, grow)
         self._pkt_injected = np.resize(self._pkt_injected, grow)
         self._pkt_vertex = np.resize(self._pkt_vertex, grow)
         self._pkt_value = np.resize(self._pkt_value, grow)
-        self._bind()
-
-    def _grow_staging(self, need: int) -> None:
-        self._in_src = np.resize(self._in_src, need)
-        self._in_dst = np.resize(self._in_dst, need)
-        self._in_vertex = np.resize(self._in_vertex, need)
-        self._in_value = np.resize(self._in_value, need)
-        self._in_ok = np.resize(self._in_ok, need)
         self._bind()
 
     def _inject_pending(self) -> None:
@@ -695,26 +553,6 @@ class FastMeshNetwork:
             )
             self.stats.injected += len(slot_node)
 
-    def _land_in_flight(self) -> None:
-        """Deposit fully-transferred multi-flit packets downstream; a
-        landing blocked by a full buffer retries next cycle."""
-        depth = self.buffer_depth
-        remaining = []
-        for arrive, node, in_port, pidx in self._in_flight:
-            if arrive > self.cycle:
-                remaining.append((arrive, node, in_port, pidx))
-                continue
-            if self._count[node, in_port] < depth:
-                slot = (
-                    self._head[node, in_port] + self._count[node, in_port]
-                ) % depth
-                self._buf[node, in_port, slot] = pidx
-                self._count[node, in_port] += 1
-            else:
-                self.stats.stalled_moves += 1
-                remaining.append((self.cycle + 1, node, in_port, pidx))
-        self._in_flight = remaining
-
     def _run_sanitizer(self, occupancy: int) -> None:
         """End-of-cycle invariant audit over the array state (opt-in)."""
         san = self.sanitizer
@@ -731,7 +569,7 @@ class FastMeshNetwork:
             injected=self.stats.injected,
             delivered=self.stats.delivered,
             coalesced=0,  # the mesh moves packets; it never merges them
-            in_flight=occupancy + len(self._in_flight),
+            in_flight=occupancy,
             where="fastmesh",
             cycle=self.cycle,
         )
@@ -786,7 +624,6 @@ def make_mesh_network(
     sanitizer: Optional["SimSanitizer"] = None,
     engine: str = "auto",
     faults: Optional["FaultSchedule"] = None,
-    lean_packets: bool = False,
 ) -> MeshEngine:
     """Build a cycle-level mesh simulator.
 
@@ -803,10 +640,7 @@ def make_mesh_network(
             buffer_depth=buffer_depth,
             sanitizer=sanitizer,
             faults=faults,
-            lean_packets=lean_packets,
         )
-    # The reference engine always materialises packets; lean_packets is
-    # a FastMeshNetwork-only optimisation and is ignored here.
     return MeshNetwork(
         topology, buffer_depth=buffer_depth, sanitizer=sanitizer,
         faults=faults,

@@ -2,7 +2,8 @@
 
 This is the detailed model of ScalaGraph's interconnect: a matrix of
 :class:`~repro.noc.router.Router` instances advanced cycle by cycle with
-credit-style backpressure.  It is intentionally unoptimised Python — it
+credit-style backpressure, each link moving one single-flit packet (one
+vertex update) per cycle.  It is intentionally unoptimised Python — it
 exists to validate the vectorised analytic NoC model used by the at-scale
 accelerator simulations (tests cross-check the two on small meshes) and to
 measure routing-conflict behaviour directly (Figure 6, Section II-C).
@@ -18,9 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # import-free at runtime: the hooks are duck-typed
     from repro.analysis.sanitizer import SimSanitizer
@@ -125,10 +124,6 @@ class MeshNetwork:
         self.stats = MeshStats()
         self._pending: List[Tuple[int, int, Packet]] = []  # (cycle, seq, pkt)
         self._seq = 0
-        # Multi-flit support: cycles each (node, out_port) stays busy,
-        # and packets in flight on a link (store-and-forward).
-        self._link_busy: Dict[Tuple[int, int], int] = {}
-        self._in_flight: List[Tuple[int, int, int, Packet]] = []
 
     # ------------------------------------------------------------------
     # Injection
@@ -156,29 +151,6 @@ class MeshNetwork:
         self.stats.injected += 1
         return True
 
-    def inject_batch(
-        self,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        vertices: np.ndarray,
-        values: np.ndarray,
-    ) -> np.ndarray:
-        """Inject one packet per entry, in argument order; returns the
-        per-entry acceptance mask.  Loop form of
-        :meth:`~repro.noc.fastmesh.FastMeshNetwork.inject_batch` so both
-        engines expose the same batched surface."""
-        ok = np.zeros(len(srcs), dtype=bool)
-        for i in range(len(srcs)):
-            ok[i] = self.inject(
-                Packet(
-                    src=int(srcs[i]),
-                    dst=int(dsts[i]),
-                    vertex=int(vertices[i]),
-                    value=float(values[i]),
-                )
-            )
-        return ok
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -191,14 +163,11 @@ class MeshNetwork:
         does not matter); phase 3 applies the moves.
         """
         self._inject_pending()
-        self._land_in_flight()
-        self._tick_link_busy()
 
-        # Collect all grants first (read phase); outputs still busy
-        # serialising a multi-flit packet are skipped.  With a fault
-        # schedule armed, routing goes through the schedule's detour
-        # policy, frozen FIFOs withhold their requests, and any fault
-        # that touched a live packet marks the cycle degraded.
+        # Collect all grants first (read phase).  With a fault schedule
+        # armed, routing goes through the schedule's detour policy,
+        # frozen FIFOs withhold their requests, and any fault that
+        # touched a live packet marks the cycle degraded.
         moves: List[Tuple[int, int, int]] = []  # (node, out_port, in_port)
         faults = self.faults
         fault_seen = False
@@ -206,8 +175,6 @@ class MeshNetwork:
             for router in self.routers:
                 grants = router.arbitrate(self.topology)
                 for out_port, in_port in grants.items():
-                    if self._link_busy.get((router.node, out_port), 0) > 0:
-                        continue
                     moves.append((router.node, out_port, in_port))
         else:
             stall_mask = faults.fifo_stall_mask(self.cycle)
@@ -231,8 +198,6 @@ class MeshNetwork:
                         fault_seen = True
                 grants = router.arbitrate(self.topology, route_fn, frozen)
                 for out_port, in_port in grants.items():
-                    if self._link_busy.get((router.node, out_port), 0) > 0:
-                        continue
                     moves.append((router.node, out_port, in_port))
 
         # Reserve downstream capacity: at most one packet enters a given
@@ -265,38 +230,19 @@ class MeshNetwork:
                 # Counted at commit so arbitration losers and
                 # backpressured grants are not double-counted.
                 self.stats.rerouted_packets += 1
-            serialisation = max(int(packet.flits), 1) - 1
             if out_port == LOCAL:
-                packet.delivered_cycle = self.cycle + serialisation
+                packet.delivered_cycle = self.cycle
                 self.delivered.append(packet)
                 self.stats.delivered += 1
                 self.stats.total_latency += packet.latency or 0
-                if serialisation:
-                    # +1 because the counter ticks at the start of the
-                    # next cycle: block exactly `serialisation` cycles.
-                    self._link_busy[(node, out_port)] = serialisation + 1
             else:
                 dr, dc, dst_in = _LINK_OF_OUTPUT[out_port]
                 r, c = self.topology.coord(node)
                 downstream_node = self.topology.node(r + dr, c + dc)
                 self.stats.total_hops += 1
-                if serialisation:
-                    # The tail flits occupy the link; the packet lands
-                    # downstream once fully transferred.  (+1: the busy
-                    # counter ticks at the start of the next cycle.)
-                    self._link_busy[(node, out_port)] = serialisation + 1
-                    self._in_flight.append(
-                        (
-                            self.cycle + serialisation,
-                            downstream_node,
-                            dst_in,
-                            packet,
-                        )
-                    )
-                else:
-                    arrivals.append(
-                        (self.routers[downstream_node], dst_in, packet)
-                    )
+                arrivals.append(
+                    (self.routers[downstream_node], dst_in, packet)
+                )
         for downstream, dst_in, packet in arrivals:
             downstream.accept(dst_in, packet)
         if fault_seen:
@@ -326,30 +272,27 @@ class MeshNetwork:
             injected=self.stats.injected,
             delivered=self.stats.delivered,
             coalesced=0,  # the mesh moves packets; it never merges them
-            in_flight=occupancy + len(self._in_flight),
+            in_flight=occupancy,
             where="mesh",
             cycle=self.cycle,
         )
 
-    def run_until_drained(
-        self, max_cycles: int = 1_000_000, fast_forward: bool = True
-    ) -> MeshStats:
+    def run_until_drained(self, max_cycles: int = 1_000_000) -> MeshStats:
         """Step until every scheduled packet has been delivered.
 
-        With ``fast_forward`` (default), idle gaps — no FIFO occupancy,
-        no busy link — are skipped by jumping straight to the next
-        pending-injection or in-flight-landing cycle; the resulting
-        stats are identical to stepping through the gap.
+        Idle gaps — empty FIFOs — are skipped by jumping straight to the
+        next pending injection; the resulting stats are identical to
+        stepping through the gap.
         """
         while True:
             occupancy = self.total_occupancy()
-            if not (self._pending or self._in_flight or occupancy):
+            if not (self._pending or occupancy):
                 break
             if self.cycle >= max_cycles:
                 raise SimulationError(
                     f"mesh did not drain within {max_cycles} cycles"
                 )
-            if fast_forward and not occupancy:
+            if not occupancy:
                 target = self.next_event_cycle()
                 if target is not None and target > self.cycle:
                     self.fast_forward(min(target, max_cycles))
@@ -360,28 +303,19 @@ class MeshNetwork:
     # Engine-agnostic inspection (shared with FastMeshNetwork)
     # ------------------------------------------------------------------
     def total_occupancy(self) -> int:
-        """Total packets buffered in router FIFOs (excludes in-flight
-        multi-flit packets; see :meth:`in_flight_packets`)."""
+        """Total packets buffered in router FIFOs."""
         return sum(r.occupancy() for r in self.routers)
-
-    def in_flight_packets(self) -> int:
-        """Packets currently serialising across a link."""
-        return len(self._in_flight)
 
     def next_event_cycle(self) -> Optional[int]:
         """Cycle of the next scheduled event while the mesh is idle.
 
-        Returns None unless the network is *quiescent* — empty FIFOs,
-        no busy links — with work still scheduled (pending injections
-        or in-flight landings).  Jumping the cycle counter to the
+        Returns None unless the network is *quiescent* — empty FIFOs —
+        with injections still pending.  Jumping the cycle counter to the
         returned value is then observationally identical to stepping.
         """
-        if self.total_occupancy() or self._link_busy:
+        if self.total_occupancy() or not self._pending:
             return None
-        events = [arrive for arrive, _n, _p, _pkt in self._in_flight]
-        if self._pending:
-            events.append(self._pending[0][0])
-        return min(events) if events else None
+        return self._pending[0][0]
 
     def fast_forward(self, target: int) -> int:
         """Jump the idle network's cycle counter to ``target``; returns
@@ -398,32 +332,6 @@ class MeshNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _land_in_flight(self) -> None:
-        """Deposit fully-transferred multi-flit packets downstream.
-
-        A landing blocked by a full buffer retries next cycle (the tail
-        keeps the link busy meanwhile, which is store-and-forward
-        backpressure).
-        """
-        remaining = []
-        for arrive_cycle, node, in_port, packet in self._in_flight:
-            if arrive_cycle > self.cycle:
-                remaining.append((arrive_cycle, node, in_port, packet))
-                continue
-            router = self.routers[node]
-            if router.has_space(in_port):
-                router.accept(in_port, packet)
-            else:
-                self.stats.stalled_moves += 1
-                remaining.append((self.cycle + 1, node, in_port, packet))
-        self._in_flight = remaining
-
-    def _tick_link_busy(self) -> None:
-        for key in list(self._link_busy):
-            self._link_busy[key] -= 1
-            if self._link_busy[key] <= 0:
-                del self._link_busy[key]
-
     def _inject_pending(self) -> None:
         deferred = []
         while self._pending and self._pending[0][0] <= self.cycle:

@@ -3,21 +3,17 @@
  *
  * fm_step advances every router of a repro.noc.fastmesh.FastMeshNetwork
  * by one cycle, exactly as the reference engine (repro.noc.mesh.
- * MeshNetwork) does:
+ * MeshNetwork) does.  Every packet is a single flit, and a link moves
+ * one packet per cycle:
  *
- *   1. link-busy tick (multi-flit serialisation);
- *   2. head-of-line XY routing, with the fault deflection policy of
+ *   1. head-of-line XY routing, with the fault deflection policy of
  *      repro.faults.route_with_faults around the links and FIFOs the
  *      fault masks mark (all clear when no fault schedule is armed);
- *   3. per-output round-robin switch allocation;
- *   4. credit backpressure against the occupancy at the start of the
+ *   2. per-output round-robin switch allocation;
+ *   3. credit backpressure against the occupancy at the start of the
  *      cycle (every decision is taken before any move commits);
- *   5. commit of every accepted move: ejection at the destination, or
- *      link traversal into the downstream FIFO (single-flit) or onto the
- *      link (multi-flit, handed back to Python as a departure record).
- *
- * fm_inject places a batch of single-flit packets into the local input
- * FIFOs, competing for space in argument order like sequential inject().
+ *   4. commit of every accepted move: ejection at the destination, or
+ *      link traversal into the downstream FIFO.
  *
  * fs_run advances a scatter phase of repro.core.fastsim, cycle by cycle,
  * exactly as the reference CycleAccurateScalaGraph._scatter_phase does:
@@ -45,11 +41,9 @@ typedef uint8_t b1;
 
 /* Table order of the buffers: fastmesh attribute name, element type. */
 #define BUFFERS(X)                                                         \
-    X(buf, i8) X(head, i8) X(count, i8) X(rr, i8) X(link_busy, i8)         \
-    X(pkt_dst, i8) X(pkt_flits, i8) X(pkt_injected, i8) X(pkt_vertex, i8)  \
-    X(pkt_value, f8) X(dlv_pidx, i8) X(dead, b1) X(stall, b1) X(moves, i8) \
-    X(departed, i8) X(in_src, i8) X(in_dst, i8) X(in_vertex, i8)           \
-    X(in_value, f8) X(in_ok, b1)
+    X(buf, i8) X(head, i8) X(count, i8) X(rr, i8) X(pkt_dst, i8)           \
+    X(pkt_injected, i8) X(pkt_vertex, i8) X(pkt_value, f8) X(dlv_pidx, i8) \
+    X(dead, b1) X(stall, b1) X(moves, i8)
 
 #define AS_ENUM(name, type) B_##name,
 #define AS_TEXT(name, type) "_" #name ":" #type " "
@@ -61,7 +55,7 @@ enum buffer { BUFFERS(AS_ENUM) NBUFFERS };
 enum slot {
     S_NODES = NBUFFERS, S_ROWS, S_COLS, S_DEPTH,
     S_DELIVERED, S_HOPS, S_LATENCY, S_STALLED, S_REROUTED, S_DEGRADED,
-    S_DEPARTURES, S_OCCUPANCY,
+    S_OCCUPANCY,
     NSLOTS
 };
 
@@ -115,18 +109,12 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
 {
     i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
     i8 *count = BUFFER(count, i8), *rr = BUFFER(rr, i8);
-    i8 *busy = BUFFER(link_busy, i8);
-    const i8 *dst = BUFFER(pkt_dst, i8), *flits = BUFFER(pkt_flits, i8);
-    const i8 *injected = BUFFER(pkt_injected, i8);
+    const i8 *dst = BUFFER(pkt_dst, i8), *injected = BUFFER(pkt_injected, i8);
     i8 *dlv = BUFFER(dlv_pidx, i8), *moves = BUFFER(moves, i8);
-    i8 *departed = BUFFER(departed, i8);
     const b1 *dead = BUFFER(dead, b1), *stall = BUFFER(stall, b1);
     const int64_t n = t[S_NODES], rows = t[S_ROWS], cols = t[S_COLS];
     const int64_t depth = t[S_DEPTH];
     int64_t nmoves = 0, occupancy = 0, stalled = 0, fault_seen = 0;
-
-    for (int64_t i = 0; i < n * NPORTS; i++)
-        busy[i] -= busy[i] > 0;
 
     /* Decide: every read below sees the state at the start of the cycle.
      * A move is recorded as (input FIFO * NPORTS + output) * 2, plus 1
@@ -157,7 +145,7 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
         if (!any) continue;
         for (int out = 0; out < NPORTS; out++) {
             const int mask = requests[out];
-            if (!mask || busy[base + out]) continue;
+            if (!mask) continue;
             int in = (int)rr[base + out]; /* first requester at/after rr */
             while (!(mask >> in & 1)) in = in + 1 == NPORTS ? 0 : in + 1;
             if (out != LOCAL
@@ -173,7 +161,6 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
 
     /* Commit, in (node, output port) order. */
     int64_t delivered = 0, hops = 0, latency = 0, rerouted = 0;
-    int64_t departures = 0;
     for (int64_t k = 0; k < nmoves; k++) {
         const int64_t move = moves[k] / 2;
         const int out = (int)(move % NPORTS);
@@ -182,29 +169,16 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
         head[f] = h + 1 == depth ? 0 : h + 1;
         count[f]--;
         rr[node * NPORTS + out] = (f % NPORTS + 1) % NPORTS;
-        const int64_t serial = flits[pidx] > 1 ? flits[pidx] - 1 : 0;
         if (out == LOCAL) {
             dlv[ndlv + delivered++] = pidx;
-            latency += cycle + serial - injected[pidx];
-            /* +1: the counter ticks at the start of the next cycle */
-            if (serial) busy[node * NPORTS] = serial + 1;
+            latency += cycle - injected[pidx];
             continue;
         }
         hops++;
         rerouted += moves[k] % 2;
-        const int64_t down = down_node(node, out, cols);
-        const int64_t df = down * NPORTS + DOWN_IN[out];
-        if (serial) { /* store-and-forward: lands once fully serialised */
-            busy[node * NPORTS + out] = serial + 1;
-            int64_t *rec = departed + 4 * departures++;
-            rec[0] = cycle + serial;
-            rec[1] = down;
-            rec[2] = DOWN_IN[out];
-            rec[3] = pidx;
-        } else {
-            buf[df * depth + (head[df] + count[df]) % depth] = pidx;
-            count[df]++;
-        }
+        const int64_t df = down_node(node, out, cols) * NPORTS + DOWN_IN[out];
+        buf[df * depth + (head[df] + count[df]) % depth] = pidx;
+        count[df]++;
     }
 
     t[S_DELIVERED] = delivered;
@@ -213,8 +187,7 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
     t[S_STALLED] = stalled;
     t[S_REROUTED] = rerouted;
     t[S_DEGRADED] = fault_seen;
-    t[S_DEPARTURES] = departures;
-    t[S_OCCUPANCY] = occupancy - delivered - departures;
+    t[S_OCCUPANCY] = occupancy - delivered;
     return delivered;
 }
 
@@ -223,8 +196,8 @@ int64_t fm_step(int64_t *t, int64_t cycle, int64_t ndlv)
     return mesh_step(t, cycle, ndlv);
 }
 
-/* Queue single-flit packet pidx (src -> dst, carrying vertex, value) in
- * node src's local input FIFO; 0 when that FIFO is full. */
+/* Queue packet pidx (src -> dst, carrying vertex, value) in node src's
+ * local input FIFO; 0 when that FIFO is full. */
 static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
                  i8 vertex, f8 value, int64_t cycle)
 {
@@ -235,33 +208,10 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
     buf[f * depth + (head[f] + count[f]) % depth] = pidx;
     count[f]++;
     BUFFER(pkt_dst, i8)[pidx] = dst;
-    BUFFER(pkt_flits, i8)[pidx] = 1;
     BUFFER(pkt_injected, i8)[pidx] = cycle;
     BUFFER(pkt_vertex, i8)[pidx] = vertex;
     BUFFER(pkt_value, f8)[pidx] = value;
     return 1;
-}
-
-/* Returns the number of accepted packets, or -1 - i when entry i names a
- * node outside the mesh (checked for every entry before any write). */
-int64_t fm_inject(int64_t *t, int64_t m, int64_t cycle, int64_t base)
-{
-    const i8 *in_src = BUFFER(in_src, i8), *in_dst = BUFFER(in_dst, i8);
-    const i8 *in_vertex = BUFFER(in_vertex, i8);
-    const f8 *in_value = BUFFER(in_value, f8);
-    b1 *ok = BUFFER(in_ok, b1);
-    const int64_t n = t[S_NODES];
-    int64_t accepted = 0;
-
-    for (int64_t i = 0; i < m; i++)
-        if (in_src[i] < 0 || in_src[i] >= n || in_dst[i] < 0 || in_dst[i] >= n)
-            return -1 - i;
-    for (int64_t i = 0; i < m; i++) {
-        ok[i] = (b1)place(t, base + accepted, in_src[i], in_dst[i],
-                          in_vertex[i], in_value[i], cycle);
-        accepted += ok[i];
-    }
-    return accepted;
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,11 +1,11 @@
 """Build and load the compiled cycle loops (``meshkernel.c``).
 
 :class:`~repro.noc.fastmesh.FastMeshNetwork` runs its per-cycle work —
-link-busy tick, XY routing, fault deflection, round-robin switch
-allocation, credit backpressure, commit, ejection and link traversal —
-and its batched injection in one small C source shipped beside this
-module; the vectorized scatter phase (:mod:`repro.core.fastsim`) runs
-its whole cycle loop there too, stepping the mesh with the same code.
+XY routing, fault deflection, round-robin switch allocation, credit
+backpressure, commit, ejection and link traversal of single-flit
+packets — in one small C source shipped beside this module; the
+vectorized scatter phase (:mod:`repro.core.fastsim`) runs its whole
+cycle loop there too, stepping the mesh with the same code.
 The source is compiled once per machine with the system ``cc`` and
 called through :mod:`ctypes`, so NumPy stays the only Python
 dependency.
@@ -51,10 +51,9 @@ CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
 class MeshKernel:
     """ctypes bindings of one loaded kernel library.
 
-    ``step(table, cycle, delivered_so_far)`` and
-    ``inject(table, count, cycle, first_packet_index)`` take the address
-    of the mesh's int64 table, ``phase(table, stop_cycle)`` that of a
-    scatter phase's; ``meshkernel.c`` describes both.  ``layout`` and
+    ``step(table, cycle, delivered_so_far)`` takes the address of the
+    mesh's int64 table, ``phase(table, stop_cycle)`` that of a scatter
+    phase's; ``meshkernel.c`` describes both.  ``layout`` and
     ``phase_layout`` are the tables' buffer lists as compiled,
     ``(attribute, element type)`` pairs such as ``("_buf", "i8")``, and
     ``table_slots`` and ``phase_table_slots`` the tables' lengths.
@@ -64,7 +63,6 @@ class MeshKernel:
         self.path = path
         self._lib = ctypes.CDLL(str(path))
         self.step = self._function("fm_step", 2)
-        self.inject = self._function("fm_inject", 3)
         self.phase = self._function("fs_run", 1)
         self.table_slots, self.layout = self._table("fm")
         self.phase_table_slots, self.phase_layout = self._table("fs")

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
-_packet_ids = itertools.count()
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
 class Packet:
     """One vertex-update packet in flight on the NoC.
+
+    A packet is a single flit: one 8-byte update, which crosses a link
+    in one cycle (``repro.noc.router`` models links as one flit per
+    cycle).
 
     Attributes:
         src: source node ID (the PE whose GU produced the update).
@@ -20,11 +21,6 @@ class Packet:
         value: scatter result to be reduced into the vertex's V_temp.
         injected_cycle: cycle at which the packet entered the network.
         delivered_cycle: set by the simulator on arrival.
-        flits: link cycles the packet occupies per hop (1 = a single
-            8-byte update on a wide link; >1 models payloads wider than
-            the link, serialised store-and-forward).
-        pid: unique packet ID (diagnostics).
-        payload: optional arbitrary extra payload for tests.
     """
 
     src: int
@@ -33,9 +29,6 @@ class Packet:
     value: float = 0.0
     injected_cycle: int = 0
     delivered_cycle: Optional[int] = None
-    flits: int = 1
-    pid: int = field(default_factory=lambda: next(_packet_ids))
-    payload: Any = None
 
     @property
     def latency(self) -> Optional[int]:
@@ -43,16 +36,3 @@ class Packet:
         if self.delivered_cycle is None:
             return None
         return self.delivered_cycle - self.injected_cycle
-
-
-def batch_packets(srcs, dsts, vertices, values, injected_cycle: int):
-    """Build one single-flit :class:`Packet` per entry.
-
-    Shared helper for the batched injection paths, which construct
-    hundreds of thousands of packets per run — one tight listcomp
-    instead of per-call argument marshalling at every call site.
-    """
-    return [
-        Packet(src, dst, vertex, value, injected_cycle)
-        for src, dst, vertex, value in zip(srcs, dsts, vertices, values)
-    ]

@@ -131,7 +131,7 @@ class TestBench:
         )
         assert code == 0
         summary = json.loads(text)
-        assert summary["schema"] == "repro-bench/1"
+        assert summary["schema"] == "repro-bench/2"
         # Per-phase profiles for both models.
         analytic = summary["profiles"]["analytic"]
         assert "analytic.scatter_model" in analytic["timers"]
@@ -181,7 +181,7 @@ class TestBench:
         )
         assert code == 0
         summary = json.loads(out_file.read_text())
-        assert summary["schema"] == "repro-bench/1"
+        assert summary["schema"] == "repro-bench/2"
 
 
 class TestParser:

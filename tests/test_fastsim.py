@@ -36,9 +36,8 @@ from repro.faults.schedule import (
     PEStallWindow,
 )
 from repro.graph.generators import rmat_graph, star_graph
-from repro.noc.fastmesh import AUTO_VECTORIZE_MIN_NODES, FastMeshNetwork
+from repro.noc.fastmesh import AUTO_VECTORIZE_MIN_NODES
 from repro.noc.mesh import EAST, SOUTH
-from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 
 GRAPH = rmat_graph(6, edge_factor=8, seed=3)
@@ -485,102 +484,3 @@ class TestStageTimers:
             for stage in self.STAGES
         )
         assert 0 < stages <= timers["cycle_sim.scatter"]["total_seconds"]
-
-
-class TestInjectBatch:
-    """Batched injection must equal sequential inject(), including
-    same-source competition for the router's remaining buffer space."""
-
-    def _nets(self, depth=2):
-        topo = MeshTopology(4, 4)
-        return (
-            FastMeshNetwork(topo, buffer_depth=depth),
-            FastMeshNetwork(topo, buffer_depth=depth),
-        )
-
-    def test_duplicate_sources_rank_in_argument_order(self, monkeypatch):
-        batched, sequential = self._nets(depth=2)
-        srcs = np.array([5, 5, 5, 2, 5])
-        dsts = np.array([0, 1, 2, 3, 4])
-        vtx = np.arange(5)
-        val = np.ones(5)
-        ok_b = batched.inject_batch(srcs, dsts, vtx, val)
-        ok_s = np.array(
-            [
-                sequential.inject(
-                    Packet(src=int(s), dst=int(d), vertex=int(v), value=1.0)
-                )
-                for s, d, v in zip(srcs, dsts, vtx)
-            ]
-        )
-        # Two slots at node 5: first two same-source entries win.
-        np.testing.assert_array_equal(ok_b, [True, True, False, True, False])
-        np.testing.assert_array_equal(ok_b, ok_s)
-        np.testing.assert_array_equal(
-            batched._count.ravel(), sequential._count.ravel()
-        )
-
-    def test_bounds_checked(self):
-        net, _ = self._nets()
-        with pytest.raises(ConfigurationError):
-            net.inject_batch(
-                np.array([0]), np.array([99]), np.array([0]), np.ones(1)
-            )
-
-    def test_empty_batch(self):
-        net, _ = self._nets()
-        assert net.inject_batch(
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([]),
-        ).size == 0
-
-
-class TestLeanPackets:
-    def test_object_entry_points_rejected(self):
-        net = FastMeshNetwork(MeshTopology(4, 4), lean_packets=True)
-        with pytest.raises(ConfigurationError):
-            net.inject(Packet(src=0, dst=1))
-        with pytest.raises(ConfigurationError):
-            net.schedule(Packet(src=0, dst=1))
-
-    def test_delivery_views_match_object_mode(self):
-        """Same workload, lean and object mode: identical stats and
-        identical (dst, vertex, value) delivery streams; lean mode just
-        never materialises Packet objects."""
-        topo = MeshTopology(4, 4)
-        lean = FastMeshNetwork(topo, lean_packets=True)
-        full = FastMeshNetwork(topo, lean_packets=False)
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            srcs = rng.integers(0, 16, 8)
-            dsts = rng.integers(0, 16, 8)
-            vtx = rng.integers(0, 1000, 8)
-            val = rng.random(8)
-            ok_l = lean.inject_batch(srcs, dsts, vtx, val)
-            ok_f = full.inject_batch(srcs, dsts, vtx, val)
-            np.testing.assert_array_equal(ok_l, ok_f)
-            lean.step()
-            full.step()
-        for _ in range(200):
-            if not (lean.total_occupancy() or full.total_occupancy()):
-                break
-            lean.step()
-            full.step()
-        assert lean.stats == full.stats
-        assert lean.delivered == []  # the point of lean mode
-        assert lean._pkts == []  # lean packets are only counted
-        assert lean.delivered_count() == full.delivered_count()
-        assert full.delivered_count() == len(full.delivered)
-        l_dst, l_vtx, l_val = lean.delivered_arrays()
-        f_dst, f_vtx, f_val = full.delivered_arrays()
-        np.testing.assert_array_equal(l_dst, f_dst)
-        np.testing.assert_array_equal(l_vtx, f_vtx)
-        np.testing.assert_array_equal(l_val, f_val)
-        np.testing.assert_array_equal(
-            f_dst, [p.dst for p in full.delivered]
-        )
-        np.testing.assert_array_equal(
-            f_vtx, [p.vertex for p in full.delivered]
-        )

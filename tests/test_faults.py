@@ -49,15 +49,10 @@ def _drain(engine_cls, topology, src, dst, faults, **kwargs):
         faults=faults,
     )
     stagger = kwargs.get("stagger", 0)
-    flit_pattern = kwargs.get("flit_pattern", (1,))
     for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
         net.schedule(
             Packet(
-                src=s,
-                dst=d,
-                vertex=i,
-                flits=flit_pattern[i % len(flit_pattern)],
-                injected_cycle=(i % 11) * stagger,
+                src=s, dst=d, vertex=i, injected_cycle=(i % 11) * stagger
             )
         )
     stats = net.run_until_drained(max_cycles=2_000_000)
@@ -146,12 +141,10 @@ class TestFaultEquivalence:
         stats, _ = _assert_fault_equivalent(topology, src, dst)
         assert stats["degraded_cycles"] > 0
 
-    def test_multiflit_and_stagger(self):
+    def test_staggered_injection(self):
         topology = MeshTopology(4, 4)
         src, dst = generate("uniform", topology, 128, seed=3)
-        _assert_fault_equivalent(
-            topology, src, dst, flit_pattern=(1, 3, 2), stagger=2
-        )
+        _assert_fault_equivalent(topology, src, dst, stagger=2)
 
     def test_shallow_buffers(self):
         topology = MeshTopology(3, 3)
@@ -161,12 +154,12 @@ class TestFaultEquivalence:
     @pytest.mark.parametrize("buffer_depth", [1, 2])
     def test_non_square_auto_sized_mesh(self, buffer_depth):
         """A 9x8 mesh (72 nodes: ``auto`` picks the compiled engine)
-        with multi-flit packets and shallow buffers."""
+        with staggered injection and shallow buffers.  The stagger keeps
+        traffic alive into the fault windows, so both counters bite."""
         topology = MeshTopology(9, 8)
         src, dst = generate("uniform", topology, 288, seed=23)
         stats, _ = _assert_fault_equivalent(
-            topology, src, dst, flit_pattern=(1, 3, 2),
-            buffer_depth=buffer_depth,
+            topology, src, dst, stagger=2, buffer_depth=buffer_depth
         )
         assert stats["degraded_cycles"] > 0
         assert stats["rerouted_packets"] > 0

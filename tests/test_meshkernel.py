@@ -28,6 +28,7 @@ from repro.noc import (
     FastMeshNetwork,
     MeshNetwork,
     MeshTopology,
+    Packet,
     make_mesh_network,
     meshkernel,
     resolve_engine,
@@ -196,11 +197,13 @@ class TestAbiChecks:
     def test_layout_mismatch_rejected(self, monkeypatch, change):
         kernel = meshkernel.load()
         layout = list(kernel.layout)
+        names = [name for name, _ in layout]
+        dlv, dead = names.index("_dlv_pidx"), names.index("_dead")
         if change == "reorder":  # same count, two buffers swapped
-            layout[10], layout[11] = layout[11], layout[10]
+            layout[dlv], layout[dead] = layout[dead], layout[dlv]
             monkeypatch.setattr(kernel, "layout", tuple(layout))
         elif change == "retype":
-            layout[11] = ("_dead", "i8")
+            layout[dead] = ("_dead", "i8")
             monkeypatch.setattr(kernel, "layout", tuple(layout))
         else:
             monkeypatch.setattr(kernel, "table_slots", kernel.table_slots + 1)
@@ -250,23 +253,17 @@ class TestAbiChecks:
             net._bind()
 
     def test_growth_rebinds(self):
-        """Staging, registry and delivery-log reallocations rebind the
-        table, so the kernel keeps reading and writing the live arrays."""
+        """Registry and delivery-log reallocations rebind the table, so
+        the kernel keeps reading and writing the live arrays."""
         net = FastMeshNetwork(MeshTopology(2, 2), buffer_depth=2)
-        ok = net.inject_batch(  # more entries than nodes: staging grows
-            np.zeros(6, dtype=np.int64), np.full(6, 3), np.arange(6),
-            np.ones(6),
-        )
-        np.testing.assert_array_equal(ok, [True] * 2 + [False] * 4)
-        sent = 6
+        sizes = (net._pkt_dst.size, net._dlv_pidx.size)
+        sent = 0
         for _ in range(1500):
-            net.inject_batch(
-                np.array([0, 3]), np.array([3, 0]),
-                np.array([sent, sent + 1]), np.ones(2),
-            )
-            sent += 2
+            for src, dst in ((0, 3), (3, 0)):
+                sent += net.inject(Packet(src=src, dst=dst, vertex=sent))
             net.step()
         net.run_until_drained()
-        assert net.delivered_count() == net.stats.injected > 1024
-        _dst, vtx, _val = net.delivered_arrays()
-        assert np.unique(vtx).size == vtx.size
+        assert net._pkt_dst.size > sizes[0]
+        assert net._dlv_pidx.size > sizes[1]
+        assert len(net.delivered) == net.stats.injected == sent > 1024
+        assert sorted(p.vertex for p in net.delivered) == list(range(sent))

@@ -189,7 +189,7 @@ class TestRealRepoClean:
         "module,needle,rule_fragment",
         [
             # noc twin: drop the vectorized mesh's stalled_moves
-            # updates (both call sites)
+            # update (record_steps)
             (
                 "repro.noc.fastmesh",
                 "self.stats.stalled_moves +=",
