@@ -100,8 +100,9 @@ class ScalaGraphConfig:
             'reference' (one Router object per node, the auditable
             golden model), 'vectorized' (struct-of-arrays engine whose
             cycle step is compiled C, behaviourally identical; see
-            repro.noc.fastmesh), or 'auto' (vectorized at or above
-            repro.noc.fastmesh.AUTO_VECTORIZE_MIN_NODES nodes).
+            repro.noc.fastmesh), or 'auto' (vectorized at every mesh
+            size whenever the kernel can be built, else the reference
+            with a RuntimeWarning).
         noc_engine_fallback: when a vectorized engine (mesh or scatter)
             trips a SanitizerError mid-run, transparently retry the
             whole run on the reference engines with an
@@ -113,10 +114,10 @@ class ScalaGraphConfig:
             auditable golden model), 'vectorized' (the whole cycle loop
             in compiled code, stepping the compiled mesh, behaviourally
             identical; see repro.core.fastsim), or 'auto' (vectorized
-            at or above repro.core.fastsim.AUTO_CYCLE_ENGINE_MIN_NODES
-            nodes, unless noc_engine is 'reference' or the program's
-            reduce is not np.add/np.minimum/np.maximum).  'vectorized'
-            with noc_engine='reference' is rejected.
+            at every mesh size whenever the run steps the compiled
+            mesh, unless the program's reduce is not
+            np.add/np.minimum/np.maximum).  'vectorized' with
+            noc_engine='reference' is rejected.
         hbm: off-chip memory parameters.
         spd: scratchpad parameters.
         edge_bytes: stored bytes per edge (4, Section I).

@@ -17,14 +17,14 @@ mapping's analytic link-load accounting, and that the architecture
 still computes exactly the Figure 1 result.  Two independently
 selectable engines cover the per-cycle work: the mesh-NoC step is
 delegated to :attr:`~repro.core.config.ScalaGraphConfig.noc_engine`
-(the compiled struct-of-arrays engine at 64 nodes, e.g. 8x8, and
-beyond; see :mod:`repro.noc.fastmesh`), and the scatter-phase loops
-around it — dispatch, aggregation, RU egress, SPD retire — to
-:attr:`~repro.core.config.ScalaGraphConfig.cycle_engine` (the
-behaviourally identical :mod:`repro.core.fastsim` engine at the same
-threshold, which runs the whole cycle loop, mesh step included, in
-compiled code; this class's ``_scatter_phase`` is the auditable
-reference).
+(by default the compiled struct-of-arrays engine at every mesh size;
+see :mod:`repro.noc.fastmesh`), and the scatter-phase loops around it —
+dispatch, aggregation, RU egress, SPD retire — to
+:attr:`~repro.core.config.ScalaGraphConfig.cycle_engine` (by default
+the behaviourally identical :mod:`repro.core.fastsim` engine, which
+runs the whole cycle loop, mesh step included, in compiled code; this
+class's ``_scatter_phase`` is the auditable reference, and the only
+engine on a host without a C compiler).
 """
 
 from __future__ import annotations
@@ -214,17 +214,17 @@ class CycleAccurateScalaGraph:
         Disable via ``config.noc_engine_fallback=False``; an
         all-reference failure always propagates.
         """
-        cycle_engine = resolve_cycle_engine(
-            self.config.cycle_engine,
-            self.topology,
-            self.config.noc_engine,
-            program.reduce_ufunc,
-        )
-        # The vectorized scatter phase always steps the compiled mesh.
-        engine = (
+        cfg = self.config
+        # The vectorized scatter phase always steps the compiled mesh, so
+        # naming it names the kernel.  Only the mesh resolver checks
+        # that the kernel can run, once per run.
+        engine = resolve_engine(
             "vectorized"
-            if cycle_engine == "vectorized"
-            else resolve_engine(self.config.noc_engine, self.topology)
+            if cfg.cycle_engine.lower() == "vectorized"
+            else cfg.noc_engine
+        )
+        cycle_engine = resolve_cycle_engine(
+            cfg.cycle_engine, engine, program.reduce_ufunc
         )
         try:
             return self._run(
@@ -241,7 +241,7 @@ class CycleAccurateScalaGraph:
                 for name, eng in (("noc", engine), ("cycle", cycle_engine))
                 if eng == "vectorized"
             ]
-            if not vectorized or not self.config.noc_engine_fallback:
+            if not vectorized or not cfg.noc_engine_fallback:
                 raise
             warnings.warn(
                 EngineFallbackWarning("+".join(vectorized), exc),
@@ -448,9 +448,8 @@ class CycleAccurateScalaGraph:
             engine=engine,
             faults=self.faults,
         )
-        # One reusable timer object: entered every loop iteration, so it
-        # must not allocate per cycle (see Profiler.block_timer).
-        noc_timer = (prof or NULL_PROFILER).block_timer("cycle_sim.noc_step")
+        # One timer object, entered every loop iteration.
+        noc_timer = (prof or NULL_PROFILER).timer("cycle_sim.noc_step")
 
         def pipeline_for(pe: int) -> Optional[AggregationPipeline]:
             if registers <= 0:

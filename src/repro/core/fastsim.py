@@ -27,17 +27,15 @@ its queue and is precomputed once per phase (:func:`dispatch_schedule`).
 The kernel implements the ``np.add``, ``np.minimum`` and ``np.maximum``
 reduces exactly; a program with any other reduce runs on the reference.
 
-Selection follows the ``noc_engine`` pattern:
-``config.cycle_engine='auto'`` picks the vectorised engine at or above
-:data:`AUTO_CYCLE_ENGINE_MIN_NODES` nodes when the kernel can be built
-(see :func:`resolve_cycle_engine`), and a SanitizerError raised mid-run
-falls back to the reference engines once (see
-:meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run`).
+Selection follows the mesh engine: ``config.cycle_engine='auto'``
+picks the vectorised engine at every mesh size whenever the run steps
+the compiled mesh (see :func:`resolve_cycle_engine`), and a
+SanitizerError raised mid-run falls back to the reference engines once
+(see :meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +50,6 @@ from repro.noc.aggregation import (
 from repro.noc.fastmesh import FastMeshNetwork
 from repro.noc.meshkernel import MeshKernel
 from repro.noc.router import NUM_PORTS
-from repro.noc.topology import MeshTopology
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.algorithms.base import ProgramContext, VertexProgram
@@ -60,16 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.graph.csr import CSRGraph
 
 __all__ = [
-    "AUTO_CYCLE_ENGINE_MIN_NODES",
     "dispatch_schedule",
     "resolve_cycle_engine",
     "scatter_phase_fast",
 ]
-
-#: Mesh size at which ``cycle_engine='auto'`` switches to the
-#: vectorised engine.  Same threshold as the mesh engines: below it the
-#: daemon's small cycle-fidelity meshes stay on the reference engines.
-AUTO_CYCLE_ENGINE_MIN_NODES = 64
 
 #: Engine-twin declaration consumed by the whole-program analyzer
 #: (:mod:`repro.analysis.project`).  The reference scatter phase lives
@@ -153,54 +144,36 @@ _CALL_CYCLES = 1024
 
 def resolve_cycle_engine(
     engine: str,
-    topology: MeshTopology,
-    noc_engine: str = "auto",
+    noc_engine: str,
     reduce_ufunc: np.ufunc = np.add,
 ) -> str:
     """Resolve a scatter-engine name (``auto``/``reference``/
     ``vectorized``) to a concrete one.
 
-    The vectorised engine steps the compiled mesh and implements the
-    ``np.add``, ``np.minimum`` and ``np.maximum`` reduces.  ``auto``
-    picks it at or above :data:`AUTO_CYCLE_ENGINE_MIN_NODES` nodes
-    unless ``noc_engine`` asks for the reference mesh or the program
-    reduces with another ufunc, and falls back to the reference with a
-    :class:`RuntimeWarning` when the kernel cannot be built.  Asked for
-    by name, the vectorised engine raises :class:`ConfigurationError`
-    instead.  Resolving to the reference never touches the compiler.
+    ``noc_engine`` is the run's mesh engine as
+    :func:`~repro.noc.fastmesh.resolve_engine` resolved it, the one
+    place that decides whether the kernel can run.  The vectorised
+    engine steps that compiled mesh and implements the ``np.add``,
+    ``np.minimum`` and ``np.maximum`` reduces: ``auto`` picks it
+    whenever the mesh is the vectorised one and the program reduces with
+    one of those, else the reference.  Asked for by name with another
+    reduce, it raises :class:`ConfigurationError`.
     """
     name = engine.lower()
     if name not in ("auto", "reference", "vectorized"):
         raise ConfigurationError(
             f"unknown cycle_engine {engine!r} (auto/reference/vectorized)"
         )
-    supported = reduce_ufunc in _REDUCE_OPS
-    if name == "vectorized" and not supported:
-        raise ConfigurationError(
-            f"cycle_engine='vectorized' runs the np.add, np.minimum and "
-            f"np.maximum reduces only, not {reduce_ufunc!r}"
-        )
-    if name == "reference" or (
-        name == "auto"
-        and (
-            topology.num_nodes < AUTO_CYCLE_ENGINE_MIN_NODES
-            or noc_engine.lower() == "reference"
-            or not supported
-        )
-    ):
-        return "reference"
-    try:
-        meshkernel.load()
-    except ConfigurationError as exc:
+    if reduce_ufunc not in _REDUCE_OPS:
         if name == "vectorized":
-            raise
-        warnings.warn(
-            f"{exc}; using the reference scatter engine",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+            raise ConfigurationError(
+                f"cycle_engine='vectorized' runs the np.add, np.minimum "
+                f"and np.maximum reduces only, not {reduce_ufunc!r}"
+            )
         return "reference"
-    return "vectorized"
+    if name != "auto":
+        return name
+    return "vectorized" if noc_engine == "vectorized" else "reference"
 
 
 # ----------------------------------------------------------------------

@@ -19,17 +19,15 @@ one attribute check when profiling is off.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 class _BlockTimer:
     """Reusable context manager accumulating into one named timer.
 
-    Unlike :meth:`Profiler.timer`, which builds a fresh generator per
-    ``with`` statement, a block timer is created once (outside the hot
-    loop) and re-entered every iteration — the sanctioned way for model
-    code to wall-clock an inner-loop block without a raw
+    :meth:`Profiler.timer` returns one; it can be created once (outside
+    a hot loop) and re-entered every iteration — the sanctioned way for
+    model code to wall-clock an inner-loop block without a raw
     ``time.perf_counter()`` pair.
     """
 
@@ -87,14 +85,10 @@ class Profiler:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Context manager timing one block under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
+    def timer(self, name: str) -> _BlockTimer:
+        """A reusable context manager timing each block it wraps under
+        ``name`` (exceptions propagate, and their time still counts)."""
+        return _BlockTimer(self, name)
 
     def add_time(self, name: str, seconds: float, calls: int = 1) -> None:
         """Accumulate ``seconds`` (from ``calls`` invocations) under
@@ -105,11 +99,6 @@ class Profiler:
         else:
             entry[0] += calls
             entry[1] += seconds
-
-    def block_timer(self, name: str) -> _BlockTimer:
-        """A reusable ``with``-able timer for ``name``: create once,
-        re-enter per iteration (cheaper than :meth:`timer` in loops)."""
-        return _BlockTimer(self, name)
 
     # ------------------------------------------------------------------
     # Counters
@@ -163,17 +152,12 @@ class NullProfiler(Profiler):
     __slots__ = ()
 
     def timer(self, name: str) -> _BlockTimer:
-        # The shared no-op block timer doubles as a context manager, so
-        # ``with NULL_PROFILER.timer(...)`` costs one method call and
-        # allocates nothing — unlike the generator the real profiler's
-        # @contextmanager builds per ``with`` statement.
+        # The shared no-op timer: ``with NULL_PROFILER.timer(...)`` costs
+        # one method call and allocates nothing.
         return _NULL_BLOCK_TIMER
 
     def add_time(self, name: str, seconds: float, calls: int = 1) -> None:
         pass
-
-    def block_timer(self, name: str) -> _BlockTimer:
-        return _NULL_BLOCK_TIMER
 
     def count(self, name: str, amount: float = 1) -> None:
         pass

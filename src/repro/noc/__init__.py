@@ -21,7 +21,6 @@ from repro.noc.topology import MeshTopology, manhattan_distance
 from repro.noc.packet import Packet
 from repro.noc.mesh import MeshNetwork, MeshStats
 from repro.noc.fastmesh import (
-    AUTO_VECTORIZE_MIN_NODES,
     FastMeshNetwork,
     make_mesh_network,
     resolve_engine,
@@ -46,7 +45,6 @@ __all__ = [
     "Packet",
     "MeshNetwork",
     "MeshStats",
-    "AUTO_VECTORIZE_MIN_NODES",
     "FastMeshNetwork",
     "make_mesh_network",
     "resolve_engine",

@@ -43,10 +43,9 @@ fast-forwarded and stepped runs report identical ``MeshStats``.
 
 Engine selection is wired through
 :attr:`repro.core.config.ScalaGraphConfig.noc_engine` and the
-:func:`make_mesh_network` factory; ``"auto"`` picks this engine for
-meshes of :data:`AUTO_VECTORIZE_MIN_NODES` nodes or more when the kernel
-can be built, and falls back to the reference with a warning when no C
-compiler is available.
+:func:`make_mesh_network` factory; ``"auto"`` picks this engine at every
+mesh size whenever the kernel can be built, and falls back to the
+reference with a warning when no C compiler is available.
 """
 
 from __future__ import annotations
@@ -70,19 +69,11 @@ if TYPE_CHECKING:  # import-free at runtime: the hooks are duck-typed
     from repro.faults.schedule import FaultSchedule
 
 __all__ = [
-    "AUTO_VECTORIZE_MIN_NODES",
     "FastMeshNetwork",
     "MeshEngine",
     "make_mesh_network",
     "resolve_engine",
 ]
-
-#: ``noc_engine="auto"`` selects the vectorised engine for meshes with at
-#: least this many nodes.  The NumPy dispatch overhead that once set
-#: this floor went with the compiled step; the value stays 64 because
-#: lowering it would move the daemon's small cycle-fidelity meshes (4x4,
-#: 4x8) off the reference engine, which needs its own measured change.
-AUTO_VECTORIZE_MIN_NODES = 64
 
 #: Either cycle-level mesh engine (they are behaviourally identical).
 MeshEngine = Union[MeshNetwork, "FastMeshNetwork"]
@@ -585,13 +576,14 @@ class FastMeshNetwork:
 # ----------------------------------------------------------------------
 # Engine selection
 # ----------------------------------------------------------------------
-def resolve_engine(engine: str, topology: MeshTopology) -> str:
+def resolve_engine(engine: str) -> str:
     """Resolve an engine name (``auto``/``reference``/``vectorized``)
-    to a concrete one, choosing by mesh size for ``auto``.
+    to a concrete one: ``auto`` is the vectorised engine whenever the
+    compiled kernel can run it.
 
-    The vectorised engine needs the compiled kernel: when it cannot be
-    built, ``auto`` falls back to the reference with a
-    :class:`RuntimeWarning` and ``vectorized`` raises
+    This is where a cycle-level run learns whether the kernel is
+    available: when it cannot be built, ``auto`` falls back to the
+    reference with a :class:`RuntimeWarning` and ``vectorized`` raises
     :class:`ConfigurationError`.  Resolving to the reference never
     touches the compiler.
     """
@@ -600,9 +592,7 @@ def resolve_engine(engine: str, topology: MeshTopology) -> str:
         raise ConfigurationError(
             f"unknown NoC engine {engine!r} (auto/reference/vectorized)"
         )
-    if name == "reference" or (
-        name == "auto" and topology.num_nodes < AUTO_VECTORIZE_MIN_NODES
-    ):
+    if name == "reference":
         return "reference"
     try:
         meshkernel.load()
@@ -629,12 +619,12 @@ def make_mesh_network(
 
     ``engine`` selects the implementation: ``"reference"`` (one Router
     object per node — the auditable golden model), ``"vectorized"``
-    (:class:`FastMeshNetwork`), or ``"auto"`` (vectorised at or above
-    :data:`AUTO_VECTORIZE_MIN_NODES` nodes; see :func:`resolve_engine`).
+    (:class:`FastMeshNetwork`), or ``"auto"`` (vectorised whenever the
+    kernel can be built; see :func:`resolve_engine`).
     Both produce identical packets, cycles, and stats — including fault
     replay when a :class:`~repro.faults.schedule.FaultSchedule` is armed.
     """
-    if resolve_engine(engine, topology) == "vectorized":
+    if resolve_engine(engine) == "vectorized":
         return FastMeshNetwork(
             topology,
             buffer_depth=buffer_depth,

@@ -11,6 +11,14 @@ from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 
+#: A 4x4 tile per cycle-engine stack, both engine fields pinned.
+CYCLE_CONFIGS = [
+    ScalaGraphConfig(
+        num_tiles=1, pe_rows=4, pe_cols=4, noc_engine=e, cycle_engine=e
+    )
+    for e in ("reference", "vectorized")
+]
+
 
 def gold_spmv(graph, x):
     """y[u] = sum over edges (v, u) of x[v] * w(v, u)."""
@@ -77,10 +85,11 @@ class TestSpMV:
     def test_functional_sim_close(self):
         """The cycle-accurate tile computes the gold SpMV result."""
         g = rmat_graph(5, edge_factor=5, seed=3).with_random_weights(1, 9)
-        sim = CycleAccurateScalaGraph().run(SpMV(), g)
-        assert np.allclose(
-            sim.properties, gold_spmv(g, np.ones(g.num_vertices))
-        )
+        for config in CYCLE_CONFIGS:
+            sim = CycleAccurateScalaGraph(config).run(SpMV(), g)
+            assert np.allclose(
+                sim.properties, gold_spmv(g, np.ones(g.num_vertices))
+            )
 
 
 class TestWidestPath:
@@ -125,9 +134,10 @@ class TestWidestPath:
     def test_functional_sim_exact(self):
         """The cycle-accurate tile computes the reference widths."""
         g = rmat_graph(5, edge_factor=5, seed=5).with_random_weights(1, 20)
-        sim = CycleAccurateScalaGraph().run(WidestPath(), g)
         ref = run_reference(WidestPath(), g)
-        assert np.array_equal(sim.properties, ref.properties)
+        for config in CYCLE_CONFIGS:
+            sim = CycleAccurateScalaGraph(config).run(WidestPath(), g)
+            assert np.array_equal(sim.properties, ref.properties)
 
     def test_registry(self):
         assert make_algorithm("sswp", source=2).source == 2

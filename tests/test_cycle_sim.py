@@ -19,8 +19,12 @@ from repro.noc.topology import MeshTopology
 ENGINES = ["reference", "vectorized"]
 
 
-def small_config(**kwargs):
-    defaults = dict(num_tiles=1, pe_rows=4, pe_cols=4)
+def small_config(engine, **kwargs):
+    """A 4x4 single tile with both engine fields set to ``engine``."""
+    defaults = dict(
+        num_tiles=1, pe_rows=4, pe_cols=4,
+        noc_engine=engine, cycle_engine=engine,
+    )
     defaults.update(kwargs)
     return ScalaGraphConfig(**defaults)
 
@@ -31,8 +35,10 @@ def graph():
 
 
 class TestFunctionalCorrectness:
+    engine = "reference"
+
     def test_bfs(self, graph):
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(BFS(), graph)
         ref = run_reference(BFS(), graph)
         assert np.array_equal(result.properties, ref.properties)
@@ -40,14 +46,14 @@ class TestFunctionalCorrectness:
 
     def test_sssp(self, graph):
         g = graph.with_random_weights(1, 20, seed=1)
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(SSSP(), g)
         assert np.array_equal(
             result.properties, run_reference(SSSP(), g).properties
         )
 
     def test_cc(self, graph):
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(ConnectedComponents(), graph)
         assert np.array_equal(
             result.properties,
@@ -55,13 +61,15 @@ class TestFunctionalCorrectness:
         )
 
     def test_pagerank_close(self, graph):
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(PageRank(max_iters=4), graph)
         ref = run_reference(PageRank(max_iters=4), graph)
         assert np.allclose(result.properties, ref.properties, rtol=1e-9)
 
     def test_without_aggregation(self, graph):
-        sim = CycleAccurateScalaGraph(small_config(aggregation_registers=0))
+        sim = CycleAccurateScalaGraph(
+            small_config(self.engine, aggregation_registers=0)
+        )
         result = sim.run(BFS(), graph)
         assert np.array_equal(
             result.properties, run_reference(BFS(), graph).properties
@@ -69,7 +77,7 @@ class TestFunctionalCorrectness:
         assert result.stats.updates_coalesced == 0
 
     def test_som_mapping(self, graph):
-        sim = CycleAccurateScalaGraph(small_config(mapping="som"))
+        sim = CycleAccurateScalaGraph(small_config(self.engine, mapping="som"))
         result = sim.run(BFS(), graph)
         assert np.array_equal(
             result.properties, run_reference(BFS(), graph).properties
@@ -77,7 +85,7 @@ class TestFunctionalCorrectness:
 
     def test_dom_mapping(self, graph):
         """DOM groups dispatch by destination; results must match."""
-        sim = CycleAccurateScalaGraph(small_config(mapping="dom"))
+        sim = CycleAccurateScalaGraph(small_config(self.engine, mapping="dom"))
         result = sim.run(BFS(), graph)
         assert np.array_equal(
             result.properties, run_reference(BFS(), graph).properties
@@ -86,16 +94,22 @@ class TestFunctionalCorrectness:
 
     def test_hotspot_star(self):
         star = star_graph(64, outward=True)
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(BFS(), star)
         assert np.array_equal(
             result.properties, run_reference(BFS(), star).properties
         )
 
 
+class TestFunctionalCorrectnessVectorized(TestFunctionalCorrectness):
+    engine = "vectorized"
+
+
 class TestTimingAccounting:
+    engine = "reference"
+
     def test_all_updates_processed(self, graph):
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(PageRank(max_iters=2), graph)
         assert result.stats.updates_processed == 2 * graph.num_edges
         # Every update either coalesced or reached an SPD.
@@ -106,7 +120,7 @@ class TestTimingAccounting:
 
     def test_scatter_cycles_bounded_below_by_ideal(self, graph):
         """A 16-PE tile cannot beat edges/16 cycles."""
-        sim = CycleAccurateScalaGraph(small_config())
+        sim = CycleAccurateScalaGraph(small_config(self.engine))
         result = sim.run(PageRank(max_iters=2), graph)
         for cycles in result.stats.scatter_cycles:
             assert cycles >= graph.num_edges / 16
@@ -115,7 +129,7 @@ class TestTimingAccounting:
         """The validation check: cycle-accurate and analytic Scatter
         cycles agree within 2x once the analytic model's fixed per-phase
         overhead is excluded."""
-        config = small_config()
+        config = small_config(self.engine)
         cycle_sim = CycleAccurateScalaGraph(config)
         ref = run_reference(PageRank(max_iters=3), graph)
         cycle_result = cycle_sim.run(PageRank(max_iters=3), graph)
@@ -132,11 +146,11 @@ class TestTimingAccounting:
             assert 0.5 < ratio < 2.0, (measured, modelled)
 
     def test_aggregation_reduces_cycles(self, graph):
-        with_agg = CycleAccurateScalaGraph(small_config()).run(
+        with_agg = CycleAccurateScalaGraph(small_config(self.engine)).run(
             PageRank(max_iters=2), graph
         )
         without = CycleAccurateScalaGraph(
-            small_config(aggregation_registers=0)
+            small_config(self.engine, aggregation_registers=0)
         ).run(PageRank(max_iters=2), graph)
         assert with_agg.stats.updates_coalesced > 0
         assert (
@@ -145,25 +159,31 @@ class TestTimingAccounting:
         )
 
     def test_degree_aware_window_reduces_lines(self, graph):
-        packed = CycleAccurateScalaGraph(small_config()).run(
+        packed = CycleAccurateScalaGraph(small_config(self.engine)).run(
             BFS(), graph
         )
         unpacked = CycleAccurateScalaGraph(
-            small_config(degree_aware_window=1)
+            small_config(self.engine, degree_aware_window=1)
         ).run(BFS(), graph)
         assert packed.stats.dispatch_lines <= unpacked.stats.dispatch_lines
 
     def test_noc_hops_counted(self, graph):
-        result = CycleAccurateScalaGraph(small_config()).run(BFS(), graph)
+        result = CycleAccurateScalaGraph(small_config(self.engine)).run(
+            BFS(), graph
+        )
         assert result.stats.noc_hops > 0
 
     def test_total_cycles_sum(self, graph):
-        result = CycleAccurateScalaGraph(small_config()).run(
+        result = CycleAccurateScalaGraph(small_config(self.engine)).run(
             BFS(), graph
         )
         assert result.stats.total_cycles == sum(
             result.stats.scatter_cycles
         ) + sum(result.stats.apply_cycles)
+
+
+class TestTimingAccountingVectorized(TestTimingAccounting):
+    engine = "vectorized"
 
 
 class TestArchitecturalAccounting:
@@ -175,9 +195,7 @@ class TestArchitecturalAccounting:
         link-load accounting: the cross-check that validates the
         at-scale timing model."""
         g = rmat_graph(6, edge_factor=4, seed=11)
-        config = small_config(
-            cycle_engine=engine, mapping="rom", aggregation_registers=0
-        )
+        config = small_config(engine, mapping="rom", aggregation_registers=0)
         result = CycleAccurateScalaGraph(config).run(PageRank(max_iters=1), g)
         src, dst, _ = gather_frontier_edges(g, np.arange(g.num_vertices))
         expected = RowOrientedMapping(MeshTopology(4, 4)).scatter_traffic(
@@ -191,7 +209,7 @@ class TestArchitecturalAccounting:
         hops = {
             mapping: CycleAccurateScalaGraph(
                 small_config(
-                    cycle_engine=engine,
+                    engine,
                     mapping=mapping,
                     aggregation_registers=0,
                 )
@@ -205,7 +223,7 @@ class TestArchitecturalAccounting:
         g = rmat_graph(6, edge_factor=8, seed=7)
         with_agg, without = (
             CycleAccurateScalaGraph(
-                small_config(cycle_engine=engine, aggregation_registers=r)
+                small_config(engine, aggregation_registers=r)
             ).run(PageRank(max_iters=3), g).stats
             for r in (16, 0)
         )
@@ -223,9 +241,7 @@ class TestArchitecturalAccounting:
         self, engine, program
     ):
         g = rmat_graph(6, edge_factor=5, seed=12)
-        result = CycleAccurateScalaGraph(
-            small_config(cycle_engine=engine)
-        ).run(program, g)
+        result = CycleAccurateScalaGraph(small_config(engine)).run(program, g)
         ref = run_reference(program, g)
         assert result.stats.iterations == ref.num_iterations
         assert result.converged == ref.converged

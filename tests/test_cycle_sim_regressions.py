@@ -11,8 +11,12 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph, star_graph
 
 
-def small_config(**kwargs):
-    defaults = dict(num_tiles=1, pe_rows=4, pe_cols=4)
+def small_config(engine, **kwargs):
+    """A 4x4 single tile with both engine fields set to ``engine``."""
+    defaults = dict(
+        num_tiles=1, pe_rows=4, pe_cols=4,
+        noc_engine=engine, cycle_engine=engine,
+    )
     defaults.update(kwargs)
     return ScalaGraphConfig(**defaults)
 
@@ -53,12 +57,14 @@ class ZeroContribution(VertexProgram):
 
 
 class TestIdentityValuedUpdates:
+    engine = "reference"
+
     def test_zero_update_still_counts_as_touched(self):
         """A 0-valued update under a + reduce must occupy an Apply slot."""
         graph = CSRGraph.from_edges(
             num_vertices=4, edges=[(0, 1), (0, 2)], name="tiny"
         )
-        result = CycleAccurateScalaGraph(small_config()).run(
+        result = CycleAccurateScalaGraph(small_config(self.engine)).run(
             ZeroContribution(), graph
         )
         # One scatter phase ran: 2 edges, 2 SPD reduces...
@@ -76,7 +82,9 @@ class TestIdentityValuedUpdates:
         no aggregated value equals the identity (BFS: min-reduce over
         finite depths, identity +inf)."""
         graph = rmat_graph(6, edge_factor=6, seed=7)
-        result = CycleAccurateScalaGraph(small_config()).run(BFS(), graph)
+        result = CycleAccurateScalaGraph(small_config(self.engine)).run(
+            BFS(), graph
+        )
         ref = run_reference(BFS(), graph)
         assert np.array_equal(result.properties, ref.properties)
         # Every iteration that performed reduces charged Apply cycles.
@@ -86,16 +94,22 @@ class TestIdentityValuedUpdates:
             assert (apply_cycles > 0) == (spd > 0)
 
 
+class TestIdentityValuedUpdatesVectorized(TestIdentityValuedUpdates):
+    engine = "vectorized"
+
+
 class TestBackpressureDraining:
     """Satellite regression: with buffer_depth=1 every hotspot injection
     bounces repeatedly; the requeue path must neither drop updates nor
     exit the phase early (silently losing them) nor hang."""
 
+    engine = "reference"
+
     @pytest.mark.parametrize("mapping", ["rom", "som"])
     def test_star_hotspot_drains_with_depth_1(self, mapping):
         star = star_graph(64, outward=True)
         sim = CycleAccurateScalaGraph(
-            small_config(mapping=mapping), noc_buffer_depth=1
+            small_config(self.engine, mapping=mapping), noc_buffer_depth=1
         )
         result = sim.run(BFS(), star)
         ref = run_reference(BFS(), star)
@@ -111,7 +125,8 @@ class TestBackpressureDraining:
         """FIFO-only PEs + depth-1 routers: maximum backpressure."""
         graph = rmat_graph(6, edge_factor=8, seed=11)
         sim = CycleAccurateScalaGraph(
-            small_config(aggregation_registers=0), noc_buffer_depth=1
+            small_config(self.engine, aggregation_registers=0),
+            noc_buffer_depth=1,
         )
         result = sim.run(PageRank(max_iters=2), graph)
         ref = run_reference(PageRank(max_iters=2), graph)
@@ -122,10 +137,10 @@ class TestBackpressureDraining:
     def test_shallow_buffers_cost_cycles_not_correctness(self):
         graph = rmat_graph(6, edge_factor=8, seed=11)
         deep = CycleAccurateScalaGraph(
-            small_config(), noc_buffer_depth=4
+            small_config(self.engine), noc_buffer_depth=4
         ).run(BFS(), graph)
         shallow = CycleAccurateScalaGraph(
-            small_config(), noc_buffer_depth=1
+            small_config(self.engine), noc_buffer_depth=1
         ).run(BFS(), graph)
         assert np.array_equal(deep.properties, shallow.properties)
         assert sum(shallow.stats.scatter_cycles) >= sum(
@@ -133,10 +148,16 @@ class TestBackpressureDraining:
         )
 
 
+class TestBackpressureDrainingVectorized(TestBackpressureDraining):
+    engine = "vectorized"
+
+
 class TestPerPhaseCounterConsistency:
     """Property-style cross-check: per Scatter phase, every dispatched
     update either coalesces in an aggregation pipeline or retires as
     exactly one SPD Reduce."""
+
+    engine = "reference"
 
     @pytest.mark.parametrize("mapping", ["rom", "som", "dom"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -144,7 +165,7 @@ class TestPerPhaseCounterConsistency:
         graph = rmat_graph(6, edge_factor=5, seed=seed)
         program = PageRank(max_iters=2) if seed % 2 else BFS()
         result = CycleAccurateScalaGraph(
-            small_config(mapping=mapping)
+            small_config(self.engine, mapping=mapping)
         ).run(program, graph)
         stats = result.stats
         phases = len(stats.scatter_cycles)
@@ -159,3 +180,9 @@ class TestPerPhaseCounterConsistency:
         assert sum(stats.phase_updates) == stats.updates_processed
         assert sum(stats.phase_coalesced) == stats.updates_coalesced
         assert sum(stats.phase_spd_reduces) == stats.spd_reduces
+
+
+class TestPerPhaseCounterConsistencyVectorized(
+    TestPerPhaseCounterConsistency
+):
+    engine = "vectorized"

@@ -13,6 +13,14 @@ from repro.core.accelerator import WorkloadIteration
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import star_graph
 
+#: A 4x4 tile per cycle-engine stack, both engine fields pinned.
+CYCLE_CONFIGS = [
+    ScalaGraphConfig(
+        num_tiles=1, pe_rows=4, pe_cols=4, noc_engine=e, cycle_engine=e
+    )
+    for e in ("reference", "vectorized")
+]
+
 
 @pytest.fixture
 def empty_graph():
@@ -33,7 +41,7 @@ class TestDegenerateGraphs:
     def test_single_vertex_everywhere(self, empty_graph):
         for simulator in (
             ScalaGraph(ScalaGraphConfig()),
-            CycleAccurateScalaGraph(),
+            *(CycleAccurateScalaGraph(c) for c in CYCLE_CONFIGS),
         ):
             result = simulator.run(BFS(), empty_graph)
             props = (
@@ -59,7 +67,7 @@ class TestDegenerateGraphs:
     def test_self_loops_handled(self, self_loop_graph):
         for simulator in (
             ScalaGraph(ScalaGraphConfig()),
-            CycleAccurateScalaGraph(),
+            *(CycleAccurateScalaGraph(c) for c in CYCLE_CONFIGS),
         ):
             result = simulator.run(BFS(), self_loop_graph)
             props = result.properties

@@ -16,7 +16,6 @@ from repro.algorithms import BFS, PageRank
 from repro.errors import ConfigurationError, SanitizerError
 from repro.graph.generators import rmat_graph
 from repro.noc import (
-    AUTO_VECTORIZE_MIN_NODES,
     FastMeshNetwork,
     MeshNetwork,
     MeshTopology,
@@ -178,7 +177,8 @@ class TestFastForward:
 
 
 class TestCycleSimEngineParity:
-    """The full cycle-accurate simulator is engine-agnostic."""
+    """The full cycle-accurate simulator is mesh-engine-agnostic: the
+    reference scatter loop steps either mesh to the same result."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -197,6 +197,7 @@ class TestCycleSimEngineParity:
                     pe_cols=4,
                     mapping=mapping,
                     noc_engine=engine,
+                    cycle_engine="reference",
                 ),
                 sanitize=True,
             )
@@ -221,7 +222,8 @@ class TestCycleSimEngineParity:
         for engine in ("reference", "vectorized"):
             sim = CycleAccurateScalaGraph(
                 ScalaGraphConfig(
-                    num_tiles=1, pe_rows=4, pe_cols=4, noc_engine=engine
+                    num_tiles=1, pe_rows=4, pe_cols=4,
+                    noc_engine=engine, cycle_engine="reference",
                 ),
                 sanitize=True,
             )
@@ -290,14 +292,15 @@ class TestSanitizerIntegration:
 
 class TestEngineSelection:
     def test_resolve_auto_by_size(self):
-        small = MeshTopology(4, 4)
-        big_rows = AUTO_VECTORIZE_MIN_NODES // 4
-        big = MeshTopology(big_rows, 4)
-        assert resolve_engine("auto", small) == "reference"
-        assert resolve_engine("auto", big) == "vectorized"
-        assert resolve_engine("Reference", small) == "reference"
+        assert resolve_engine("auto") == "vectorized"
+        for rows, cols in ((1, 1), (4, 4), (8, 8)):
+            assert isinstance(
+                make_mesh_network(MeshTopology(rows, cols), engine="auto"),
+                FastMeshNetwork,
+            )
+        assert resolve_engine("Reference") == "reference"
         with pytest.raises(ConfigurationError):
-            resolve_engine("turbo", small)
+            resolve_engine("turbo")
 
     def test_factory_returns_requested_engine(self):
         topology = MeshTopology(2, 2)
@@ -309,7 +312,7 @@ class TestEngineSelection:
             FastMeshNetwork,
         )
         assert isinstance(
-            make_mesh_network(topology, engine="auto"), MeshNetwork
+            make_mesh_network(topology, engine="auto"), FastMeshNetwork
         )
 
     def test_config_validates_engine(self):

@@ -18,10 +18,7 @@ from repro.algorithms.base import VertexProgram
 from repro.analysis.sanitizer import SimSanitizer
 from repro.core.config import ScalaGraphConfig
 from repro.core.cycle_sim import CycleAccurateScalaGraph
-from repro.core.fastsim import (
-    AUTO_CYCLE_ENGINE_MIN_NODES,
-    resolve_cycle_engine,
-)
+from repro.core.fastsim import resolve_cycle_engine
 from repro.core.profiling import Profiler
 from repro.errors import (
     ConfigurationError,
@@ -36,9 +33,9 @@ from repro.faults.schedule import (
     PEStallWindow,
 )
 from repro.graph.generators import rmat_graph, star_graph
-from repro.noc.fastmesh import AUTO_VECTORIZE_MIN_NODES
 from repro.noc.mesh import EAST, SOUTH
 from repro.noc.topology import MeshTopology
+from repro.service.scheduler import _CYCLE_MESH
 
 GRAPH = rmat_graph(6, edge_factor=8, seed=3)
 
@@ -57,6 +54,7 @@ def _fingerprint(result):
 def _run(
     engine,
     *,
+    noc_engine="auto",
     rows=8,
     cols=8,
     registers=16,
@@ -77,6 +75,7 @@ def _run(
         pe_cols=cols,
         aggregation_registers=registers,
         mapping=mapping,
+        noc_engine=noc_engine,
         cycle_engine=engine,
     )
     if window is not None:
@@ -146,22 +145,37 @@ class _SpecialValues(VertexProgram):
 
 
 class TestResolveCycleEngine:
-    def test_auto_small_mesh_is_reference(self):
-        assert resolve_cycle_engine("auto", MeshTopology(4, 4)) == "reference"
-
     def test_auto_large_mesh_is_vectorized(self):
-        topo = MeshTopology(8, 8)
-        assert topo.num_nodes >= AUTO_CYCLE_ENGINE_MIN_NODES
-        assert resolve_cycle_engine("auto", topo) == "vectorized"
+        assert resolve_cycle_engine("auto", "vectorized") == "vectorized"
+        for size in (4, 8):
+            result = _run(
+                "auto", rows=size, cols=size, algorithm="bfs",
+                profiler=Profiler(),
+            )
+            assert "cycle_sim.dispatch" in result.profile["timers"]
+
+    @pytest.mark.parametrize("system", sorted(_CYCLE_MESH))
+    def test_daemon_meshes_run_the_kernel_by_default(self, system):
+        """The daemon's cycle-fidelity meshes run the compiled engines
+        under the default config, equal to the reference stack."""
+        rows, cols = _CYCLE_MESH[system]
+        default = _run("auto", rows=rows, cols=cols, profiler=Profiler())
+        ref = _run("reference", noc_engine="reference", rows=rows, cols=cols)
+        assert "cycle_sim.dispatch" in default.profile["timers"]
+        assert _fingerprint(default) == _fingerprint(ref)
+        np.testing.assert_array_equal(
+            default.properties.view(np.int64), ref.properties.view(np.int64)
+        )
 
     def test_explicit_names_pass_through(self):
-        topo = MeshTopology(4, 4)
-        assert resolve_cycle_engine("reference", topo) == "reference"
-        assert resolve_cycle_engine("VECTORIZED", topo) == "vectorized"
+        assert resolve_cycle_engine("reference", "vectorized") == "reference"
+        assert resolve_cycle_engine("VECTORIZED", "vectorized") == (
+            "vectorized"
+        )
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_cycle_engine("turbo", MeshTopology(4, 4))
+            resolve_cycle_engine("turbo", "vectorized")
 
     def test_config_knob_rejected_value(self):
         with pytest.raises(ConfigurationError):
@@ -175,20 +189,16 @@ class TestResolveCycleEngine:
                 num_tiles=1, pe_rows=8, pe_cols=8,
                 cycle_engine="vectorized", noc_engine="reference",
             )
-        topo = MeshTopology(8, 8)
-        assert resolve_cycle_engine("auto", topo, "reference") == "reference"
-        assert resolve_cycle_engine("auto", topo, "vectorized") == (
-            "vectorized"
-        )
+        assert resolve_cycle_engine("auto", "reference") == "reference"
+        assert resolve_cycle_engine("auto", "vectorized") == "vectorized"
 
     def test_unsupported_reduce(self):
-        topo = MeshTopology(8, 8)
         with pytest.raises(ConfigurationError) as err:
-            resolve_cycle_engine("vectorized", topo, "auto", np.multiply)
+            resolve_cycle_engine("vectorized", "vectorized", np.multiply)
         for name in ("np.add", "np.minimum", "np.maximum"):
             assert name in str(err.value)
         assert (
-            resolve_cycle_engine("auto", topo, "auto", np.multiply)
+            resolve_cycle_engine("auto", "vectorized", np.multiply)
             == "reference"
         )
 
@@ -241,11 +251,13 @@ class TestDifferentialEquivalence:
         _assert_identical(dict(registers=9, mapping="som"))
 
     def test_small_mesh_steps_the_compiled_mesh(self):
-        """Below the NoC auto-threshold (where noc_engine='auto' alone
-        resolves to the reference mesh) the vectorized scatter engine
-        still steps the compiled mesh."""
-        assert 4 * 8 < AUTO_VECTORIZE_MIN_NODES
-        _assert_identical(dict(rows=4, cols=8, registers=8))
+        """On a 4x8 mesh the vectorized scatter engine, stepping the
+        compiled mesh, matches the full reference stack."""
+        case = dict(rows=4, cols=8, registers=8)
+        ref = _run("reference", noc_engine="reference", **case)
+        vec = _run("vectorized", **case)
+        assert _fingerprint(ref) == _fingerprint(vec)
+        np.testing.assert_array_equal(ref.properties, vec.properties)
 
     @pytest.mark.parametrize("ufunc", [np.add, np.minimum, np.maximum])
     def test_reduce_parity_bit_for_bit(self, ufunc):

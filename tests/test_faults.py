@@ -314,7 +314,8 @@ class TestCycleSimFaults:
 
     def _run(self, engine):
         config = ScalaGraphConfig(
-            num_tiles=1, pe_rows=4, pe_cols=4, noc_engine=engine
+            num_tiles=1, pe_rows=4, pe_cols=4,
+            noc_engine=engine, cycle_engine="reference",
         )
         topology = MeshTopology(4, 4)
         sim = CycleAccurateScalaGraph(
@@ -365,12 +366,15 @@ class TestCycleSimFaults:
 
 class TestEngineFallback:
     def _sim(self, **config_kwargs):
+        # The reference scatter loop steps the mesh through
+        # FastMeshNetwork.step, which broken_vectorized breaks.
         return CycleAccurateScalaGraph(
             ScalaGraphConfig(
                 num_tiles=1,
                 pe_rows=4,
                 pe_cols=4,
                 noc_engine="vectorized",
+                cycle_engine="reference",
                 **config_kwargs,
             ),
             sanitize=True,

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,33 +142,51 @@ class TestWithoutCompiler:
         monkeypatch.setenv("PATH", str(empty))
 
     def test_auto_falls_back_with_a_warning(self, no_cc):
-        big = MeshTopology(8, 8)
         with pytest.warns(RuntimeWarning, match="no C compiler"):
-            assert resolve_engine("auto", big) == "reference"
-        with pytest.warns(RuntimeWarning):
-            assert isinstance(make_mesh_network(big), MeshNetwork)
-        with pytest.warns(RuntimeWarning, match="no C compiler"):
-            assert resolve_cycle_engine("auto", big) == "reference"
+            assert resolve_engine("auto") == "reference"
+        for mesh in (MeshTopology(4, 4), MeshTopology(8, 8)):
+            with pytest.warns(RuntimeWarning):
+                assert isinstance(make_mesh_network(mesh), MeshNetwork)
+        assert resolve_cycle_engine("auto", "reference") == "reference"
 
     def test_vectorized_raises(self, no_cc):
         with pytest.raises(ConfigurationError, match="no C compiler"):
-            resolve_engine("vectorized", MeshTopology(8, 8))
+            resolve_engine("vectorized")
+        config = ScalaGraphConfig(
+            num_tiles=1, pe_rows=4, pe_cols=4, cycle_engine="vectorized"
+        )
         with pytest.raises(ConfigurationError, match="no C compiler"):
-            resolve_cycle_engine("vectorized", MeshTopology(8, 8))
+            CycleAccurateScalaGraph(config).run(
+                BFS(), rmat_graph(4, edge_factor=4, seed=3)
+            )
         with pytest.raises(ConfigurationError):
             FastMeshNetwork(MeshTopology(2, 2))
 
-    def test_small_auto_mesh_needs_no_compiler(self, no_cc, recwarn):
-        assert resolve_engine("auto", MeshTopology(4, 4)) == "reference"
-        assert resolve_cycle_engine("auto", MeshTopology(4, 4)) == (
-            "reference"
-        )
-        assert not recwarn.list
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_one_fallback_warning_per_run(self, no_cc, size):
+        """A default run checks the kernel once: one warning, then the
+        reference engines' exact result."""
+        graph = rmat_graph(6, edge_factor=4, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            auto = CycleAccurateScalaGraph(
+                ScalaGraphConfig(num_tiles=1, pe_rows=size, pe_cols=size)
+            ).run(BFS(), graph)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        ref = CycleAccurateScalaGraph(
+            ScalaGraphConfig(
+                num_tiles=1, pe_rows=size, pe_cols=size,
+                noc_engine="reference", cycle_engine="reference",
+            )
+        ).run(BFS(), graph)
+        assert vars(auto.stats) == vars(ref.stats)
+        np.testing.assert_array_equal(auto.properties, ref.properties)
 
 
-def test_reference_paths_never_compile(tmp_path, monkeypatch):
-    """The analytic model and a 4x4 reference cycle run (what the Fig. 14
-    sweep and the daemon execute) never build the kernel."""
+def test_analytic_and_reference_engines_never_compile(tmp_path, monkeypatch):
+    """The analytic model (the Fig. 14 sweep, the daemon's analytic and
+    degraded answers) and the explicit reference cycle engines never
+    build the kernel."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     calls = []
 
@@ -178,7 +197,10 @@ def test_reference_paths_never_compile(tmp_path, monkeypatch):
     monkeypatch.setattr(meshkernel, "_compile", record)
     graph = rmat_graph(6, edge_factor=4, seed=3)
     ScalaGraph(ScalaGraphConfig()).run(BFS(), graph)
-    config = ScalaGraphConfig(num_tiles=1, pe_rows=4, pe_cols=4)
+    config = ScalaGraphConfig(
+        num_tiles=1, pe_rows=4, pe_cols=4,
+        noc_engine="reference", cycle_engine="reference",
+    )
     CycleAccurateScalaGraph(config).run(BFS(), graph)
     assert calls == []
     assert not (tmp_path / "repro").exists()

@@ -13,6 +13,16 @@ from repro.core import (
 )
 from repro.graph.generators import rmat_graph
 
+ENGINES = ["reference", "vectorized"]
+
+
+def small_config(engine):
+    """A 4x4 single tile with both engine fields set to ``engine``."""
+    return ScalaGraphConfig(
+        num_tiles=1, pe_rows=4, pe_cols=4,
+        noc_engine=engine, cycle_engine=engine,
+    )
+
 
 class TestProfiler:
     def test_timer_accumulates(self):
@@ -52,7 +62,7 @@ class TestProfiler:
 
     def test_block_timer_reusable(self):
         prof = Profiler()
-        timer = prof.block_timer("loop")
+        timer = prof.timer("loop")
         for _ in range(3):
             with timer:
                 pass
@@ -62,7 +72,7 @@ class TestProfiler:
 
     def test_block_timer_propagates_exceptions(self):
         prof = Profiler()
-        timer = prof.block_timer("boom")
+        timer = prof.timer("boom")
         try:
             with timer:
                 raise ValueError()
@@ -95,8 +105,6 @@ class TestNullProfiler:
             pass
         prof.add_time("x", 1.0)
         prof.count("y", 5)
-        with prof.block_timer("z"):
-            pass
         assert prof.to_dict() == {"timers": {}, "counters": {}}
         assert not prof.enabled
         assert not NULL_PROFILER.enabled
@@ -139,30 +147,31 @@ class TestModelIntegration:
 
     def test_cycle_sim_profile(self):
         graph = rmat_graph(6, edge_factor=6, seed=2)
-        prof = Profiler()
-        sim = CycleAccurateScalaGraph(
-            ScalaGraphConfig(num_tiles=1, pe_rows=4, pe_cols=4),
-            profiler=prof,
-        )
-        result = sim.run(PageRank(max_iters=2), graph)
-        assert result.profile is not None
-        timers = result.profile["timers"]
-        assert "cycle_sim.scatter" in timers
-        assert "cycle_sim.apply" in timers
-        assert "cycle_sim.noc_step" in timers
-        counters = result.profile["counters"]
-        assert counters["cycle_sim.spd_reduces"] == result.stats.spd_reduces
-        assert counters["cycle_sim.scatter_cycles"] == sum(
-            result.stats.scatter_cycles
-        )
+        for engine in ENGINES:
+            prof = Profiler()
+            sim = CycleAccurateScalaGraph(small_config(engine), profiler=prof)
+            result = sim.run(PageRank(max_iters=2), graph)
+            assert result.profile is not None
+            timers = result.profile["timers"]
+            assert "cycle_sim.scatter" in timers
+            assert "cycle_sim.apply" in timers
+            assert "cycle_sim.noc_step" in timers
+            counters = result.profile["counters"]
+            assert counters["cycle_sim.spd_reduces"] == (
+                result.stats.spd_reduces
+            )
+            assert counters["cycle_sim.scatter_cycles"] == sum(
+                result.stats.scatter_cycles
+            )
 
     def test_cycle_sim_profiling_preserves_results(self):
         graph = rmat_graph(6, edge_factor=6, seed=2)
-        config = ScalaGraphConfig(num_tiles=1, pe_rows=4, pe_cols=4)
-        plain = CycleAccurateScalaGraph(config).run(BFS(), graph)
-        profiled = CycleAccurateScalaGraph(config, profiler=Profiler()).run(
-            BFS(), graph
-        )
-        assert np.array_equal(plain.properties, profiled.properties)
-        assert plain.stats.total_cycles == profiled.stats.total_cycles
-        assert plain.profile is None
+        for engine in ENGINES:
+            config = small_config(engine)
+            plain = CycleAccurateScalaGraph(config).run(BFS(), graph)
+            profiled = CycleAccurateScalaGraph(
+                config, profiler=Profiler()
+            ).run(BFS(), graph)
+            assert np.array_equal(plain.properties, profiled.properties)
+            assert plain.stats.total_cycles == profiled.stats.total_cycles
+            assert plain.profile is None

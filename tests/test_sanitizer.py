@@ -24,8 +24,15 @@ from repro.noc.router import LOCAL
 from repro.noc.topology import MeshTopology
 
 
-def small_config(**kwargs):
-    defaults = dict(num_tiles=1, pe_rows=4, pe_cols=4)
+ENGINES = ["reference", "vectorized"]
+
+
+def small_config(engine="reference", **kwargs):
+    """A 4x4 single tile with both engine fields set to ``engine``."""
+    defaults = dict(
+        num_tiles=1, pe_rows=4, pe_cols=4,
+        noc_engine=engine, cycle_engine=engine,
+    )
     defaults.update(kwargs)
     return ScalaGraphConfig(**defaults)
 
@@ -221,24 +228,26 @@ class TestSanitizedCycleSim:
 
     def test_sanitized_run_matches_plain(self, graph):
         program = PageRank(max_iters=3)
-        plain = CycleAccurateScalaGraph(
-            small_config(), sanitize=False
-        ).run(program, graph)
-        sim = CycleAccurateScalaGraph(small_config(), sanitize=True)
-        checked = sim.run(program, graph)
-        assert sim.sanitizer is not None
-        assert sim.sanitizer.checks_run > 0
-        assert np.array_equal(checked.properties, plain.properties)
-        assert checked.stats.total_cycles == plain.stats.total_cycles
-        assert checked.stats.spd_reduces == plain.stats.spd_reduces
+        for engine in ENGINES:
+            plain = CycleAccurateScalaGraph(
+                small_config(engine), sanitize=False
+            ).run(program, graph)
+            sim = CycleAccurateScalaGraph(small_config(engine), sanitize=True)
+            checked = sim.run(program, graph)
+            assert sim.sanitizer is not None
+            assert sim.sanitizer.checks_run > 0
+            assert np.array_equal(checked.properties, plain.properties)
+            assert checked.stats.total_cycles == plain.stats.total_cycles
+            assert checked.stats.spd_reduces == plain.stats.spd_reduces
 
     def test_environment_arms_the_simulator(self, monkeypatch, graph):
         monkeypatch.setenv(REPRO_SANITIZE_ENV, "1")
-        sim = CycleAccurateScalaGraph(small_config())
-        assert sim.sanitizer is not None
-        result = sim.run(BFS(), graph)
-        assert result.converged
-        assert sim.sanitizer.checks_run > 0
+        for engine in ENGINES:
+            sim = CycleAccurateScalaGraph(small_config(engine))
+            assert sim.sanitizer is not None
+            result = sim.run(BFS(), graph)
+            assert result.converged
+            assert sim.sanitizer.checks_run > 0
 
     def test_run_totals_tamper_detected(self, graph):
         sim = CycleAccurateScalaGraph(small_config(), sanitize=True)

@@ -106,8 +106,12 @@ class TestEndToEndDeterminism:
         from repro.graph.generators import rmat_graph
 
         g = rmat_graph(6, edge_factor=5, seed=9)
-        cfg = ScalaGraphConfig(num_tiles=1, pe_rows=4, pe_cols=4)
-        a = CycleAccurateScalaGraph(cfg).run(BFS(), g)
-        b = CycleAccurateScalaGraph(cfg).run(BFS(), g)
-        assert a.stats.scatter_cycles == b.stats.scatter_cycles
-        assert a.stats.noc_hops == b.stats.noc_hops
+        for engine in ("reference", "vectorized"):
+            cfg = ScalaGraphConfig(
+                num_tiles=1, pe_rows=4, pe_cols=4,
+                noc_engine=engine, cycle_engine=engine,
+            )
+            a = CycleAccurateScalaGraph(cfg).run(BFS(), g)
+            b = CycleAccurateScalaGraph(cfg).run(BFS(), g)
+            assert a.stats.scatter_cycles == b.stats.scatter_cycles
+            assert a.stats.noc_hops == b.stats.noc_hops
