@@ -549,7 +549,7 @@ def _fault_replay(
     """Drain the same traffic through both engines twice each under one
     seeded fault schedule; report per-engine stats and agreement."""
     from repro.faults import FaultSchedule
-    from repro.noc import MeshTopology, Packet, make_mesh_network
+    from repro.noc import MeshTopology, Packet, drain, make_mesh_network
     from repro.noc.patterns import generate
 
     topology = MeshTopology(rows, cols)
@@ -568,14 +568,13 @@ def _fault_replay(
         runs = []
         for _ in range(2):
             faults = FaultSchedule(topology, fault_config)
-            network = make_mesh_network(
-                topology, engine=engine, faults=faults
+            stats = drain(
+                make_mesh_network(topology, engine=engine, faults=faults),
+                [
+                    Packet(src=s, dst=d, vertex=i)
+                    for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist()))
+                ],
             )
-            for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-                network.schedule(
-                    Packet(src=s, dst=d, vertex=i, injected_cycle=0)
-                )
-            stats = network.run_until_drained()
             runs.append(
                 {
                     "digest": faults.digest(),

@@ -6,9 +6,10 @@ ScalaGraph replaces the centralised crossbar of prior accelerators with a
 * cycle-level simulators for the mesh — the auditable reference
   (:mod:`repro.noc.mesh`) and the struct-of-arrays engine
   (:mod:`repro.noc.fastmesh`, whose cycle step is compiled C built by
-  :mod:`repro.noc.meshkernel`), equivalence-gated against each other and
-  selected via :func:`~repro.noc.fastmesh.make_mesh_network` — and the
-  VOQ crossbar (:mod:`repro.noc.crossbar`),
+  :mod:`repro.noc.meshkernel`), equivalence-gated against each other,
+  selected via :func:`~repro.noc.fastmesh.make_mesh_network` and fed
+  only through their ``inject`` port, by :func:`~repro.noc.patterns.drain`
+  for whole workloads — and the VOQ crossbar (:mod:`repro.noc.crossbar`),
 * the Benes multistage network (:mod:`repro.noc.benes`) used in the
   Figure 8 frequency comparison,
 * the four-stage aggregation pipeline of Figure 11
@@ -25,6 +26,7 @@ from repro.noc.fastmesh import (
     make_mesh_network,
     resolve_engine,
 )
+from repro.noc.patterns import drain
 from repro.noc.crossbar import CrossbarSwitch, CrossbarStats
 from repro.noc.benes import BenesNetwork
 from repro.noc.aggregation import (
@@ -48,6 +50,7 @@ __all__ = [
     "FastMeshNetwork",
     "make_mesh_network",
     "resolve_engine",
+    "drain",
     "CrossbarSwitch",
     "CrossbarStats",
     "BenesNetwork",

@@ -19,27 +19,21 @@ ejection and link traversal, one single-flit packet per link per cycle.
 The vectorized scatter phase (:mod:`repro.core.fastsim`) steps this mesh
 with the same code from inside its own compiled loop
 (:meth:`FastMeshNetwork.kernel_table`).  Python keeps the object-packet
-paths (:meth:`~FastMeshNetwork.schedule`, :meth:`~FastMeshNetwork.inject`
-and deferred injections), the fault-mask loads, the sanitizer hooks and
-every :class:`~repro.noc.mesh.MeshStats` write: the kernel returns
-counts.
+path (:meth:`~FastMeshNetwork.inject`, the one way a packet enters, and
+the delivery log), the fault-mask loads, the sanitizer hooks and every
+:class:`~repro.noc.mesh.MeshStats` write: the kernel returns counts.
 
 **Equivalence contract.**  The engine is packet-for-packet and
 cycle-for-cycle identical to the reference simulator: identical
 :class:`~repro.noc.mesh.MeshStats` (cycles, injected, delivered, hops,
 latency, peak occupancy, stalled moves, fault counters) and identical
-delivery order, for any workload — including deferred injections,
-fault schedules and single-entry buffers.
+delivery order, for any workload — including backpressured and
+staggered injection (:func:`repro.noc.patterns.drain`), fault
+schedules and single-entry buffers.
 ``tests/test_fastmesh.py`` and ``tests/test_faults.py`` enforce this
 differentially across mesh sizes, traffic patterns, and the full
 cycle-accurate simulator; treat any divergence as a bug in this module,
 never as acceptable drift.
-
-Both engines also support an *idle-cycle fast-forward*: when every FIFO
-is empty, :meth:`run_until_drained` jumps the cycle counter to the next
-pending injection instead of spinning one cycle at a time.  The jump is
-stats-neutral — idle cycles change nothing but the counter — so
-fast-forwarded and stepped runs report identical ``MeshStats``.
 
 Engine selection is wired through
 :attr:`repro.core.config.ScalaGraphConfig.noc_engine` and the
@@ -50,10 +44,8 @@ reference with a warning when no C compiler is available.
 
 from __future__ import annotations
 
-import heapq
 import warnings
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
@@ -152,8 +144,9 @@ class FastMeshNetwork:
     compiled step.
 
     Public surface mirrors :class:`~repro.noc.mesh.MeshNetwork`:
-    :meth:`schedule` / :meth:`inject` packets, :meth:`step` or
-    :meth:`run_until_drained`, read :attr:`delivered` and :attr:`stats`.
+    :meth:`inject` packets, :meth:`step` the clock (or hand a workload
+    to :func:`repro.noc.patterns.drain`), read :attr:`delivered` and
+    :attr:`stats`.
 
     Packets are registered once and referenced by integer index inside
     the FIFO arrays; the :class:`~repro.noc.packet.Packet` objects
@@ -187,6 +180,8 @@ class FastMeshNetwork:
         self.stats = MeshStats()
 
         n = topology.num_nodes
+        #: Node count, for :meth:`inject`'s range test.
+        self._nodes = n
         depth = buffer_depth
         # --- struct-of-arrays router state -----------------------------
         #: FIFO ring buffers of packet indices, (node, port, slot).
@@ -214,17 +209,6 @@ class FastMeshNetwork:
         #: per node beyond the cursor.
         self._dlv_pidx = np.zeros(max(1024, 2 * n), dtype=np.int64)
         self._dlv_n = 0
-
-        # --- deferred injections ---------------------------------------
-        # Per source node: (future-injection heap keyed (when, seq),
-        # ready deque of (seq, pidx, when, merged_cycle)).  Splitting
-        # ready packets out of the heap avoids the reference's
-        # pop-and-repush churn for backpressured injections while
-        # reproducing its (when, seq) ordering exactly.
-        self._pending: Dict[
-            int, Tuple[List[List[int]], Deque[Tuple[int, int, int, int]]]
-        ] = {}
-        self._seq = 0
 
         # --- fault masks and kernel scratch ----------------------------
         #: This cycle's dead output links and frozen input FIFOs (all
@@ -265,34 +249,22 @@ class FastMeshNetwork:
     # ------------------------------------------------------------------
     # Injection
     # ------------------------------------------------------------------
-    def schedule(self, packet: Packet, cycle: Optional[int] = None) -> None:
-        """Queue a packet for injection at ``cycle`` (default: its
-        ``injected_cycle``).  Injection is retried every cycle until the
-        source router's local buffer has space."""
-        when = packet.injected_cycle if cycle is None else cycle
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
-        pidx = self._register(packet)
-        entry = self._pending.get(packet.src)
-        if entry is None:
-            entry = ([], deque())
-            self._pending[packet.src] = entry
-        heapq.heappush(entry[0], [when, self._seq, pidx])
-        self._seq += 1
-
     def inject(self, packet: Packet) -> bool:
-        """Immediately place a packet into its source router's local
-        input buffer.  Returns False when the buffer is full."""
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
-        src = packet.src
-        if self._count[src, LOCAL] >= self.buffer_depth:
+        """Place a packet into its source router's local input buffer,
+        stamping ``injected_cycle`` with the current cycle.  Returns
+        False when the buffer is full."""
+        src, dst, n = packet.src, packet.dst, self._nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            bad = dst if 0 <= src < n else src
+            raise ConfigurationError(f"node {bad} outside mesh with {n} nodes")
+        # ``item`` reads a plain int: a drain offers a backlogged
+        # source's head every cycle, so the refused call is the hot one.
+        count = self._count.item(src, LOCAL)
+        if count >= self.buffer_depth:
             return False
         packet.injected_cycle = self.cycle
         pidx = self._register(packet)
-        slot = (self._head[src, LOCAL] + self._count[src, LOCAL]) % (
-            self.buffer_depth
-        )
+        slot = (self._head.item(src, LOCAL) + count) % self.buffer_depth
         self._buf[src, LOCAL, slot] = pidx
         self._count[src, LOCAL] += 1
         self.stats.injected += 1
@@ -302,14 +274,11 @@ class FastMeshNetwork:
     # Simulation
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the network by one cycle (the reference's phases:
-        injection, then one arbitrate/reserve/commit pass over every
-        router, in C)."""
-        if self._pending:
-            self._inject_pending()
+        """Advance the network by one cycle (the reference's
+        arbitrate/reserve/commit pass over every router, in C)."""
         self.load_fault_masks(self.cycle)
         n0 = self._dlv_n
-        if n0 + self.topology.num_nodes > self._dlv_pidx.size:
+        if n0 + self._nodes > self._dlv_pidx.size:
             # One doubling suffices: the log starts >= 2 * nodes long
             # and a step appends at most one delivery per node.
             self._dlv_pidx = np.resize(self._dlv_pidx, 2 * self._dlv_pidx.size)
@@ -384,63 +353,12 @@ class FastMeshNetwork:
             packet.delivered_cycle = cycle
             self.delivered.append(packet)
 
-    def run_until_drained(self, max_cycles: int = 1_000_000) -> MeshStats:
-        """Step until every scheduled packet has been delivered.
-
-        Idle gaps — empty FIFOs — are skipped by jumping straight to the
-        next pending injection; the resulting stats are identical to
-        stepping through the gap.
-        """
-        while True:
-            occupancy = self.total_occupancy()
-            if not (self._pending or occupancy):
-                break
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"mesh did not drain within {max_cycles} cycles"
-                )
-            if not occupancy:
-                target = self.next_event_cycle()
-                if target is not None and target > self.cycle:
-                    self.fast_forward(min(target, max_cycles))
-            self.step()
-        return self.stats
-
     # ------------------------------------------------------------------
     # Engine-agnostic inspection (shared with MeshNetwork)
     # ------------------------------------------------------------------
     def total_occupancy(self) -> int:
         """Total packets buffered in router FIFOs."""
         return int(self._count.sum())
-
-    def next_event_cycle(self) -> Optional[int]:
-        """Cycle of the next scheduled event while the mesh is idle.
-
-        Returns None unless the network is *quiescent* — empty FIFOs —
-        with injections still pending.  Jumping the cycle counter to the
-        returned value is then observationally identical to stepping.
-        """
-        if self.total_occupancy():
-            return None
-        events: List[int] = []
-        for future, ready in self._pending.values():
-            if ready:
-                return None  # a past-due packet is retrying: not idle
-            if future:
-                events.append(future[0][0])
-        return min(events) if events else None
-
-    def fast_forward(self, target: int) -> int:
-        """Jump the idle network's cycle counter to ``target``; returns
-        the number of cycles skipped.  Callers must only pass targets at
-        or before :meth:`next_event_cycle` (the jump assumes nothing can
-        move in between)."""
-        skipped = target - self.cycle
-        if skipped <= 0:
-            return 0
-        self.cycle = target
-        self.stats.cycles = self.cycle
-        return skipped
 
     # ------------------------------------------------------------------
     # Internals
@@ -467,83 +385,6 @@ class FastMeshNetwork:
         self._pkt_value = np.resize(self._pkt_value, grow)
         self._bind()
 
-    def _inject_pending(self) -> None:
-        """Drain due injections into local buffers, in (when, seq) order
-        per node, deferring what does not fit.
-
-        Deferred packets wait in the ready deque instead of being
-        re-pushed into the heap every cycle (the reference's behaviour);
-        the merge below reproduces the reference's ordering exactly,
-        because a deferred packet's effective injection key is
-        ``(current_cycle, seq)``.
-        """
-        cycle = self.cycle
-        depth = self.buffer_depth
-        # One vectorised read of the local-port state, then plain-int
-        # arithmetic inside the loop; the (unique-node) writes are
-        # committed with a single fancy-indexed scatter at the end.
-        local_count = self._count[:, LOCAL].tolist()
-        local_head = self._head[:, LOCAL].tolist()
-        pkts = self._pkts
-        slot_node: List[int] = []
-        slot_pos: List[int] = []
-        slot_pidx: List[int] = []
-        slot_when: List[int] = []
-        upd_node: List[int] = []
-        upd_fits: List[int] = []
-        for node in list(self._pending):
-            future, ready = self._pending[node]
-            if future and future[0][0] <= cycle:
-                fresh = []
-                while future and future[0][0] <= cycle:
-                    fresh.append(heapq.heappop(future))
-                if ready:
-                    merged = [
-                        (cycle, seq, pidx, when, merged_at)
-                        for seq, pidx, when, merged_at in ready
-                    ]
-                    merged += [
-                        (when, seq, pidx, when, cycle)
-                        for when, seq, pidx in fresh
-                    ]
-                    merged.sort()
-                    ready.clear()
-                    ready.extend(
-                        (seq, pidx, when, merged_at)
-                        for _eff, seq, pidx, when, merged_at in merged
-                    )
-                else:
-                    ready.extend(
-                        (seq, pidx, when, cycle)
-                        for when, seq, pidx in fresh
-                    )
-            if ready:
-                space = depth - local_count[node]
-                fits = min(space, len(ready)) if space > 0 else 0
-                if fits:
-                    base = local_head[node] + local_count[node]
-                    for j in range(fits):
-                        _seq, pidx, when, merged_at = ready.popleft()
-                        # A packet deferred by backpressure injects "now";
-                        # one arriving on schedule keeps its own cycle.
-                        injected = when if merged_at == cycle else cycle
-                        slot_node.append(node)
-                        slot_pos.append((base + j) % depth)
-                        slot_pidx.append(pidx)
-                        slot_when.append(injected)
-                        pkts[pidx].injected_cycle = injected
-                    upd_node.append(node)
-                    upd_fits.append(fits)
-            if not ready and not future:
-                del self._pending[node]
-        if slot_node:
-            self._buf[slot_node, LOCAL, slot_pos] = slot_pidx
-            self._pkt_injected[slot_pidx] = slot_when
-            self._count[upd_node, LOCAL] += np.asarray(
-                upd_fits, dtype=np.int64
-            )
-            self.stats.injected += len(slot_node)
-
     def _run_sanitizer(self, occupancy: int) -> None:
         """End-of-cycle invariant audit over the array state (opt-in)."""
         san = self.sanitizer
@@ -564,13 +405,6 @@ class FastMeshNetwork:
             where="fastmesh",
             cycle=self.cycle,
         )
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.topology.num_nodes:
-            raise ConfigurationError(
-                f"node {node} outside mesh with "
-                f"{self.topology.num_nodes} nodes"
-            )
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,15 @@ struct-of-arrays engine that is packet-for-packet and cycle-for-cycle
 identical to this one (differential tests enforce it) but advances
 whole cycles in one compiled call.  This class
 remains the golden model the fast engine is gated against.
+
+A packet enters either engine only through ``inject``, its source
+router's local port, as an update leaves its RU in the paper's tile;
+:func:`repro.noc.patterns.drain` queues whole workloads at their
+sources and steps the mesh until it is empty.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -25,7 +29,7 @@ if TYPE_CHECKING:  # import-free at runtime: the hooks are duck-typed
     from repro.analysis.sanitizer import SimSanitizer
     from repro.faults.schedule import FaultSchedule
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.noc.packet import Packet
 from repro.noc.router import (
     EAST,
@@ -95,9 +99,9 @@ class MeshStats:
 class MeshNetwork:
     """A ``rows x cols`` mesh advanced one cycle at a time.
 
-    Usage: :meth:`schedule` packets (or :meth:`inject` directly), then call
-    :meth:`run_until_drained`; delivered packets land in
-    :attr:`delivered` with ``delivered_cycle`` filled in.
+    Usage: :meth:`inject` packets and :meth:`step` the clock (or hand
+    a workload to :func:`repro.noc.patterns.drain`); delivered packets
+    land in :attr:`delivered` with ``delivered_cycle`` filled in.
     """
 
     def __init__(
@@ -122,28 +126,19 @@ class MeshNetwork:
         self.cycle = 0
         self.delivered: List[Packet] = []
         self.stats = MeshStats()
-        self._pending: List[Tuple[int, int, Packet]] = []  # (cycle, seq, pkt)
-        self._seq = 0
 
     # ------------------------------------------------------------------
     # Injection
     # ------------------------------------------------------------------
-    def schedule(self, packet: Packet, cycle: Optional[int] = None) -> None:
-        """Queue a packet for injection at ``cycle`` (default: its
-        ``injected_cycle``).  Injection is retried every cycle until the
-        source router's local buffer has space."""
-        when = packet.injected_cycle if cycle is None else cycle
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
-        heapq.heappush(self._pending, (when, self._seq, packet))
-        self._seq += 1
-
     def inject(self, packet: Packet) -> bool:
-        """Immediately place a packet into its source router's local
-        input buffer.  Returns False when the buffer is full."""
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
-        router = self.routers[packet.src]
+        """Place a packet into its source router's local input buffer,
+        stamping ``injected_cycle`` with the current cycle.  Returns
+        False when the buffer is full."""
+        src, dst, n = packet.src, packet.dst, len(self.routers)
+        if not (0 <= src < n and 0 <= dst < n):
+            bad = dst if 0 <= src < n else src
+            raise ConfigurationError(f"node {bad} outside mesh with {n} nodes")
+        router = self.routers[src]
         if not router.has_space(LOCAL):
             return False
         packet.injected_cycle = self.cycle
@@ -157,13 +152,10 @@ class MeshNetwork:
     def step(self) -> None:
         """Advance the network by one cycle.
 
-        Phase 1 drains the pending-injection heap into local buffers
-        (subject to space); phase 2 arbitrates every router and commits
-        all grants simultaneously (two-phase update so intra-cycle order
-        does not matter); phase 3 applies the moves.
+        Phase 1 arbitrates every router; phase 2 reserves downstream
+        space and commits all grants simultaneously (two-phase update so
+        intra-cycle order does not matter); phase 3 applies the moves.
         """
-        self._inject_pending()
-
         # Collect all grants first (read phase).  With a fault schedule
         # armed, routing goes through the schedule's detour policy,
         # frozen FIFOs withhold their requests, and any fault that
@@ -277,77 +269,9 @@ class MeshNetwork:
             cycle=self.cycle,
         )
 
-    def run_until_drained(self, max_cycles: int = 1_000_000) -> MeshStats:
-        """Step until every scheduled packet has been delivered.
-
-        Idle gaps — empty FIFOs — are skipped by jumping straight to the
-        next pending injection; the resulting stats are identical to
-        stepping through the gap.
-        """
-        while True:
-            occupancy = self.total_occupancy()
-            if not (self._pending or occupancy):
-                break
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"mesh did not drain within {max_cycles} cycles"
-                )
-            if not occupancy:
-                target = self.next_event_cycle()
-                if target is not None and target > self.cycle:
-                    self.fast_forward(min(target, max_cycles))
-            self.step()
-        return self.stats
-
     # ------------------------------------------------------------------
     # Engine-agnostic inspection (shared with FastMeshNetwork)
     # ------------------------------------------------------------------
     def total_occupancy(self) -> int:
         """Total packets buffered in router FIFOs."""
         return sum(r.occupancy() for r in self.routers)
-
-    def next_event_cycle(self) -> Optional[int]:
-        """Cycle of the next scheduled event while the mesh is idle.
-
-        Returns None unless the network is *quiescent* — empty FIFOs —
-        with injections still pending.  Jumping the cycle counter to the
-        returned value is then observationally identical to stepping.
-        """
-        if self.total_occupancy() or not self._pending:
-            return None
-        return self._pending[0][0]
-
-    def fast_forward(self, target: int) -> int:
-        """Jump the idle network's cycle counter to ``target``; returns
-        the number of cycles skipped.  Callers must only pass targets at
-        or before :meth:`next_event_cycle` (the jump assumes nothing can
-        move in between)."""
-        skipped = target - self.cycle
-        if skipped <= 0:
-            return 0
-        self.cycle = target
-        self.stats.cycles = self.cycle
-        return skipped
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _inject_pending(self) -> None:
-        deferred = []
-        while self._pending and self._pending[0][0] <= self.cycle:
-            when, seq, packet = heapq.heappop(self._pending)
-            router = self.routers[packet.src]
-            if router.has_space(LOCAL):
-                packet.injected_cycle = when  # latency counts queueing time
-                router.accept(LOCAL, packet)
-                self.stats.injected += 1
-            else:
-                deferred.append((self.cycle + 1, seq, packet))
-        for item in deferred:
-            heapq.heappush(self._pending, item)
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.topology.num_nodes:
-            raise ConfigurationError(
-                f"node {node} outside mesh with {self.topology.num_nodes} nodes"
-            )

@@ -20,6 +20,10 @@ class Packet:
         vertex: destination vertex ID carried by the update.
         value: scatter result to be reduced into the vertex's V_temp.
         injected_cycle: cycle at which the packet entered the network.
+            :func:`repro.noc.patterns.drain` reads it first as the
+            packet's release cycle (when it joins its source's queue);
+            the mesh's ``inject`` overwrites it with the cycle the
+            packet actually got in.
         delivered_cycle: set by the simulator on arrival.
     """
 

@@ -1,24 +1,39 @@
-"""Synthetic NoC traffic patterns (standard interconnect methodology).
+"""Synthetic NoC traffic patterns (standard interconnect methodology)
+and the one driver that runs a workload through a mesh engine.
 
 Graph workloads are irregular, but interconnects are characterised with
 canonical patterns: uniform random, permutations (transpose,
 bit-reversal, shuffle), hotspot, and tornado.  These generators feed the
 cycle-level mesh/crossbar simulators for saturation-throughput studies
 (``benchmarks/bench_noc_characterization.py``) and stress tests.
+
+:func:`drain` queues packets at their source nodes and steps either mesh
+engine until it is empty, through the same ``inject``/``step`` protocol
+the cycle engines' scatter loops use; the NoC studies, ``repro faults``
+and the mesh tests all run their traffic through it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from collections import deque
+from operator import attrgetter
+from typing import Callable, Deque, Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.noc.fastmesh import MeshEngine, make_mesh_network
+from repro.noc.mesh import MeshStats
+from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 
-#: A pattern maps (topology, rng, count) -> (src, dst) arrays.
-PatternFn = Callable[[MeshTopology, np.random.Generator, int], Tuple[np.ndarray, np.ndarray]]
+#: A pattern maps (topology, rng, count) -> (src, dst) arrays.  The
+#: generator type is quoted so that importing :mod:`repro.noc`, which
+#: exports :func:`drain`, does not load ``numpy.random``.
+PatternFn = Callable[
+    [MeshTopology, "np.random.Generator", int], Tuple[np.ndarray, np.ndarray]
+]
 
 
 def uniform_random(
@@ -134,31 +149,68 @@ def generate(
     return PATTERNS[name](topology, rng, count, **kwargs)
 
 
+def drain(
+    network: MeshEngine,
+    packets: Iterable[Packet] = (),
+    max_cycles: int = 1_000_000,
+) -> MeshStats:
+    """Run ``packets`` through ``network`` until nothing is left; return
+    its stats.
+
+    Each packet joins a FIFO queue at its source node once the network's
+    clock reaches its ``injected_cycle`` (packets due on the same cycle
+    keep their order).  Every cycle, each queue offers its head packets
+    to ``network.inject`` until one is refused, then the network steps;
+    ``inject`` restamps ``injected_cycle`` with the cycle the packet got
+    in.  Idle cycles are stepped, not skipped.  With no packets, an
+    already-loaded mesh runs until it is empty.  Works on either mesh
+    engine.
+
+    Raises:
+        SimulationError: the mesh still holds or awaits packets at cycle
+            ``max_cycles``.
+    """
+    due = sorted(packets, key=attrgetter("injected_cycle"))
+    queues: Dict[int, Deque[Packet]] = {}
+    released = 0
+    inject, step = network.inject, network.step
+    while True:
+        cycle = network.cycle
+        while released < len(due) and due[released].injected_cycle <= cycle:
+            packet = due[released]
+            queues.setdefault(packet.src, deque()).append(packet)
+            released += 1
+        if not (queues or released < len(due) or network.total_occupancy()):
+            return network.stats
+        if cycle >= max_cycles:
+            raise SimulationError(
+                f"mesh did not drain within {max_cycles} cycles"
+            )
+        for src, queue in list(queues.items()):
+            while queue and inject(queue[0]):
+                queue.popleft()
+            if not queue:
+                del queues[src]
+        step()
+
+
 def saturation_throughput(
     topology: MeshTopology,
     pattern: str,
     packets: int = 400,
     seed: int = 0,
-    buffer_depth: int = 4,
-    engine: str = "auto",
 ) -> float:
     """Accepted throughput (packets/node/cycle) under saturating load.
 
-    Injects all packets at cycle 0 and measures drain rate — an upper
-    bound on sustainable throughput for the pattern.  ``engine`` picks
-    the mesh simulator (``auto``/``reference``/``vectorized``; both
-    engines report identical stats, so this only affects wall-clock).
+    Queues all packets at cycle 0 and measures the drain rate on the
+    default mesh engine (:func:`~repro.noc.fastmesh.make_mesh_network`)
+    — an upper bound on sustainable throughput for the pattern.
     """
-    from repro.noc.fastmesh import make_mesh_network
-    from repro.noc.packet import Packet
-
     src, dst = generate(pattern, topology, packets, seed)
-    network = make_mesh_network(
-        topology, buffer_depth=buffer_depth, engine=engine
+    stats = drain(
+        make_mesh_network(topology),
+        [Packet(src=s, dst=d) for s, d in zip(src.tolist(), dst.tolist())],
     )
-    for s, d in zip(src, dst):
-        network.schedule(Packet(src=int(s), dst=int(d), injected_cycle=0))
-    stats = network.run_until_drained()
     if stats.cycles == 0:
         return 0.0
     return stats.delivered / stats.cycles / topology.num_nodes

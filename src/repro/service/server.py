@@ -145,7 +145,19 @@ class _ServiceServer:
             if sep:
                 headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            writer.write(
+                _response(
+                    400,
+                    error_body(
+                        "protocol", f"malformed Content-Length {declared!r}"
+                    ),
+                )
+            )
+            await writer.drain()
+            return
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
             writer.write(
                 _response(413, error_body("protocol", "request body too large"))

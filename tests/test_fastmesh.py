@@ -20,6 +20,7 @@ from repro.noc import (
     MeshNetwork,
     MeshTopology,
     Packet,
+    drain,
     make_mesh_network,
     resolve_engine,
 )
@@ -35,19 +36,17 @@ def _run_engine(
     buffer_depth=4,
     sanitize=True,
 ):
-    """Schedule one workload and drain it; return (stats tuple, order)."""
+    """Drain one workload; return (stats tuple, order)."""
     net = cls(
         topology,
         buffer_depth=buffer_depth,
         sanitizer=SimSanitizer(context="test") if sanitize else None,
     )
-    for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-        net.schedule(
-            Packet(
-                src=s, dst=d, vertex=i, injected_cycle=(i % 11) * stagger
-            )
-        )
-    stats = net.run_until_drained(max_cycles=2_000_000)
+    packets = [
+        Packet(src=s, dst=d, vertex=i, injected_cycle=(i % 11) * stagger)
+        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist()))
+    ]
+    stats = drain(net, packets, max_cycles=2_000_000)
     order = [
         (p.vertex, p.injected_cycle, p.delivered_cycle)
         for p in net.delivered
@@ -124,26 +123,31 @@ class TestDifferentialEquivalence:
 
 
 class TestFastForward:
-    """Idle-gap skipping is stats-neutral on both engines."""
+    """``drain`` steps idle gaps; it never jumps the clock."""
 
     @pytest.mark.parametrize("cls", [MeshNetwork, FastMeshNetwork])
     def test_gap_skipping_matches_stepping(self, cls):
-        """run_until_drained() skips the idle gaps; stepping by hand
-        through step() simulates every cycle of them."""
+        """drain() releases each packet at its ``injected_cycle`` and
+        gives the same stats and delivery order as injecting by hand and
+        stepping every cycle of the idle gaps."""
         topology = MeshTopology(3, 3)
+        due = [0, 0, 500, 500, 2000]
         runs = []
-        for skip in (True, False):
+        for by_hand in (False, True):
             net = cls(topology)
-            for i, when in enumerate([0, 0, 500, 500, 2000]):
-                net.schedule(
-                    Packet(src=i, dst=8 - i, vertex=i, injected_cycle=when)
-                )
-            if skip:
-                stats = net.run_until_drained()
-            else:
+            packets = [
+                Packet(src=i, dst=8 - i, vertex=i, injected_cycle=when)
+                for i, when in enumerate(due)
+            ]
+            if by_hand:
                 while net.stats.delivered < 5 and net.cycle < 10_000:
+                    for packet in packets:
+                        if packet.injected_cycle == net.cycle:
+                            assert net.inject(packet)
                     net.step()
                 stats = net.stats
+            else:
+                stats = drain(net, packets)
             runs.append(
                 (
                     stats.cycles,
@@ -151,29 +155,25 @@ class TestFastForward:
                     stats.delivered,
                     stats.total_latency,
                     [p.vertex for p in net.delivered],
+                    [p.injected_cycle for p in net.delivered],
                 )
             )
         assert runs[0] == runs[1]
         assert runs[0][0] > 2000  # the gap really was simulated time
+        assert runs[0][5] == due
 
     @pytest.mark.parametrize("cls", [MeshNetwork, FastMeshNetwork])
-    def test_next_event_cycle_only_when_quiescent(self, cls):
-        net = cls(MeshTopology(2, 2))
-        assert net.next_event_cycle() is None  # nothing scheduled
-        net.schedule(Packet(src=0, dst=3, vertex=0, injected_cycle=40))
-        assert net.next_event_cycle() == 40
-        net.inject(Packet(src=0, dst=3, vertex=1))
-        assert net.next_event_cycle() is None  # a FIFO is occupied
-
-    @pytest.mark.parametrize("cls", [MeshNetwork, FastMeshNetwork])
-    def test_fast_forward_counts_skipped(self, cls):
-        net = cls(MeshTopology(2, 2))
-        net.schedule(Packet(src=0, dst=3, vertex=0, injected_cycle=100))
-        assert net.fast_forward(100) == 100
-        assert net.cycle == 100
-        assert net.fast_forward(50) == 0  # never rewinds
-        stats = net.run_until_drained()
-        assert stats.delivered == 1
+    def test_backlog_keeps_source_order(self, cls):
+        """A backlogged source injects its queue in release order, one
+        packet per freed slot, each stamped with the cycle it got in
+        (with depth-1 buffers and credits counted before the commit, the
+        destination's input buffer takes a packet every other cycle)."""
+        net = cls(MeshTopology(1, 2), buffer_depth=1)
+        packets = [Packet(src=0, dst=1, vertex=i) for i in range(4)]
+        stats = drain(net, packets)
+        assert [p.vertex for p in net.delivered] == [0, 1, 2, 3]
+        assert [p.injected_cycle for p in packets] == [0, 1, 3, 5]
+        assert stats.injected == stats.delivered == 4
 
 
 class TestCycleSimEngineParity:
@@ -247,7 +247,7 @@ class TestSanitizerIntegration:
 
     def test_clean_run_passes(self):
         net = self._armed_net()
-        stats = net.run_until_drained()
+        stats = drain(net)
         assert stats.delivered == 1
         assert net.sanitizer.checks_run > 0
 
@@ -323,6 +323,7 @@ class TestEngineSelection:
     def test_out_of_mesh_nodes_rejected(self):
         net = FastMeshNetwork(MeshTopology(2, 2))
         with pytest.raises(ConfigurationError):
-            net.schedule(Packet(src=0, dst=9, vertex=0))
+            net.inject(Packet(src=0, dst=9, vertex=0))
         with pytest.raises(ConfigurationError):
             net.inject(Packet(src=7, dst=0, vertex=0))
+        assert net.stats.injected == 0 and net.total_occupancy() == 0

@@ -27,6 +27,7 @@ from repro.noc import (
     MeshNetwork,
     MeshTopology,
     Packet,
+    drain,
     make_mesh_network,
 )
 from repro.noc.router import EAST, LOCAL, NORTH, NUM_PORTS, SOUTH, WEST
@@ -49,13 +50,11 @@ def _drain(engine_cls, topology, src, dst, faults, **kwargs):
         faults=faults,
     )
     stagger = kwargs.get("stagger", 0)
-    for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-        net.schedule(
-            Packet(
-                src=s, dst=d, vertex=i, injected_cycle=(i % 11) * stagger
-            )
-        )
-    stats = net.run_until_drained(max_cycles=2_000_000)
+    packets = [
+        Packet(src=s, dst=d, vertex=i, injected_cycle=(i % 11) * stagger)
+        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist()))
+    ]
+    stats = drain(net, packets, max_cycles=2_000_000)
     order = [
         (p.vertex, p.injected_cycle, p.delivered_cycle)
         for p in net.delivered

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
+from repro.noc.patterns import drain
 from repro.noc.router import EAST, LOCAL, NORTH, SOUTH, WEST, xy_output_port
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import xy_hop_counts
@@ -13,9 +14,7 @@ from repro.noc.traffic import xy_hop_counts
 
 def drained(topology, packets, **kwargs):
     net = MeshNetwork(topology, **kwargs)
-    for p in packets:
-        net.schedule(p)
-    stats = net.run_until_drained()
+    stats = drain(net, packets)
     return net, stats
 
 
@@ -109,8 +108,8 @@ class TestScheduling:
         topo = MeshTopology(2, 2)
         p = Packet(src=0, dst=1, injected_cycle=10)
         net = MeshNetwork(topo)
-        net.schedule(p)
-        stats = net.run_until_drained()
+        drain(net, [p])
+        assert p.injected_cycle == 10  # released, and got in, at cycle 10
         assert p.delivered_cycle >= 10
 
     def test_inject_returns_false_when_full(self):
@@ -123,21 +122,20 @@ class TestScheduling:
         topo = MeshTopology(2, 2)
         net = MeshNetwork(topo)
         with pytest.raises(ConfigurationError):
-            net.schedule(Packet(src=0, dst=99))
+            net.inject(Packet(src=0, dst=99))
         with pytest.raises(ConfigurationError):
-            net.schedule(Packet(src=-1, dst=0))
+            net.inject(Packet(src=-1, dst=0))
 
     def test_max_cycles_guard(self):
         topo = MeshTopology(2, 2)
         net = MeshNetwork(topo)
-        net.schedule(Packet(src=0, dst=3, injected_cycle=0))
         with pytest.raises(SimulationError):
-            net.run_until_drained(max_cycles=1)
+            drain(net, [Packet(src=0, dst=3, injected_cycle=0)], max_cycles=1)
 
     def test_empty_run(self):
         topo = MeshTopology(2, 2)
         net = MeshNetwork(topo)
-        stats = net.run_until_drained()
+        stats = drain(net)
         assert stats.delivered == 0
         assert stats.cycles == 0
 

@@ -30,6 +30,7 @@ from repro.noc import (
     MeshNetwork,
     MeshTopology,
     Packet,
+    drain,
     make_mesh_network,
     meshkernel,
     resolve_engine,
@@ -41,10 +42,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: Builds a kernel in a fresh process and drains one packet through it.
 _CHILD = textwrap.dedent(
     """
-    from repro.noc import FastMeshNetwork, MeshTopology, Packet
+    from repro.noc import FastMeshNetwork, MeshTopology, Packet, drain
     net = FastMeshNetwork(MeshTopology(3, 3))
-    net.schedule(Packet(src=0, dst=8, vertex=1))
-    stats = net.run_until_drained()
+    stats = drain(net, [Packet(src=0, dst=8, vertex=1)])
     print(stats.delivered, stats.total_hops, net._kernel.path)
     """
 )
@@ -284,7 +284,7 @@ class TestAbiChecks:
             for src, dst in ((0, 3), (3, 0)):
                 sent += net.inject(Packet(src=src, dst=dst, vertex=sent))
             net.step()
-        net.run_until_drained()
+        drain(net)
         assert net._pkt_dst.size > sizes[0]
         assert net._dlv_pidx.size > sizes[1]
         assert len(net.delivered) == net.stats.injected == sent > 1024

@@ -12,16 +12,17 @@ import pytest
 from repro.noc.crossbar import CrossbarSwitch
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
+from repro.noc.patterns import drain
 from repro.noc.topology import MeshTopology
 
 
 def run_pattern(topology, pairs, buffer_depth=4, stagger=1):
     net = MeshNetwork(topology, buffer_depth=buffer_depth)
-    for i, (src, dst) in enumerate(pairs):
-        net.schedule(
-            Packet(src=int(src), dst=int(dst), injected_cycle=i // stagger)
-        )
-    stats = net.run_until_drained(max_cycles=200_000)
+    packets = [
+        Packet(src=int(src), dst=int(dst), injected_cycle=i // stagger)
+        for i, (src, dst) in enumerate(pairs)
+    ]
+    stats = drain(net, packets, max_cycles=200_000)
     return net, stats
 
 

@@ -20,6 +20,7 @@ from repro.graph.generators import rmat_graph
 from repro.noc.aggregation import AggregationPipeline
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
+from repro.noc.patterns import drain
 from repro.noc.router import LOCAL
 from repro.noc.topology import MeshTopology
 
@@ -186,9 +187,9 @@ class TestCorruptedMesh:
 
     def test_clean_mesh_run_is_quiet(self):
         network = make_mesh()
-        for i in range(4):
-            network.schedule(Packet(src=i, dst=(i + 1) % 4))
-        stats = network.run_until_drained()
+        stats = drain(
+            network, [Packet(src=i, dst=(i + 1) % 4) for i in range(4)]
+        )
         assert stats.delivered == 4
         assert network.sanitizer.checks_run > 0
 

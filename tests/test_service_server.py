@@ -405,6 +405,47 @@ class TestHTTP:
                 await scheduler.drain()
         asyncio.run(body())
 
+    @pytest.mark.parametrize("length", ["abc", "-3"])
+    def test_malformed_content_length_is_400(self, tmp_path, length):
+        """A Content-Length that is not a decimal count gets the
+        protocol error envelope, and nothing reaches the event loop's
+        exception handler."""
+        async def body():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            scheduler = SweepScheduler(tmp_path, policy=FAST)
+            await scheduler.start()
+            handler = _ServiceServer(scheduler)
+            server = await asyncio.start_server(
+                handler.handle, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(
+                    b"POST /api/v1/submit HTTP/1.1\r\nHost: test\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+                await scheduler.drain()
+            assert raw.startswith(b"HTTP/1.1 400 ")
+            assert json.loads(raw.partition(b"\r\n\r\n")[2]) == {
+                "error": "protocol",
+                "message": f"malformed Content-Length {length!r}",
+            }
+            assert loop_errors == []
+        asyncio.run(body())
+
     def test_draining_returns_503(self, tmp_path):
         async def body():
             scheduler = SweepScheduler(tmp_path, policy=FAST)
