@@ -162,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="retries for a crashed or timed-out cell (default: "
-        "%(default)s)",
+        help="retries for a crashed or timed-out cell; a cell that "
+        "runs out fails the sweep with WorkerCrashError, and finished "
+        "cells stay cached or checkpointed (default: %(default)s)",
     )
     bench_p.add_argument(
         "--checkpoint",

@@ -103,12 +103,6 @@ class ScalaGraphConfig:
             repro.noc.fastmesh), or 'auto' (vectorized at every mesh
             size whenever the kernel can be built, else the reference
             with a RuntimeWarning).
-        noc_engine_fallback: when a vectorized engine (mesh or scatter)
-            trips a SanitizerError mid-run, transparently retry the
-            whole run on the reference engines with an
-            EngineFallbackWarning instead of killing the experiment
-            (graceful degradation; set False to let the error
-            propagate, e.g. in engine debugging sessions).
         cycle_engine: scatter-phase implementation of the cycle-accurate
             simulator — 'reference' (per-object Python loops, the
             auditable golden model), 'vectorized' (the whole cycle loop
@@ -134,7 +128,6 @@ class ScalaGraphConfig:
     degree_aware_window: int = 16
     inter_phase_pipelining: bool = True
     noc_engine: str = "auto"
-    noc_engine_fallback: bool = True
     cycle_engine: str = "auto"
     hbm: HBMConfig = field(default_factory=HBMConfig)
     spd: ScratchpadConfig = field(default_factory=ScratchpadConfig)

@@ -29,7 +29,6 @@ engine on a host without a C compiler).
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -42,12 +41,7 @@ from repro.analysis.sanitizer import SimSanitizer, maybe_sanitizer
 from repro.core.config import ScalaGraphConfig
 from repro.core.fastsim import resolve_cycle_engine, scatter_phase_fast
 from repro.core.profiling import NULL_PROFILER, Profiler
-from repro.errors import (
-    ConfigurationError,
-    EngineFallbackWarning,
-    SanitizerError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule
 from repro.graph.csr import CSRGraph
 from repro.mapping import make_mapping
@@ -204,15 +198,9 @@ class CycleAccurateScalaGraph:
     ) -> CycleResult:
         """Simulate ``program`` over ``graph`` cycle by cycle.
 
-        Graceful engine degradation: when a *vectorized* engine (the
-        mesh NoC or the fastsim scatter phase) raises a
-        :class:`~repro.errors.SanitizerError` mid-run, the run is
-        retried once with both engines on reference and an
-        :class:`~repro.errors.EngineFallbackWarning` instead of killing
-        the experiment (a run is a pure function of its inputs, so the
-        retry is exact; an attached profiler accrues both attempts).
-        Disable via ``config.noc_engine_fallback=False``; an
-        all-reference failure always propagates.
+        With a sanitizer armed, a violated invariant raises its
+        :class:`~repro.errors.SanitizerError` out of this call, whichever
+        engines ran.
         """
         cfg = self.config
         # The vectorized scatter phase always steps the compiled mesh, so
@@ -226,45 +214,6 @@ class CycleAccurateScalaGraph:
         cycle_engine = resolve_cycle_engine(
             cfg.cycle_engine, engine, program.reduce_ufunc
         )
-        try:
-            return self._run(
-                program,
-                graph,
-                max_iterations,
-                max_cycles_per_phase,
-                engine,
-                cycle_engine,
-            )
-        except SanitizerError as exc:
-            vectorized = [
-                f"{name}:vectorized"
-                for name, eng in (("noc", engine), ("cycle", cycle_engine))
-                if eng == "vectorized"
-            ]
-            if not vectorized or not cfg.noc_engine_fallback:
-                raise
-            warnings.warn(
-                EngineFallbackWarning("+".join(vectorized), exc),
-                stacklevel=2,
-            )
-            return self._run(
-                program,
-                graph,
-                max_iterations,
-                max_cycles_per_phase,
-                "reference",
-                "reference",
-            )
-
-    def _run(
-        self,
-        program: VertexProgram,
-        graph: CSRGraph,
-        max_iterations: Optional[int],
-        max_cycles_per_phase: int,
-        engine: str,
-        cycle_engine: str = "reference",
-    ) -> CycleResult:
         ctx = ProgramContext(graph=graph)
         program.validate(ctx)
         props = program.initial_properties(ctx)
@@ -393,7 +342,6 @@ class CycleAccurateScalaGraph:
             return 0
         values = program.scatter_value(ctx, src, weights, props[src])
         exec_pe = self.mapping.execution_pe(src, dst)
-        home_pe = self.mapping.home(dst)
         reduce_ufunc = program.reduce_ufunc
         reduce_fn = lambda a, b: float(reduce_ufunc(a, b))
 

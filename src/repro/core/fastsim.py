@@ -29,9 +29,9 @@ reduces exactly; a program with any other reduce runs on the reference.
 
 Selection follows the mesh engine: ``config.cycle_engine='auto'``
 picks the vectorised engine at every mesh size whenever the run steps
-the compiled mesh (see :func:`resolve_cycle_engine`), and a
-SanitizerError raised mid-run falls back to the reference engines once
-(see :meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run`).
+the compiled mesh (see :func:`resolve_cycle_engine`).  A SanitizerError
+raised mid-run reaches the caller of
+:meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run`.
 """
 
 from __future__ import annotations

@@ -38,10 +38,10 @@ class WorkerCrashError(ReproError):
     """A parallel sweep exhausted its retries on one or more cells.
 
     Raised by :func:`repro.experiments.parallel.run_matrix_parallel`
-    only when its retry budget is spent *and* the serial in-process
-    fallback is disabled; completed cells are already persisted (cache
-    and checkpoint), so re-invoking the sweep recomputes only the cells
-    named here.
+    when a cell's pooled attempts are spent (a crashed worker or a
+    blown wall-clock budget on every attempt); completed cells are
+    already persisted (cache and checkpoint), so re-invoking the sweep
+    recomputes only the cells named here.
 
     Attributes:
         cells: the (graph, algorithm, system) triples left uncomputed.
@@ -133,31 +133,6 @@ class CircuitOpenError(ServiceError):
         super().__init__(
             f"circuit breaker open for config family {family!r}; "
             "serving degraded responses"
-        )
-
-
-class EngineFallbackWarning(UserWarning):
-    """A vectorized engine tripped a sanitizer invariant and the run
-    was transparently retried on the reference engine(s).
-
-    Structured so harnesses can filter on the failed engine and the
-    violated invariant without parsing prose.
-
-    Attributes:
-        engine: the engine(s) that were active when the invariant
-            tripped (e.g. ``vectorized``, or
-            ``noc:vectorized+cycle:vectorized`` from the cycle
-            simulator's dual-engine selection).
-        error: the :class:`SanitizerError` that triggered the fallback.
-    """
-
-    def __init__(self, engine: str, error: "SanitizerError") -> None:
-        self.engine = engine
-        self.error = error
-        super().__init__(
-            f"engine {engine!r} violated sanitizer invariant "
-            f"{error.invariant!r} (cycle {error.cycle}); "
-            "falling back to the reference engine(s) for this run"
         )
 
 

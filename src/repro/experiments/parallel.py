@@ -25,10 +25,10 @@ Design notes:
   a cell that exceeds ``cell_timeout`` rebuilds the pool, and the cell
   is retried up to ``max_retries`` times after a jittered exponential
   backoff (:class:`RetryPolicy`).  Cells that exhaust their retries are
-  recomputed serially in-process (``serial_fallback=True``, the
-  default) or reported via :class:`~repro.errors.WorkerCrashError`.
-  Any other exception a cell raises (a model error) reaches the caller
-  unchanged.
+  reported via :class:`~repro.errors.WorkerCrashError` once the other
+  cells have finished; they are never rerun in the sweep's own process,
+  where no timeout could stop them.  Any other exception a cell raises
+  (a model error) reaches the caller unchanged.
 * **Incremental persistence**: with a
   :class:`~repro.experiments.store.ResultCache`, cached cells are
   loaded in the parent before any worker is spawned and fresh results
@@ -82,15 +82,14 @@ class RetryPolicy:
         backoff: base of the exponential retry delay; retry *n* sleeps
             ``backoff * 2**(n-1)`` seconds plus up to as much seeded
             jitter, capped at 2 s.
-        serial_fallback: recompute cells that exhausted their retries
-            serially in-process (True, the default) instead of raising
-            :class:`~repro.errors.WorkerCrashError`.
+
+    A cell still failing after its last retry fails the sweep with
+    :class:`~repro.errors.WorkerCrashError`.
     """
 
     cell_timeout: Optional[float] = None
     max_retries: int = 2
     backoff: float = 0.05
-    serial_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.cell_timeout is not None and self.cell_timeout <= 0:
@@ -293,10 +292,10 @@ def _run_jobs_pooled(
     """Fan the jobs over a process pool with crash isolation.
 
     Each job is one task of a :class:`CellExecutor` sweep, started
-    largest first as pool slots free up.  Jobs that exhaust their
-    attempts fall back to in-process serial execution (or raise
-    :class:`~repro.errors.WorkerCrashError` when the policy forbids the
-    fallback).  When the pool cannot be used at all (no multiprocessing
+    largest first as pool slots free up.  Once every job has finished
+    or exhausted its attempts, the exhausted ones raise
+    :class:`~repro.errors.WorkerCrashError` with each cell's last
+    failure.  When the pool cannot be used at all (no multiprocessing
     support) or a payload will not pickle, whatever cells are still
     missing are recomputed serially; completed results are never
     discarded or overwritten.
@@ -354,11 +353,7 @@ def _run_jobs_pooled(
         )
         return
 
-    if failed and policy.serial_fallback:
-        _run_jobs_serial(
-            list(failed), scale_shift, max_iterations, out, on_result=on_result
-        )
-    elif failed:
+    if failed:
         causes = {
             (graph_name, algorithm_name, system_label): cause
             for (graph_name, algorithm_name, missing), cause in failed.items()

@@ -278,16 +278,6 @@ class FaultSchedule:
             self.topology, node, dst, self.link_dead_mask(cycle)[node]
         )
 
-    def any_mesh_faults(self) -> bool:
-        """Whether the schedule carries any mesh-visible fault at all."""
-        return bool(self.link_outages or self.fifo_stalls)
-
-    def last_mesh_fault_cycle(self) -> int:
-        """Cycle after which every mesh fault window has closed."""
-        ends = [o.end for o in self.link_outages]
-        ends += [s.end for s in self.fifo_stalls]
-        return max(ends) if ends else 0
-
     def next_boundary_cycle(self, cycle: int) -> Optional[int]:
         """First cycle strictly after ``cycle`` at which any fault
         window opens or closes, or None when no edge remains.

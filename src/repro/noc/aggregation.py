@@ -16,10 +16,14 @@ Three models live here:
   arrays, offered to and drained by the compiled scatter phase of the
   vectorized cycle engine, with the same semantics.
 * :func:`window_coalesce_count` / :func:`window_coalesce` — the
-  statistical window model used by the at-scale timing simulations: with
-  ``R`` registers of residency an update coalesces iff the previous
-  update to the same vertex lies within the last ``R`` slots of the
-  stream.  This reproduces the Figure 18(a) register-count sensitivity.
+  statistical window model, kept as a test oracle: with ``R`` registers
+  of residency an update coalesces iff the previous update to the same
+  vertex lies within the last ``R`` slots of the stream.  The analytic
+  timing model runs the same rule per column stream through
+  :func:`repro.core.noc_model.survivor_mask`, which
+  ``tests/test_noc_model.py`` checks against
+  :func:`window_coalesce_count`; ``tests/test_aggregation.py`` checks
+  the two functions against each other.
 """
 
 from __future__ import annotations

@@ -20,11 +20,7 @@ from repro.core.config import ScalaGraphConfig
 from repro.core.cycle_sim import CycleAccurateScalaGraph
 from repro.core.fastsim import resolve_cycle_engine
 from repro.core.profiling import Profiler
-from repro.errors import (
-    ConfigurationError,
-    EngineFallbackWarning,
-    SanitizerError,
-)
+from repro.errors import ConfigurationError, SanitizerError
 from repro.faults.schedule import (
     FaultConfig,
     FaultSchedule,
@@ -397,25 +393,9 @@ class TestCycleEngineFallback:
 
         monkeypatch.setattr(cycle_sim, "scatter_phase_fast", explode)
 
-    def test_fallback_warns_and_matches_reference(self, broken_vectorized):
+    def test_sanitizer_error_reaches_the_caller(self, broken_vectorized):
         config = ScalaGraphConfig(
             num_tiles=1, pe_rows=8, pe_cols=8, cycle_engine="vectorized"
-        )
-        sim = CycleAccurateScalaGraph(config, sanitize=True)
-        with pytest.warns(EngineFallbackWarning) as record:
-            result = sim.run(make_algorithm("bfs"), GRAPH)
-        assert "cycle:vectorized" in str(record[0].message)
-        ref = _run("reference", algorithm="bfs")
-        assert _fingerprint(result) == _fingerprint(ref)
-        np.testing.assert_array_equal(result.properties, ref.properties)
-
-    def test_fallback_disabled_raises(self, broken_vectorized):
-        config = ScalaGraphConfig(
-            num_tiles=1,
-            pe_rows=8,
-            pe_cols=8,
-            cycle_engine="vectorized",
-            noc_engine_fallback=False,
         )
         sim = CycleAccurateScalaGraph(config, sanitize=True)
         with pytest.raises(SanitizerError):
@@ -424,8 +404,8 @@ class TestCycleEngineFallback:
 
 class TestKernelStateAudits:
     """State the kernel keeps between calls, corrupted where the
-    sanitizer hooks see it, must trip those hooks: the run raises, or
-    falls back to the reference engines with identical results."""
+    sanitizer hooks see it, must trip those hooks: the run raises the
+    violated invariant."""
 
     @staticmethod
     def _bump_occupancy(batch, *args, **kwargs):
@@ -454,25 +434,17 @@ class TestKernelStateAudits:
         return invariant
 
     @staticmethod
-    def _sim(engine, fallback=True):
+    def _sim(engine):
         config = ScalaGraphConfig(
             num_tiles=1, pe_rows=8, pe_cols=8, cycle_engine=engine,
-            noc_engine=engine, noc_engine_fallback=fallback,
+            noc_engine=engine,
         )
         return CycleAccurateScalaGraph(config, sanitize=True)
 
     def test_corruption_raises(self, corrupted):
         with pytest.raises(SanitizerError) as err:
-            self._sim("vectorized", False).run(make_algorithm("bfs"), GRAPH)
+            self._sim("vectorized").run(make_algorithm("bfs"), GRAPH)
         assert err.value.invariant == corrupted
-
-    def test_corruption_falls_back_to_the_reference(self, corrupted):
-        with pytest.warns(EngineFallbackWarning):
-            result = self._sim("vectorized").run(make_algorithm("bfs"), GRAPH)
-        # The reference engines run neither corrupted hook.
-        ref = self._sim("reference").run(make_algorithm("bfs"), GRAPH)
-        assert _fingerprint(result) == _fingerprint(ref)
-        np.testing.assert_array_equal(result.properties, ref.properties)
 
 
 class TestStageTimers:

@@ -1,8 +1,7 @@
 """Fault-injection subsystem: deterministic schedules, fault-for-fault
 engine equivalence, detour routing, resource derating, cycle-sim
-integration, and graceful engine fallback."""
+integration, and sanitizer errors reaching the caller."""
 
-import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -11,11 +10,7 @@ import pytest
 from repro.algorithms import BFS, PageRank
 from repro.analysis.sanitizer import SimSanitizer
 from repro.core import CycleAccurateScalaGraph, ScalaGraph, ScalaGraphConfig
-from repro.errors import (
-    ConfigurationError,
-    EngineFallbackWarning,
-    SanitizerError,
-)
+from repro.errors import ConfigurationError, SanitizerError
 from repro.faults import (
     FaultConfig,
     FaultSchedule,
@@ -109,12 +104,13 @@ class TestScheduleDeterminism:
     def test_masks_respect_windows(self):
         topology = MeshTopology(4, 4)
         schedule = FaultSchedule(topology, DENSE)
-        assert schedule.any_mesh_faults()
+        windows = [*schedule.link_outages, *schedule.fifo_stalls]
+        assert windows
         for outage in schedule.link_outages:
             assert schedule.link_dead_mask(outage.start)[
                 outage.node, outage.port
             ]
-        quiet = schedule.last_mesh_fault_cycle() + 1
+        quiet = max(window.end for window in windows) + 1
         assert not schedule.link_dead_mask(quiet).any()
         assert not schedule.fifo_stall_mask(quiet).any()
 
@@ -364,7 +360,7 @@ class TestCycleSimFaults:
 
 
 class TestEngineFallback:
-    def _sim(self, **config_kwargs):
+    def _sim(self):
         # The reference scatter loop steps the mesh through
         # FastMeshNetwork.step, which broken_vectorized breaks.
         return CycleAccurateScalaGraph(
@@ -374,7 +370,6 @@ class TestEngineFallback:
                 pe_cols=4,
                 noc_engine="vectorized",
                 cycle_engine="reference",
-                **config_kwargs,
             ),
             sanitize=True,
         )
@@ -390,30 +385,10 @@ class TestEngineFallback:
 
         monkeypatch.setattr(FastMeshNetwork, "step", explode)
 
-    def test_fallback_warns_and_completes(self, broken_vectorized):
+    def test_sanitizer_error_reaches_the_caller(self, broken_vectorized):
         graph = rmat_graph(scale=6, edge_factor=8, seed=3)
-        with pytest.warns(EngineFallbackWarning) as record:
-            result = self._sim().run(BFS(), graph, max_iterations=4)
-        assert result.converged
-        assert "vectorized" in str(record[0].message)
-        reference = CycleAccurateScalaGraph(
-            ScalaGraphConfig(
-                num_tiles=1, pe_rows=4, pe_cols=4, noc_engine="reference"
-            ),
-            sanitize=True,
-        ).run(BFS(), graph, max_iterations=4)
-        assert result.stats.total_cycles == reference.stats.total_cycles
-        np.testing.assert_array_equal(
-            result.properties, reference.properties
-        )
-
-    def test_fallback_disabled_raises(self, broken_vectorized):
-        graph = rmat_graph(scale=6, edge_factor=8, seed=3)
-        sim = self._sim(noc_engine_fallback=False)
         with pytest.raises(SanitizerError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", EngineFallbackWarning)
-                sim.run(BFS(), graph, max_iterations=4)
+            self._sim().run(BFS(), graph, max_iterations=4)
 
     def test_standalone_fault_run_unaffected_by_fallback(self):
         """make_mesh_network users outside the cycle sim see no change."""

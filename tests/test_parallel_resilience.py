@@ -113,6 +113,18 @@ def slow_once_worker(
     )
 
 
+def hanging_execute_cell(
+    graph_name, algorithm_name, systems, scale_shift, max_iterations
+):
+    """Stand-in for execute_cell that hangs well past any cell timeout
+    on the poison cell."""
+    if (graph_name, algorithm_name) == POISON:
+        time.sleep(60.0)
+    return execute_cell(
+        graph_name, algorithm_name, systems, scale_shift, max_iterations
+    )
+
+
 def model_error_worker(
     graph_name, algorithm_name, systems, scale_shift, max_iterations
 ):
@@ -252,11 +264,7 @@ class TestCrashIsolation:
                 ALGORITHMS,
                 SYSTEMS,
                 max_workers=2,
-                policy=RetryPolicy(
-                    max_retries=0,
-                    backoff=0.01,
-                    serial_fallback=False,
-                ),
+                policy=RetryPolicy(max_retries=0, backoff=0.01),
                 **KW,
             )
         err = excinfo.value
@@ -289,24 +297,35 @@ class TestCrashIsolation:
         assert elapsed < 50.0  # ...and was cut short, not waited out
         assert_matches_serial(matrix, serial_matrix)
 
-    def test_exhausted_retries_fall_back_serially(
-        self, resilience_dir, monkeypatch, serial_matrix
-    ):
-        """A cell that crashes every pooled attempt still completes
-        in-process under the default serial fallback."""
-        monkeypatch.setattr(parallel_mod, "_cell_worker", crash_always_worker)
-        monkeypatch.setattr(
-            parallel_mod, "execute_cell", recording_execute_cell
-        )
-        matrix = run_matrix_parallel(
-            GRAPHS,
-            ALGORITHMS,
-            SYSTEMS,
-            max_workers=2,
-            policy=RetryPolicy(max_retries=1, backoff=0.01),
-            **KW,
-        )
-        assert_matches_serial(matrix, serial_matrix)
+    def test_timeout_is_final(self, tmp_path, monkeypatch):
+        """A cell that blows its wall-clock budget on every attempt
+        fails the sweep with a TimeoutError cause instead of running
+        again, untimed, in the sweep's own process; every other cell
+        is already cached."""
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(parallel_mod, "execute_cell", hanging_execute_cell)
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashError) as excinfo:
+            run_matrix_parallel(
+                GRAPHS,
+                ALGORITHMS,
+                SYSTEMS,
+                max_workers=2,
+                cache=cache,
+                policy=RetryPolicy(
+                    cell_timeout=1.0, max_retries=1, backoff=0.01
+                ),
+                **KW,
+            )
+        assert time.monotonic() - start < 15.0
+        err = excinfo.value
+        assert err.cells == [(*POISON, system) for system in SYSTEMS]
+        for cell in err.cells:
+            assert isinstance(err.causes[cell], TimeoutError)
+        for algorithm_name in ("bfs", "pagerank", "cc"):
+            assert cache.get(
+                "PK", algorithm_name, SYSTEMS[0], **KW
+            ) is not None
 
 
 class TestModelError:
@@ -427,7 +446,7 @@ class TestCheckpointResume:
     def test_resume_after_crash_loses_at_most_inflight(
         self, resilience_dir, tmp_path, monkeypatch, serial_matrix
     ):
-        """Kill a worker mid-sweep with retries and fallback disabled;
+        """Kill a worker mid-sweep with retries disabled;
         re-invoking with the same checkpoint completes the matrix
         without recomputing any journaled cell."""
         ckpt_path = tmp_path / "sweep.ckpt"
@@ -441,11 +460,7 @@ class TestCheckpointResume:
                 ALGORITHMS,
                 SYSTEMS,
                 max_workers=2,
-                policy=RetryPolicy(
-                    max_retries=0,
-                    backoff=0.01,
-                    serial_fallback=False,
-                ),
+                policy=RetryPolicy(max_retries=0, backoff=0.01),
                 checkpoint=ckpt_path,
                 **KW,
             )
@@ -504,11 +519,7 @@ class TestCheckpointResume:
                 SYSTEMS,
                 max_workers=2,
                 cache=cache,
-                policy=RetryPolicy(
-                    max_retries=0,
-                    backoff=0.01,
-                    serial_fallback=False,
-                ),
+                policy=RetryPolicy(max_retries=0, backoff=0.01),
                 **KW,
             )
         stores_after_crash = cache.stats.stores
