@@ -3,12 +3,12 @@
 A from-scratch Python implementation of *ScalaGraph: A Scalable
 Accelerator for Massively Parallel Graph Processing* (Yao et al., HPCA
 2022) and every substrate it depends on: CSR graphs and generators, the
-vertex-centric programming model, cycle-level NoC simulators
-(mesh/crossbar/Benes), the Figure 11 aggregation pipeline, HBM and
-scratchpad models, the three workload mappings, FPGA
-frequency/area/energy models, and the GraphDynS/AccuGraph/Gunrock
-baselines.  The analytic :class:`ScalaGraph` model produces every
-figure; :class:`CycleAccurateScalaGraph` validates it tile by tile.
+vertex-centric programming model, cycle-level mesh NoC simulators, the
+Figure 11 aggregation pipeline, HBM and scratchpad models, the three
+workload mappings, FPGA frequency/area/energy models, and the
+GraphDynS/AccuGraph/Gunrock baselines.  The analytic :class:`ScalaGraph`
+model produces every figure; :class:`CycleAccurateScalaGraph` validates
+it tile by tile.
 
 Quickstart::
 

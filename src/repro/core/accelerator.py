@@ -393,7 +393,7 @@ class ScalaGraph:
         cycles = PhaseCycles(
             compute=compute,
             noc=noc_service + noc_fill,
-            spd=noc.spd_service_cycles / cfg.spd.ports_per_slice,
+            spd=noc.spd_service_cycles,
             memory=memory,
             overhead=timing.phase_overhead_cycles,
         )

@@ -14,10 +14,10 @@ Design notes:
   functional reference execution is shared across systems, and
   splitting it over workers would recompute it per system.
 * Work items cross the process boundary as plain strings/ints and come
-  back as :class:`SimulationReport` (numpy arrays pickle natively), so
-  pickling normally cannot fail; if it does — or multiprocessing is
-  unavailable altogether — the runner falls back to in-process serial
-  execution rather than raising.
+  back as :class:`SimulationReport` (numpy arrays pickle natively).
+  Every sweep with ``max_workers`` other than 1 runs on the pool, a
+  one-cell sweep included, so ``cell_timeout`` and ``max_retries`` hold
+  for every cell.
 * **Crash isolation**: the pooled path is a thin layer over
   :class:`~repro.experiments.executor.CellExecutor`, the executor the
   sweep daemon uses too.  One task per job, gated to the pool width,
@@ -27,8 +27,10 @@ Design notes:
   backoff (:class:`RetryPolicy`).  Cells that exhaust their retries are
   reported via :class:`~repro.errors.WorkerCrashError` once the other
   cells have finished; they are never rerun in the sweep's own process,
-  where no timeout could stop them.  Any other exception a cell raises
-  (a model error) reaches the caller unchanged.
+  where no timeout could stop them.  Any other exception — one a cell
+  raises (a model error, an ``OSError``), a payload that will not
+  pickle, or a failed cache or checkpoint write — reaches the caller
+  unchanged.
 * **Incremental persistence**: with a
   :class:`~repro.experiments.store.ResultCache`, cached cells are
   loaded in the parent before any worker is spawned and fresh results
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -237,7 +238,7 @@ def run_matrix_parallel(
         if ckpt is not None:
             ckpt.start(reset=refresh)
         try:
-            if max_workers == 1 or len(jobs) == 1:
+            if max_workers == 1:
                 _run_jobs_serial(
                     jobs, scale_shift, max_iterations, reports,
                     on_result=persist,
@@ -295,10 +296,7 @@ def _run_jobs_pooled(
     largest first as pool slots free up.  Once every job has finished
     or exhausted its attempts, the exhausted ones raise
     :class:`~repro.errors.WorkerCrashError` with each cell's last
-    failure.  When the pool cannot be used at all (no multiprocessing
-    support) or a payload will not pickle, whatever cells are still
-    missing are recomputed serially; completed results are never
-    discarded or overwritten.
+    failure.
     """
     policy = policy or RetryPolicy()
     width = min(max_workers or os.cpu_count() or 1, len(jobs))
@@ -335,23 +333,11 @@ def _run_jobs_pooled(
         await asyncio.gather(*(run_job(job, gate) for job in jobs))
 
     try:
-        try:
-            asyncio.run(sweep())
-        finally:
-            # asyncio.run has cancelled and awaited every task by now,
-            # so no attempt can start a pool after this.
-            executor.close()
-    except (pickle.PicklingError, OSError, ImportError):
-        # No/broken multiprocessing support, or an unpicklable payload:
-        # recompute whatever is still missing in-process.
-        _run_jobs_serial(
-            _still_missing(jobs, out),
-            scale_shift,
-            max_iterations,
-            out,
-            on_result=on_result,
-        )
-        return
+        asyncio.run(sweep())
+    finally:
+        # asyncio.run has cancelled and awaited every task by now, so no
+        # attempt can start a pool after this.
+        executor.close()
 
     if failed:
         causes = {
@@ -365,19 +351,3 @@ def _run_jobs_pooled(
             iter(causes.values()), None
         )
 
-
-def _still_missing(
-    jobs: Sequence[_CellJob],
-    out: Dict[Tuple[str, str, str], SimulationReport],
-) -> List[_CellJob]:
-    """The sub-jobs whose systems are not computed yet."""
-    remaining: List[_CellJob] = []
-    for graph_name, algorithm_name, missing in jobs:
-        left = tuple(
-            system_label
-            for system_label in missing
-            if (graph_name, algorithm_name, system_label) not in out
-        )
-        if left:
-            remaining.append((graph_name, algorithm_name, left))
-    return remaining

@@ -4,8 +4,8 @@ ScalaGraph stores graphs in compressed sparse row (CSR) format
 (Section III-B of the paper).  This subpackage provides the CSR container
 (:class:`~repro.graph.csr.CSRGraph`), synthetic generators used as
 stand-ins for the paper's datasets, the Graphicionado-style interval
-partitioner used when vertex properties exceed on-chip capacity, and the
-degree-aware edge-lane preprocessing of Section IV-C.
+partitioner used when vertex properties exceed on-chip capacity, and
+graph transforms and statistics.
 """
 
 from repro.graph.csr import CSRGraph
@@ -31,7 +31,6 @@ from repro.graph.io import (
     save_edge_list,
 )
 from repro.graph.partition import Partition, slice_intervals
-from repro.graph.preprocess import lane_reorder
 from repro.graph.stats import DegreeStats, degree_histogram, degree_statistics
 from repro.graph.transforms import (
     apply_permutation,
@@ -61,7 +60,6 @@ __all__ = [
     "save_edge_list",
     "Partition",
     "slice_intervals",
-    "lane_reorder",
     "apply_permutation",
     "largest_out_component_root",
     "relabel_by_degree",

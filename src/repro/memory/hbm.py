@@ -1,12 +1,13 @@
-"""High-bandwidth memory (HBM2) bandwidth/latency model.
+"""High-bandwidth memory (HBM2) bandwidth model.
 
 The Alveo U280 exposes two 4 GB HBM2 stacks totalling 460 GB/s across 32
 pseudo channels (Sections III-A, V-A).  ScalaGraph's prefetchers stream
-edges and the active-vertex list sequentially, so the model's core job is
+edges and the active-vertex list sequentially, so the model's one job is
 to convert byte volumes into cycles at the accelerator clock, honouring
-the 64-byte access granularity; a random-access helper models the
-amplification suffered by architectures without ScalaGraph's on-chip
-vertex storage.
+the 64-byte access granularity.  Streams are assumed to interleave
+perfectly over the pseudo channels, so only the aggregate bandwidth
+matters; the first-access latency of a phase is charged by
+``TimingParams.phase_overhead_cycles``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class HBMConfig:
         total_bandwidth_gbs: aggregate bandwidth in GB/s (U280: 460).
         access_granularity: bytes moved per access (64-byte lines).
         capacity_bytes_per_stack: stack capacity (4 GB each).
-        read_latency_cycles: load-to-use latency in accelerator cycles
-            (hidden by prefetching in steady state, exposed on the first
-            access of a phase).
     """
 
     num_stacks: int = 2
@@ -38,7 +36,6 @@ class HBMConfig:
     total_bandwidth_gbs: float = 460.0
     access_granularity: int = 64
     capacity_bytes_per_stack: int = 4 * GB
-    read_latency_cycles: int = 128
 
     def __post_init__(self) -> None:
         if self.num_stacks <= 0 or self.pseudo_channels_per_stack <= 0:
@@ -51,14 +48,6 @@ class HBMConfig:
     @property
     def num_pseudo_channels(self) -> int:
         return self.num_stacks * self.pseudo_channels_per_stack
-
-    @property
-    def bandwidth_per_stack_gbs(self) -> float:
-        return self.total_bandwidth_gbs / self.num_stacks
-
-    @property
-    def bandwidth_per_channel_gbs(self) -> float:
-        return self.total_bandwidth_gbs / self.num_pseudo_channels
 
     @property
     def total_capacity_bytes(self) -> int:
@@ -112,16 +101,7 @@ class HBMModel:
         """Aggregate sequential bandwidth per accelerator cycle."""
         return self.config.total_bandwidth_gbs * GB / self.frequency_hz
 
-    def bytes_per_cycle_for(self, num_stacks: int) -> float:
-        """Bandwidth available to a subset of stacks (each ScalaGraph
-        tile owns one private stack, Section III-A)."""
-        if not 0 < num_stacks <= self.config.num_stacks:
-            raise ConfigurationError(
-                f"num_stacks must be in 1..{self.config.num_stacks}"
-            )
-        return self.bytes_per_cycle * num_stacks / self.config.num_stacks
-
-    def stream_cycles(self, num_bytes: float, num_stacks: int | None = None) -> float:
+    def stream_cycles(self, num_bytes: float) -> float:
         """Cycles to stream ``num_bytes`` sequentially.
 
         Sequential streams use full lines, so no granularity penalty
@@ -131,36 +111,4 @@ class HBMModel:
             return 0.0
         gran = self.config.access_granularity
         lines = -(-num_bytes // gran)
-        per_cycle = (
-            self.bytes_per_cycle
-            if num_stacks is None
-            else self.bytes_per_cycle_for(num_stacks)
-        )
-        return lines * gran / per_cycle
-
-    def random_access_cycles(
-        self,
-        num_accesses: int,
-        useful_bytes_per_access: int = 4,
-        num_stacks: int | None = None,
-    ) -> float:
-        """Cycles for random single-word accesses.
-
-        Every access occupies a whole ``access_granularity`` line on the
-        bus even though only ``useful_bytes_per_access`` are used — the
-        bandwidth-waste mechanism of Section II-A.
-        """
-        if num_accesses <= 0:
-            return 0.0
-        del useful_bytes_per_access  # documents the waste; bus cost is a line
-        gran = self.config.access_granularity
-        per_cycle = (
-            self.bytes_per_cycle
-            if num_stacks is None
-            else self.bytes_per_cycle_for(num_stacks)
-        )
-        return num_accesses * gran / per_cycle
-
-    def amplification(self, useful_bytes_per_access: int = 4) -> float:
-        """Bus-bytes-per-useful-byte ratio of random accesses."""
-        return self.config.access_granularity / useful_bytes_per_access
+        return lines * gran / self.bytes_per_cycle

@@ -1,4 +1,4 @@
-"""Network-on-chip substrate: mesh, crossbar, Benes, and aggregation.
+"""Network-on-chip substrate: mesh, Benes, and aggregation.
 
 ScalaGraph replaces the centralised crossbar of prior accelerators with a
 2D-mesh NoC (Section III-A).  This subpackage provides:
@@ -9,9 +9,9 @@ ScalaGraph replaces the centralised crossbar of prior accelerators with a
   :mod:`repro.noc.meshkernel`), equivalence-gated against each other,
   selected via :func:`~repro.noc.fastmesh.make_mesh_network` and fed
   only through their ``inject`` port, by :func:`~repro.noc.patterns.drain`
-  for whole workloads — and the VOQ crossbar (:mod:`repro.noc.crossbar`),
-* the Benes multistage network (:mod:`repro.noc.benes`) used in the
-  Figure 8 frequency comparison,
+  for whole workloads,
+* the Benes network's switch count and depth (:mod:`repro.noc.benes`),
+  printed in the Figure 8 frequency comparison,
 * the four-stage aggregation pipeline of Figure 11
   (:mod:`repro.noc.aggregation`) plus its statistical window model used by
   the at-scale timing simulations, and
@@ -27,7 +27,6 @@ from repro.noc.fastmesh import (
     resolve_engine,
 )
 from repro.noc.patterns import drain
-from repro.noc.crossbar import CrossbarSwitch, CrossbarStats
 from repro.noc.benes import BenesNetwork
 from repro.noc.aggregation import (
     AggregationPipeline,
@@ -51,8 +50,6 @@ __all__ = [
     "make_mesh_network",
     "resolve_engine",
     "drain",
-    "CrossbarSwitch",
-    "CrossbarStats",
     "BenesNetwork",
     "AggregationPipeline",
     "BatchedAggregationArray",

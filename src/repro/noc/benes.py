@@ -2,42 +2,18 @@
 
 The paper's Figure 8 compares the mesh against a Benes network as the
 representative O(N log N) interconnect.  A Benes network on ``N = 2^k``
-ports has ``2k - 1`` stages of ``N/2`` two-by-two switches and can realise
-*any* input-output permutation.  This module builds the network, computes
-switch settings for a requested permutation with the classic looping
-algorithm, and evaluates settings back to a permutation (used by the tests
-to prove rearrangeability).  Hardware-complexity figures
-(:meth:`BenesNetwork.num_switches`, :meth:`BenesNetwork.depth`) feed the
-frequency and area models.
+ports has ``2k - 1`` stages of ``N/2`` two-by-two switches.  This module
+gives its hardware complexity (:meth:`BenesNetwork.num_switches`,
+:meth:`BenesNetwork.depth`), which the Figure 8 bench and
+``examples/noc_study.py`` print next to the frequency curves of
+:mod:`repro.models.frequency`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-
-@dataclass
-class BenesSettings:
-    """Switch settings for one (sub-)network.
-
-    Attributes:
-        first: cross/straight flag per first-stage switch.
-        last: cross/straight flag per last-stage switch.
-        subnets: settings of the upper/lower half networks (None at N=2).
-    """
-
-    first: List[bool]
-    last: List[bool]
-    subnets: Optional[Tuple["BenesSettings", "BenesSettings"]]
-
-    @property
-    def is_base(self) -> bool:
-        return self.subnets is None
 
 
 class BenesNetwork:
@@ -50,9 +26,6 @@ class BenesNetwork:
             )
         self.num_ports = num_ports
 
-    # ------------------------------------------------------------------
-    # Hardware complexity (consumed by the frequency/area models)
-    # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
         """Number of switch stages: ``2 * log2(N) - 1``."""
@@ -62,81 +35,3 @@ class BenesNetwork:
     def num_switches(self) -> int:
         """Total 2x2 switches: ``depth * N / 2`` — the O(N log N) cost."""
         return self.depth * self.num_ports // 2
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def route_permutation(self, perm: Sequence[int]) -> BenesSettings:
-        """Compute switch settings realising ``perm`` (output of input i
-        is ``perm[i]``). Raises if ``perm`` is not a permutation."""
-        perm = list(perm)
-        if sorted(perm) != list(range(self.num_ports)):
-            raise ConfigurationError("perm must be a permutation of 0..N-1")
-        return _route(perm)
-
-    def evaluate(self, settings: BenesSettings) -> List[int]:
-        """The permutation realised by the given switch settings."""
-        return [_trace(settings, i) for i in range(self.num_ports)]
-
-
-def _route(perm: List[int]) -> BenesSettings:
-    n = len(perm)
-    if n == 2:
-        return BenesSettings(first=[perm[0] == 1], last=[], subnets=None)
-
-    inverse = [0] * n
-    for i, o in enumerate(perm):
-        inverse[o] = i
-
-    # Looping algorithm: 2-colour inputs with the subnet (0=upper,
-    # 1=lower) they traverse, subject to: the two inputs of an input
-    # switch take different subnets, and the two outputs of an output
-    # switch are fed from different subnets.
-    subnet = [-1] * n
-    for seed in range(n):
-        if subnet[seed] != -1:
-            continue
-        i, colour = seed, 0
-        while subnet[i] == -1:
-            subnet[i] = colour
-            # The output this input drives must leave via the same subnet,
-            # so the sibling output must use the other subnet...
-            sibling_out = perm[i] ^ 1
-            j = inverse[sibling_out]
-            if subnet[j] == -1:
-                subnet[j] = 1 - colour
-            # ...and j's input-switch sibling must take colour again.
-            i, colour = j ^ 1, colour
-            if i == seed:
-                break
-
-    first = [bool(subnet[2 * k]) for k in range(n // 2)]
-    last = [False] * (n // 2)
-    sub_perm: List[List[int]] = [[0] * (n // 2), [0] * (n // 2)]
-    for i in range(n):
-        s = subnet[i]
-        sub_perm[s][i // 2] = perm[i] // 2
-        # Arriving at last-stage switch perm[i]//2 on port s, the packet
-        # must exit on port perm[i] % 2.
-        last[perm[i] // 2] = bool(s ^ (perm[i] % 2)) if s == subnet[i] else last[perm[i] // 2]
-    # Recompute `last` deterministically from subnet-0 passengers only
-    # (both passengers give consistent settings by construction).
-    for i in range(n):
-        if subnet[i] == 0:
-            last[perm[i] // 2] = bool(perm[i] % 2)
-
-    return BenesSettings(
-        first=first,
-        last=last,
-        subnets=(_route(sub_perm[0]), _route(sub_perm[1])),
-    )
-
-
-def _trace(settings: BenesSettings, port: int) -> int:
-    if settings.is_base:
-        return port ^ int(settings.first[0])
-    switch, lane = divmod(port, 2)
-    subnet = lane ^ int(settings.first[switch])
-    inner = _trace(settings.subnets[subnet], switch)
-    out_lane = subnet ^ int(settings.last[inner])
-    return 2 * inner + out_lane

@@ -4,7 +4,7 @@ and the one driver that runs a workload through a mesh engine.
 Graph workloads are irregular, but interconnects are characterised with
 canonical patterns: uniform random, permutations (transpose,
 bit-reversal, shuffle), hotspot, and tornado.  These generators feed the
-cycle-level mesh/crossbar simulators for saturation-throughput studies
+cycle-level mesh simulators for saturation-throughput studies
 (``benchmarks/bench_noc_characterization.py``) and stress tests.
 
 :func:`drain` queues packets at their source nodes and steps either mesh

@@ -119,6 +119,23 @@ class TestCrossbarConfig:
             CrossbarAcceleratorConfig(vector_width=0)
 
 
+class TestCrossbarConflictBound:
+    @pytest.mark.parametrize("with_crossbar", [True, False])
+    def test_one_output_serialises(self, with_crossbar):
+        """Updates that all target one partition (``dst % PEs`` equal)
+        meet at one crossbar output, which absorbs ``vector_width`` per
+        cycle; the crossbar-free variant charges no conflict."""
+        num_pes, updates = 128, 512
+        model = GraphDynS.with_pes(
+            num_pes, frequency_mhz=100.0, with_crossbar=with_crossbar
+        )
+        dst = np.arange(updates, dtype=np.int64) * num_pes + 5
+        src = np.zeros(updates, dtype=np.int64)
+        phase = model._scatter_phase(np.zeros(1, dtype=np.int64), src, dst)
+        expected = updates / model.config.vector_width if with_crossbar else 0
+        assert phase.spd == expected
+
+
 class TestGunrock:
     def test_runs_and_matches_reference(self, graph, pr_reference):
         report = Gunrock().run(

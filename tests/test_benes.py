@@ -1,9 +1,6 @@
-"""Benes network tests: construction and rearrangeability."""
+"""Benes network tests: construction and hardware complexity."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.noc.benes import BenesNetwork
@@ -26,46 +23,3 @@ class TestConstruction:
             with pytest.raises(ConfigurationError):
                 BenesNetwork(bad)
 
-
-class TestRouting:
-    def test_identity(self):
-        net = BenesNetwork(8)
-        perm = list(range(8))
-        assert net.evaluate(net.route_permutation(perm)) == perm
-
-    def test_reversal(self):
-        net = BenesNetwork(8)
-        perm = list(reversed(range(8)))
-        assert net.evaluate(net.route_permutation(perm)) == perm
-
-    def test_swap_pairs(self):
-        net = BenesNetwork(8)
-        perm = [1, 0, 3, 2, 5, 4, 7, 6]
-        assert net.evaluate(net.route_permutation(perm)) == perm
-
-    def test_base_case(self):
-        net = BenesNetwork(2)
-        assert net.evaluate(net.route_permutation([1, 0])) == [1, 0]
-        assert net.evaluate(net.route_permutation([0, 1])) == [0, 1]
-
-    def test_rejects_non_permutation(self):
-        net = BenesNetwork(4)
-        with pytest.raises(ConfigurationError):
-            net.route_permutation([0, 0, 1, 2])
-        with pytest.raises(ConfigurationError):
-            net.route_permutation([0, 1, 2])
-
-    def test_random_permutations_all_sizes(self):
-        rng = np.random.default_rng(9)
-        for n in (4, 8, 16, 32, 128):
-            net = BenesNetwork(n)
-            for _ in range(5):
-                perm = list(rng.permutation(n))
-                assert net.evaluate(net.route_permutation(perm)) == perm
-
-    @given(st.permutations(list(range(16))))
-    def test_rearrangeable_property(self, perm):
-        """A Benes network realises *every* permutation — the property
-        that makes it a crossbar substitute at O(N log N) cost."""
-        net = BenesNetwork(16)
-        assert net.evaluate(net.route_permutation(list(perm))) == list(perm)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.memory.hbm import HBMConfig, HBMModel
 from repro.memory.request import cachelines_touched
-from repro.memory.spd import ScratchpadConfig, ScratchpadSlice
+from repro.memory.spd import ScratchpadConfig
 
 
 class TestHBMConfig:
@@ -15,8 +15,6 @@ class TestHBMConfig:
         assert cfg.num_stacks == 2
         assert cfg.num_pseudo_channels == 32
         assert cfg.total_bandwidth_gbs == 460.0
-        assert cfg.bandwidth_per_stack_gbs == 230.0
-        assert cfg.bandwidth_per_channel_gbs == pytest.approx(14.375)
 
     def test_unbounded(self):
         assert HBMConfig.unbounded().total_bandwidth_gbs >= 1e8
@@ -52,24 +50,9 @@ class TestHBMModel:
         edges_per_cycle = model.bytes_per_cycle / 4
         assert edges_per_cycle == pytest.approx(1024, rel=0.01)
 
-    def test_random_access_amplification(self):
-        model = HBMModel(HBMConfig(), 250e6)
-        # 1024 accesses x 4 B = exactly 64 lines, avoiding rounding noise.
-        random = model.random_access_cycles(1024, useful_bytes_per_access=4)
-        sequential = model.stream_cycles(1024 * 4)
-        assert random == pytest.approx(16 * sequential)
-        assert model.amplification(4) == 16.0
-
-    def test_per_stack_bandwidth(self):
-        model = HBMModel(HBMConfig(), 250e6)
-        assert model.bytes_per_cycle_for(1) == pytest.approx(920.0)
-        with pytest.raises(ConfigurationError):
-            model.bytes_per_cycle_for(3)
-
     def test_zero_traffic(self):
         model = HBMModel(HBMConfig(), 250e6)
         assert model.stream_cycles(0) == 0.0
-        assert model.random_access_cycles(0) == 0.0
 
     def test_rejects_bad_frequency(self):
         with pytest.raises(ConfigurationError):
@@ -82,50 +65,9 @@ class TestScratchpad:
         cfg = ScratchpadConfig()
         assert cfg.capacity_vertices == 786_432
 
-    def test_slice_division(self):
-        cfg = ScratchpadConfig()
-        assert cfg.slice_bytes(512) == (6 << 20) // 512
-        assert cfg.slice_capacity_vertices(512) == 1536
-
-    def test_slice_store_and_reduce(self):
-        spd = ScratchpadSlice(ScratchpadConfig(), num_pes=512)
-        spd.load(10, 5.0)
-        assert spd.read(10) == 5.0
-        assert spd.reduce(10, 3.0, min) == 3.0
-        assert spd.reduce_count == 1
-
-    def test_capacity_enforced(self):
-        cfg = ScratchpadConfig(total_bytes=64, bytes_per_vertex=8)
-        spd = ScratchpadSlice(cfg, num_pes=4)  # 2 vertices per slice
-        spd.load(0, 0.0)
-        spd.load(1, 0.0)
-        with pytest.raises(CapacityError):
-            spd.load(2, 0.0)
-
-    def test_overwrite_does_not_grow(self):
-        cfg = ScratchpadConfig(total_bytes=64, bytes_per_vertex=8)
-        spd = ScratchpadSlice(cfg, num_pes=4)
-        spd.load(0, 0.0)
-        spd.load(1, 0.0)
-        spd.load(0, 9.0)  # update in place
-        assert spd.read(0) == 9.0
-
-    def test_read_missing(self):
-        spd = ScratchpadSlice(ScratchpadConfig(), num_pes=16)
-        with pytest.raises(CapacityError):
-            spd.read(3)
-
-    def test_clear(self):
-        spd = ScratchpadSlice(ScratchpadConfig(), num_pes=16)
-        spd.load(1, 1.0)
-        spd.clear()
-        assert len(spd) == 0
-
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             ScratchpadConfig(total_bytes=0)
-        with pytest.raises(ConfigurationError):
-            ScratchpadConfig().slice_bytes(0)
 
 
 class TestRequests:

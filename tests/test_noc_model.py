@@ -22,7 +22,6 @@ from repro.mapping import (
 )
 from repro.noc.aggregation import window_coalesce_count
 from repro.noc.topology import MeshTopology
-from repro.util import grouped_arange
 
 
 @pytest.fixture
@@ -115,6 +114,48 @@ class TestSurvivorMask:
         dst = np.array([7, 8, 7])
         col = np.zeros(3, dtype=np.int64)
         assert survivor_mask(dst, col, 1.5).all()
+
+
+def grouped_arange(sorted_keys):
+    """``0,1,2,...`` restarting whenever an ascending key array changes.
+
+    ``sorted_keys`` must be grouped (all equal keys adjacent); the result
+    gives each element its rank within its group, preserving order.
+    """
+    sorted_keys = np.asarray(sorted_keys)
+    if sorted_keys.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    is_start = np.empty(sorted_keys.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_start[1:])
+    idx = np.arange(sorted_keys.size, dtype=np.int64)
+    start_idx = np.where(is_start, idx, 0)
+    np.maximum.accumulate(start_idx, out=start_idx)
+    return idx - start_idx
+
+
+class TestGroupedArange:
+    def test_basic(self):
+        keys = np.array([0, 0, 0, 1, 1, 3])
+        assert grouped_arange(keys).tolist() == [0, 1, 2, 0, 1, 0]
+
+    def test_single_group(self):
+        assert grouped_arange(np.zeros(4, dtype=int)).tolist() == [0, 1, 2, 3]
+
+    def test_all_distinct(self):
+        assert grouped_arange(np.arange(5)).tolist() == [0] * 5
+
+    def test_empty(self):
+        assert grouped_arange(np.array([])).size == 0
+
+    @given(st.lists(st.integers(0, 5), max_size=50))
+    def test_property_matches_python(self, values):
+        keys = np.array(sorted(values), dtype=np.int64)
+        result = grouped_arange(keys)
+        seen = {}
+        for key, rank in zip(keys, result):
+            assert rank == seen.get(int(key), 0)
+            seen[int(key)] = int(rank) + 1
 
 
 def survivor_mask_oracle(edge_dst, dst_col, window):

@@ -9,7 +9,6 @@ correctness argument rests on it.
 import numpy as np
 import pytest
 
-from repro.noc.crossbar import CrossbarSwitch
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
 from repro.noc.patterns import drain
@@ -96,26 +95,3 @@ class TestStormPatterns:
         net, _ = run_pattern(topo, pairs, stagger=8)
         worst = max(p.latency for p in net.delivered)
         assert worst < 300
-
-
-class TestCrossbarStress:
-    def test_full_load_throughput(self):
-        """An 8x8 crossbar under uniform full load sustains close to one
-        packet per output per cycle."""
-        xb = CrossbarSwitch(8, 8)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            for i in range(8):
-                xb.inject(Packet(src=i, dst=int(rng.integers(0, 8))))
-        stats = xb.run_until_drained()
-        assert stats.delivered == 800
-        # Uniform random: expected makespan within ~2.5x of ideal.
-        assert stats.cycles < 250
-
-    def test_adversarial_single_output(self):
-        xb = CrossbarSwitch(16, 16)
-        for i in range(16):
-            for _ in range(10):
-                xb.inject(Packet(src=i, dst=0))
-        stats = xb.run_until_drained()
-        assert stats.cycles == 160  # fully serialised

@@ -7,6 +7,7 @@ which is what routes the pool through them.  Coordination crosses the
 process boundary through flag files under ``REPRO_RESILIENCE_DIR``.
 """
 
+import builtins
 import json
 import multiprocessing
 import os
@@ -128,10 +129,12 @@ def hanging_execute_cell(
 def model_error_worker(
     graph_name, algorithm_name, systems, scale_shift, max_iterations
 ):
-    """Raises a plain model error (no crash) on the poison cell."""
+    """Raises a plain model error (no crash) on the poison cell: the
+    builtin exception named by ``REPRO_POISON_ERROR``."""
     _record_invocation(graph_name, algorithm_name)
     if (graph_name, algorithm_name) == POISON:
-        raise ValueError("model error in the poison cell")
+        error = getattr(builtins, os.environ["REPRO_POISON_ERROR"])
+        raise error("model error in the poison cell")
     return execute_cell(
         graph_name, algorithm_name, systems, scale_shift, max_iterations
     )
@@ -297,6 +300,23 @@ class TestCrashIsolation:
         assert elapsed < 50.0  # ...and was cut short, not waited out
         assert_matches_serial(matrix, serial_matrix)
 
+    def test_one_cell_sweep_is_timed(self, monkeypatch):
+        """A sweep of one cell runs in the pool like any other, so its
+        cell timeout holds."""
+        monkeypatch.setattr(parallel_mod, "execute_cell", hanging_execute_cell)
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashError) as excinfo:
+            run_matrix_parallel(
+                [POISON[0]],
+                [POISON[1]],
+                SYSTEMS,
+                max_workers=2,
+                policy=RetryPolicy(cell_timeout=0.5, max_retries=0),
+                **KW,
+            )
+        assert time.monotonic() - start < 15.0
+        assert isinstance(excinfo.value.__cause__, TimeoutError)
+
     def test_timeout_is_final(self, tmp_path, monkeypatch):
         """A cell that blows its wall-clock budget on every attempt
         fails the sweep with a TimeoutError cause instead of running
@@ -329,18 +349,23 @@ class TestCrashIsolation:
 
 
 class TestModelError:
+    @pytest.mark.parametrize(
+        "error", [ValueError, FileNotFoundError, ImportError]
+    )
     def test_model_error_reaches_caller_unchanged(
-        self, resilience_dir, tmp_path, monkeypatch
+        self, error, resilience_dir, tmp_path, monkeypatch
     ):
         """An exception a cell raises (not a crash or timeout) is the
-        caller's: not retried, not rerun serially, not wrapped — and the
-        cells that finished before it are already cached."""
+        caller's, whatever its type: not retried, not rerun serially, not
+        wrapped — and the cells that finished before it are already
+        cached."""
         cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setenv("REPRO_POISON_ERROR", error.__name__)
         monkeypatch.setattr(parallel_mod, "_cell_worker", model_error_worker)
         monkeypatch.setattr(
             parallel_mod, "execute_cell", recording_execute_cell
         )
-        with pytest.raises(ValueError, match="model error in the poison"):
+        with pytest.raises(error, match="model error in the poison"):
             run_matrix_parallel(
                 GRAPHS,
                 ALGORITHMS,
@@ -361,6 +386,34 @@ class TestModelError:
             assert cache.get(
                 "PK", algorithm_name, SYSTEMS[0], **KW
             ) is not None
+
+    def test_cache_write_error_reaches_caller(
+        self, resilience_dir, tmp_path, monkeypatch
+    ):
+        """A write-back that fails in the sweep's own process fails the
+        sweep; no cell is recomputed there."""
+        cache = ResultCache(tmp_path / "cache")
+        real_put = ResultCache.put
+        failed = []
+
+        def put_failing_once(self, *args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise OSError("disk full")
+            return real_put(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "put", put_failing_once)
+        monkeypatch.setattr(
+            parallel_mod, "execute_cell", recording_execute_cell
+        )
+        with pytest.raises(OSError, match="disk full"):
+            run_matrix_parallel(
+                GRAPHS, ALGORITHMS, SYSTEMS, max_workers=2, cache=cache, **KW
+            )
+        assert invoked_cells(resilience_dir)  # the cells ran in workers...
+        assert not list(  # ...and none in the sweep's own process
+            resilience_dir.glob(f"invoked-*-{os.getpid()}")
+        )
 
 
 class TestInterrupt:

@@ -1,6 +1,7 @@
-"""Parallel matrix runner: determinism, caching, graceful fallback."""
+"""Parallel matrix runner: determinism, caching, errors reaching the caller."""
 
 import json
+import pickle
 
 import pytest
 
@@ -86,62 +87,25 @@ class TestSubmissionOrder:
         assert list(par.reports) == list(serial_matrix.reports)
 
 
-class TestPoolFallback:
-    def test_broken_pool_falls_back_to_serial(
-        self, serial_matrix, monkeypatch
-    ):
-        """A pool that cannot run any job must degrade, not raise."""
+class UnpicklableWorker:
+    """A cell worker that refuses to cross the process boundary."""
 
-        def broken_pool(
-            jobs, scale_shift, max_iterations, max_workers, out, **kwargs
-        ):
-            parallel_mod._run_jobs_serial(
-                jobs, scale_shift, max_iterations, out
+    def __call__(self, *args):  # pragma: no cover - never reaches a worker
+        return []
+
+    def __reduce__(self):
+        raise pickle.PicklingError("worker will not pickle")
+
+
+class TestPoolErrors:
+    def test_unpicklable_payload_reaches_caller(self, monkeypatch):
+        """A payload that will not pickle fails its cell through the
+        future, like an error the cell raises: no serial rerun."""
+        monkeypatch.setattr(parallel_mod, "_cell_worker", UnpicklableWorker())
+        with pytest.raises(pickle.PicklingError, match="will not pickle"):
+            run_matrix_parallel(
+                ["PK"], ALGORITHMS, SYSTEMS, max_workers=2, **KW
             )
-
-        calls = []
-
-        def tracked(*args, **kwargs):
-            calls.append(1)
-            return broken_pool(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "_run_jobs_pooled", tracked)
-        par = run_matrix_parallel(
-            GRAPHS, ALGORITHMS, SYSTEMS, max_workers=4, **KW
-        )
-        assert calls  # pooled path was chosen...
-        assert cell_dicts(par) == cell_dicts(serial_matrix)  # ...and correct
-
-    def test_unpicklable_worker_recovers(self, serial_matrix, monkeypatch):
-        """Simulate pickling failure inside the pooled path itself."""
-        import pickle
-
-        real_pooled = parallel_mod._run_jobs_pooled
-
-        def exploding_submit(*args, **kwargs):
-            raise pickle.PicklingError("cannot pickle")
-
-        from concurrent.futures import ProcessPoolExecutor
-
-        monkeypatch.setattr(
-            ProcessPoolExecutor, "submit", exploding_submit
-        )
-        out = {}
-        jobs = [("PK", "bfs", tuple(SYSTEMS))]
-        real_pooled(jobs, KW["scale_shift"], KW["max_iterations"], 2, out)
-        assert set(out) == {("PK", "bfs", s) for s in SYSTEMS}
-
-    def test_single_job_stays_in_process(self, monkeypatch):
-        """One cell never pays process-pool startup."""
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("pool should not be used for one job")
-
-        monkeypatch.setattr(parallel_mod, "_run_jobs_pooled", forbidden)
-        par = run_matrix_parallel(
-            ["PK"], ["bfs"], SYSTEMS, max_workers=8, **KW
-        )
-        assert len(par.reports) == 2
 
 
 class TestCaching:

@@ -5,35 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import (
-    grouped_arange,
-    grouped_arange_from_counts,
-    unique_id_counts,
-)
-
-
-class TestGroupedArange:
-    def test_basic(self):
-        keys = np.array([0, 0, 0, 1, 1, 3])
-        assert grouped_arange(keys).tolist() == [0, 1, 2, 0, 1, 0]
-
-    def test_single_group(self):
-        assert grouped_arange(np.zeros(4, dtype=int)).tolist() == [0, 1, 2, 3]
-
-    def test_all_distinct(self):
-        assert grouped_arange(np.arange(5)).tolist() == [0] * 5
-
-    def test_empty(self):
-        assert grouped_arange(np.array([])).size == 0
-
-    @given(st.lists(st.integers(0, 5), max_size=50))
-    def test_property_matches_python(self, values):
-        keys = np.array(sorted(values), dtype=np.int64)
-        result = grouped_arange(keys)
-        seen = {}
-        for key, rank in zip(keys, result):
-            assert rank == seen.get(int(key), 0)
-            seen[int(key)] = int(rank) + 1
+from repro.util import grouped_arange_from_counts, unique_id_counts
 
 
 class TestGroupedArangeFromCounts:
