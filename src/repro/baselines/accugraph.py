@@ -15,9 +15,11 @@ consistently the slower of the two.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.baselines.base import CrossbarAccelerator, CrossbarAcceleratorConfig
+from repro.memory.spd import MB, ScratchpadConfig
 
 
 def _accugraph_config(
@@ -49,5 +51,11 @@ class AccuGraph(CrossbarAccelerator):
         frequency_mhz: Optional[float] = None,
         with_crossbar: bool = True,
     ) -> "AccuGraph":
-        """Arbitrary-size variant for the Figure 4 scaling study."""
-        return cls(_accugraph_config(num_pes, frequency_mhz, with_crossbar))
+        """Arbitrary-size variant for the Figure 4 scaling study, with
+        the prototype's 4 MB BRAM scratchpad (Section II-B)."""
+        return cls(
+            replace(
+                _accugraph_config(num_pes, frequency_mhz, with_crossbar),
+                spd=ScratchpadConfig(total_bytes=4 * MB),
+            )
+        )

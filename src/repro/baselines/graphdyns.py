@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.base import CrossbarAccelerator, CrossbarAcceleratorConfig
+from repro.memory.spd import MB, ScratchpadConfig
 
 
 def _graphdyns_config(
@@ -71,12 +72,14 @@ class GraphDynS(CrossbarAccelerator):
         synthesis model and raises
         :class:`~repro.errors.SynthesisError` beyond 128 PEs (the
         Figure 4 route failures).  ``with_crossbar=False`` builds the
-        crossbar-removed control variant.
+        crossbar-removed control variant.  The scratchpad is the
+        prototype's 4 MB of BRAM (Section II-B).
         """
         from dataclasses import replace
 
         cfg = replace(
             _graphdyns_config(num_pes, 1, frequency_mhz),
             with_crossbar=with_crossbar,
+            spd=ScratchpadConfig(total_bytes=4 * MB),
         )
         return cls(cfg)

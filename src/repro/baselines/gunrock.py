@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.algorithms.base import VertexProgram
 from repro.algorithms.reference import (
     ReferenceResult,
     gather_frontier_edges,
+    repeats_previous,
     run_reference,
 )
 from repro.core.stats import IterationStats, SimulationReport
@@ -95,10 +94,16 @@ class Gunrock:
 
         iteration_stats: list[IterationStats] = []
         total_seconds = 0.0
+        previous = None
         for trace in ref.iterations:
-            src, dst, _ = gather_frontier_edges(graph, trace.active_vertices)
+            active = trace.active_vertices
+            if not repeats_previous(previous, (active,)):
+                _, dst, _ = gather_frontier_edges(graph, active)
+                num_edges = int(dst.size)
+                lines = cachelines_touched(dst * 4, cfg.sector_bytes)
+            previous = (active,)
             seconds, traffic = self._iteration_seconds(
-                graph, trace.active_vertices, src, dst, trace.num_updates
+                int(active.size), num_edges, lines, trace.num_updates
             )
             total_seconds += seconds
             iteration_stats.append(
@@ -133,26 +138,21 @@ class Gunrock:
     # ------------------------------------------------------------------
     def _iteration_seconds(
         self,
-        graph: CSRGraph,
-        active: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
+        num_active: int,
+        num_edges: int,
+        lines: int,
         num_updates: int,
     ) -> tuple[float, float]:
         cfg = self.config
-        num_edges = int(src.size)
 
         # Streaming traffic: frontier (8 B/vertex) + CSR edges (8 B/edge:
         # column index + offsets/weights).
-        streamed = active.size * 8.0 + num_edges * 8.0
-        # Random destination-vertex traffic: one sector per miss; distinct
-        # lines give a cheap lower bound on reuse, the hit rate models L2.
-        if num_edges:
-            lines = cachelines_touched(dst * 4, cfg.sector_bytes)
-            misses = lines + (num_edges - lines) * (1.0 - cfg.l2_hit_rate)
-            random_bytes = misses * cfg.sector_bytes
-        else:
-            random_bytes = 0.0
+        streamed = num_active * 8.0 + num_edges * 8.0
+        # Random destination-vertex traffic: one sector per miss; the
+        # frontier's distinct `lines` give a cheap lower bound on reuse,
+        # the hit rate models L2.
+        misses = lines + (num_edges - lines) * (1.0 - cfg.l2_hit_rate)
+        random_bytes = misses * cfg.sector_bytes
         writeback = num_updates * 8.0
         total_bytes = streamed + random_bytes + writeback
 

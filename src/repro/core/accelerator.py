@@ -22,6 +22,7 @@ from repro.algorithms.base import VertexProgram
 from repro.algorithms.reference import (
     ReferenceResult,
     gather_frontier_edges,
+    repeats_previous,
     run_reference,
 )
 from repro.core.config import ScalaGraphConfig
@@ -149,17 +150,16 @@ class ScalaGraph:
         with prof.timer("analytic.reference"):
             ref = reference or run_reference(program, graph, max_iterations)
         with prof.timer("analytic.workload_build"):
-            workload = [
-                WorkloadIteration(
-                    active_vertices=trace.active_vertices,
-                    edge_src=(edges := gather_frontier_edges(
-                        graph, trace.active_vertices
-                    ))[0],
-                    edge_dst=edges[1],
-                    num_updates=trace.num_updates,
+            workload: list[WorkloadIteration] = []
+            previous = None
+            for trace in ref.iterations:
+                active = trace.active_vertices
+                if not repeats_previous(previous, (active,)):
+                    src, dst, _ = gather_frontier_edges(graph, active)
+                previous = (active,)
+                workload.append(
+                    WorkloadIteration(active, src, dst, trace.num_updates)
                 )
-                for trace in ref.iterations
-            ]
         return self.run_trace(
             graph,
             workload,
@@ -206,27 +206,40 @@ class ScalaGraph:
         apply_totals: list[float] = []
         iteration_stats: list[IterationStats] = []
         compute_cycle_total = 0.0
+        # Per partition, the current frontier's Scatter phase and Apply
+        # compute bound: modelled once per run of repeated iterations.
+        scatter_phases: list[dict] = []
+        apply_computes: list[float] = []
+        previous = None
 
         for index, item in enumerate(workload):
             active = np.asarray(item.active_vertices, dtype=np.int64)
             src = np.asarray(item.edge_src, dtype=np.int64)
             dst = np.asarray(item.edge_dst, dtype=np.int64)
+            repeat = repeats_previous(previous, (active, src, dst))
+            previous = (active, src, dst)
+            if repeat:
+                prof.count("analytic.scatter_phases_reused", len(partitions))
+            else:
+                scatter_phases, apply_computes = [], []
             scatter_cycles = 0.0
             apply_cycles = 0.0
             messages = hops = coalesced = 0
             offchip = 0.0
             bottleneck = "compute"
 
-            for part in partitions:
-                if len(partitions) == 1:
-                    src_p, dst_p = src, dst
-                else:
-                    mask = part.mask(dst)
-                    src_p, dst_p = src[mask], dst[mask]
-                with prof.timer("analytic.scatter_model"):
-                    phase = self._scatter_phase(
-                        active, src_p, dst_p, window
-                    )
+            for p, part in enumerate(partitions):
+                if not repeat:
+                    if len(partitions) == 1:
+                        src_p, dst_p = src, dst
+                    else:
+                        mask = part.mask(dst)
+                        src_p, dst_p = src[mask], dst[mask]
+                    with prof.timer("analytic.scatter_model"):
+                        scatter_phases.append(
+                            self._scatter_phase(active, src_p, dst_p, window)
+                        )
+                phase = scatter_phases[p]
                 scatter_cycles += phase["cycles"].total
                 compute_cycle_total += phase["cycles"].compute
                 messages += phase["noc"].messages
@@ -236,7 +249,11 @@ class ScalaGraph:
                 bottleneck = phase["cycles"].bottleneck
 
                 with prof.timer("analytic.apply_model"):
-                    apply_phase = self._apply_phase(dst_p, item.num_updates)
+                    if not repeat:
+                        apply_computes.append(self._apply_compute(dst_p))
+                    apply_phase = self._apply_phase(
+                        apply_computes[p], item.num_updates
+                    )
                 apply_cycles += apply_phase["cycles"]
                 offchip += apply_phase["offchip_bytes"]
 
@@ -403,12 +420,15 @@ class ScalaGraph:
             "offchip_bytes": traffic.total_bytes,
         }
 
-    def _apply_phase(self, dst: np.ndarray, num_updates: int) -> dict:
-        cfg = self.config
+    def _apply_compute(self, dst: np.ndarray) -> float:
+        """Apply's compute bound: the busiest node's touched vertices."""
         touched, _ = unique_id_counts(dst)
-        compute = apply_compute_cycles(
+        return apply_compute_cycles(
             self.mapping.home(touched), self.topology.num_nodes
         )
+
+    def _apply_phase(self, compute: float, num_updates: int) -> dict:
+        cfg = self.config
         noc = apply_noc_service_cycles(self.mapping, num_updates)
         traffic = self.prefetcher.apply_traffic(num_updates)
         memory = self.prefetcher.cycles(traffic)

@@ -1,14 +1,21 @@
 """ScalaGraph timing-model tests: invariants and the paper's knob effects."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, ConnectedComponents, PageRank, run_reference
-from repro.core import ScalaGraph, ScalaGraphConfig
+from repro.algorithms.reference import ReferenceResult, gather_frontier_edges
+from repro.core import Profiler, ScalaGraph, ScalaGraphConfig
+from repro.core.accelerator import WorkloadIteration
 from repro.core.config import TimingParams
 from repro.errors import CapacityError
+from repro.faults import FaultConfig, FaultSchedule
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat_graph
 from repro.memory.spd import ScratchpadConfig
+from repro.noc.topology import MeshTopology
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +241,106 @@ class TestTimingParams:
             pr_reference,
         )
         assert wide.total_cycles <= narrow.total_cycles
+
+
+def _per_iteration_fields(stats):
+    """An iteration's stats without its position in the run."""
+    fields = asdict(stats)
+    del fields["index"], fields["overlap_cycles"]
+    return fields
+
+
+class TestRepeatedFrontierReuse:
+    """PageRank repeats one all-active frontier for 20 iterations: each
+    partition's phase terms are modelled once, and every iteration's
+    stats still equal those of that iteration run alone."""
+
+    @pytest.fixture(scope="class")
+    def standin(self):
+        return load_dataset("PK", scale_shift=-5)
+
+    @pytest.fixture(scope="class")
+    def reference(self, standin):
+        reference = run_reference(PageRank(), standin)
+        assert reference.num_iterations == 20
+        return reference
+
+    @staticmethod
+    def build(graph, sliced, faulted=False, profiler=None):
+        config = ScalaGraphConfig()
+        if sliced:  # four partitions
+            config = ScalaGraphConfig(
+                spd=ScratchpadConfig(total_bytes=graph.num_vertices * 2)
+            )
+        faults = None
+        if faulted:
+            faults = FaultSchedule(
+                MeshTopology(config.pe_rows, config.total_cols),
+                FaultConfig(seed=2, link_outages=3, hbm_disabled_channels=16),
+            )
+        return ScalaGraph(config, profiler=profiler, faults=faults)
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_iterations_equal_running_alone(
+        self, standin, reference, sliced, faulted
+    ):
+        report = self.build(standin, sliced, faulted).run(
+            PageRank(), standin, reference=reference
+        )
+        assert report.num_partitions == (4 if sliced else 1)
+        for trace, stats in zip(reference.iterations, report.iterations):
+            alone = self.build(standin, sliced, faulted).run(
+                PageRank(),
+                standin,
+                reference=ReferenceResult(reference.properties, [trace]),
+            )
+            assert _per_iteration_fields(stats) == _per_iteration_fields(
+                alone.iterations[0]
+            )
+        if faulted:
+            clean = self.build(standin, sliced).run(
+                PageRank(), standin, reference=reference
+            )
+            assert report.extra["degraded_cycles"] == max(
+                0.0, report.total_cycles - clean.total_cycles
+            )
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_each_partition_modelled_once(self, standin, reference, sliced):
+        profiler = Profiler()
+        report = self.build(standin, sliced, profiler=profiler).run(
+            PageRank(), standin, reference=reference
+        )
+        partitions = report.num_partitions
+        timers = profiler.to_dict()["timers"]
+        assert timers["analytic.scatter_model"]["calls"] == partitions
+        assert timers["analytic.apply_model"]["calls"] == 20 * partitions
+        assert profiler.counter("analytic.scatter_phases") == 20 * partitions
+        assert profiler.counter("analytic.scatter_phases_reused") == (
+            19 * partitions
+        )
+
+    def test_trace_repeats_only_when_edges_repeat(self, standin):
+        """`run_trace` workloads may share a frontier but not its edges
+        (DOBFS pull phases): such an iteration is modelled afresh."""
+        active = np.arange(standin.num_vertices, dtype=np.int64)
+        src, dst, _ = gather_frontier_edges(standin, active)
+        half = src.size // 2
+        workload = [
+            WorkloadIteration(active, src, dst, 10),
+            WorkloadIteration(active, src[:half], dst[:half], 10),
+            WorkloadIteration(active, src[:half], dst[:half], 20),
+        ]
+        profiler = Profiler()
+        report = self.build(standin, sliced=False, profiler=profiler).run_trace(
+            standin, workload
+        )
+        assert profiler.counter("analytic.scatter_phases_reused") == 1
+        for item, stats in zip(workload, report.iterations):
+            alone = self.build(standin, sliced=False).run_trace(
+                standin, [item]
+            )
+            assert _per_iteration_fields(stats) == _per_iteration_fields(
+                alone.iterations[0]
+            )

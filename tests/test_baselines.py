@@ -1,18 +1,26 @@
 """Baseline model tests: GraphDynS, AccuGraph, Gunrock."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank, run_reference
+from repro.algorithms.reference import ReferenceResult
 from repro.baselines import (
     AccuGraph,
+    CrossbarAccelerator,
     CrossbarAcceleratorConfig,
     GraphDynS,
     Gunrock,
     GunrockConfig,
 )
+from repro.baselines import gunrock as gunrock_module
 from repro.errors import ConfigurationError, SynthesisError
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat_graph
+from repro.memory.request import cachelines_touched
+from repro.memory.spd import MB, ScratchpadConfig
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +214,113 @@ class TestPaperHeadlineShapes:
         # ScalaGraph-512 beats everything; GraphDynS-512 beats GraphDynS-128.
         assert sg512.gteps > gd512.gteps > gd128.gteps
         assert sg512.gteps > gunrock.gteps
+
+
+class TestFigure4Builders:
+    @pytest.mark.parametrize("cls", [GraphDynS, AccuGraph])
+    def test_scaling_variants_use_4mb_scratchpad(self, cls):
+        """The Figure 4 prototypes have 4 MB of BRAM (Section II-B)."""
+        assert cls.with_pes(64).config.spd == ScratchpadConfig(
+            total_bytes=4 * MB
+        )
+
+    def test_graphdyns_comparison_points_keep_default(self):
+        assert GraphDynS.with_128_pes().config.spd == ScratchpadConfig()
+        assert GraphDynS.with_512_pes().config.spd == ScratchpadConfig()
+
+
+def _per_iteration_fields(stats):
+    """An iteration's stats without its position in the run."""
+    fields = asdict(stats)
+    del fields["index"], fields["overlap_cycles"]
+    return fields
+
+
+_CROSSBARS = {"GraphDynS-512": GraphDynS.with_512_pes, "AccuGraph": AccuGraph}
+
+
+def _crossbar(name, spd):
+    model = _CROSSBARS[name]()
+    if spd is not None:
+        model = type(model)(replace(model.config, spd=spd))
+    return model
+
+
+class TestRepeatedFrontierReuse:
+    """PageRank repeats one all-active frontier for 20 iterations: the
+    baselines model it once per partition, and every iteration's stats
+    still equal those of that iteration run alone."""
+
+    @pytest.fixture(scope="class")
+    def standin(self):
+        return load_dataset("PK", scale_shift=-5)
+
+    @pytest.fixture(scope="class")
+    def reference(self, standin):
+        reference = run_reference(PageRank(), standin)
+        assert reference.num_iterations == 20
+        return reference
+
+    @staticmethod
+    def spd(graph, sliced):
+        # A quarter of the vertices fit: four partitions.
+        if sliced:
+            return ScratchpadConfig(total_bytes=graph.num_vertices * 2)
+        return None
+
+    @staticmethod
+    def assert_equal_alone(build, graph, reference):
+        report = build().run(PageRank(), graph, reference=reference)
+        for trace, stats in zip(reference.iterations, report.iterations):
+            alone = build().run(
+                PageRank(),
+                graph,
+                reference=ReferenceResult(reference.properties, [trace]),
+            )
+            assert _per_iteration_fields(stats) == _per_iteration_fields(
+                alone.iterations[0]
+            )
+        return report
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    @pytest.mark.parametrize("name", ["GraphDynS-512", "AccuGraph"])
+    def test_crossbar_iterations_equal_running_alone(
+        self, standin, reference, name, sliced
+    ):
+        spd = self.spd(standin, sliced)
+        report = self.assert_equal_alone(
+            lambda: _crossbar(name, spd), standin, reference
+        )
+        assert report.num_partitions == (4 if sliced else 1)
+
+    def test_gunrock_iterations_equal_running_alone(self, standin, reference):
+        self.assert_equal_alone(Gunrock, standin, reference)
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    @pytest.mark.parametrize("name", ["GraphDynS-512", "AccuGraph"])
+    def test_crossbar_models_each_partition_once(
+        self, standin, reference, name, sliced, monkeypatch
+    ):
+        calls = []
+        scatter_phase = CrossbarAccelerator._scatter_phase
+
+        def counting(self, *args):
+            calls.append(args)
+            return scatter_phase(self, *args)
+
+        monkeypatch.setattr(CrossbarAccelerator, "_scatter_phase", counting)
+        report = _crossbar(name, self.spd(standin, sliced)).run(
+            PageRank(), standin, reference=reference
+        )
+        assert len(calls) == report.num_partitions
+
+    def test_gunrock_counts_sectors_once(self, standin, reference, monkeypatch):
+        calls = []
+
+        def counting(addresses, line_size):
+            calls.append(addresses)
+            return cachelines_touched(addresses, line_size)
+
+        monkeypatch.setattr(gunrock_module, "cachelines_touched", counting)
+        Gunrock().run(PageRank(), standin, reference=reference)
+        assert len(calls) == 1
