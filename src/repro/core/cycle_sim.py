@@ -36,10 +36,14 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import ProgramContext, VertexProgram
-from repro.algorithms.reference import gather_frontier_edges
+from repro.algorithms.reference import gather_frontier_edges, repeats_previous
 from repro.analysis.sanitizer import SimSanitizer, maybe_sanitizer
 from repro.core.config import ScalaGraphConfig
-from repro.core.fastsim import resolve_cycle_engine, scatter_phase_fast
+from repro.core.fastsim import (
+    PhaseRecord,
+    resolve_cycle_engine,
+    scatter_phase_fast,
+)
 from repro.core.profiling import NULL_PROFILER, Profiler
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule
@@ -225,9 +229,17 @@ class CycleAccurateScalaGraph:
         )
         stats = CycleStats()
         prof = self.profiler or NULL_PROFILER
+        # The vectorized engine's record of the previous phase: a phase
+        # over the same frontier folds its values with it instead of
+        # simulating (see repro.core.fastsim).
+        record: Optional[PhaseRecord] = None
+        previous = None
+        reused = 0
 
         iteration = 0
         while active.size and iteration < limit:
+            repeat = repeats_previous(previous, (active,))
+            previous = (active,)
             vtemp = np.full(
                 graph.num_vertices, program.reduce_identity, dtype=np.float64
             )
@@ -239,9 +251,13 @@ class CycleAccurateScalaGraph:
             touched_mask = np.zeros(graph.num_vertices, dtype=bool)
             with prof.timer("cycle_sim.scatter"):
                 if cycle_engine == "vectorized":
-                    cycles = scatter_phase_fast(
+                    if repeat and record is not None:
+                        reused += 1
+                    else:
+                        record = None  # let it go before the next phase
+                    cycles, record = scatter_phase_fast(
                         self, program, ctx, graph, active, props, vtemp,
-                        touched_mask, stats, max_cycles_per_phase,
+                        touched_mask, stats, max_cycles_per_phase, record,
                     )
                 else:
                     cycles = self._scatter_phase(
@@ -275,6 +291,7 @@ class CycleAccurateScalaGraph:
         if self.sanitizer is not None:
             self._check_run_totals(stats)
         prof.count("cycle_sim.iterations", iteration)
+        prof.count("cycle_sim.scatter_phases_reused", reused)
         prof.count("cycle_sim.scatter_cycles", sum(stats.scatter_cycles))
         prof.count("cycle_sim.apply_cycles", sum(stats.apply_cycles))
         prof.count("cycle_sim.spd_reduces", stats.spd_reduces)
@@ -332,8 +349,6 @@ class CycleAccurateScalaGraph:
     ) -> int:
         cfg = self.config
         prof = self.profiler
-        coalesced_before = stats.updates_coalesced
-        spd_reduces_before = stats.spd_reduces
         src, dst, weights = gather_frontier_edges(graph, active)
         if src.size == 0:
             stats.phase_updates.append(0)
@@ -417,6 +432,7 @@ class CycleAccurateScalaGraph:
         faults = self.faults
         cycle = 0
         edges_remaining = int(src.size)
+        phase_coalesced = phase_spd = 0
         while True:
             progressed = False
             # A stalled PE (fault injection) emits no update and retires
@@ -444,7 +460,7 @@ class CycleAccurateScalaGraph:
                         continue
                     outcome = pipe.offer(vertex, value)
                     if outcome == "coalesced":
-                        stats.updates_coalesced += 1
+                        phase_coalesced += 1
                     elif outcome == "rejected":
                         evicted = pipe.emit(column=pipe.column_of(vertex))
                         if evicted is not None:
@@ -507,7 +523,7 @@ class CycleAccurateScalaGraph:
                     vertex, value = spd_fifos[pe].popleft()
                     vtemp[vertex] = reduce_ufunc(vtemp[vertex], value)
                     touched_mask[vertex] = True
-                    stats.spd_reduces += 1
+                    phase_spd += 1
                     progressed = True
 
             if faults is not None and (
@@ -533,10 +549,10 @@ class CycleAccurateScalaGraph:
                 break
 
         stats.updates_processed += int(src.size)
+        stats.updates_coalesced += phase_coalesced
+        stats.spd_reduces += phase_spd
         stats.noc_hops += network.stats.total_hops
         stats.rerouted_packets += network.stats.rerouted_packets
-        phase_coalesced = stats.updates_coalesced - coalesced_before
-        phase_spd = stats.spd_reduces - spd_reduces_before
         stats.phase_updates.append(int(src.size))
         stats.phase_coalesced.append(phase_coalesced)
         stats.phase_spd_reduces.append(phase_spd)

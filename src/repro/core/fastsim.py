@@ -16,6 +16,25 @@ arrays of :class:`~repro.noc.aggregation.BatchedAggregationArray`, the
 mesh of :class:`~repro.noc.fastmesh.FastMeshNetwork`, and the phase
 buffers of :class:`_Phase`) and returns counts.
 
+No decision in a phase reads a value, so the loop carries none: a
+register, an out-queue entry, a packet and an SPD-queue entry carry a
+*partial id*, which names the value one register accumulates (a
+partial).  Once the phase drains,
+one more kernel call (``fs_fold``, through :meth:`PhaseRecord.fold`)
+computes each partial from the dispatched values and reduces the
+partials into ``vtemp`` in retire order: the same operands in the same
+order as the reference's in-loop reduces, and the engine's only value
+arithmetic.  It implements ``np.add``, ``np.minimum`` and ``np.maximum``
+exactly; a program with any other reduce runs on the reference.
+
+For the same reason a phase's events follow from its edges alone, and
+each phase starts a fresh mesh and register array at cycle 0 (fault
+windows are phase-local too).  So a phase whose frontier repeats the
+previous one's (PageRank's all-active Scatter) is not simulated again:
+:meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run` hands back
+the previous phase's :class:`PhaseRecord`, and the phase folds its own
+values with it and adds its recorded counts.
+
 The engine is **behaviourally identical** to the reference, not merely
 statistically similar: every per-cycle decision (dispatch order, offer
 order per register column, eviction order, egress/injection order per
@@ -24,8 +43,6 @@ so stats are equal integer for integer and the computed properties bit
 for bit.  Dispatch is unconditional — dispatchers never experience
 backpressure — so each row's whole line schedule is a pure function of
 its queue and is precomputed once per phase (:func:`dispatch_schedule`).
-The kernel implements the ``np.add``, ``np.minimum`` and ``np.maximum``
-reduces exactly; a program with any other reduce runs on the reference.
 
 Selection follows the mesh engine: ``config.cycle_engine='auto'``
 picks the vectorised engine at every mesh size whenever the run steps
@@ -36,6 +53,7 @@ raised mid-run reaches the caller of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "PhaseRecord",
     "dispatch_schedule",
     "resolve_cycle_engine",
     "scatter_phase_fast",
@@ -77,12 +96,13 @@ ENGINE_TWIN = {
     ],
 }
 
-#: Declared dtype contract of the phase buffers (:class:`_Phase`).
-#: SIM604 checks every allocation against it, and the kernel table is
-#: built only from arrays that match it.
+#: Declared dtype contract of the phase buffers (:class:`_Phase` and
+#: :meth:`PhaseRecord.fold`).  SIM604 checks every allocation against
+#: it, and the kernel table is built only from arrays that match it.
 BUFFER_DTYPES = {
     "d_pe": "int64",
     "d_vtx": "int64",
+    "d_pid": "int64",
     "d_val": "float64",
     "offsets": "int64",
     "lines": "int64",
@@ -92,53 +112,63 @@ BUFFER_DTYPES = {
     "out_head": "int64",
     "out_tail": "int64",
     "out_vid": "int64",
-    "out_val": "float64",
+    "out_pid": "int64",
     "spd_end": "int64",
     "spd_head": "int64",
     "spd_tail": "int64",
     "spd_vid": "int64",
-    "spd_val": "float64",
+    "spd_pid": "int64",
     "free_pkts": "int64",
-    "vtemp": "float64",
-    "touched": "bool",
     # The kernel's table: buffer addresses, settings, state, counts.
     "table": "int64",
 }
-_DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES}
+#: The caller's arrays the fold writes in place: ``vtemp`` and the
+#: touched marks, which ``CycleAccurateScalaGraph.run`` allocates.
+_CALLER_DTYPES = {"vtemp": "float64", "touched": "bool"}
+_DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES, **_CALLER_DTYPES}
 
 #: Buffers of the phase table, in the order of ``PHASE_BUFFERS`` in
 #: ``meshkernel.c``: the register array's (:data:`REGISTER_DTYPES`)
 #: come from :class:`BatchedAggregationArray`, the rest from
-#: :class:`_Phase`.
+#: :class:`_Phase`, except the fold's.
 _KERNEL_BUFFERS = (
-    "d_pe", "d_vtx", "d_val", "offsets", "lines", "home", "pe_stall",
-    "vid", "val", "occ", "rr", "offered", "coalesced", "stored",
-    "rejected", "emitted", "out_end", "out_head", "out_tail", "out_vid",
-    "out_val", "spd_end", "spd_head", "spd_tail", "spd_vid", "spd_val",
-    "free_pkts", "vtemp", "touched",
+    "d_pe", "d_vtx", "d_pid", "d_val", "offsets", "lines", "home",
+    "pe_stall", "vid", "pid", "occ", "rr", "offered", "coalesced",
+    "stored", "rejected", "emitted", "out_end", "out_head", "out_tail",
+    "out_vid", "out_pid", "spd_end", "spd_head", "spd_tail", "spd_vid",
+    "spd_pid", "free_pkts", "vtemp", "touched",
 )
+#: The buffers only ``fs_fold`` reads or writes; a :class:`_Phase`
+#: table leaves them unset.
+_FOLD_ONLY = ("d_val", "vtemp", "touched")
+#: Table slots of the buffers a :class:`PhaseRecord` keeps for the fold.
+_RECORD_SLOTS = [
+    _KERNEL_BUFFERS.index(name)
+    for name in ("d_pid", "spd_end", "spd_tail", "spd_vid", "spd_pid")
+]
 #: The same list as the kernel spells it (``MeshKernel.phase_layout``).
 _KERNEL_LAYOUT = tuple(
     (name, np.dtype(_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
 )
 #: Table slots after the addresses (``enum phase_slot``): seven
-#: settings, the carried cycle and free-packet count, then the counts of
-#: one call — CycleStats (4), mesh steps, MeshStats (9), and the four
-#: stage timers.
+#: settings, the carried cycle, free-packet count and partial count,
+#: then the counts of one call — CycleStats (4), mesh steps, MeshStats
+#: (9), and the four stage timers.
 _SLOT_SETTINGS = len(_KERNEL_BUFFERS)
+_SLOT_REDUCE = _SLOT_SETTINGS + 3
 _SLOT_CYCLE = _SLOT_SETTINGS + 7
 _SLOT_FREE = _SLOT_CYCLE + 1
-_SLOT_COUNTS = _SLOT_FREE + 1
+_SLOT_COUNTS = _SLOT_CYCLE + 3
 _TABLE_SLOTS = _SLOT_COUNTS + 18
 #: ``fs_run`` results (``RUNNING`` is 0).
 _DRAINED, _OVERRUN, _CORRUPT = 1, 2, 3
 
-#: The reduces the kernel implements, by its ``REDUCE`` code.
+#: The reduces the kernel's fold implements, by its ``REDUCE`` code.
 _REDUCE_OPS: Dict[np.ufunc, int] = {np.add: 0, np.minimum: 1, np.maximum: 2}
 
 #: Cycles one kernel call may run before returning to Python, so a
 #: KeyboardInterrupt lands within a fraction of a second in a long
-#: phase (a saturated 32x32 cycle takes ~0.2 ms).
+#: phase (a saturated 32x32 cycle takes ~0.1 ms on a 2-vCPU host).
 _CALL_CYCLES = 1024
 
 
@@ -316,7 +346,8 @@ class _Phase:
     an update enters a PE's out queue at most once (at its execution
     PE) and its SPD queue at most once (at its destination's home), and
     at most ``nodes x ports x depth`` packets fit in the mesh at once,
-    so the kernel never needs more room mid-phase.
+    so the kernel never needs more room mid-phase.  The fold's buffers
+    (:data:`_FOLD_ONLY`) stay unset: ``fs_run`` reads no value.
     """
 
     def __init__(
@@ -326,15 +357,12 @@ class _Phase:
         schedule: Tuple[np.ndarray, np.ndarray, np.ndarray],
         exec_pe: np.ndarray,
         dst: np.ndarray,
-        values: np.ndarray,
         home: np.ndarray,
-        vtemp: np.ndarray,
-        reduce_op: int,
         max_cycles: int,
         profiled: bool,
     ) -> None:
-        self._kernel = meshkernel.load()
-        _check_layout(self._kernel)
+        self.kernel = meshkernel.load()
+        _check_layout(self.kernel)
         n = network.topology.num_nodes
         for role, pes in (("execution", exec_pe), ("home", home)):
             if int(pes.min()) < 0 or int(pes.max()) >= n:
@@ -347,8 +375,7 @@ class _Phase:
         self.d_pe[:] = exec_pe[edge_order]
         self.d_vtx = np.empty(updates, dtype=np.int64)
         self.d_vtx[:] = dst[edge_order]
-        self.d_val = np.empty(updates, dtype=np.float64)
-        self.d_val[:] = values[edge_order]
+        self.d_pid = np.empty(updates, dtype=np.int64)
         self.offsets = np.empty(offsets.size, dtype=np.int64)
         self.offsets[:] = offsets
         self.lines = np.empty(lines.size, dtype=np.int64)
@@ -365,7 +392,7 @@ class _Phase:
         self.out_tail = np.empty(n, dtype=np.int64)
         self.out_tail[:] = self.out_head
         self.out_vid = np.empty(updates, dtype=np.int64)
-        self.out_val = np.empty(updates, dtype=np.float64)
+        self.out_pid = np.empty(updates, dtype=np.int64)
         spd_bound = np.bincount(home[dst], minlength=n)
         self.spd_end = np.empty(n, dtype=np.int64)
         np.cumsum(spd_bound, out=self.spd_end)
@@ -374,25 +401,23 @@ class _Phase:
         self.spd_tail = np.empty(n, dtype=np.int64)
         self.spd_tail[:] = self.spd_head
         self.spd_vid = np.empty(updates, dtype=np.int64)
-        self.spd_val = np.empty(updates, dtype=np.float64)
+        self.spd_pid = np.empty(updates, dtype=np.int64)
 
         packets = n * NUM_PORTS * network.buffer_depth
         self.free_pkts = np.empty(packets, dtype=np.int64)
         self.free_pkts[:] = np.arange(packets)
-        self.vtemp = np.empty(vtemp.size, dtype=np.float64)
-        self.vtemp[:] = vtemp
-        self.touched = np.zeros(vtemp.size, dtype=bool)
 
         self.table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
         for slot, name in enumerate(_KERNEL_BUFFERS):
             owner = agg if name in REGISTER_DTYPES else self
-            if owner is not None:  # no register array: the slots stay 0
+            # No register array, or a fold buffer: the slot stays 0.
+            if owner is not None and name not in _FOLD_ONLY:
                 self.table[slot] = _address(name, getattr(owner, name))
         self.table[_SLOT_SETTINGS:_SLOT_CYCLE] = (
             network.kernel_table(packets),
             agg.num_stages if agg is not None else 0,
             agg.num_columns if agg is not None else 0,
-            reduce_op,
+            0,  # the reduce: the fold's
             lines.size,
             max_cycles,
             profiled,
@@ -403,7 +428,7 @@ class _Phase:
     def run(self, stop: int) -> int:
         """Advance the phase until it drains or reaches cycle ``stop``;
         returns the kernel's status."""
-        return int(self._kernel.phase(self._address, stop))
+        return int(self.kernel.phase(self._address, stop))
 
     def queued(self) -> int:
         """Updates waiting in the out and SPD queues."""
@@ -427,40 +452,101 @@ def _address(name: str, array: np.ndarray) -> int:
     return int(array.ctypes.data)
 
 
-def scatter_phase_fast(
-    sim: "CycleAccurateScalaGraph",
-    program: "VertexProgram",
-    ctx: "ProgramContext",
-    graph: "CSRGraph",
-    active: np.ndarray,
-    props: np.ndarray,
-    vtemp: np.ndarray,
-    touched_mask: np.ndarray,
-    stats: "CycleStats",
-    max_cycles: int,
-) -> int:
-    """Drop-in replacement for the reference ``_scatter_phase`` —
-    identical stats and properties, every cycle run by the kernel."""
-    from repro.algorithms.reference import gather_frontier_edges
+@dataclass
+class PhaseRecord:
+    """What a drained scatter phase leaves behind.
 
+    The record holds the order the phase dispatched its edges in
+    (``edge_order``, indices into the gathered edges), each dispatched
+    update's partial id (``d_pid``), each PE's SPD queue of (vertex,
+    partial id) pairs in retire order (slice ``pe`` ends at
+    ``spd_end[pe]`` and holds entries up to ``spd_tail[pe]``), the
+    phase's cycles, the :class:`~repro.core.cycle_sim.CycleStats` counts
+    it adds and the updates it still held when it stopped (0 after a
+    drain).  That is all :meth:`fold` needs to compute the phase's
+    values, and, since no decision in a phase reads a value, all a later
+    phase over the same edges needs instead of simulating.
+    """
+
+    kernel: MeshKernel
+    vertices: int
+    edge_order: np.ndarray
+    d_pid: np.ndarray
+    spd_end: np.ndarray
+    spd_tail: np.ndarray
+    spd_vid: np.ndarray
+    spd_pid: np.ndarray
+    cycles: int
+    dispatch_lines: int
+    coalesced: int
+    spd_reduces: int
+    degraded_cycles: int
+    noc_hops: int
+    rerouted_packets: int
+    in_flight: int
+    #: The fold's table: it holds the addresses of the record's own
+    #: buffers; each fold sets the values, vtemp and the touched marks.
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._address = _address("table", self.table)
+
+    @property
+    def updates(self) -> int:
+        return int(self.edge_order.size)
+
+    def fold(
+        self,
+        values: np.ndarray,
+        reduce_op: int,
+        vtemp: np.ndarray,
+        touched: np.ndarray,
+    ) -> None:
+        """Reduce the phase's scatter ``values`` (one per gathered edge)
+        into ``vtemp`` and mark the vertices they reach in ``touched``,
+        in place, with the kernel's reduce ``reduce_op``: ``fs_fold``,
+        the engine's only value arithmetic."""
+        if (values.size, vtemp.size, touched.size) != (
+            self.updates, self.vertices, self.vertices
+        ):
+            raise SimulationError(
+                f"the phase ran {self.updates} updates on {self.vertices} "
+                f"vertices; cannot fold {values.size} values into "
+                f"{vtemp.size} vertex values and {touched.size} marks"
+            )
+        d_val = np.empty(self.updates, dtype=np.float64)
+        np.take(values, self.edge_order, out=d_val)
+        for name, array in (
+            ("d_val", d_val), ("vtemp", vtemp), ("touched", touched)
+        ):
+            self.table[_KERNEL_BUFFERS.index(name)] = _address(name, array)
+        self.table[_SLOT_REDUCE] = reduce_op
+        partials = self.kernel.fold(
+            self._address, self.spd_end.size, self.updates
+        )
+        if partials != self.updates - self.coalesced:
+            raise SimulationError(
+                f"compiled fold found {partials} partials for "
+                f"{self.updates} updates of which {self.coalesced} "
+                f"coalesced"
+            )
+
+
+def _simulate(
+    sim: "CycleAccurateScalaGraph",
+    graph: "CSRGraph",
+    src: np.ndarray,
+    dst: np.ndarray,
+    max_cycles: int,
+) -> PhaseRecord:
+    """Run every cycle of the phase over edges ``src -> dst`` in the
+    kernel and record it."""
     topology = sim.topology
     mapping = sim.mapping
     sanitizer = sim.sanitizer
     faults = sim.faults
     profiler = sim.profiler
-    coalesced_before = stats.updates_coalesced
-    spd_reduces_before = stats.spd_reduces
 
-    src, dst, weights = gather_frontier_edges(graph, active)
-    if src.size == 0:
-        stats.phase_updates.append(0)
-        stats.phase_coalesced.append(0)
-        stats.phase_spd_reduces.append(0)
-        return 0
-    values = np.asarray(
-        program.scatter_value(ctx, src, weights, props[src]),
-        dtype=np.float64,
-    )
     exec_pe = np.asarray(mapping.execution_pe(src, dst), dtype=np.int64)
     home = np.asarray(
         mapping.home(np.arange(graph.num_vertices, dtype=np.int64)),
@@ -474,27 +560,18 @@ def scatter_phase_fast(
         if registers > 0
         else None
     )
-    if sanitizer is not None:
-        sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
     network = FastMeshNetwork(
         topology,
         buffer_depth=sim.noc_buffer_depth,
         sanitizer=sanitizer,
         faults=faults,
     )
+    schedule = dispatch_schedule(sim, src, dst)
     phase = _Phase(
-        network,
-        agg,
-        dispatch_schedule(sim, src, dst),
-        exec_pe,
-        dst,
-        values,
-        home,
-        vtemp,
-        _REDUCE_OPS[program.reduce_ufunc],
-        max_cycles,
+        network, agg, schedule, exec_pe, dst, home, max_cycles,
         profiler is not None,
     )
+    dispatch_lines = coalesced = spd_reduces = stall_degraded = 0
     cycle = 0
     edge: Optional[int] = 0  # the next fault-window edge
     while True:
@@ -507,19 +584,14 @@ def scatter_phase_fast(
             stop = min(stop, edge)
         status = phase.run(stop)
         (
-            lines, coalesced, reduces, stall_degraded, steps, *mesh_counts,
+            lines, merged, reduces, stalled, steps, *mesh_counts,
             ns_dispatch, ns_egress, ns_step, ns_retire,
         ) = phase.table[_SLOT_COUNTS:].tolist()
-        net_degraded_before = network.stats.degraded_cycles
         network.record_steps(steps, *mesh_counts)
-        stats.dispatch_lines += lines
-        stats.updates_coalesced += coalesced
-        stats.spd_reduces += reduces
-        # A cycle is degraded when a stalled PE held work or the mesh
-        # met a fault on live traffic.
-        stats.degraded_cycles += stall_degraded + (
-            network.stats.degraded_cycles - net_degraded_before
-        )
+        dispatch_lines += lines
+        coalesced += merged
+        spd_reduces += reduces
+        stall_degraded += stalled
         if profiler is not None:
             profiler.add_time("cycle_sim.dispatch", ns_dispatch * 1e-9, steps)
             profiler.add_time("cycle_sim.egress", ns_egress * 1e-9, steps)
@@ -540,35 +612,104 @@ def scatter_phase_fast(
                 "or a register array with no live column"
             )
 
-    np.copyto(vtemp, phase.vtemp)
-    touched_mask |= phase.touched
-    total_edges = int(src.size)
-    stats.updates_processed += total_edges
-    stats.noc_hops += network.stats.total_hops
-    stats.rerouted_packets += network.stats.rerouted_packets
-    phase_coalesced = stats.updates_coalesced - coalesced_before
-    phase_spd = stats.spd_reduces - spd_reduces_before
-    stats.phase_updates.append(total_edges)
-    stats.phase_coalesced.append(phase_coalesced)
-    stats.phase_spd_reduces.append(phase_spd)
-    if sanitizer is not None:
-        in_flight = (
+    # The record's buffers are the phase's, whose addresses were
+    # checked when its table was built.
+    table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
+    table[_RECORD_SLOTS] = phase.table[_RECORD_SLOTS]
+    return PhaseRecord(
+        kernel=phase.kernel,
+        vertices=graph.num_vertices,
+        edge_order=schedule[0],
+        d_pid=phase.d_pid,
+        spd_end=phase.spd_end,
+        spd_tail=phase.spd_tail,
+        spd_vid=phase.spd_vid,
+        spd_pid=phase.spd_pid,
+        cycles=cycle,
+        dispatch_lines=dispatch_lines,
+        coalesced=coalesced,
+        spd_reduces=spd_reduces,
+        # A cycle is degraded when a stalled PE held work or the mesh
+        # met a fault on live traffic.
+        degraded_cycles=stall_degraded + network.stats.degraded_cycles,
+        noc_hops=network.stats.total_hops,
+        rerouted_packets=network.stats.rerouted_packets,
+        in_flight=(
             phase.queued()
             + (int(agg.occ.sum()) if agg is not None else 0)
             + network.total_occupancy()
-        )
+        ),
+        table=table,
+    )
+
+
+def scatter_phase_fast(
+    sim: "CycleAccurateScalaGraph",
+    program: "VertexProgram",
+    ctx: "ProgramContext",
+    graph: "CSRGraph",
+    active: np.ndarray,
+    props: np.ndarray,
+    vtemp: np.ndarray,
+    touched_mask: np.ndarray,
+    stats: "CycleStats",
+    max_cycles: int,
+    record: Optional[PhaseRecord] = None,
+) -> Tuple[int, Optional[PhaseRecord]]:
+    """Drop-in replacement for the reference ``_scatter_phase`` —
+    identical stats and properties.
+
+    Without a ``record`` the kernel runs every cycle of the phase.  With
+    the record of the previous phase, whose frontier this phase repeats,
+    nothing is simulated: the phase folds its own values with the record
+    and adds the record's counts.  Returns the phase's cycles and its
+    record (None for a phase without edges).
+    """
+    from repro.algorithms.reference import gather_frontier_edges
+
+    sanitizer = sim.sanitizer
+    src, dst, weights = gather_frontier_edges(graph, active)
+    if src.size == 0:
+        stats.phase_updates.append(0)
+        stats.phase_coalesced.append(0)
+        stats.phase_spd_reduces.append(0)
+        return 0, None
+    if sanitizer is not None:
+        sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
+    if record is None:
+        record = _simulate(sim, graph, src, dst, max_cycles)
+    values = program.scatter_value(ctx, src, weights, props[src])
+    record.fold(
+        np.asarray(values, dtype=np.float64),
+        _REDUCE_OPS[program.reduce_ufunc],
+        vtemp,
+        touched_mask,
+    )
+
+    updates = record.updates
+    stats.updates_processed += updates
+    stats.updates_coalesced += record.coalesced
+    stats.spd_reduces += record.spd_reduces
+    stats.dispatch_lines += record.dispatch_lines
+    stats.noc_hops += record.noc_hops
+    stats.degraded_cycles += record.degraded_cycles
+    stats.rerouted_packets += record.rerouted_packets
+    stats.phase_updates.append(updates)
+    stats.phase_coalesced.append(record.coalesced)
+    stats.phase_spd_reduces.append(record.spd_reduces)
+    if sanitizer is not None:
         sanitizer.check_conservation(
-            injected=total_edges,
-            delivered=phase_spd,
-            coalesced=phase_coalesced,
-            in_flight=in_flight,
+            injected=updates,
+            delivered=record.spd_reduces,
+            coalesced=record.coalesced,
+            in_flight=record.in_flight,
             where="scatter phase",
-            cycle=cycle,
+            cycle=record.cycles,
         )
         sanitizer.check_spd_accounting(
-            spd_reduces=phase_spd,
-            updates=total_edges,
-            coalesced=phase_coalesced,
-            cycle=cycle,
+            spd_reduces=record.spd_reduces,
+            updates=updates,
+            coalesced=record.coalesced,
+            cycle=record.cycles,
         )
-    return cycle
+    return record.cycles, record

@@ -47,7 +47,7 @@ ReduceFn = Callable[[float, float], float]
 #: handing it to the kernel.
 BUFFER_DTYPES = {
     "vid": "int64",
-    "val": "float64",
+    "pid": "int64",
     "occ": "int64",
     "rr": "int64",
     "offered": "int64",
@@ -253,7 +253,9 @@ class BatchedAggregationArray:
 
     Registers are ``(num_pes, num_columns, num_stages)`` arrays with
     ``vid == -1`` marking an empty register; columns are prefix-dense
-    (occupied stages first), mirroring the reference invariant.  ``occ``
+    (occupied stages first), mirroring the reference invariant.  A
+    register holds no value: ``pid`` names the partial it accumulates,
+    whose value the kernel computes after the phase.  ``occ``
     counts live registers per PE, ``rr`` is each PE's round-robin read
     column, and the per-PE ledger counters mean what
     :class:`AggregationStats` does; the sanitizer audits all of them
@@ -270,7 +272,7 @@ class BatchedAggregationArray:
         self.num_columns = num_columns
         shape = (num_pes, num_columns, num_stages)
         self.vid = np.full(shape, -1, dtype=np.int64)
-        self.val = np.zeros(shape, dtype=np.float64)
+        self.pid = np.zeros(shape, dtype=np.int64)
         self.occ = np.zeros(num_pes, dtype=np.int64)
         self.rr = np.zeros(num_pes, dtype=np.int64)
         self.offered = np.zeros(num_pes, dtype=np.int64)

@@ -9,7 +9,8 @@ keeps **all** router state in a handful of NumPy buffers —
 
 * ``(nodes, 5-ports, depth)`` FIFO ring buffers of packet indices,
 * ``(nodes, 5)`` head/occupancy/round-robin matrices,
-* flat per-packet ``dst``/``injected_cycle``/``vertex``/``value`` arrays —
+* flat per-packet ``dst``/``injected_cycle`` arrays, plus the ``vertex``
+  and partial-id lanes the compiled scatter phase carries its updates in —
 
 and advances a whole cycle in one call into a small C kernel
 (``meshkernel.c``, built and loaded by :mod:`repro.noc.meshkernel`):
@@ -95,8 +96,11 @@ BUFFER_DTYPES = {
     "_rr": "int64",
     "_pkt_dst": "int64",
     "_pkt_injected": "int64",
+    # What the compiled scatter phase's packets carry: the destination
+    # vertex and a partial id (repro.core.fastsim); an injected Packet
+    # carries its own.
     "_pkt_vertex": "int64",
-    "_pkt_value": "float64",
+    "_pkt_pid": "int64",
     # Delivery log: registry indices in delivery order (cursor _dlv_n).
     "_dlv_pidx": "int64",
     # Fault masks of the current fault window (dead output links,
@@ -113,7 +117,7 @@ BUFFER_DTYPES = {
 #: ``meshkernel.c``; the table holds their addresses in this order.
 _KERNEL_BUFFERS = (
     "_buf", "_head", "_count", "_rr",
-    "_pkt_dst", "_pkt_injected", "_pkt_vertex", "_pkt_value",
+    "_pkt_dst", "_pkt_injected", "_pkt_vertex", "_pkt_pid",
     "_dlv_pidx", "_dead", "_stall", "_moves",
 )
 #: The same list as the kernel spells it (``MeshKernel.layout``): each
@@ -202,7 +206,7 @@ class FastMeshNetwork:
         self._pkt_dst = np.zeros(cap, dtype=np.int64)
         self._pkt_injected = np.zeros(cap, dtype=np.int64)
         self._pkt_vertex = np.zeros(cap, dtype=np.int64)
-        self._pkt_value = np.zeros(cap, dtype=np.float64)
+        self._pkt_pid = np.zeros(cap, dtype=np.int64)
         #: Registry indices of delivered packets, in delivery order
         #: (parallel to :attr:`delivered`).  Growable array + cursor; the
         #: kernel appends to it, so it always has room for one delivery
@@ -371,8 +375,6 @@ class FastMeshNetwork:
             self._grow_registry(pidx + 1)
         self._pkt_dst[pidx] = packet.dst
         self._pkt_injected[pidx] = packet.injected_cycle
-        self._pkt_vertex[pidx] = packet.vertex
-        self._pkt_value[pidx] = packet.value
         return pidx
 
     def _grow_registry(self, need: int) -> None:
@@ -382,7 +384,7 @@ class FastMeshNetwork:
         self._pkt_dst = np.resize(self._pkt_dst, grow)
         self._pkt_injected = np.resize(self._pkt_injected, grow)
         self._pkt_vertex = np.resize(self._pkt_vertex, grow)
-        self._pkt_value = np.resize(self._pkt_value, grow)
+        self._pkt_pid = np.resize(self._pkt_pid, grow)
         self._bind()
 
     def _run_sanitizer(self, occupancy: int) -> None:

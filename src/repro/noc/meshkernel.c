@@ -19,7 +19,10 @@
  * exactly as the reference CycleAccurateScalaGraph._scatter_phase does:
  * dispatch with aggregation offer, RU egress, one mesh step (the same
  * step fm_step runs) and SPD retire, until the phase drains or the cycle
- * the caller names.
+ * the caller names.  No decision in a phase reads a value, so fs_run
+ * carries none: a register, an out queue entry, a packet and an SPD
+ * queue entry each carry a partial id, and fs_fold computes the values
+ * once the phase has drained (see "The fold").
  *
  * Python owns every buffer.  It passes int64 tables: the buffer
  * addresses in the order of BUFFERS (mesh) or PHASE_BUFFERS (phase),
@@ -42,7 +45,7 @@ typedef uint8_t b1;
 /* Table order of the buffers: fastmesh attribute name, element type. */
 #define BUFFERS(X)                                                         \
     X(buf, i8) X(head, i8) X(count, i8) X(rr, i8) X(pkt_dst, i8)           \
-    X(pkt_injected, i8) X(pkt_vertex, i8) X(pkt_value, f8) X(dlv_pidx, i8) \
+    X(pkt_injected, i8) X(pkt_vertex, i8) X(pkt_pid, i8) X(dlv_pidx, i8)   \
     X(dead, b1) X(stall, b1) X(moves, i8)
 
 #define AS_ENUM(name, type) B_##name,
@@ -66,9 +69,9 @@ int64_t fm_table_slots(void) { return NSLOTS; }
 
 const char *fm_layout(void) { return BUFFERS(AS_TEXT); }
 
-static int xy_route(int64_t node, int64_t dst, int64_t cols)
+/* XY output port at node (column c) for a packet to dst (column dc). */
+static int xy_route(int64_t node, int64_t c, int64_t dst, int64_t dc)
 {
-    const int64_t c = node % cols, dc = dst % cols;
     if (c < dc) return EAST;
     if (c > dc) return WEST;
     if (node < dst) return SOUTH; /* same column: compare rows */
@@ -89,8 +92,8 @@ static int64_t down_node(int64_t node, int out, int64_t cols)
 /* Output port for a packet whose XY link is dead: one hop along the
  * other axis, toward the destination row or the mesh interior; -1 when
  * there is no such axis or that link is dead too (the packet waits). */
-static int deflect(int64_t node, int64_t dst, int out, const uint8_t *dead,
-                   int64_t rows, int64_t cols)
+static int deflect(int64_t node, int64_t c, int64_t dst, int out,
+                   const uint8_t *dead, int64_t rows, int64_t cols)
 {
     const int64_t r = node / cols, dr = dst / cols;
     int alt;
@@ -100,9 +103,17 @@ static int deflect(int64_t node, int64_t dst, int out, const uint8_t *dead,
         else alt = r + 1 < rows ? SOUTH : NORTH;
     } else {
         if (cols == 1) return -1;
-        alt = node % cols + 1 < cols ? EAST : WEST;
+        alt = c + 1 < cols ? EAST : WEST;
     }
     return dead[alt] ? -1 : alt;
+}
+
+/* Ring slot after the last of count entries from head: (head + count)
+ * % depth, for count <= depth. */
+static int64_t tail_slot(int64_t head, int64_t count, int64_t depth)
+{
+    const int64_t at = head + count;
+    return at >= depth ? at - depth : at;
 }
 
 static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
@@ -114,15 +125,19 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
     const b1 *dead = BUFFER(dead, b1), *stall = BUFFER(stall, b1);
     const int64_t n = t[S_NODES], rows = t[S_ROWS], cols = t[S_COLS];
     const int64_t depth = t[S_DEPTH];
+    /* Node indices fit 32 bits, whose divide is far cheaper. */
+    const uint32_t ucols = (uint32_t)cols;
     int64_t nmoves = 0, occupancy = 0, stalled = 0, fault_seen = 0;
 
     /* Decide: every read below sees the state at the start of the cycle.
      * A move is recorded as (input FIFO * NPORTS + output) * 2, plus 1
-     * when fault deflection took it off its XY port. */
-    for (int64_t node = 0; node < n; node++) {
+     * when fault deflection took it off its XY port.  c is node's
+     * column. */
+    for (int64_t node = 0, c = 0; node < n;
+         node++, c = c + 1 == cols ? 0 : c + 1) {
         const int64_t base = node * NPORTS;
-        int requests[NPORTS] = {0}; /* per output: bitmask of inputs */
-        int deflected = 0, any = 0; /* bitmask of inputs */
+        unsigned requests[NPORTS] = {0}; /* per output: bitmask of inputs */
+        int deflected = 0, any = 0;      /* bitmask of inputs */
         for (int in = 0; in < NPORTS; in++) {
             const int64_t f = base + in;
             if (!count[f]) continue;
@@ -132,22 +147,27 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
                 continue;
             }
             const int64_t d = dst[buf[f * depth + head[f]]];
-            int out = xy_route(node, d, cols);
+            int out = xy_route(node, c, d, (int64_t)((uint32_t)d % ucols));
             if (out != LOCAL && dead[base + out]) {
                 fault_seen = 1;
-                out = deflect(node, d, out, dead + base, rows, cols);
+                out = deflect(node, c, d, out, dead + base, rows, cols);
                 if (out < 0) continue;
                 deflected |= 1 << in;
             }
-            requests[out] |= 1 << in;
+            requests[out] |= 1u << in;
             any = 1;
         }
         if (!any) continue;
         for (int out = 0; out < NPORTS; out++) {
-            const int mask = requests[out];
+            const unsigned mask = requests[out];
             if (!mask) continue;
-            int in = (int)rr[base + out]; /* first requester at/after rr */
-            while (!(mask >> in & 1)) in = in + 1 == NPORTS ? 0 : in + 1;
+            /* The first requester at or after rr: rotate rr to bit 0,
+             * then take the lowest set bit. */
+            const int at = (int)rr[base + out];
+            const unsigned turn =
+                (mask >> at | mask << (NPORTS - at)) & ((1u << NPORTS) - 1);
+            int in = at + __builtin_ctz(turn);
+            if (in >= NPORTS) in -= NPORTS;
             if (out != LOCAL
                 && count[down_node(node, out, cols) * NPORTS + DOWN_IN[out]]
                        >= depth) {
@@ -177,7 +197,7 @@ static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
         hops++;
         rerouted += moves[k] % 2;
         const int64_t df = down_node(node, out, cols) * NPORTS + DOWN_IN[out];
-        buf[df * depth + (head[df] + count[df]) % depth] = pidx;
+        buf[df * depth + tail_slot(head[df], count[df], depth)] = pidx;
         count[df]++;
     }
 
@@ -196,21 +216,21 @@ int64_t fm_step(int64_t *t, int64_t cycle, int64_t ndlv)
     return mesh_step(t, cycle, ndlv);
 }
 
-/* Queue packet pidx (src -> dst, carrying vertex, value) in node src's
- * local input FIFO; 0 when that FIFO is full. */
+/* Queue packet pidx (src -> dst, carrying vertex and partial id pid) in
+ * node src's local input FIFO; 0 when that FIFO is full. */
 static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
-                 i8 vertex, f8 value, int64_t cycle)
+                 i8 vertex, i8 pid, int64_t cycle)
 {
     i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
     i8 *count = BUFFER(count, i8);
     const int64_t depth = t[S_DEPTH], f = src * NPORTS; /* LOCAL FIFO */
     if (count[f] >= depth) return 0;
-    buf[f * depth + (head[f] + count[f]) % depth] = pidx;
+    buf[f * depth + tail_slot(head[f], count[f], depth)] = pidx;
     count[f]++;
     BUFFER(pkt_dst, i8)[pidx] = dst;
     BUFFER(pkt_injected, i8)[pidx] = cycle;
     BUFFER(pkt_vertex, i8)[pidx] = vertex;
-    BUFFER(pkt_value, f8)[pidx] = value;
+    BUFFER(pkt_pid, i8)[pidx] = pid;
     return 1;
 }
 
@@ -219,24 +239,29 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
 /* ------------------------------------------------------------------ */
 
 /* Table order of the phase buffers: Python attribute name, element type.
- *   d_pe, d_vtx, d_val   the phase's updates in dispatch order, cycle c
+ *   d_pe, d_vtx          the phase's updates in dispatch order, cycle c
  *                        issuing [offsets[c], offsets[c + 1]) in lines[c]
  *                        lines; home: each vertex's home PE;
+ *   d_pid                each dispatched update's partial id (fs_run);
+ *   d_val                the updates' values in dispatch order (fs_fold);
  *   pe_stall             PEs stalled in the current fault window;
- *   vid .. emitted       every PE's register array (vid -1 = empty) and
- *                        ledger (repro.noc.aggregation);
- *   out_*, spd_*         each PE's egress and SPD queue: one slice per
- *                        PE ending at *_end[pe], live in [head, tail);
+ *   vid .. emitted       every PE's register array (vid -1 = empty; pid,
+ *                        the partial each register holds) and ledger
+ *                        (repro.noc.aggregation);
+ *   out_*, spd_*         each PE's egress and SPD queue of (vertex,
+ *                        partial id): one slice per PE ending at
+ *                        *_end[pe], live in [head, tail);
  *   free_pkts            mesh packet indices not in flight (a stack);
- *   vtemp, touched       the phase's reduced values and touched marks. */
+ *   vtemp, touched       the phase's reduced values and touched marks
+ *                        (fs_fold). */
 #define PHASE_BUFFERS(X)                                                   \
-    X(d_pe, i8) X(d_vtx, i8) X(d_val, f8) X(offsets, i8) X(lines, i8)      \
-    X(home, i8) X(pe_stall, b1) X(vid, i8) X(val, f8) X(occ, i8) X(rr, i8) \
-    X(offered, i8) X(coalesced, i8) X(stored, i8) X(rejected, i8)          \
-    X(emitted, i8) X(out_end, i8) X(out_head, i8) X(out_tail, i8)          \
-    X(out_vid, i8) X(out_val, f8) X(spd_end, i8) X(spd_head, i8)           \
-    X(spd_tail, i8) X(spd_vid, i8) X(spd_val, f8) X(free_pkts, i8)        \
-    X(vtemp, f8) X(touched, b1)
+    X(d_pe, i8) X(d_vtx, i8) X(d_pid, i8) X(d_val, f8) X(offsets, i8)      \
+    X(lines, i8) X(home, i8) X(pe_stall, b1) X(vid, i8) X(pid, i8)         \
+    X(occ, i8) X(rr, i8) X(offered, i8) X(coalesced, i8) X(stored, i8)     \
+    X(rejected, i8) X(emitted, i8) X(out_end, i8) X(out_head, i8)          \
+    X(out_tail, i8) X(out_vid, i8) X(out_pid, i8) X(spd_end, i8)           \
+    X(spd_head, i8) X(spd_tail, i8) X(spd_vid, i8) X(spd_pid, i8)          \
+    X(free_pkts, i8) X(vtemp, f8) X(touched, b1)
 
 #define AS_PHASE_ENUM(name, type) P_##name,
 #define AS_PHASE_TEXT(name, type) #name ":" #type " "
@@ -250,8 +275,9 @@ enum phase_slot {
      * REDUCE is 0 for np.add, 1 for np.minimum, 2 for np.maximum. */
     Q_MESH = NPHASE_BUFFERS, Q_STAGES, Q_COLUMNS, Q_REDUCE,
     Q_DISPATCH_CYCLES, Q_MAX_CYCLES, Q_PROFILE,
-    /* Carried from call to call. */
-    Q_CYCLE, Q_FREE,
+    /* Carried from call to call: the cycle, the free packet indices and
+     * the partial ids issued. */
+    Q_CYCLE, Q_FREE, Q_PARTIALS,
     /* Counts of the last call: CycleStats (STALL_DEGRADED counts the
      * cycles a stalled PE held work while the mesh met no fault), then
      * MeshStats, then the nanoseconds of each stage when PROFILE is set. */
@@ -272,82 +298,71 @@ const char *fs_layout(void) { return PHASE_BUFFERS(AS_PHASE_TEXT); }
 
 struct queue {
     const i8 *end;
-    i8 *head, *tail, *vid;
-    f8 *val;
+    i8 *head, *tail, *vid, *pid;
 };
 
 struct regs {
-    i8 *vid, *occ, *rr, *offered, *coalesced, *stored, *rejected, *emitted;
-    f8 *val;
+    i8 *vid, *pid, *occ, *rr, *offered, *coalesced, *stored, *rejected;
+    i8 *emitted;
     int64_t stages, columns;
-    int reduce;
 };
 
-/* np.add, np.minimum and np.maximum (op 0, 1, 2) exactly: a NaN operand
- * wins, and a tie (0.0 against -0.0) returns b. */
-static f8 reduce(int op, f8 a, f8 b)
-{
-    if (op == 1) return a < b || a != a ? a : b;
-    if (op == 2) return a > b || a != a ? a : b;
-    return a + b;
-}
-
-/* Append to PE pe's queue; 0 when its slice is already full. */
-static int push(struct queue *q, int64_t pe, i8 vertex, f8 value)
+/* Append (vertex, pid) to PE pe's queue; 0 when its slice is full. */
+static int push(struct queue *q, int64_t pe, i8 vertex, i8 pid)
 {
     const int64_t at = q->tail[pe];
     if (at >= q->end[pe]) return 0;
     q->vid[at] = vertex;
-    q->val[at] = value;
+    q->pid[at] = pid;
     q->tail[pe] = at + 1;
     return 1;
 }
 
-/* AggregationPipeline.offer on PE pe's register array.  A full column
- * without a match evicts its stage-0 register into the out queue, shifts
- * up and stores the update last; the ledger counts that as an emit and a
- * second offer.  Returns 1 when the update coalesced, 0 when it was
- * stored, -1 when the out queue overflowed. */
-static int offer(struct regs *r, struct queue *out, int64_t pe, i8 vertex,
-                 f8 value)
+/* AggregationPipeline.offer on PE pe's register array.  An update that
+ * matches a register joins that register's partial.  One stored in an
+ * empty register starts partial `fresh`; so does one that meets a full
+ * column without a match, which evicts the column's stage-0 register
+ * into the out queue, shifts up and stores the update last (the ledger
+ * counts that as an emit and a second offer).  Returns the update's
+ * partial id, or -1 when the out queue overflowed. */
+static i8 offer(struct regs *r, struct queue *out, int64_t pe, i8 vertex,
+                i8 fresh)
 {
     const int64_t stages = r->stages;
     const int64_t at = (pe * r->columns + vertex % r->columns) * stages;
-    i8 *cv = r->vid + at;
-    f8 *cx = r->val + at;
+    i8 *cv = r->vid + at, *cp = r->pid + at;
     r->offered[pe]++;
     for (int64_t s = 0; s < stages; s++) {
         if (cv[s] == -1) {
             cv[s] = vertex;
-            cx[s] = value;
+            cp[s] = fresh;
             r->stored[pe]++;
             r->occ[pe]++;
-            return 0;
+            return fresh;
         }
         if (cv[s] == vertex) {
-            cx[s] = reduce(r->reduce, cx[s], value);
             r->coalesced[pe]++;
-            return 1;
+            return cp[s];
         }
     }
-    if (!push(out, pe, cv[0], cx[0])) return -1;
+    if (!push(out, pe, cv[0], cp[0])) return -1;
     r->rejected[pe]++;
     r->emitted[pe]++;
     r->offered[pe]++;
     r->stored[pe]++;
     for (int64_t s = 0; s + 1 < stages; s++) {
         cv[s] = cv[s + 1];
-        cx[s] = cx[s + 1];
+        cp[s] = cp[s + 1];
     }
     cv[stages - 1] = vertex;
-    cx[stages - 1] = value;
-    return 0;
+    cp[stages - 1] = fresh;
+    return fresh;
 }
 
 /* AggregationPipeline.emit(column=None) on PE pe: pop the stage-0
  * register of its next live column in round-robin order and shift that
  * column up.  Returns 0, or -1 when no column is live. */
-static int emit(struct regs *r, int64_t pe, i8 *vertex, f8 *value)
+static int emit(struct regs *r, int64_t pe, i8 *vertex, i8 *pid)
 {
     const int64_t columns = r->columns, stages = r->stages;
     int64_t col = r->rr[pe];
@@ -356,15 +371,14 @@ static int emit(struct regs *r, int64_t pe, i8 *vertex, f8 *value)
         col = col + 1 == columns ? 0 : col + 1;
     }
     i8 *cv = r->vid + (pe * columns + col) * stages;
-    f8 *cx = r->val + (pe * columns + col) * stages;
+    i8 *cp = r->pid + (pe * columns + col) * stages;
     *vertex = cv[0];
-    *value = cx[0];
+    *pid = cp[0];
     for (int64_t s = 0; s + 1 < stages; s++) {
         cv[s] = cv[s + 1];
-        cx[s] = cx[s + 1];
+        cp[s] = cp[s + 1];
     }
     cv[stages - 1] = -1;
-    cx[stages - 1] = 0.0;
     r->rr[pe] = col + 1 == columns ? 0 : col + 1;
     r->occ[pe]--;
     r->emitted[pe]++;
@@ -394,33 +408,31 @@ int64_t fs_run(int64_t *p, int64_t stop)
 {
     int64_t *t = (int64_t *)p[Q_MESH];
     const i8 *d_pe = PHASE(d_pe, i8), *d_vtx = PHASE(d_vtx, i8);
-    const f8 *d_val = PHASE(d_val, f8);
+    i8 *d_pid = PHASE(d_pid, i8);
     const i8 *offsets = PHASE(offsets, i8), *lines = PHASE(lines, i8);
     const i8 *home = PHASE(home, i8);
     const b1 *stalled = PHASE(pe_stall, b1);
     struct regs r = {
-        PHASE(vid, i8), PHASE(occ, i8), PHASE(rr, i8), PHASE(offered, i8),
-        PHASE(coalesced, i8), PHASE(stored, i8), PHASE(rejected, i8),
-        PHASE(emitted, i8), PHASE(val, f8), p[Q_STAGES], p[Q_COLUMNS],
-        (int)p[Q_REDUCE],
+        PHASE(vid, i8), PHASE(pid, i8), PHASE(occ, i8), PHASE(rr, i8),
+        PHASE(offered, i8), PHASE(coalesced, i8), PHASE(stored, i8),
+        PHASE(rejected, i8), PHASE(emitted, i8), p[Q_STAGES], p[Q_COLUMNS],
     };
     struct queue out = {
         PHASE(out_end, i8), PHASE(out_head, i8), PHASE(out_tail, i8),
-        PHASE(out_vid, i8), PHASE(out_val, f8),
+        PHASE(out_vid, i8), PHASE(out_pid, i8),
     };
     struct queue spd = {
         PHASE(spd_end, i8), PHASE(spd_head, i8), PHASE(spd_tail, i8),
-        PHASE(spd_vid, i8), PHASE(spd_val, f8),
+        PHASE(spd_vid, i8), PHASE(spd_pid, i8),
     };
     i8 *free_pkts = PHASE(free_pkts, i8);
-    f8 *vtemp = PHASE(vtemp, f8);
-    b1 *touched = PHASE(touched, b1);
     const i8 *dlv = BUFFER(dlv_pidx, i8), *pkt_dst = BUFFER(pkt_dst, i8);
     const i8 *pkt_vertex = BUFFER(pkt_vertex, i8);
-    const f8 *pkt_value = BUFFER(pkt_value, f8);
+    const i8 *pkt_pid = BUFFER(pkt_pid, i8);
     const int64_t n = t[S_NODES], dispatch_cycles = p[Q_DISPATCH_CYCLES];
     const int aggregate = r.columns > 0, profile = p[Q_PROFILE] != 0;
     int64_t cycle = p[Q_CYCLE], nfree = p[Q_FREE], status = RUNNING;
+    i8 partials = p[Q_PARTIALS];
     int64_t lap = profile ? now_ns() : 0;
 
     for (int slot = Q_DISPATCH_LINES; slot < NPHASE_SLOTS; slot++)
@@ -429,7 +441,8 @@ int64_t fs_run(int64_t *p, int64_t stop)
         int progressed = 0, stall_hit = 0;
 
         /* 1. Dispatch: this cycle's lines, each update offered to its
-         *    execution PE's register array (or queued for egress). */
+         *    execution PE's register array (or queued for egress as a
+         *    partial of its own), and its partial id recorded. */
         if (cycle < dispatch_cycles) {
             const int64_t lo = offsets[cycle], hi = offsets[cycle + 1];
             if (hi > lo) {
@@ -437,13 +450,14 @@ int64_t fs_run(int64_t *p, int64_t stop)
                 p[Q_DISPATCH_LINES] += lines[cycle];
             }
             for (int64_t e = lo; e < hi; e++) {
-                if (!aggregate) {
-                    if (!push(&out, d_pe[e], d_vtx[e], d_val[e])) goto corrupt;
-                    continue;
-                }
-                const int got = offer(&r, &out, d_pe[e], d_vtx[e], d_val[e]);
-                if (got < 0) goto corrupt;
-                p[Q_COALESCED] += got;
+                const i8 id =
+                    aggregate ? offer(&r, &out, d_pe[e], d_vtx[e], partials)
+                    : push(&out, d_pe[e], d_vtx[e], partials) ? partials
+                                                              : -1;
+                if (id < 0) goto corrupt;
+                if (id == partials) partials++;
+                else p[Q_COALESCED]++;
+                d_pid[e] = id;
             }
         }
         LAP(Q_NS_DISPATCH);
@@ -463,27 +477,26 @@ int64_t fs_run(int64_t *p, int64_t stop)
                 continue;
             }
             progressed = 1;
-            i8 vertex;
-            f8 value;
+            i8 vertex, id;
             if (queued) {
                 vertex = out.vid[out.head[pe]];
-                value = out.val[out.head[pe]];
-            } else if (emit(&r, pe, &vertex, &value)) {
+                id = out.pid[out.head[pe]];
+            } else if (emit(&r, pe, &vertex, &id)) {
                 goto corrupt;
             }
             const int64_t to = home[vertex];
             int sent;
             if (to == pe) {
-                sent = push(&spd, pe, vertex, value);
+                sent = push(&spd, pe, vertex, id);
                 if (!sent) goto corrupt;
             } else {
                 sent = nfree > 0 && place(t, free_pkts[nfree - 1], pe, to,
-                                          vertex, value, cycle);
+                                          vertex, id, cycle);
                 nfree -= sent;
                 p[Q_INJECTED] += sent;
             }
             if (queued) out.head[pe] += sent;
-            else if (!sent && !push(&out, pe, vertex, value)) goto corrupt;
+            else if (!sent && !push(&out, pe, vertex, id)) goto corrupt;
         }
         LAP(Q_NS_EGRESS);
 
@@ -492,7 +505,7 @@ int64_t fs_run(int64_t *p, int64_t stop)
         const int64_t delivered = mesh_step(t, cycle, 0);
         for (int64_t k = 0; k < delivered; k++) {
             const int64_t pidx = dlv[k];
-            if (!push(&spd, pkt_dst[pidx], pkt_vertex[pidx], pkt_value[pidx]))
+            if (!push(&spd, pkt_dst[pidx], pkt_vertex[pidx], pkt_pid[pidx]))
                 goto corrupt;
             free_pkts[nfree++] = pidx;
         }
@@ -509,9 +522,8 @@ int64_t fs_run(int64_t *p, int64_t stop)
         progressed |= delivered || occupancy;
         LAP(Q_NS_STEP);
 
-        /* 4. SPD: one Reduce per slice, the vtemp value as first operand.
-         *    Vertices retire only at their home, so PE order does not
-         *    matter.  `held` counts every update still in a PE. */
+        /* 4. SPD: one Reduce per slice, its value left to fs_fold.
+         *    `held` counts every update still in a PE. */
         int64_t held = 0;
         for (int64_t pe = 0; pe < n; pe++) {
             int64_t h = spd.head[pe];
@@ -519,9 +531,6 @@ int64_t fs_run(int64_t *p, int64_t stop)
                 if (stalled[pe]) {
                     stall_hit = 1;
                 } else {
-                    const i8 vertex = spd.vid[h];
-                    vtemp[vertex] = reduce(r.reduce, vtemp[vertex], spd.val[h]);
-                    touched[vertex] = 1;
                     spd.head[pe] = ++h;
                     p[Q_SPD_REDUCES]++;
                     progressed = 1;
@@ -549,5 +558,62 @@ corrupt:
 done:
     p[Q_CYCLE] = cycle;
     p[Q_FREE] = nfree;
+    p[Q_PARTIALS] = partials;
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* The fold                                                            */
+/* ------------------------------------------------------------------ */
+
+/* np.add, np.minimum and np.maximum (op 0, 1, 2) exactly: a NaN operand
+ * wins, and a tie (0.0 against -0.0) returns b. */
+static f8 reduce(int op, f8 a, f8 b)
+{
+    if (op == 1) return a < b || a != a ? a : b;
+    if (op == 2) return a > b || a != a ? a : b;
+    return a + b;
+}
+
+/* Compute the values of a drained phase of `updates` updates on `pes`
+ * PEs, with the same operands in the same order as reducing them in the
+ * loop would:
+ *   1. each partial, in dispatch order: its first member stores its
+ *      value, each later one reduces with the partial as the first
+ *      operand (as a register coalesces).  d_val is overwritten in
+ *      place: partial k lands in d_val[k], and ids are issued in
+ *      dispatch order, so k never exceeds its first member's index;
+ *   2. each PE's SPD slice in queue order, which is retire order (a
+ *      vertex retires only at its home, whose queue is FIFO):
+ *      vtemp[v] = reduce(vtemp[v], partial), and v is touched.
+ * Reads d_val, d_pid, spd_end, spd_tail, spd_vid, spd_pid and REDUCE of
+ * the table and writes vtemp and touched.  Returns the number of
+ * partials, or -1 when an id is out of order. */
+int64_t fs_fold(int64_t *p, int64_t pes, int64_t updates)
+{
+    f8 *part = PHASE(d_val, f8);
+    const i8 *d_pid = PHASE(d_pid, i8), *end = PHASE(spd_end, i8);
+    const i8 *tail = PHASE(spd_tail, i8), *vid = PHASE(spd_vid, i8);
+    const i8 *pid = PHASE(spd_pid, i8);
+    f8 *vtemp = PHASE(vtemp, f8);
+    b1 *touched = PHASE(touched, b1);
+    const int op = (int)p[Q_REDUCE];
+    int64_t partials = 0;
+
+    for (int64_t e = 0; e < updates; e++) {
+        const i8 id = d_pid[e];
+        if (id == partials) part[partials++] = part[e];
+        else if (id >= 0 && id < partials)
+            part[id] = reduce(op, part[id], part[e]);
+        else return -1;
+    }
+    for (int64_t pe = 0, at = 0; pe < pes; at = end[pe++]) {
+        for (; at < tail[pe]; at++) {
+            const i8 v = vid[at], id = pid[at];
+            if (id < 0 || id >= partials) return -1;
+            vtemp[v] = reduce(op, vtemp[v], part[id]);
+            touched[v] = 1;
+        }
+    }
+    return partials;
 }

@@ -213,7 +213,7 @@ class TestAbiChecks:
             fastmesh._KERNEL_BUFFERS
         )
         assert dict(kernel.layout)["_dead"] == "b1"
-        assert dict(kernel.layout)["_pkt_value"] == "f8"
+        assert dict(kernel.layout)["_pkt_pid"] == "i8"
 
     @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])
     def test_layout_mismatch_rejected(self, monkeypatch, change):
@@ -238,7 +238,8 @@ class TestAbiChecks:
             fastsim._KERNEL_BUFFERS
         )
         assert dict(kernel.phase_layout)["touched"] == "b1"
-        assert dict(kernel.phase_layout)["val"] == "f8"
+        assert dict(kernel.phase_layout)["pid"] == "i8"
+        assert dict(kernel.phase_layout)["d_val"] == "f8"
 
     @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])
     def test_phase_layout_mismatch_rejected(self, monkeypatch, change):
@@ -248,7 +249,7 @@ class TestAbiChecks:
             layout[7], layout[8] = layout[8], layout[7]
             monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
         elif change == "retype":
-            layout[8] = ("val", "i8")
+            layout[9] = ("pid", "f8")
             monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
         else:
             monkeypatch.setattr(

@@ -198,7 +198,7 @@ class TestRealRepoClean:
             # cycle twin: drop the vectorized scatter's dispatch_lines
             (
                 "repro.core.fastsim",
-                "stats.dispatch_lines += lines",
+                "stats.dispatch_lines +=",
                 "'dispatch_lines'",
             ),
         ],
