@@ -21,8 +21,9 @@ package into a :class:`ProjectModel` and runs the SIM6xx project rules
   allocated with a dtype differing from the module's declared
   ``BUFFER_DTYPES`` contract table.
 * **SIM605** — only tests reach this: a public module-level ``def`` or
-  ``class`` whose name no other module of the package, and no consumer
-  of it (the benchmarks), loads.
+  ``class``, or a public method or property of a public class, whose
+  name no other module of the package, and no consumer of it (the
+  benchmarks), loads.
 
 Twin pairs are *declared in the engines themselves*: the vectorized
 module carries a module-level ``ENGINE_TWIN`` dict literal naming its
@@ -143,15 +144,18 @@ class AllocationSite(NamedTuple):
 
 
 class Definition(NamedTuple):
-    """One public module-level ``def`` or ``class``.
+    """One public module-level ``def`` or ``class``, or one public
+    method or property of a public class.
 
-    ``lineno``..``end_lineno`` spans the definition, so a load inside
-    its own body (recursion, a class naming itself) is told apart from
-    a use elsewhere in the module.  ``decorators`` holds the last
-    dotted part of each decorator's name.
+    ``qualname`` is ``name`` for a module-level definition and
+    ``Cls.name`` for a member.  ``lineno``..``end_lineno`` spans the
+    definition, so a load inside its own body (recursion, a class
+    naming itself) is told apart from a use elsewhere in the module.
+    ``decorators`` holds the last dotted part of each decorator's name.
     """
 
     name: str
+    qualname: str
     kind: str
     lineno: int
     end_lineno: int
@@ -186,7 +190,8 @@ class ModuleModel:
         self.method_calls: List[CallSite] = []
         self.allocations: List[AllocationSite] = []
         self.classes: Dict[str, ClassModel] = {}
-        #: public module-level defs and classes
+        #: public module-level defs and classes, and the public methods
+        #: and properties of those classes
         self.definitions: List[Definition] = []
         #: (name, lineno) of every name loaded bare (``f``) or as an
         #: attribute (``mod.f``); imports and ``__all__`` strings are not
@@ -219,6 +224,8 @@ class ModuleModel:
                 node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
             ) and not node.name.startswith("_"):
                 self.definitions.append(_definition(node))
+                if isinstance(node, ast.ClassDef):
+                    self.definitions.extend(_member_definitions(node))
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = _class_model(node)
                 self._scopes[node.name] = node
@@ -277,8 +284,15 @@ class ModuleModel:
         return qualname in self._scopes
 
 
+#: Decorators that make a method a property, and those that add a
+#: setter or deleter to one (the getter stands for all three).
+_PROPERTY_DECORATORS = frozenset({"property", "cached_property"})
+_ACCESSOR_DECORATORS = frozenset({"setter", "deleter"})
+
+
 def _definition(
     node: "ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef",
+    owner: Optional[str] = None,
 ) -> Definition:
     decorators: List[str] = []
     for deco in node.decorator_list:
@@ -286,13 +300,44 @@ def _definition(
         name = _dotted_name(target)
         if name is not None:
             decorators.append(name.split(".")[-1])
+    if owner is not None:
+        is_property = bool(_PROPERTY_DECORATORS.intersection(decorators))
+        kind = "property" if is_property else "method"
+    else:
+        kind = "class" if isinstance(node, ast.ClassDef) else "function"
     return Definition(
         name=node.name,
-        kind="class" if isinstance(node, ast.ClassDef) else "function",
+        qualname=node.name if owner is None else f"{owner}.{node.name}",
+        kind=kind,
         lineno=node.lineno,
         end_lineno=node.end_lineno or node.lineno,
         decorators=tuple(decorators),
     )
+
+
+def _member_definitions(node: ast.ClassDef) -> List[Definition]:
+    """The public methods and properties of one class.
+
+    A property's span runs through its setter and deleter, so the
+    ``@name.setter`` decorator is not a use of it.
+    """
+    members: Dict[str, Definition] = {}
+    for item in node.body:
+        if not isinstance(
+            item, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) or item.name.startswith("_"):
+            continue
+        member = _definition(item, owner=node.name)
+        getter = members.get(member.name)
+        if getter is not None and _ACCESSOR_DECORATORS.intersection(
+            member.decorators
+        ):
+            members[member.name] = getter._replace(
+                end_lineno=member.end_lineno
+            )
+        else:
+            members[member.name] = member
+    return list(members.values())
 
 
 def _class_model(node: ast.ClassDef) -> ClassModel:

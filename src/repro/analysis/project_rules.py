@@ -506,8 +506,9 @@ def dtype_contract_drift(model: ProjectModel) -> List[Finding]:
 @register_project_rule(
     "SIM605",
     Severity.WARNING,
-    "only tests reach this: public module-level def or class whose name "
-    "no other module of the package or its consumers loads",
+    "only tests reach this: public module-level def or class, or public "
+    "method or property of a public class, whose name no other module of "
+    "the package or its consumers loads",
 )
 def reached_only_by_tests(model: ProjectModel) -> List[Finding]:
     if not model.consumer_modules:
@@ -540,10 +541,10 @@ def reached_only_by_tests(model: ProjectModel) -> List[Finding]:
                     definition.lineno,
                     0,
                     f"only tests reach this: public {definition.kind} "
-                    f"'{definition.name}' is loaded by no other module "
-                    f"of the package or its consumers (re-exports, "
+                    f"'{definition.qualname}' is loaded by no other "
+                    f"module of the package or its consumers (re-exports, "
                     f"__all__, tests and examples do not count)",
-                    key=f"test-only:{module.name}:{definition.name}",
+                    key=f"test-only:{module.name}:{definition.qualname}",
                 )
             )
     return findings

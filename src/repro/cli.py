@@ -30,7 +30,7 @@ from repro.experiments import format_table
 from repro.experiments.parallel import RetryPolicy, run_matrix_parallel
 from repro.experiments.runner import (
     SYSTEM_BUILDERS,
-    build_system,
+    execute_cell,
     load_benchmark_graph,
 )
 from repro.experiments.store import ResultCache
@@ -164,14 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retries for a crashed or timed-out cell; a cell that "
         "runs out fails the sweep with WorkerCrashError, and finished "
-        "cells stay cached or checkpointed (default: %(default)s)",
-    )
-    bench_p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="sweep checkpoint journal; an interrupted sweep re-run "
-        "with the same FILE resumes instead of recomputing",
+        "cells stay cached, so a re-run with the same --cache-dir "
+        "resumes (default: %(default)s)",
     )
     bench_p.add_argument(
         "--cycle-sim-shift",
@@ -484,31 +478,30 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, out) -> int:
-    graph = load_benchmark_graph(
-        args.dataset, args.algorithm, args.scale_shift
+    cell = execute_cell(
+        args.dataset,
+        args.algorithm,
+        list(SYSTEM_BUILDERS),
+        args.scale_shift,
+        args.max_iterations,
     )
-    program = make_algorithm(args.algorithm)
-    reference = run_reference(program, graph, args.max_iterations)
-    rows = []
-    for label in SYSTEM_BUILDERS:
-        report = build_system(label).run(
-            program, graph, reference=reference
-        )
-        rows.append(
-            [
-                label,
-                report.gteps,
-                f"{report.frequency_mhz:.0f}",
-                f"{report.pe_utilization:.1%}",
-                report.energy_joules * 1e3,
-            ]
-        )
+    rows = [
+        [
+            label,
+            report.gteps,
+            f"{report.frequency_mhz:.0f}",
+            f"{report.pe_utilization:.1%}",
+            report.energy_joules * 1e3,
+        ]
+        for label, report in cell
+    ]
+    _, first = cell[0]
     print(
         format_table(
             ["System", "GTEPS", "MHz", "util", "energy (mJ)"],
             rows,
-            title=f"{args.algorithm} on {graph.name} "
-            f"({graph.num_edges:,} edges)",
+            title=f"{args.algorithm} on {first.graph_name} "
+            f"({first.num_edges:,} edges)",
         ),
         file=out,
     )
@@ -681,7 +674,6 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
         cache=cache,
         refresh=args.refresh,
         policy=policy,
-        checkpoint=args.checkpoint,
     )
 
     # Profile one representative workload through each model.  The
@@ -716,7 +708,6 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
             "workers": args.workers,
             "cell_timeout": args.cell_timeout,
             "max_retries": args.max_retries,
-            "checkpoint": args.checkpoint,
             "cells": [
                 {
                     "graph": g,

@@ -106,9 +106,6 @@ class Profiler:
     def count(self, name: str, amount: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    def set_counter(self, name: str, value: float) -> None:
-        self._counters[name] = value
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -160,9 +157,6 @@ class NullProfiler(Profiler):
         pass
 
     def count(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def set_counter(self, name: str, value: float) -> None:
         pass
 
     @property

@@ -40,8 +40,8 @@ class WorkerCrashError(ReproError):
     Raised by :func:`repro.experiments.parallel.run_matrix_parallel`
     when a cell's pooled attempts are spent (a crashed worker or a
     blown wall-clock budget on every attempt); completed cells are
-    already persisted (cache and checkpoint), so re-invoking the sweep
-    recomputes only the cells named here.
+    already in the result cache, so re-invoking the sweep with the
+    same cache recomputes only the cells named here.
 
     Attributes:
         cells: the (graph, algorithm, system) triples left uncomputed.

@@ -13,7 +13,6 @@ from repro.experiments.breakdown import (
     describe,
     phase_shares,
 )
-from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.parallel import RetryPolicy, run_matrix_parallel
 from repro.experiments.runner import (
     ALGORITHM_ORDER,
@@ -21,6 +20,7 @@ from repro.experiments.runner import (
     SYSTEM_BUILDERS,
     ExperimentMatrix,
     build_system,
+    cached_cell,
     execute_cell,
     geometric_mean,
     load_benchmark_graph,
@@ -45,13 +45,13 @@ __all__ = [
     "ExperimentMatrix",
     "ResultCache",
     "build_system",
+    "cached_cell",
     "dataset_fingerprint",
     "execute_cell",
     "geometric_mean",
     "load_benchmark_graph",
     "run_matrix",
     "RetryPolicy",
-    "SweepCheckpoint",
     "run_matrix_parallel",
     "format_series",
     "format_table",

@@ -18,7 +18,7 @@ the one implementation of that:
   journal: a header line, then ``request``, ``cell`` and ``done``
   records keyed by request id.  Replay keeps the valid prefix; a torn
   tail is truncated before the next append.  The daemon journals every
-  request it admits; a sweep checkpoint is a one-request journal.
+  request it admits.
 """
 
 from __future__ import annotations

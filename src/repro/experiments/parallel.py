@@ -29,16 +29,13 @@ Design notes:
   cells have finished; they are never rerun in the sweep's own process,
   where no timeout could stop them.  Any other exception — one a cell
   raises (a model error, an ``OSError``), a payload that will not
-  pickle, or a failed cache or checkpoint write — reaches the caller
-  unchanged.
-* **Incremental persistence**: with a
+  pickle, or a failed cache write — reaches the caller unchanged.
+* **Resume through the cache**: with a
   :class:`~repro.experiments.store.ResultCache`, cached cells are
   loaded in the parent before any worker is spawned and fresh results
-  are written back *per completed cell*, not at sweep end — a crash
-  never discards finished work.  A
-  :class:`~repro.experiments.checkpoint.SweepCheckpoint` journal
-  additionally makes interrupted sweeps resumable even without a
-  cache: at most the in-flight cells are lost.
+  are written back *per completed cell*, not at sweep end.  Re-running
+  an interrupted sweep with the same cache therefore resumes it,
+  losing at most the cells that were in flight.
 """
 
 from __future__ import annotations
@@ -46,12 +43,10 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import SimulationReport
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.executor import CellExecutor, CellFailed
 from repro.experiments.runner import (
     ALGORITHM_ORDER,
@@ -59,8 +54,9 @@ from repro.experiments.runner import (
     SYSTEM_ORDER,
     ExperimentMatrix,
     execute_cell,
+    run_matrix,
 )
-from repro.experiments.store import CODE_MODEL_VERSION, ResultCache
+from repro.experiments.store import ResultCache
 from repro.graph.datasets import _resolve
 
 #: (graph, algorithm, missing-systems) work unit shipped to a worker.
@@ -124,7 +120,6 @@ def run_matrix_parallel(
     cache: Optional[ResultCache] = None,
     refresh: bool = False,
     policy: Optional[RetryPolicy] = None,
-    checkpoint: Optional[Path] = None,
 ) -> ExperimentMatrix:
     """Run the sweep with cell-level process parallelism.
 
@@ -136,18 +131,14 @@ def run_matrix_parallel(
 
     Args:
         max_workers: worker processes; ``None`` lets the executor pick
-            (bounded by the number of dispatched cells), ``1`` runs
-            serially in-process without spawning a pool.
+            (bounded by the number of dispatched cells), ``1`` is
+            :func:`~repro.experiments.runner.run_matrix`: serial and
+            in-process, without a pool.
         cache: optional on-disk result cache; hits skip computation
             entirely and fresh cells are written back as they complete.
-        refresh: recompute every cell even when cached/checkpointed.
+        refresh: recompute every cell even when cached.
         policy: crash-isolation/timeout/retry knobs of the pooled path
             (defaults to :class:`RetryPolicy`'s defaults).
-        checkpoint: optional path to a
-            :class:`~repro.experiments.checkpoint.SweepCheckpoint`
-            journal.  Completed cells are journaled as they land and an
-            interrupted sweep re-invoked with the same path resumes
-            from the journal, losing at most the in-flight cells.
 
     Returns:
         The same :class:`ExperimentMatrix` the serial runner produces —
@@ -157,31 +148,21 @@ def run_matrix_parallel(
         raise ConfigurationError(
             f"max_workers must be >= 1 (got {max_workers})"
         )
+    if max_workers == 1:
+        return run_matrix(
+            graphs,
+            algorithms,
+            systems,
+            scale_shift,
+            max_iterations,
+            cache,
+            refresh,
+        )
     graphs = tuple(graphs)
     algorithms = tuple(algorithms)
     systems = tuple(systems)
 
-    ckpt: Optional[SweepCheckpoint] = None
-    resumed: Dict[Tuple[str, str, str], SimulationReport] = {}
-    if checkpoint is not None:
-        ckpt = SweepCheckpoint(
-            checkpoint,
-            signature={
-                "graphs": list(graphs),
-                "algorithms": list(algorithms),
-                "systems": list(systems),
-                "scale_shift": scale_shift,
-                "max_iterations": max_iterations,
-                "model_version": (
-                    cache.model_version
-                    if cache is not None
-                    else CODE_MODEL_VERSION
-                ),
-            },
-        )
-        if not refresh:
-            resumed = ckpt.load()
-
+    # Cached cells are looked up here, before any worker spawns.
     reports: Dict[Tuple[str, str, str], SimulationReport] = {}
     jobs: List[_CellJob] = []
     for graph_name in graphs:
@@ -195,22 +176,9 @@ def run_matrix_parallel(
                         graph_name,
                         algorithm_name,
                         system_label,
-                        scale_shift=scale_shift,
-                        max_iterations=max_iterations,
+                        scale_shift,
+                        max_iterations,
                     )
-                if report is None and key in resumed:
-                    report = resumed[key]
-                    if cache is not None:
-                        # Promote the journaled cell into the cache so
-                        # later sweeps hit without the checkpoint file.
-                        cache.put(
-                            graph_name,
-                            algorithm_name,
-                            system_label,
-                            report,
-                            scale_shift=scale_shift,
-                            max_iterations=max_iterations,
-                        )
                 if report is None:
                     missing.append(system_label)
                 else:
@@ -224,33 +192,14 @@ def run_matrix_parallel(
     ) -> None:
         # Incremental write-back: runs in the parent the moment a cell
         # completes, so a crash later in the sweep loses nothing.
+        reports[key] = report
         if cache is not None:
-            cache.put(
-                *key,
-                report,
-                scale_shift=scale_shift,
-                max_iterations=max_iterations,
-            )
-        if ckpt is not None:
-            ckpt.append(key, report)
+            cache.put(*key, report, scale_shift, max_iterations)
 
     if jobs:
-        if ckpt is not None:
-            ckpt.start(reset=refresh)
-        try:
-            if max_workers == 1:
-                _run_jobs_serial(
-                    jobs, scale_shift, max_iterations, reports,
-                    on_result=persist,
-                )
-            else:
-                _run_jobs_pooled(
-                    jobs, scale_shift, max_iterations, max_workers, reports,
-                    policy=policy, on_result=persist,
-                )
-        finally:
-            if ckpt is not None:
-                ckpt.close()
+        _run_jobs_pooled(
+            jobs, scale_shift, max_iterations, max_workers, policy, persist
+        )
 
     matrix = ExperimentMatrix()
     for graph_name in graphs:
@@ -261,34 +210,13 @@ def run_matrix_parallel(
     return matrix
 
 
-# ----------------------------------------------------------------------
-# Execution strategies
-# ----------------------------------------------------------------------
-def _run_jobs_serial(
-    jobs: Sequence[_CellJob],
-    scale_shift: int,
-    max_iterations: Optional[int],
-    out: Dict[Tuple[str, str, str], SimulationReport],
-    on_result: Optional[_OnResult] = None,
-) -> None:
-    for graph_name, algorithm_name, missing in jobs:
-        for system_label, report in execute_cell(
-            graph_name, algorithm_name, missing, scale_shift, max_iterations
-        ):
-            key = (graph_name, algorithm_name, system_label)
-            out[key] = report
-            if on_result is not None:
-                on_result(key, report)
-
-
 def _run_jobs_pooled(
     jobs: Sequence[_CellJob],
     scale_shift: int,
     max_iterations: Optional[int],
     max_workers: Optional[int],
-    out: Dict[Tuple[str, str, str], SimulationReport],
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[_OnResult] = None,
+    policy: Optional[RetryPolicy],
+    on_result: _OnResult,
 ) -> None:
     """Fan the jobs over a process pool with crash isolation.
 
@@ -323,10 +251,7 @@ def _run_jobs_pooled(
                 failed[job] = failure.cause
                 return
         for system_label, report in results:
-            key = (job[0], job[1], system_label)
-            out[key] = report
-            if on_result is not None:
-                on_result(key, report)
+            on_result((job[0], job[1], system_label), report)
 
     async def sweep() -> None:
         gate = asyncio.Semaphore(width)

@@ -94,32 +94,6 @@ class ExperimentMatrix:
         ]
         return geometric_mean(ratios)
 
-    def sort_nominal(
-        self,
-        graphs: Sequence[str],
-        algorithms: Sequence[str],
-        systems: Sequence[str],
-    ) -> None:
-        """Reorder :attr:`reports` into nominal sweep order.
-
-        Insertion order is observable (:meth:`systems` / :meth:`cells`
-        preserve it), so runners that fill cells out of order — cache
-        hits first, parallel completions as they land — normalise with
-        this before returning.  Keys outside the nominal sweep keep
-        their relative order at the end.
-        """
-        ordered: Dict[Tuple[str, str, str], SimulationReport] = {}
-        for graph in graphs:
-            for algorithm in algorithms:
-                for system in systems:
-                    key = (graph, algorithm, system)
-                    if key in self.reports:
-                        ordered[key] = self.reports[key]
-        for key, report in self.reports.items():
-            if key not in ordered:
-                ordered[key] = report
-        self.reports = ordered
-
     def speedup_by_algorithm(
         self, numerator: str, denominator: str
     ) -> Dict[str, float]:
@@ -163,6 +137,63 @@ def execute_cell(
     ]
 
 
+def cached_cell(
+    graph_name: str,
+    algorithm_name: str,
+    systems: Sequence[str],
+    scale_shift: int = 0,
+    max_iterations: Optional[int] = None,
+    cache=None,
+    refresh: bool = False,
+) -> List[Tuple[str, SimulationReport, bool]]:
+    """Each system's report for one cell, through the result cache.
+
+    Returns ``(system, report, cached)`` in ``systems`` order, where
+    ``cached`` says the report was a cache hit.  The systems that miss
+    run in one :func:`execute_cell` call and are written back at once.
+
+    Args:
+        cache: optional :class:`~repro.experiments.store.ResultCache`;
+            without one every system is computed.
+        refresh: recompute every system even when cached (the cache is
+            then overwritten with the fresh results).
+    """
+    hits: Dict[str, SimulationReport] = {}
+    if cache is not None and not refresh:
+        for system_label in systems:
+            report = cache.get(
+                graph_name,
+                algorithm_name,
+                system_label,
+                scale_shift,
+                max_iterations,
+            )
+            if report is not None:
+                hits[system_label] = report
+    missing = [label for label in systems if label not in hits]
+    fresh: Dict[str, SimulationReport] = {}
+    if missing:
+        for system_label, report in execute_cell(
+            graph_name, algorithm_name, missing, scale_shift, max_iterations
+        ):
+            if cache is not None:
+                cache.put(
+                    graph_name,
+                    algorithm_name,
+                    system_label,
+                    report,
+                    scale_shift,
+                    max_iterations,
+                )
+            fresh[system_label] = report
+    return [
+        (label, hits[label], True)
+        if label in hits
+        else (label, fresh[label], False)
+        for label in systems
+    ]
+
+
 def run_matrix(
     graphs: Sequence[str] = GRAPH_ORDER,
     algorithms: Sequence[str] = ALGORITHM_ORDER,
@@ -174,12 +205,9 @@ def run_matrix(
 ) -> ExperimentMatrix:
     """Run every system on every (graph, algorithm) cell, serially.
 
-    Args:
-        cache: optional :class:`~repro.experiments.store.ResultCache`;
-            cells whose key is already cached are loaded instead of
-            recomputed, and fresh results are written back.
-        refresh: recompute every cell even when cached (the cache is
-            then overwritten with the fresh results).
+    Each cell goes through :func:`cached_cell` (``cache`` and
+    ``refresh`` are its arguments), so the matrix comes back in nominal
+    order whichever cells were cached.
 
     See :func:`repro.experiments.parallel.run_matrix_parallel` for the
     multi-process variant; both produce identical matrices.
@@ -187,47 +215,18 @@ def run_matrix(
     matrix = ExperimentMatrix()
     for graph_name in graphs:
         for algorithm_name in algorithms:
-            missing = list(systems)
-            if cache is not None and not refresh:
-                missing = []
-                for system_label in systems:
-                    report = cache.get(
-                        graph_name,
-                        algorithm_name,
-                        system_label,
-                        scale_shift=scale_shift,
-                        max_iterations=max_iterations,
-                    )
-                    if report is None:
-                        missing.append(system_label)
-                    else:
-                        matrix.reports[
-                            (graph_name, algorithm_name, system_label)
-                        ] = report
-            if not missing:
-                continue
-            for system_label, report in execute_cell(
+            for system_label, report, _ in cached_cell(
                 graph_name,
                 algorithm_name,
-                missing,
+                systems,
                 scale_shift,
                 max_iterations,
+                cache,
+                refresh,
             ):
                 matrix.reports[
                     (graph_name, algorithm_name, system_label)
                 ] = report
-                if cache is not None:
-                    cache.put(
-                        graph_name,
-                        algorithm_name,
-                        system_label,
-                        report,
-                        scale_shift=scale_shift,
-                        max_iterations=max_iterations,
-                    )
-    if cache is not None:
-        # Deterministic key order regardless of which cells were cached.
-        matrix.sort_nominal(graphs, algorithms, systems)
     return matrix
 
 

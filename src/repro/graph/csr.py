@@ -125,10 +125,6 @@ class CSRGraph:
             return np.ones(int(self.indptr[v + 1] - self.indptr[v]), dtype=_WEIGHT_DTYPE)
         return self.weights[self.indptr[v] : self.indptr[v + 1]]
 
-    def degree(self, v: VertexId) -> int:
-        self._check_vertex(v)
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over ``(src, dst)`` pairs. Intended for tests/examples."""
         for v in range(self.num_vertices):

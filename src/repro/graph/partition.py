@@ -41,9 +41,6 @@ class Partition:
     def num_vertices(self) -> int:
         return self.hi - self.lo
 
-    def contains(self, vertex: int) -> bool:
-        return self.lo <= vertex < self.hi
-
     def mask(self, destinations: np.ndarray) -> np.ndarray:
         """Boolean mask selecting edges destined inside this partition."""
         return (destinations >= self.lo) & (destinations < self.hi)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.mapping.base import MappingTraffic
 from repro.mapping.row_oriented import RowOrientedMapping
-from repro.noc.torus import TorusTopology, ring_direction, torus_column_link_loads
+from repro.noc.torus import TorusTopology, torus_column_link_loads
 
 
 class RowOrientedTorusMapping(RowOrientedMapping):
@@ -48,9 +48,3 @@ class RowOrientedTorusMapping(RowOrientedMapping):
     def as_torus(self) -> TorusTopology:
         """The torus view of this mapping's PE matrix."""
         return TorusTopology(self.topology.rows, self.topology.cols)
-
-    def column_directions(
-        self, src_row: np.ndarray, dst_row: np.ndarray
-    ) -> np.ndarray:
-        """Shortest-ring direction of each update (+1 south / -1 north)."""
-        return ring_direction(src_row, dst_row, self.topology.rows)

@@ -58,11 +58,6 @@ class ResourceUtilization:
     reg_pct: float
     bram_pct: float
 
-    @property
-    def fits(self) -> bool:
-        """Whether the design fits the chip at all."""
-        return max(self.lut_pct, self.reg_pct, self.bram_pct) <= 100.0
-
     def as_row(self) -> tuple[float, float, float]:
         return (self.lut_pct, self.reg_pct, self.bram_pct)
 

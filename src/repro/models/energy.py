@@ -56,11 +56,6 @@ class ComponentPower:
     def total_watts(self) -> float:
         return sum(self.components.values())
 
-    @property
-    def noc_watts(self) -> float:
-        """Interconnect share (RU/crossbar + links)."""
-        return self.components.get("ru", 0.0)
-
     def fraction(self, name: str) -> float:
         return self.components[name] / self.total_watts
 

@@ -93,10 +93,6 @@ class AggregationStats:
     rejected: int = 0
     emitted: int = 0
 
-    @property
-    def coalesce_rate(self) -> float:
-        return self.coalesced / self.offered if self.offered else 0.0
-
 
 class AggregationPipeline:
     """The Figure 11 register array: ``num_stages x num_columns``.

@@ -88,10 +88,6 @@ class MeshStats:
     rerouted_packets: int = 0
 
     @property
-    def average_latency(self) -> float:
-        return self.total_latency / self.delivered if self.delivered else 0.0
-
-    @property
     def average_hops(self) -> float:
         return self.total_hops / self.delivered if self.delivered else 0.0
 

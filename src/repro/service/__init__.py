@@ -1,8 +1,9 @@
 """The sweep service: a long-lived, degradation-aware experiment daemon.
 
 PR 4 built the resilience substrate — seeded fault injection, per-cell
-timeouts/retries with SIGKILL isolation, crash-resumable checkpointed
-sweeps — but it was only reachable through one-shot batch CLI runs.
+timeouts/retries with SIGKILL isolation, sweeps that resume through the
+result cache — but it was only reachable through one-shot batch CLI
+runs.
 This package puts a *service control plane* in front of the same
 machinery, the "sustained throughput under contention" framing
 GraphScale/ScalaBFS apply to the accelerator applied to the harness
@@ -34,7 +35,7 @@ itself:
 * :mod:`~repro.service.chaos` — the soak harness: replays a
   fault-schedule-seeded workload plus worker SIGKILLs against a real
   daemon process and asserts zero lost or duplicated requests and
-  monotone checkpoint recovery.
+  monotone journal recovery.
 
 Run it: ``repro serve`` / ``repro submit`` / ``repro soak``; see
 ``docs/SERVICE.md`` for the API schema, SLO semantics, the breaker

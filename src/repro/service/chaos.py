@@ -11,7 +11,7 @@ criteria name:
    degraded).
 2. **No duplicates** — no request is journaled twice, no (request,
    cell, system) record appears twice, even across a daemon SIGKILL +
-   restart (monotone checkpoint recovery: the post-restart journal is
+   restart (monotone journal recovery: the post-restart journal is
    a superset of the pre-kill valid prefix).
 3. **Clean drain** — SIGTERM produces exit code 0 after the in-flight
    work is journaled.

@@ -78,9 +78,6 @@ class ServiceClient:
     def healthz(self) -> Tuple[int, Dict[str, Any]]:
         return self._call("/healthz")
 
-    def readyz(self) -> Tuple[int, Dict[str, Any]]:
-        return self._call("/readyz")
-
     def stats(self) -> Tuple[int, Dict[str, Any]]:
         return self._call("/api/v1/stats")
 

@@ -47,10 +47,9 @@ from repro.errors import (
     ReproError,
     SanitizerError,
 )
-from repro.experiments.executor import CellExecutor, CellFailed
-from repro.experiments.executor import Journal as ServiceJournal
+from repro.experiments.executor import CellExecutor, CellFailed, Journal
 from repro.experiments.executor import JournalReplay, replay_journal  # noqa: F401
-from repro.experiments.runner import execute_cell
+from repro.experiments.runner import cached_cell
 from repro.experiments.store import CODE_MODEL_VERSION, ResultCache
 from repro.service.breaker import BreakerPolicy, CircuitBreakerBank
 from repro.service.protocol import (
@@ -66,6 +65,9 @@ from repro.service.protocol import (
     request_key,
 )
 from repro.service.queue import AdmissionQueue
+
+#: The daemon's journal, under the name the service's callers import.
+ServiceJournal = Journal
 
 
 # ----------------------------------------------------------------------
@@ -120,35 +122,12 @@ def _analytic_cell(
 ) -> List[Tuple[str, Dict[str, Any], bool]]:
     """Run one cell's systems analytically, through the result cache."""
     cache = ResultCache(cache_dir) if cache_dir else None
-    out: List[Tuple[str, Dict[str, Any], bool]] = []
-    missing: List[str] = []
-    for system in systems:
-        report = (
-            cache.get(graph, algorithm, system, scale_shift, max_iterations)
-            if cache is not None
-            else None
+    return [
+        (system, _summarise_report(report), cached)
+        for system, report, cached in cached_cell(
+            graph, algorithm, systems, scale_shift, max_iterations, cache
         )
-        if report is not None:
-            out.append((system, _summarise_report(report), True))
-        else:
-            missing.append(system)
-    if missing:
-        for system, report in execute_cell(
-            graph, algorithm, missing, scale_shift, max_iterations
-        ):
-            if cache is not None:
-                cache.put(
-                    graph,
-                    algorithm,
-                    system,
-                    report,
-                    scale_shift,
-                    max_iterations,
-                )
-            out.append((system, _summarise_report(report), False))
-    order = {system: rank for rank, system in enumerate(systems)}
-    out.sort(key=lambda entry: order[entry[0]])
-    return out
+    ]
 
 
 def _cycle_cell(
@@ -165,19 +144,22 @@ def _cycle_cell(
     from repro.core.cycle_sim import CycleAccurateScalaGraph
     from repro.experiments.runner import load_benchmark_graph
     from repro.faults import FaultConfig, FaultSchedule
+    from repro.noc.topology import MeshTopology
 
     graph_obj = load_benchmark_graph(graph, algorithm, scale_shift)
     out: List[Tuple[str, Dict[str, Any], bool]] = []
     for system in systems:
         rows, cols = _CYCLE_MESH[system]
-        hardware = ScalaGraphConfig(num_tiles=1, pe_rows=rows, pe_cols=cols)
-        sim = CycleAccurateScalaGraph(hardware)
+        schedule = None
         if fault_seed is not None:
             schedule = FaultSchedule(
-                sim.topology,
+                MeshTopology(rows, cols),
                 FaultConfig(seed=fault_seed, pe_stalls=1),
             )
-            sim = CycleAccurateScalaGraph(hardware, faults=schedule)
+        sim = CycleAccurateScalaGraph(
+            ScalaGraphConfig(num_tiles=1, pe_rows=rows, pe_cols=cols),
+            faults=schedule,
+        )
         program = make_algorithm(algorithm)
         result = sim.run(program, graph_obj, max_iterations)
         stats = result.stats
@@ -354,7 +336,7 @@ class SweepScheduler:
             backoff_cap=self.policy.backoff_cap_s,
             seed=f"service-backoff:{self.policy.seed}",
         )
-        self._journal: Optional[ServiceJournal] = None
+        self._journal: Optional[Journal] = None
         self._wake = asyncio.Event()
         self._loop_task: Optional[asyncio.Task] = None
         self._draining = False
@@ -370,7 +352,7 @@ class SweepScheduler:
     async def start(self) -> None:
         """Replay the journal, re-admit unfinished work, start the loop."""
         replay = replay_journal(self.journal_path)
-        self._journal = ServiceJournal(
+        self._journal = Journal(
             self.journal_path, valid_bytes=replay.valid_bytes
         )
         for request_id, wire in replay.requests.items():

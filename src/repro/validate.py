@@ -16,7 +16,6 @@ import numpy as np
 from repro.algorithms.base import VertexProgram
 from repro.algorithms.reference import run_reference
 from repro.core.stats import SimulationReport
-from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 
 
@@ -26,10 +25,6 @@ class ValidationResult:
 
     ok: bool
     detail: str
-
-    def raise_on_failure(self) -> None:
-        if not self.ok:
-            raise SimulationError(f"validation failed: {self.detail}")
 
 
 def validate_report(

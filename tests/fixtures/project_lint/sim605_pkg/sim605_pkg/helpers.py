@@ -59,3 +59,28 @@ class UnusedRecord:
 def _private():
     """Private names are never candidates."""
     return 5
+
+
+class Widget:
+    """A public class's public members are candidates too."""
+
+    def used_by_consumer(self):
+        """Called by the consumer root: counts as used."""
+        return 6
+
+    def only_tested_method(self):
+        """Called only by checks/: flagged."""
+        return 7
+
+    @property
+    def only_tested_property(self):
+        """Read only by checks/: flagged once, setter included."""
+        return 8
+
+    @only_tested_property.setter
+    def only_tested_property(self, value):
+        pass
+
+    def _private_method(self):
+        """Private members are never candidates."""
+        return 9

@@ -120,7 +120,6 @@ class TestPipelineRead:
         assert pipe.stats.coalesced == 1
         assert pipe.stats.stored == 2
         assert pipe.stats.emitted == 2
-        assert pipe.stats.coalesce_rate == pytest.approx(1 / 3)
 
 
 class TestValuePreservation:

@@ -97,8 +97,8 @@ class TestAccess:
         assert list(tiny_graph.neighbors(3)) == [4]
 
     def test_degree(self, tiny_graph):
-        assert tiny_graph.degree(0) == 2
-        assert tiny_graph.degree(4) == 1
+        assert tiny_graph.out_degrees[0] == 2
+        assert tiny_graph.out_degrees[4] == 1
 
     def test_out_degrees_sum_to_edges(self, tiny_graph):
         assert tiny_graph.out_degrees.sum() == tiny_graph.num_edges
@@ -122,7 +122,7 @@ class TestAccess:
         with pytest.raises(GraphFormatError):
             tiny_graph.neighbors(99)
         with pytest.raises(GraphFormatError):
-            tiny_graph.degree(-1)
+            tiny_graph.neighbors(-1)
 
     def test_edges_iterator(self, tiny_graph):
         edges = set(tiny_graph.edges())

@@ -120,12 +120,12 @@ class TestDeterministicTopologies:
 
     def test_star_outward(self):
         g = star_graph(5, outward=True)
-        assert g.degree(0) == 5
+        assert g.out_degrees[0] == 5
         assert g.in_degrees()[0] == 0
 
     def test_star_inward(self):
         g = star_graph(5, outward=False)
-        assert g.degree(0) == 0
+        assert g.out_degrees[0] == 0
         assert g.in_degrees()[0] == 5
 
     def test_star_rejects_negative(self):

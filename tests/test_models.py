@@ -113,7 +113,8 @@ class TestEnergyModel:
         53.5% of the power of GraphDynS's crossbar."""
         mesh = accelerator_power_watts(128, "mesh", 250.0)
         xbar = accelerator_power_watts(128, "crossbar", 250.0)
-        assert mesh.noc_watts / xbar.noc_watts == pytest.approx(0.535, abs=0.01)
+        noc_ratio = mesh.components["ru"] / xbar.components["ru"]
+        assert noc_ratio == pytest.approx(0.535, abs=0.01)
 
     def test_hbm_power_independent_of_pes(self):
         small = accelerator_power_watts(128, "mesh")
@@ -169,8 +170,8 @@ class TestAreaModelFigure16:
 
     def test_mesh_lut_exhaustion_beyond_1024(self):
         """Section V-E: beyond 1,024 PEs the LUTs run out."""
-        assert resource_utilization(1024, "mesh").fits
-        assert not resource_utilization(2048, "mesh").fits
+        assert max(resource_utilization(1024, "mesh").as_row()) <= 100.0
+        assert max(resource_utilization(2048, "mesh").as_row()) > 100.0
 
     def test_crossbar_quadratic_term(self):
         """Crossbar LUTs grow superlinearly in radix."""

@@ -1,4 +1,4 @@
-"""Crash isolation, timeouts, and checkpoint resume of the pooled runner.
+"""Crash isolation, timeouts, and resume after a crash of the pooled runner.
 
 The workers used here are top-level functions so they pickle by
 reference into pool children; with the fork start method (asserted
@@ -23,12 +23,9 @@ import pytest
 import repro
 import repro.experiments.parallel as parallel_mod
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.experiments import (
-    RetryPolicy,
-    SweepCheckpoint,
-    run_matrix,
-    run_matrix_parallel,
-)
+from repro.core.stats import SimulationReport
+from repro.experiments import RetryPolicy, run_matrix, run_matrix_parallel
+from repro.experiments.executor import Journal, replay_journal
 from repro.experiments.runner import execute_cell
 from repro.experiments.store import ResultCache
 
@@ -61,7 +58,7 @@ def _record_invocation(graph_name: str, algorithm_name: str) -> None:
 def recording_execute_cell(
     graph_name, algorithm_name, systems, scale_shift, max_iterations
 ):
-    """Serial-path stand-in for execute_cell that logs invocations."""
+    """Stand-in for execute_cell that logs invocations."""
     _record_invocation(graph_name, algorithm_name)
     return execute_cell(
         graph_name, algorithm_name, systems, scale_shift, max_iterations
@@ -495,42 +492,47 @@ class TestOwnerDeath:
                     os.kill(pid, signal.SIGKILL)
 
 
+def journal_cell(matrix, algorithm_name) -> dict:
+    """A daemon ``cell`` record carrying one full report of the matrix."""
+    report = matrix.reports[("PK", algorithm_name, SYSTEMS[0])]
+    return {
+        "kind": "cell",
+        "request_id": "sweep",
+        "graph": "PK",
+        "algorithm": algorithm_name,
+        "system": SYSTEMS[0],
+        "report": report.to_dict(include_iterations=True),
+    }
+
+
 class TestCheckpointResume:
+    """A sweep resumes through its result cache, the daemon through its
+    journal: either way a crash loses at most the in-flight cells."""
+
     def test_resume_after_crash_loses_at_most_inflight(
         self, resilience_dir, tmp_path, monkeypatch, serial_matrix
     ):
-        """Kill a worker mid-sweep with retries disabled;
-        re-invoking with the same checkpoint completes the matrix
-        without recomputing any journaled cell."""
-        ckpt_path = tmp_path / "sweep.ckpt"
+        """Kill a worker mid-sweep with retries disabled; re-invoking
+        with the same cache completes the matrix without recomputing
+        any cell that finished before the crash."""
+        cache = ResultCache(tmp_path / "cache")
         monkeypatch.setattr(parallel_mod, "_cell_worker", crash_always_worker)
-        monkeypatch.setattr(
-            parallel_mod, "execute_cell", recording_execute_cell
-        )
         with pytest.raises(WorkerCrashError) as excinfo:
             run_matrix_parallel(
                 GRAPHS,
                 ALGORITHMS,
                 SYSTEMS,
                 max_workers=2,
+                cache=cache,
                 policy=RetryPolicy(max_retries=0, backoff=0.01),
-                checkpoint=ckpt_path,
                 **KW,
             )
         lost = {(g, a) for g, a, _ in excinfo.value.cells}
         assert POISON in lost
 
-        journaled = {
-            (g, a)
-            for (g, a, _) in SweepCheckpoint(
-                ckpt_path, signature={}
-            ).load()  # empty signature: prove load() itself rejects it
-        }
-        assert journaled == set()  # mismatched signature -> ignored
-
         # With 2 workers and the poison cell last, the first two cells
-        # finished (and were journaled) before the pool broke: at most
-        # the in-flight cells were lost.
+        # finished (and were cached) before the pool broke: at most the
+        # in-flight cells were lost.
         survivors = {
             (g, a)
             for g in GRAPHS
@@ -539,7 +541,7 @@ class TestCheckpointResume:
         }
         assert len(survivors) >= 2
 
-        # Second invocation: poison disarmed, same checkpoint.
+        # Second invocation: poison disarmed, same cache.
         _flag("crash-disarmed").write_text("ok")
         for marker in resilience_dir.glob("invoked-*"):
             marker.unlink()
@@ -548,13 +550,13 @@ class TestCheckpointResume:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
+            cache=cache,
             policy=RetryPolicy(),
-            checkpoint=ckpt_path,
             **KW,
         )
         assert_matches_serial(matrix, serial_matrix)
-        # Only the lost cells were recomputed; every journaled cell was
-        # resumed from the checkpoint file.
+        # Only the lost cells were recomputed; every finished cell was
+        # resumed from the cache.
         assert invoked_cells(resilience_dir) == lost
 
     def test_incremental_cache_survives_dying_worker(
@@ -593,100 +595,60 @@ class TestCheckpointResume:
         assert cache.stats.stores == len(ALGORITHMS)
         assert cache.stats.hits == stores_after_crash
 
-    def test_checkpoint_signature_mismatch_is_ignored(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt"
-        first = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
-        first.start()
-        report = run_matrix(GRAPHS, ["bfs"], SYSTEMS, **KW).reports[
-            ("PK", "bfs", SYSTEMS[0])
-        ]
-        first.append(("PK", "bfs", SYSTEMS[0]), report)
-        first.close()
-        assert SweepCheckpoint(ckpt_path, signature={"axes": "a"}).load()
-        assert (
-            SweepCheckpoint(ckpt_path, signature={"axes": "b"}).load() == {}
-        )
-
-    def test_old_checkpoint_format_is_foreign(self, tmp_path):
-        """A ``repro-sweep-checkpoint/1`` file, the format before the
-        shared journal, is ignored and rewritten like another sweep's."""
-        ckpt_path = tmp_path / "sweep.ckpt"
-        ckpt_path.write_text(
-            json.dumps({"schema": "repro-sweep-checkpoint/1", "signature": "x"})
-            + "\n"
-            + json.dumps({"key": ["PK", "bfs", SYSTEMS[0]], "report": {}})
-            + "\n"
-        )
-        ckpt = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
-        assert ckpt.load() == {}
-        with ckpt:
-            pass
-        header = json.loads(ckpt_path.read_text().splitlines()[0])
-        assert header["schema"] == "repro-service-journal/1"
-
-    def test_checkpoint_truncated_at_every_byte_offset(self, tmp_path):
-        """Chop the journal after every byte of the last record: resume
-        must never lose a fully-journaled cell, never raise, and never
-        resurrect a phantom (satellite: torn-tail exhaustive sweep)."""
-        ckpt_path = tmp_path / "sweep.ckpt"
-        ckpt = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
-        ckpt.start()
-        reports = run_matrix(GRAPHS, ["bfs", "pagerank"], SYSTEMS, **KW)
-        first = ("PK", "bfs", SYSTEMS[0])
-        second = ("PK", "pagerank", SYSTEMS[0])
-        ckpt.append(first, reports.reports[first])
-        first_end = ckpt_path.stat().st_size
-        ckpt.append(second, reports.reports[second])
-        ckpt.close()
-        raw = ckpt_path.read_bytes()
+    def test_checkpoint_truncated_at_every_byte_offset(
+        self, tmp_path, serial_matrix
+    ):
+        """Chop the journal after every byte of its last record: replay
+        never raises, never loses the first cell, and never loads a
+        half-written second one."""
+        path = tmp_path / "journal.jsonl"
+        journal = Journal(path)
+        journal.append(journal_cell(serial_matrix, "bfs"))
+        first_end = path.stat().st_size
+        journal.append(journal_cell(serial_matrix, "pagerank"))
+        journal.close()
+        raw = path.read_bytes()
         for cut in range(first_end, len(raw) + 1):
-            ckpt_path.write_bytes(raw[:cut])
-            loaded = SweepCheckpoint(
-                ckpt_path, signature={"axes": "a"}
-            ).load()
-            assert first in loaded  # a journaled cell is never lost
-            assert set(loaded) <= {first, second}
-            # Only a byte-complete record is resumable; nothing short
-            # of the full line may round-trip as the in-flight cell.
-            if second in loaded:
-                assert cut >= len(raw) - 1  # at worst the newline is torn
+            path.write_bytes(raw[:cut])
+            replay = replay_journal(path)
+            loaded = [record["algorithm"] for record in replay.cells["sweep"]]
+            if cut == len(raw):
+                assert loaded == ["bfs", "pagerank"]
+            else:
+                assert loaded == ["bfs"]
+                assert replay.valid_bytes == first_end
 
-    def test_checkpoint_tolerates_torn_tail(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt"
-        ckpt = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
-        ckpt.start()
-        report = run_matrix(GRAPHS, ["bfs"], SYSTEMS, **KW).reports[
-            ("PK", "bfs", SYSTEMS[0])
-        ]
-        ckpt.append(("PK", "bfs", SYSTEMS[0]), report)
-        ckpt.close()
-        with ckpt_path.open("a") as fh:
-            fh.write('{"key": ["PK", "pagerank", "Sca')  # torn write
-        loaded = SweepCheckpoint(ckpt_path, signature={"axes": "a"}).load()
-        assert set(loaded) == {("PK", "bfs", SYSTEMS[0])}
-        assert json.dumps(
-            loaded[("PK", "bfs", SYSTEMS[0])].to_dict()
-        ) == json.dumps(report.to_dict())
-
-    def test_resumed_cells_survive_a_torn_tail(self, tmp_path):
-        """Journal a cell, tear a write, resume and journal a second
-        cell, resume again: both cells load.  The torn bytes are cut
-        off before the resumed sweep's first append, which would
-        otherwise be glued to them and lost."""
-        ckpt_path = tmp_path / "sweep.ckpt"
-        reports = run_matrix(GRAPHS, ["bfs", "pagerank"], SYSTEMS, **KW)
-        first = ("PK", "bfs", SYSTEMS[0])
-        second = ("PK", "pagerank", SYSTEMS[0])
-        with SweepCheckpoint(ckpt_path, signature={"axes": "a"}) as ckpt:
-            ckpt.append(first, reports.reports[first])
-        with ckpt_path.open("a") as fh:
-            fh.write('{"kind": "cell", "gra')  # torn write
-        resumed = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
-        assert set(resumed.load()) == {first}
-        with resumed:
-            resumed.append(second, reports.reports[second])
-        loaded = SweepCheckpoint(ckpt_path, signature={"axes": "a"}).load()
-        assert set(loaded) == {first, second}
-        assert json.dumps(loaded[second].to_dict()) == json.dumps(
-            reports.reports[second].to_dict()
+    def test_checkpoint_tolerates_torn_tail(self, tmp_path, serial_matrix):
+        """A torn final line is dropped, and the record before it loads
+        back as the same report."""
+        path = tmp_path / "journal.jsonl"
+        journal = Journal(path)
+        journal.append(journal_cell(serial_matrix, "bfs"))
+        journal.close()
+        with path.open("a") as fh:
+            fh.write('{"kind": "cell", "request_id": "sweep", "gra')
+        [record] = replay_journal(path).cells["sweep"]
+        report = SimulationReport.from_dict(record["report"])
+        assert json.dumps(report.to_dict()) == json.dumps(
+            serial_matrix.reports[("PK", "bfs", SYSTEMS[0])].to_dict()
         )
+
+    def test_resumed_cells_survive_a_torn_tail(self, tmp_path, serial_matrix):
+        """Journal a cell, tear a write, reopen at the valid prefix and
+        journal a second cell: both replay.  The torn bytes are cut off
+        before the first append, which would otherwise be glued to them
+        and lost."""
+        path = tmp_path / "journal.jsonl"
+        first = journal_cell(serial_matrix, "bfs")
+        second = journal_cell(serial_matrix, "pagerank")
+        journal = Journal(path)
+        journal.append(first)
+        journal.close()
+        with path.open("a") as fh:
+            fh.write('{"kind": "cell", "gra')  # torn write
+        replay = replay_journal(path)
+        assert replay.cells["sweep"] == [first]
+        resumed = Journal(path, valid_bytes=replay.valid_bytes)
+        resumed.append(second)
+        resumed.close()
+        assert replay_journal(path).cells["sweep"] == [first, second]

@@ -61,8 +61,7 @@ class TestSlicing:
         g = rmat_graph(5, edge_factor=2, seed=0)
         parts = slice_intervals(g, 10)
         for p in parts:
-            assert p.contains(p.lo)
-            assert not p.contains(p.hi)
+            assert p.mask(np.array([p.lo, p.hi])).tolist() == [True, False]
 
 
 class TestPartitionOf:

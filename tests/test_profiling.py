@@ -46,9 +46,7 @@ class TestProfiler:
         prof = Profiler()
         prof.count("cycles", 10)
         prof.count("cycles", 5)
-        prof.set_counter("edges", 42)
         assert prof.counter("cycles") == 15
-        assert prof.counter("edges") == 42
         assert prof.counter("missing") == 0
 
     def test_timer_records_exceptions(self):

@@ -83,13 +83,17 @@ class TestFixturePairs:
         """Registry entries, registering decorators, same-module and
         consumer loads are uses; a re-export, an ``__all__`` string, a
         load inside the definition itself and a ``@dataclass`` are
-        not."""
+        not.  Public methods and properties count like module-level
+        names, a property once with its setter; private members never
+        do."""
         report = run_fixture("sim605_pkg")
-        assert {f.key for f in report.findings} == {
+        assert sorted(f.key for f in report.findings) == [
+            "test-only:sim605_pkg.helpers:UnusedRecord",
+            "test-only:sim605_pkg.helpers:Widget.only_tested_method",
+            "test-only:sim605_pkg.helpers:Widget.only_tested_property",
             "test-only:sim605_pkg.helpers:only_tested",
             "test-only:sim605_pkg.helpers:recursive",
-            "test-only:sim605_pkg.helpers:UnusedRecord",
-        }
+        ]
 
     def test_findings_carry_stable_keys(self):
         report = run_fixture("sim601_pkg")
