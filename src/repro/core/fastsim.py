@@ -8,13 +8,14 @@ cycle loop in the compiled kernel that already steps the mesh
 (``fs_run`` in ``repro/noc/meshkernel.c``): one call advances a phase
 through dispatch with aggregation offer, RU egress, the mesh step and
 SPD retire, cycle by cycle, up to the phase's end or the next
-fault-window edge.  Python keeps the set-up (frontier gather, the
-dispatch schedule, the execution/home lookup tables), the fault-mask
-loads, the sanitizer hooks and every ``CycleStats`` and ``MeshStats``
-write; the kernel keeps its state in Python-owned arrays (the register
-arrays of :class:`~repro.noc.aggregation.BatchedAggregationArray`, the
-mesh of :class:`~repro.noc.fastmesh.FastMeshNetwork`, and the phase
-buffers of :class:`_Phase`) and returns counts.
+fault-window edge.  Python keeps the set-up (frontier gather, the row
+dispatchers' vertex queues, the execution/home lookup tables), the
+fault-mask loads, the sanitizer hooks and every ``CycleStats`` and
+``MeshStats`` write; the kernel keeps its state in Python-owned arrays
+(the register arrays of
+:class:`~repro.noc.aggregation.BatchedAggregationArray`, the mesh of
+:class:`~repro.noc.fastmesh.FastMeshNetwork`, and the phase buffers of
+:class:`_Phase`) and returns counts.
 
 No decision in a phase reads a value, so the loop carries none: a
 register, an out-queue entry, a packet and an SPD-queue entry carry a
@@ -40,9 +41,11 @@ statistically similar: every per-cycle decision (dispatch order, offer
 order per register column, eviction order, egress/injection order per
 PE, SPD retire order, stall handling) reproduces the reference exactly,
 so stats are equal integer for integer and the computed properties bit
-for bit.  Dispatch is unconditional — dispatchers never experience
-backpressure — so each row's whole line schedule is a pure function of
-its queue and is precomputed once per phase (:func:`dispatch_schedule`).
+for bit.  Dispatch runs inside the cycle loop: each cycle every busy
+row's dispatching unit takes one line from the head of its vertex queue
+by :meth:`~repro.core.cycle_sim._RowDispatcher.issue_line`'s rule, so a
+dispatcher that stalls (a memory channel's credit, say) is one counter
+there.
 
 Selection follows the mesh engine: ``config.cycle_engine='auto'``
 picks the vectorised engine at every mesh size whenever the run steps
@@ -54,7 +57,7 @@ raised mid-run reaches the caller of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = [
     "PhaseRecord",
-    "dispatch_schedule",
     "resolve_cycle_engine",
     "scatter_phase_fast",
 ]
@@ -100,12 +102,13 @@ ENGINE_TWIN = {
 #: :meth:`PhaseRecord.fold`).  SIM604 checks every allocation against
 #: it, and the kernel table is built only from arrays that match it.
 BUFFER_DTYPES = {
-    "d_pe": "int64",
-    "d_vtx": "int64",
+    "group_start": "int64",
+    "group_stop": "int64",
+    "row_end": "int64",
+    "row_group": "int64",
+    "d_edge": "int64",
     "d_pid": "int64",
     "d_val": "float64",
-    "offsets": "int64",
-    "lines": "int64",
     "home": "int64",
     "pe_stall": "bool",
     "out_end": "int64",
@@ -122,9 +125,18 @@ BUFFER_DTYPES = {
     # The kernel's table: buffer addresses, settings, state, counts.
     "table": "int64",
 }
-#: The caller's arrays the fold writes in place: ``vtemp`` and the
-#: touched marks, which ``CycleAccurateScalaGraph.run`` allocates.
-_CALLER_DTYPES = {"vtemp": "float64", "touched": "bool"}
+#: The caller's arrays the kernel uses in place: each edge's execution
+#: PE and destination and the edges grouped by the vertex that streams
+#: them, which :func:`_simulate` computes and ``fs_run`` reads, and
+#: ``vtemp`` and the touched marks, which ``CycleAccurateScalaGraph.run``
+#: allocates and the fold writes.
+_CALLER_DTYPES = {
+    "exec_pe": "int64",
+    "dst": "int64",
+    "edges": "int64",
+    "vtemp": "float64",
+    "touched": "bool",
+}
 _DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES, **_CALLER_DTYPES}
 
 #: Buffers of the phase table, in the order of ``PHASE_BUFFERS`` in
@@ -132,11 +144,12 @@ _DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES, **_CALLER_DTYPES}
 #: come from :class:`BatchedAggregationArray`, the rest from
 #: :class:`_Phase`, except the fold's.
 _KERNEL_BUFFERS = (
-    "d_pe", "d_vtx", "d_pid", "d_val", "offsets", "lines", "home",
-    "pe_stall", "vid", "pid", "occ", "rr", "offered", "coalesced",
-    "stored", "rejected", "emitted", "out_end", "out_head", "out_tail",
-    "out_vid", "out_pid", "spd_end", "spd_head", "spd_tail", "spd_vid",
-    "spd_pid", "free_pkts", "vtemp", "touched",
+    "exec_pe", "dst", "edges", "group_start", "group_stop", "row_end",
+    "row_group", "d_edge", "d_pid", "d_val", "home", "pe_stall", "vid",
+    "pid", "occ", "rr", "offered", "coalesced", "stored", "rejected",
+    "emitted", "out_end", "out_head", "out_tail", "out_vid", "out_pid",
+    "spd_end", "spd_head", "spd_tail", "spd_vid", "spd_pid", "free_pkts",
+    "vtemp", "touched",
 )
 #: The buffers only ``fs_fold`` reads or writes; a :class:`_Phase`
 #: table leaves them unset.
@@ -151,14 +164,14 @@ _KERNEL_LAYOUT = tuple(
     (name, np.dtype(_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
 )
 #: Table slots after the addresses (``enum phase_slot``): seven
-#: settings, the carried cycle, free-packet count and partial count,
-#: then the counts of one call — CycleStats (4), mesh steps, MeshStats
-#: (9), and the four stage timers.
+#: settings, the carried cycle, free-packet count, partial count and
+#: dispatched-update count, then the counts of one call — CycleStats
+#: (4), mesh steps, MeshStats (9), and the four stage timers.
 _SLOT_SETTINGS = len(_KERNEL_BUFFERS)
 _SLOT_REDUCE = _SLOT_SETTINGS + 3
 _SLOT_CYCLE = _SLOT_SETTINGS + 7
 _SLOT_FREE = _SLOT_CYCLE + 1
-_SLOT_COUNTS = _SLOT_CYCLE + 3
+_SLOT_COUNTS = _SLOT_CYCLE + 4
 _TABLE_SLOTS = _SLOT_COUNTS + 18
 #: ``fs_run`` results (``RUNNING`` is 0).
 _DRAINED, _OVERRUN, _CORRUPT = 1, 2, 3
@@ -207,123 +220,6 @@ def resolve_cycle_engine(
 
 
 # ----------------------------------------------------------------------
-# Dispatch schedule: the whole phase's line issue, precomputed
-# ----------------------------------------------------------------------
-def _row_line_counts(
-    sizes: Sequence[int], line_width: int, window: int
-) -> List[int]:
-    """Edges issued per cycle by one row's DU over its vertex queue.
-
-    Replays :meth:`~repro.core.cycle_sim._RowDispatcher.issue_line`
-    exactly: each cycle packs up to ``line_width`` edges from up to
-    ``window`` distinct vertices; a vertex split by a full line resumes
-    at the head next cycle without counting against that line's window.
-    """
-    counts: List[int] = []
-    i = 0
-    n = len(sizes)
-    rem = int(sizes[0]) if n else 0
-    while i < n:
-        line = 0
-        used = 0
-        while i < n and line < line_width and used < window:
-            take = min(rem, line_width - line)
-            line += take
-            rem -= take
-            if rem:
-                break  # line full mid-vertex; resume next cycle
-            i += 1
-            used += 1
-            if i < n:
-                rem = int(sizes[i])
-        counts.append(line)
-    return counts
-
-
-def dispatch_schedule(
-    sim: "CycleAccurateScalaGraph",
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute the phase's entire dispatch as flat arrays.
-
-    Returns ``(edge_order, cycle_offsets, lines_per_cycle)``:
-    ``edge_order[cycle_offsets[c]:cycle_offsets[c + 1]]`` are the edge
-    indices every row's DU issues in cycle ``c``, in exactly the order
-    the reference dispatch loop visits them (rows ascending, each row's
-    line in stream order), and ``lines_per_cycle[c]`` counts the
-    non-empty lines (one per still-busy row).
-
-    Valid because dispatch is unconditional: lines never stall, so the
-    schedule is a pure function of the per-row vertex queues.
-    """
-    topology = sim.topology
-    mapping = sim.mapping
-    from repro.mapping.destination_oriented import DestinationOrientedMapping
-
-    group = dst if isinstance(mapping, DestinationOrientedMapping) else src
-    order = np.argsort(group, kind="stable")
-    sorted_group = group[order]
-    boundary = np.concatenate(([True], sorted_group[1:] != sorted_group[:-1]))
-    starts = np.flatnonzero(boundary)
-    stops = np.concatenate([starts[1:], [order.size]])
-    verts = sorted_group[starts]
-    vrows = np.asarray(
-        topology.rows_of(mapping.home(verts)), dtype=np.int64
-    )
-    # Group the vertex queues by row, keeping ascending-vertex order
-    # within each row (the order the reference fills its dispatchers).
-    rorder = np.argsort(vrows, kind="stable")
-    row_sorted = vrows[rorder]
-    row_boundary = np.concatenate(
-        ([True], row_sorted[1:] != row_sorted[:-1])
-    )
-    row_starts = np.flatnonzero(row_boundary)
-    row_stops = np.concatenate([row_starts[1:], [rorder.size]])
-
-    line_width = topology.cols
-    window = sim.config.degree_aware_window
-    edge_parts: List[np.ndarray] = []
-    cycle_parts: List[np.ndarray] = []
-    row_parts: List[np.ndarray] = []
-    row_lengths: List[int] = []
-    for lo, hi in zip(row_starts, row_stops):
-        groups = rorder[lo:hi]
-        row = int(row_sorted[lo])
-        sizes = (stops - starts)[groups]
-        counts = np.asarray(
-            _row_line_counts(sizes.tolist(), line_width, window),
-            dtype=np.int64,
-        )
-        edge_parts.append(
-            np.concatenate([order[starts[g]:stops[g]] for g in groups])
-        )
-        cycle_parts.append(np.repeat(np.arange(counts.size), counts))
-        row_parts.append(np.full(int(sizes.sum()), row, dtype=np.int64))
-        row_lengths.append(int(counts.size))
-
-    if not edge_parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros(1, dtype=np.int64), empty
-    all_e = np.concatenate(edge_parts)
-    all_c = np.concatenate(cycle_parts)
-    all_r = np.concatenate(row_parts)
-    # Stable by (cycle, row): within one cycle rows dispatch in
-    # ascending order, each row's line in stream order.
-    perm = np.lexsort((all_r, all_c))
-    edge_order = all_e[perm]
-    n_cycles = max(row_lengths)
-    per_cycle = np.bincount(all_c, minlength=n_cycles)
-    cycle_offsets = np.concatenate(
-        ([0], np.cumsum(per_cycle))
-    ).astype(np.int64)
-    lines_per_cycle = np.zeros(n_cycles, dtype=np.int64)
-    for length in row_lengths:
-        lines_per_cycle[:length] += 1
-    return edge_order, cycle_offsets, lines_per_cycle
-
-
-# ----------------------------------------------------------------------
 # The compiled scatter phase
 # ----------------------------------------------------------------------
 def _check_layout(kernel: MeshKernel) -> None:
@@ -342,49 +238,73 @@ class _Phase:
     """One scatter phase's kernel state: the buffers ``fs_run`` reads
     and writes, and the table of their addresses.
 
-    Every queue gets one slice per PE, sized by the phase's own bound:
-    an update enters a PE's out queue at most once (at its execution
-    PE) and its SPD queue at most once (at its destination's home), and
-    at most ``nodes x ports x depth`` packets fit in the mesh at once,
-    so the kernel never needs more room mid-phase.  The fold's buffers
-    (:data:`_FOLD_ONLY`) stay unset: ``fs_run`` reads no value.
+    The row dispatchers' queues are ``edges``, the edges sorted stably
+    by the vertex that streams them (``group``), each vertex group's
+    range in it, with the groups in row order and ascending vertex order
+    within a row (the order the reference fills its dispatchers), and
+    each row's cursor into the groups.  Every other queue gets one slice
+    per PE, sized by the phase's own bound: an update enters a PE's out
+    queue at most once (at its execution PE) and its SPD queue at most
+    once (at its destination's home), and at most ``nodes x ports x
+    depth`` packets fit in the mesh at once, so the kernel never needs
+    more room mid-phase.  The kernel reads ``edges``, ``exec_pe`` and
+    ``dst`` in place, and the fold's buffers (:data:`_FOLD_ONLY`) stay
+    unset: ``fs_run`` reads no value.
     """
 
     def __init__(
         self,
         network: FastMeshNetwork,
         agg: Optional[BatchedAggregationArray],
-        schedule: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        group: np.ndarray,
+        edges: np.ndarray,
         exec_pe: np.ndarray,
         dst: np.ndarray,
         home: np.ndarray,
+        window: int,
         max_cycles: int,
         profiled: bool,
     ) -> None:
         self.kernel = meshkernel.load()
         _check_layout(self.kernel)
-        n = network.topology.num_nodes
+        topology = network.topology
+        n = topology.num_nodes
         for role, pes in (("execution", exec_pe), ("home", home)):
             if int(pes.min()) < 0 or int(pes.max()) >= n:
                 raise ConfigurationError(
                     f"the mapping names a {role} PE outside the {n}-PE mesh"
                 )
-        edge_order, offsets, lines = schedule
-        updates = edge_order.size
-        self.d_pe = np.empty(updates, dtype=np.int64)
-        self.d_pe[:] = exec_pe[edge_order]
-        self.d_vtx = np.empty(updates, dtype=np.int64)
-        self.d_vtx[:] = dst[edge_order]
+        # The queue bounds first: the per-edge temporary of the SPD bound
+        # is gone before the per-edge buffers are allocated.
+        out_bound = np.bincount(exec_pe, minlength=n)
+        spd_bound = np.bincount(home[dst], minlength=n)
+        self.exec_pe = exec_pe
+        self.dst = dst
+        self.edges = edges
+        updates = dst.size
+
+        # The groups lie in ascending vertex order in ``edges``.
+        sizes = np.bincount(group, minlength=home.size)
+        verts = np.flatnonzero(sizes)
+        sizes = sizes[verts]
+        stops = np.cumsum(sizes)
+        rows = topology.rows_of(home[verts])
+        by_row = np.argsort(rows, kind="stable")
+        self.group_start = np.empty(verts.size, dtype=np.int64)
+        np.take(stops - sizes, by_row, out=self.group_start)
+        self.group_stop = np.empty(verts.size, dtype=np.int64)
+        np.take(stops, by_row, out=self.group_stop)
+        row_groups = np.bincount(rows, minlength=topology.rows)
+        self.row_end = np.empty(topology.rows, dtype=np.int64)
+        np.cumsum(row_groups, out=self.row_end)
+        self.row_group = np.empty(topology.rows, dtype=np.int64)
+        self.row_group[:] = self.row_end - row_groups
+        self.d_edge = np.empty(updates, dtype=np.int64)
         self.d_pid = np.empty(updates, dtype=np.int64)
-        self.offsets = np.empty(offsets.size, dtype=np.int64)
-        self.offsets[:] = offsets
-        self.lines = np.empty(lines.size, dtype=np.int64)
-        self.lines[:] = lines
+
         self.home = np.empty(home.size, dtype=np.int64)
         self.home[:] = home
         self.pe_stall = np.zeros(n, dtype=bool)
-
-        out_bound = np.bincount(exec_pe, minlength=n)
         self.out_end = np.empty(n, dtype=np.int64)
         np.cumsum(out_bound, out=self.out_end)
         self.out_head = np.empty(n, dtype=np.int64)
@@ -393,7 +313,6 @@ class _Phase:
         self.out_tail[:] = self.out_head
         self.out_vid = np.empty(updates, dtype=np.int64)
         self.out_pid = np.empty(updates, dtype=np.int64)
-        spd_bound = np.bincount(home[dst], minlength=n)
         self.spd_end = np.empty(n, dtype=np.int64)
         np.cumsum(spd_bound, out=self.spd_end)
         self.spd_head = np.empty(n, dtype=np.int64)
@@ -418,7 +337,7 @@ class _Phase:
             agg.num_stages if agg is not None else 0,
             agg.num_columns if agg is not None else 0,
             0,  # the reduce: the fold's
-            lines.size,
+            window,
             max_cycles,
             profiled,
         )
@@ -456,10 +375,10 @@ def _address(name: str, array: np.ndarray) -> int:
 class PhaseRecord:
     """What a drained scatter phase leaves behind.
 
-    The record holds the order the phase dispatched its edges in
-    (``edge_order``, indices into the gathered edges), each dispatched
-    update's partial id (``d_pid``), each PE's SPD queue of (vertex,
-    partial id) pairs in retire order (slice ``pe`` ends at
+    The record holds the order the kernel's row dispatchers sent the
+    phase's edges out in (``edge_order``, indices into the gathered edges),
+    each dispatched update's partial id (``d_pid``), each PE's SPD queue
+    of (vertex, partial id) pairs in retire order (slice ``pe`` ends at
     ``spd_end[pe]`` and holds entries up to ``spd_tail[pe]``), the
     phase's cycles, the :class:`~repro.core.cycle_sim.CycleStats` counts
     it adds and the updates it still held when it stopped (0 after a
@@ -547,7 +466,12 @@ def _simulate(
     faults = sim.faults
     profiler = sim.profiler
 
-    exec_pe = np.asarray(mapping.execution_pe(src, dst), dtype=np.int64)
+    from repro.mapping.destination_oriented import DestinationOrientedMapping
+
+    exec_pe = np.ascontiguousarray(
+        mapping.execution_pe(src, dst), dtype=np.int64
+    )
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
     home = np.asarray(
         mapping.home(np.arange(graph.num_vertices, dtype=np.int64)),
         dtype=np.int64,
@@ -566,9 +490,12 @@ def _simulate(
         sanitizer=sanitizer,
         faults=faults,
     )
-    schedule = dispatch_schedule(sim, src, dst)
+    # ROM and SOM stream a vertex's out-edges to its home row; DOM's
+    # per-partition CSR groups edges by destination instead.
+    group = dst if isinstance(mapping, DestinationOrientedMapping) else src
     phase = _Phase(
-        network, agg, schedule, exec_pe, dst, home, max_cycles,
+        network, agg, group, np.argsort(group, kind="stable"), exec_pe,
+        dst, home, sim.config.degree_aware_window, max_cycles,
         profiler is not None,
     )
     dispatch_lines = coalesced = spd_reduces = stall_degraded = 0
@@ -619,7 +546,7 @@ def _simulate(
     return PhaseRecord(
         kernel=phase.kernel,
         vertices=graph.num_vertices,
-        edge_order=schedule[0],
+        edge_order=phase.d_edge,
         d_pid=phase.d_pid,
         spd_end=phase.spd_end,
         spd_tail=phase.spd_tail,

@@ -19,7 +19,9 @@
  * exactly as the reference CycleAccurateScalaGraph._scatter_phase does:
  * dispatch with aggregation offer, RU egress, one mesh step (the same
  * step fm_step runs) and SPD retire, until the phase drains or the cycle
- * the caller names.  No decision in a phase reads a value, so fs_run
+ * the caller names.  Each row's dispatcher takes its line inside the
+ * loop, from a cursor over its vertex queue, so a dispatcher that stalls
+ * is one counter there.  No decision in a phase reads a value, so fs_run
  * carries none: a register, an out queue entry, a packet and an SPD
  * queue entry each carry a partial id, and fs_fold computes the values
  * once the phase has drained (see "The fold").
@@ -239,11 +241,20 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
 /* ------------------------------------------------------------------ */
 
 /* Table order of the phase buffers: Python attribute name, element type.
- *   d_pe, d_vtx          the phase's updates in dispatch order, cycle c
- *                        issuing [offsets[c], offsets[c + 1]) in lines[c]
- *                        lines; home: each vertex's home PE;
- *   d_pid                each dispatched update's partial id (fs_run);
+ *   exec_pe, dst, edges  each edge's execution PE and destination, and
+ *                        the edges sorted stably by the vertex that
+ *                        streams them (the row dispatchers' queues): the
+ *                        caller's arrays, read in place;
+ *   group_start, _stop   each vertex group's [start, stop) in edges, the
+ *                        groups in row order; dispatch advances the start
+ *                        of a group that a full line split;
+ *   row_end, row_group   each row's end in the group list and its cursor,
+ *                        its next group (the row is busy while
+ *                        row_group < row_end);
+ *   d_edge, d_pid        each dispatched update's edge and partial id, in
+ *                        dispatch order (fs_run);
  *   d_val                the updates' values in dispatch order (fs_fold);
+ *   home                 each vertex's home PE;
  *   pe_stall             PEs stalled in the current fault window;
  *   vid .. emitted       every PE's register array (vid -1 = empty; pid,
  *                        the partial each register holds) and ledger
@@ -255,13 +266,14 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
  *   vtemp, touched       the phase's reduced values and touched marks
  *                        (fs_fold). */
 #define PHASE_BUFFERS(X)                                                   \
-    X(d_pe, i8) X(d_vtx, i8) X(d_pid, i8) X(d_val, f8) X(offsets, i8)      \
-    X(lines, i8) X(home, i8) X(pe_stall, b1) X(vid, i8) X(pid, i8)         \
-    X(occ, i8) X(rr, i8) X(offered, i8) X(coalesced, i8) X(stored, i8)     \
-    X(rejected, i8) X(emitted, i8) X(out_end, i8) X(out_head, i8)          \
-    X(out_tail, i8) X(out_vid, i8) X(out_pid, i8) X(spd_end, i8)           \
-    X(spd_head, i8) X(spd_tail, i8) X(spd_vid, i8) X(spd_pid, i8)          \
-    X(free_pkts, i8) X(vtemp, f8) X(touched, b1)
+    X(exec_pe, i8) X(dst, i8) X(edges, i8) X(group_start, i8)              \
+    X(group_stop, i8) X(row_end, i8) X(row_group, i8) X(d_edge, i8)        \
+    X(d_pid, i8) X(d_val, f8) X(home, i8) X(pe_stall, b1) X(vid, i8)       \
+    X(pid, i8) X(occ, i8) X(rr, i8) X(offered, i8) X(coalesced, i8)        \
+    X(stored, i8) X(rejected, i8) X(emitted, i8) X(out_end, i8)            \
+    X(out_head, i8) X(out_tail, i8) X(out_vid, i8) X(out_pid, i8)          \
+    X(spd_end, i8) X(spd_head, i8) X(spd_tail, i8) X(spd_vid, i8)          \
+    X(spd_pid, i8) X(free_pkts, i8) X(vtemp, f8) X(touched, b1)
 
 #define AS_PHASE_ENUM(name, type) P_##name,
 #define AS_PHASE_TEXT(name, type) #name ":" #type " "
@@ -272,12 +284,13 @@ enum phase_buffer { PHASE_BUFFERS(AS_PHASE_ENUM) NPHASE_BUFFERS };
 enum phase_slot {
     /* Set up by Python once per phase.  MESH is the mesh's table;
      * COLUMNS 0 means no register array (its buffers are unset);
-     * REDUCE is 0 for np.add, 1 for np.minimum, 2 for np.maximum. */
+     * REDUCE is 0 for np.add, 1 for np.minimum, 2 for np.maximum;
+     * WINDOW is the most vertex groups one line draws from. */
     Q_MESH = NPHASE_BUFFERS, Q_STAGES, Q_COLUMNS, Q_REDUCE,
-    Q_DISPATCH_CYCLES, Q_MAX_CYCLES, Q_PROFILE,
-    /* Carried from call to call: the cycle, the free packet indices and
-     * the partial ids issued. */
-    Q_CYCLE, Q_FREE, Q_PARTIALS,
+    Q_WINDOW, Q_MAX_CYCLES, Q_PROFILE,
+    /* Carried from call to call: the cycle, the free packet indices, the
+     * partial ids issued and the updates dispatched. */
+    Q_CYCLE, Q_FREE, Q_PARTIALS, Q_DISPATCHED,
     /* Counts of the last call: CycleStats (STALL_DEGRADED counts the
      * cycles a stalled PE held work while the mesh met no fault), then
      * MeshStats, then the nanoseconds of each stage when PROFILE is set. */
@@ -407,9 +420,12 @@ static int64_t now_ns(void)
 int64_t fs_run(int64_t *p, int64_t stop)
 {
     int64_t *t = (int64_t *)p[Q_MESH];
-    const i8 *d_pe = PHASE(d_pe, i8), *d_vtx = PHASE(d_vtx, i8);
-    i8 *d_pid = PHASE(d_pid, i8);
-    const i8 *offsets = PHASE(offsets, i8), *lines = PHASE(lines, i8);
+    const i8 *exec_pe = PHASE(exec_pe, i8), *dst = PHASE(dst, i8);
+    const i8 *edges = PHASE(edges, i8), *group_stop = PHASE(group_stop, i8);
+    const i8 *row_end = PHASE(row_end, i8);
+    i8 *group_start = PHASE(group_start, i8);
+    i8 *row_group = PHASE(row_group, i8);
+    i8 *d_edge = PHASE(d_edge, i8), *d_pid = PHASE(d_pid, i8);
     const i8 *home = PHASE(home, i8);
     const b1 *stalled = PHASE(pe_stall, b1);
     struct regs r = {
@@ -429,45 +445,72 @@ int64_t fs_run(int64_t *p, int64_t stop)
     const i8 *dlv = BUFFER(dlv_pidx, i8), *pkt_dst = BUFFER(pkt_dst, i8);
     const i8 *pkt_vertex = BUFFER(pkt_vertex, i8);
     const i8 *pkt_pid = BUFFER(pkt_pid, i8);
-    const int64_t n = t[S_NODES], dispatch_cycles = p[Q_DISPATCH_CYCLES];
+    const int64_t n = t[S_NODES], rows = t[S_ROWS], cols = t[S_COLS];
+    const int64_t window = p[Q_WINDOW];
     const int aggregate = r.columns > 0, profile = p[Q_PROFILE] != 0;
     int64_t cycle = p[Q_CYCLE], nfree = p[Q_FREE], status = RUNNING;
-    i8 partials = p[Q_PARTIALS];
+    i8 partials = p[Q_PARTIALS], dispatched = p[Q_DISPATCHED];
     int64_t lap = profile ? now_ns() : 0;
+    int64_t busy = 0; /* rows whose dispatcher still holds edges */
 
+    for (int64_t row = 0; row < rows; row++)
+        busy += row_group[row] < row_end[row];
     for (int slot = Q_DISPATCH_LINES; slot < NPHASE_SLOTS; slot++)
         p[slot] = 0;
     while (cycle < stop) {
         int progressed = 0, stall_hit = 0;
 
-        /* 1. Dispatch: this cycle's lines, each update offered to its
-         *    execution PE's register array (or queued for egress as a
-         *    partial of its own), and its partial id recorded. */
-        if (cycle < dispatch_cycles) {
-            const int64_t lo = offsets[cycle], hi = offsets[cycle + 1];
-            if (hi > lo) {
-                progressed = 1;
-                p[Q_DISPATCH_LINES] += lines[cycle];
+        /* 1. Dispatch, rows ascending: each busy row sends one line, as
+         *    _RowDispatcher.issue_line does: up to `cols` edges from at
+         *    most `window` groups at the head of its queue; a group that
+         *    fills the line stays at the head, its start advanced.  Each
+         *    update is offered to its execution PE's register array (or
+         *    queued for egress as a partial of its own), and its edge and
+         *    partial id recorded. */
+        if (busy) {
+            progressed = 1;
+            p[Q_DISPATCH_LINES] += busy;
+        }
+        for (int64_t row = 0; row < rows && busy; row++) {
+            int64_t g = row_group[row];
+            const int64_t end = row_end[row];
+            if (g >= end) continue;
+            for (int64_t room = cols, used = 0;
+                 g < end && room > 0 && used < window;) {
+                const int64_t lo = group_start[g], hi = group_stop[g];
+                const int64_t upto = hi - lo > room ? lo + room : hi;
+                for (int64_t at = lo; at < upto; at++) {
+                    const i8 e = edges[at];
+                    const i8 id =
+                        aggregate
+                            ? offer(&r, &out, exec_pe[e], dst[e], partials)
+                        : push(&out, exec_pe[e], dst[e], partials) ? partials
+                                                                   : -1;
+                    if (id < 0) goto corrupt;
+                    if (id == partials) partials++;
+                    else p[Q_COALESCED]++;
+                    d_edge[dispatched] = e;
+                    d_pid[dispatched++] = id;
+                }
+                room -= upto - lo;
+                if (upto < hi) {
+                    group_start[g] = upto; /* the line is full */
+                } else {
+                    g++;
+                    used++;
+                }
             }
-            for (int64_t e = lo; e < hi; e++) {
-                const i8 id =
-                    aggregate ? offer(&r, &out, d_pe[e], d_vtx[e], partials)
-                    : push(&out, d_pe[e], d_vtx[e], partials) ? partials
-                                                              : -1;
-                if (id < 0) goto corrupt;
-                if (id == partials) partials++;
-                else p[Q_COALESCED]++;
-                d_pid[e] = id;
-            }
+            row_group[row] = g;
+            busy -= g == end;
         }
         LAP(Q_NS_DISPATCH);
 
         /* 2. RU egress, one update per PE: the out queue's head, else a
-         *    register once dispatch is done.  The head leaves its queue
+         *    register once no row is busy.  The head leaves its queue
          *    only when the mesh takes it; a refused register waits at the
          *    head of the (empty) out queue.  Each PE injects into its own
          *    local FIFO only, so PE order does not matter. */
-        const int drain = cycle + 1 >= dispatch_cycles;
+        const int drain = !busy;
         for (int64_t pe = 0; pe < n; pe++) {
             const int queued = out.head[pe] < out.tail[pe];
             const int live = aggregate && drain && r.occ[pe] > 0;
@@ -547,7 +590,7 @@ int64_t fs_run(int64_t *p, int64_t stop)
             status = OVERRUN;
             break;
         }
-        if (!progressed && cycle >= dispatch_cycles && !held && !occupancy) {
+        if (!progressed && !busy && !held && !occupancy) {
             status = DRAINED;
             break;
         }
@@ -559,6 +602,7 @@ done:
     p[Q_CYCLE] = cycle;
     p[Q_FREE] = nfree;
     p[Q_PARTIALS] = partials;
+    p[Q_DISPATCHED] = dispatched;
     return status;
 }
 

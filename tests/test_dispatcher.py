@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.dispatcher import (
@@ -181,8 +181,8 @@ class TestPipelineSchedule:
 class TestRowDispatcherIssueLine:
     """Degree-aware window edge cases of the cycle simulator's DU
     (``_RowDispatcher.issue_line``), cross-checked against both the
-    analytic ``pack_lines`` model and the vectorised engine's schedule
-    replayer (``fastsim._row_line_counts``)."""
+    analytic ``pack_lines`` model and the dispatch the vectorised
+    engine's kernel runs."""
 
     @staticmethod
     def _lines(degrees, line_width, window):
@@ -269,16 +269,63 @@ class TestRowDispatcherIssueLine:
             assert started <= window
 
     @given(
-        st.lists(st.integers(1, 9), min_size=1, max_size=8),
-        st.integers(2, 6),
+        st.lists(st.integers(0, 20), min_size=1, max_size=12),
+        st.integers(2, 8),
         st.integers(1, 6),
+        st.integers(1, 3),
+        st.sampled_from(["rom", "dom"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
     )
-    def test_fastsim_replayer_matches_issue_line(self, degrees, width, window):
-        """The vectorised engine precomputes dispatch by replaying
-        issue_line arithmetically; the per-cycle line sizes must agree
-        edge-for-edge on every workload."""
-        from repro.core.fastsim import _row_line_counts
+    def test_fastsim_replayer_matches_issue_line(
+        self, degrees, width, window, rows, mapping, sanitize, seed
+    ):
+        """The vectorised engine's kernel sends each row's lines by
+        issue_line's rule: one phase's recorded dispatch order and line
+        count equal every row's _RowDispatcher replayed cycle by cycle,
+        rows ascending within a cycle.  The mesh's columns are the line
+        width; with the sanitizer armed the kernel runs one cycle per
+        call, so the row cursors carry across calls."""
+        from repro.algorithms.reference import gather_frontier_edges
+        from repro.core.config import ScalaGraphConfig
+        from repro.core.cycle_sim import (
+            CycleAccurateScalaGraph,
+            _RowDispatcher,
+        )
+        from repro.core.fastsim import _simulate
+        from repro.graph.csr import CSRGraph
 
-        lines = self._lines(degrees, width, window)
-        counts = _row_line_counts(degrees, width, window)
-        assert counts == [len(l) for l in lines]
+        assume(sum(degrees) > 0)
+        vertices = len(degrees)
+        heads = np.repeat(np.arange(vertices), degrees)
+        tails = np.random.default_rng(seed).integers(0, vertices, heads.size)
+        graph = CSRGraph.from_edges(vertices, np.column_stack([heads, tails]))
+        config = ScalaGraphConfig(
+            num_tiles=1,
+            pe_rows=rows,
+            pe_cols=width,
+            mapping=mapping,
+            degree_aware_window=window,
+            cycle_engine="vectorized",
+        )
+        sim = CycleAccurateScalaGraph(config, sanitize=sanitize)
+        src, dst, _ = gather_frontier_edges(graph, np.arange(vertices))
+        record = _simulate(sim, graph, src, dst, max_cycles=100_000)
+
+        # ROM streams a vertex's out-edges from its home row, DOM groups
+        # edges by destination; each row queues its vertices ascending.
+        group = dst if mapping == "dom" else src
+        dispatchers = [_RowDispatcher(width, window) for _ in range(rows)]
+        for vertex in np.unique(group):
+            row = int(sim.topology.rows_of(sim.mapping.home(vertex)))
+            dispatchers[row].push_vertex(
+                vertex, np.flatnonzero(group == vertex)
+            )
+        order, lines = [], 0
+        while any(du.busy for du in dispatchers):
+            for du in dispatchers:
+                line = du.issue_line()
+                lines += bool(line)
+                order.extend(line)
+        assert record.edge_order.tolist() == order
+        assert record.dispatch_lines == lines

@@ -8,6 +8,7 @@ mapping x register count x algorithm x fault schedule, with the
 SimSanitizer armed on both paths and warnings escalated to errors.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.faults.schedule import (
     PEStallWindow,
 )
 from repro.graph.generators import rmat_graph, star_graph
+from repro.noc import meshkernel
 from repro.noc.mesh import EAST, SOUTH
 from repro.noc.topology import MeshTopology
 from repro.service.scheduler import _CYCLE_MESH
@@ -258,17 +260,27 @@ class TestDifferentialEquivalence:
             )
         )
 
-    def test_window_one_baseline_scheduler(self):
-        _assert_identical(dict(registers=8, algorithm="sssp", window=1))
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_degree_aware_window(self, window):
+        """Window 1 is Fig. 19a's baseline scheduler; at 2 and 3 a line
+        holds the tail of a split vertex and fresh ones."""
+        _assert_identical(dict(registers=8, algorithm="sssp", window=window))
 
     def test_odd_register_count(self):
         # 9 registers -> 1x9 geometry (exact capacity, no quantisation).
         _assert_identical(dict(registers=9, mapping="som"))
 
-    def test_small_mesh_steps_the_compiled_mesh(self):
-        """On a 4x8 mesh the vectorized scatter engine, stepping the
-        compiled mesh, matches the full reference stack."""
-        case = dict(rows=4, cols=8, registers=8)
+    @pytest.mark.parametrize(
+        "rows, cols, mapping",
+        [(4, 8, "rom"), (8, 4, "dom")],
+        ids=["4x8-rom", "8x4-dom"],
+    )
+    def test_rectangular_meshes_step_the_compiled_mesh(
+        self, rows, cols, mapping
+    ):
+        """On rectangular meshes the vectorized scatter engine, stepping
+        the compiled mesh, matches the full reference stack."""
+        case = dict(rows=rows, cols=cols, registers=8, mapping=mapping)
         ref = _run("reference", noc_engine="reference", **case)
         vec = _run("vectorized", **case)
         assert _fingerprint(ref) == _fingerprint(vec)
@@ -561,3 +573,32 @@ class TestStageTimers:
             for stage in self.STAGES
         )
         assert 0 < stages <= timers["cycle_sim.scatter"]["total_seconds"]
+
+
+class TestPhaseMemory:
+    """A simulated phase holds about eleven 8-byte words per edge while
+    the kernel runs: the gathered sources and weights, the execution
+    PEs, the row dispatchers' grouping, the dispatch order, the partial
+    ids and the out and SPD queues.  Copying the execution PEs and the
+    destinations into buffers of the phase's own, or keeping a
+    precomputed dispatch schedule beside them, goes over the budget."""
+
+    BYTES_PER_EDGE = 96
+
+    def test_pagerank_phase_traces_under_the_per_edge_budget(self):
+        graph = rmat_graph(12, edge_factor=16, seed=1)
+        config = ScalaGraphConfig(
+            num_tiles=1, pe_rows=8, pe_cols=8, aggregation_registers=16,
+            cycle_engine="vectorized",
+        )
+        sim = CycleAccurateScalaGraph(config, sanitize=False)
+        program = make_algorithm("pagerank", max_iters=1)
+        meshkernel.load()  # build the kernel outside the trace
+        tracemalloc.start()
+        try:
+            result = sim.run(program, graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.stats.iterations == 1
+        assert peak / graph.num_edges <= self.BYTES_PER_EDGE

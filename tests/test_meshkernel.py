@@ -240,16 +240,21 @@ class TestAbiChecks:
         assert dict(kernel.phase_layout)["touched"] == "b1"
         assert dict(kernel.phase_layout)["pid"] == "i8"
         assert dict(kernel.phase_layout)["d_val"] == "f8"
+        assert dict(kernel.phase_layout)["dst"] == "i8"
 
     @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])
     def test_phase_layout_mismatch_rejected(self, monkeypatch, change):
         kernel = meshkernel.load()
         layout = list(kernel.phase_layout)
+        names = [name for name, _ in layout]
+        stall, vid, pid = (
+            names.index(name) for name in ("pe_stall", "vid", "pid")
+        )
         if change == "reorder":  # same count, two buffers swapped
-            layout[7], layout[8] = layout[8], layout[7]
+            layout[stall], layout[vid] = layout[vid], layout[stall]
             monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
         elif change == "retype":
-            layout[9] = ("pid", "f8")
+            layout[pid] = ("pid", "f8")
             monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
         else:
             monkeypatch.setattr(

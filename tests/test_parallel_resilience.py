@@ -127,9 +127,27 @@ def model_error_worker(
     graph_name, algorithm_name, systems, scale_shift, max_iterations
 ):
     """Raises a plain model error (no crash) on the poison cell: the
-    builtin exception named by ``REPRO_POISON_ERROR``."""
+    builtin exception named by ``REPRO_POISON_ERROR``.  It raises only
+    once the ``bfs`` and ``pagerank`` cells are in the cache at
+    ``REPRO_POISON_CACHE``: the poison cell can start as soon as any
+    other cell finishes, and its error cancels a cell still running."""
     _record_invocation(graph_name, algorithm_name)
     if (graph_name, algorithm_name) == POISON:
+        cache = ResultCache(os.environ["REPRO_POISON_CACHE"])
+        deadline = time.monotonic() + 60.0
+        while any(
+            cache.get(
+                graph_name, name, systems[0], scale_shift, max_iterations
+            )
+            is None
+            for name in ("bfs", "pagerank")
+        ):
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    "the poison cell waited 60 s for the bfs and pagerank "
+                    "cells to be cached"
+                )
+            time.sleep(0.01)
         error = getattr(builtins, os.environ["REPRO_POISON_ERROR"])
         raise error("model error in the poison cell")
     return execute_cell(
@@ -358,6 +376,7 @@ class TestModelError:
         cached."""
         cache = ResultCache(tmp_path / "cache")
         monkeypatch.setenv("REPRO_POISON_ERROR", error.__name__)
+        monkeypatch.setenv("REPRO_POISON_CACHE", str(cache.root))
         monkeypatch.setattr(parallel_mod, "_cell_worker", model_error_worker)
         monkeypatch.setattr(
             parallel_mod, "execute_cell", recording_execute_cell
