@@ -34,6 +34,7 @@ from repro.core import (
 )
 from repro.experiments import format_table, geometric_mean
 from repro.graph.generators import rmat_graph
+from repro.validate import scatter_cycles_vs_model
 
 CONFIG = ScalaGraphConfig(num_tiles=1, pe_rows=4, pe_cols=4)
 WORKLOADS = [
@@ -64,11 +65,8 @@ def run_paper_scale_validation():
     reference = run_reference(program, graph)
     cycle = CycleAccurateScalaGraph(config).run(program, graph)
     analytic = ScalaGraph(config).run(program, graph, reference=reference)
-    overhead = config.timing.phase_overhead_cycles
-    measured = sum(cycle.stats.scatter_cycles)
-    modelled = sum(
-        max(it.scatter_cycles - overhead, 1.0)
-        for it in analytic.iterations
+    measured, modelled = scatter_cycles_vs_model(
+        config, cycle.stats, analytic
     )
     return {
         "label": "rmat16-pagerank-32x32",
@@ -94,11 +92,8 @@ def run_validation():
         analytic = ScalaGraph(CONFIG, profiler=profile).run(
             program, graph, reference=reference
         )
-        overhead = CONFIG.timing.phase_overhead_cycles
-        measured = sum(cycle.stats.scatter_cycles)
-        modelled = sum(
-            max(it.scatter_cycles - overhead, 1.0)
-            for it in analytic.iterations
+        measured, modelled = scatter_cycles_vs_model(
+            CONFIG, cycle.stats, analytic
         )
         ratio = measured / modelled
         ratios.append(ratio)

@@ -193,10 +193,10 @@ class ModuleModel:
         #: public module-level defs and classes, and the public methods
         #: and properties of those classes
         self.definitions: List[Definition] = []
-        #: (name, lineno) of every name loaded bare (``f``) or as an
-        #: attribute (``mod.f``); imports and ``__all__`` strings are not
-        #: loads
-        self.name_loads: List[Tuple[str, int]] = []
+        #: (name, lineno, is_attribute) of every name loaded bare
+        #: (``f``) or as an attribute (``mod.f``, ``obj.f``); imports and
+        #: ``__all__`` strings are not loads
+        self.name_loads: List[Tuple[str, int, bool]] = []
         #: module-level literal declarations (ENGINE_TWIN, BUFFER_DTYPES)
         self.declarations: Dict[str, object] = {}
         self.declaration_lines: Dict[str, int] = {}
@@ -213,9 +213,9 @@ class ModuleModel:
         self.method_calls = calls
         self.allocations = allocs
         self.name_loads = [
-            (a.name, a.lineno) for a in accesses if not a.is_write
+            (a.name, a.lineno, True) for a in accesses if not a.is_write
         ] + [
-            (node.id, node.lineno)
+            (node.id, node.lineno, False)
             for node in ast.walk(self.tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         ]

@@ -52,16 +52,12 @@ FAULT_RECEIVER_TAILS = frozenset({"faults", "schedule", "fault_schedule"})
 STATS_RECEIVER_TAIL = "stats"
 
 #: FaultSchedule query surface, mapped to the fault *kind* it consumes.
-#: Twins may query the same kind through different methods (the
-#: reference mesh reroutes per-packet via ``route`` while the vectorized
-#: mesh masks whole links via ``link_dead_mask``) — SIM601 compares at
-#: kind granularity so that is not drift.
+#: SIM601 compares twins at kind granularity, so two engines that read
+#: one kind through different queries are not drift.
 FAULT_KIND_BY_METHOD: Dict[str, str] = {
-    "route": "link-outage",
     "link_dead_mask": "link-outage",
     "link_availability": "link-outage",
     "fifo_stall_mask": "fifo-stall",
-    "pe_stalled": "pe-stall",
     "pe_stall_mask": "pe-stall",
     "degraded_hbm": "hbm-degradation",
     "hbm_bandwidth_fraction": "hbm-degradation",
@@ -508,29 +504,37 @@ def dtype_contract_drift(model: ProjectModel) -> List[Finding]:
     Severity.WARNING,
     "only tests reach this: public module-level def or class, or public "
     "method or property of a public class, whose name no other module of "
-    "the package or its consumers loads",
+    "the package or its consumers loads (a member's only as an attribute)",
 )
 def reached_only_by_tests(model: ProjectModel) -> List[Finding]:
     if not model.consumer_modules:
         # The consumers are the package's entry points from outside;
         # without them every name only they use would look unreached.
         return []
-    loads: Dict[str, List[Tuple[str, int]]] = {}
+    # (name, loaded as an attribute) -> every (module, lineno) loading it
+    loads: Dict[Tuple[str, bool], List[Tuple[str, int]]] = {}
     for module in (
         *model.modules.values(),
         *model.consumer_modules.values(),
     ):
-        for name, lineno in module.name_loads:
-            loads.setdefault(name, []).append((module.name, lineno))
+        for name, lineno, is_attribute in module.name_loads:
+            loads.setdefault((name, is_attribute), []).append(
+                (module.name, lineno)
+            )
     findings: List[Finding] = []
     for module in sorted(model.modules.values(), key=lambda m: m.name):
         for definition in module.definitions:
             if REGISTERING_DECORATORS.intersection(definition.decorators):
                 continue
+            # A member is reached through ``x.name`` only: a bare load of
+            # the same name is a local variable or another definition.
+            uses = loads.get((definition.name, True), [])
+            if definition.qualname == definition.name:
+                uses = [*uses, *loads.get((definition.name, False), ())]
             if any(
                 where != module.name
                 or not definition.lineno <= lineno <= definition.end_lineno
-                for where, lineno in loads.get(definition.name, ())
+                for where, lineno in uses
             ):
                 continue
             findings.append(

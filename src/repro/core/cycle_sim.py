@@ -359,6 +359,12 @@ class CycleAccurateScalaGraph:
         exec_pe = self.mapping.execution_pe(src, dst)
         reduce_ufunc = program.reduce_ufunc
         reduce_fn = lambda a, b: float(reduce_ufunc(a, b))
+        num_pes = self.topology.num_nodes
+        # Each vertex's home PE, as a list: the loop below reads it one
+        # vertex at a time.
+        home = self.mapping.home(
+            np.arange(graph.num_vertices, dtype=np.int64)
+        ).tolist()
 
         # Fill each row's dispatcher with its vertices' edge groups:
         # ROM/SOM stream a vertex's out-edges to its home row; DOM's
@@ -386,19 +392,26 @@ class CycleAccurateScalaGraph:
                 boundaries[i + 1] if i + 1 < len(boundaries) else order.size
             )
             vertex = int(sorted_group[start])
-            row = int(
-                self.topology.rows_of(self.mapping.home(np.int64(vertex)))
+            dispatchers[home[vertex] // self.topology.cols].push_vertex(
+                vertex, order[start:stop]
             )
-            dispatchers[row].push_vertex(vertex, order[start:stop])
 
-        # Per-PE aggregation pipelines and outgoing FIFOs.
+        # Per-PE aggregation pipelines (none without registers) and
+        # outgoing FIFOs.
         registers = cfg.aggregation_registers
-        pipelines: Dict[int, AggregationPipeline] = {}
+        pipelines = [
+            AggregationPipeline(
+                *aggregation_geometry(registers),
+                reduce_fn=reduce_fn,
+                sanitizer=self.sanitizer,
+            )
+            for _ in range(num_pes if registers > 0 else 0)
+        ]
         out_fifos: List[Deque[Tuple[int, float]]] = [
-            deque() for _ in range(self.topology.num_nodes)
+            deque() for _ in range(num_pes)
         ]
         spd_fifos: List[Deque[Tuple[int, float]]] = [
-            deque() for _ in range(self.topology.num_nodes)
+            deque() for _ in range(num_pes)
         ]
         if self.sanitizer is not None:
             self.sanitizer.begin_epoch(
@@ -414,22 +427,8 @@ class CycleAccurateScalaGraph:
         # One timer object, entered every loop iteration.
         noc_timer = (prof or NULL_PROFILER).timer("cycle_sim.noc_step")
 
-        def pipeline_for(pe: int) -> Optional[AggregationPipeline]:
-            if registers <= 0:
-                return None
-            pipe = pipelines.get(pe)
-            if pipe is None:
-                stages, cols = aggregation_geometry(registers)
-                pipe = AggregationPipeline(
-                    num_stages=stages,
-                    num_columns=cols,
-                    reduce_fn=reduce_fn,
-                    sanitizer=self.sanitizer,
-                )
-                pipelines[pe] = pipe
-            return pipe
-
         faults = self.faults
+        no_stalls = [False] * num_pes
         cycle = 0
         edges_remaining = int(src.size)
         phase_coalesced = phase_spd = 0
@@ -438,6 +437,9 @@ class CycleAccurateScalaGraph:
             # A stalled PE (fault injection) emits no update and retires
             # no SPD reduce this cycle; the flag records whether a stall
             # actually blocked pending work (feeds degraded_cycles).
+            stalled = (
+                faults.pe_stall_mask(cycle).tolist() if faults else no_stalls
+            )
             pe_stall_hit = False
             net_degraded_before = network.stats.degraded_cycles
 
@@ -454,10 +456,10 @@ class CycleAccurateScalaGraph:
                     pe = int(exec_pe[edge])
                     vertex = int(dst[edge])
                     value = float(values[edge])
-                    pipe = pipeline_for(pe)
-                    if pipe is None:
+                    if not pipelines:
                         out_fifos[pe].append((vertex, value))
                         continue
+                    pipe = pipelines[pe]
                     outcome = pipe.offer(vertex, value)
                     if outcome == "coalesced":
                         phase_coalesced += 1
@@ -476,26 +478,26 @@ class CycleAccurateScalaGraph:
             #    next cycle; the phase-exit test below reads the FIFOs
             #    directly, so a requeued update can never be dropped or
             #    double-counted by a shadow counter.
-            drain_pipelines = all(not d.busy for d in dispatchers)
-            for pe in range(self.topology.num_nodes):
-                if faults is not None and faults.pe_stalled(pe, cycle):
+            drain_pipelines = bool(pipelines) and all(
+                not d.busy for d in dispatchers
+            )
+            for pe in range(num_pes):
+                if stalled[pe]:
                     if out_fifos[pe] or (
-                        drain_pipelines
-                        and pe in pipelines
-                        and pipelines[pe].occupancy()
+                        drain_pipelines and pipelines[pe].occupancy()
                     ):
                         pe_stall_hit = True
                     continue
                 item = None
                 if out_fifos[pe]:
                     item = out_fifos[pe].popleft()
-                elif drain_pipelines and pe in pipelines:
+                elif drain_pipelines:
                     item = pipelines[pe].emit()
                 if item is None:
                     continue
                 progressed = True
                 vertex, value = item
-                target = int(self.mapping.home(np.int64(vertex)))
+                target = home[vertex]
                 if target == pe:
                     spd_fifos[pe].append((vertex, value))
                 else:
@@ -515,9 +517,9 @@ class CycleAccurateScalaGraph:
                 progressed = True
 
             # 4. SPD: one Reduce per slice per cycle.
-            for pe in range(self.topology.num_nodes):
+            for pe in range(num_pes):
                 if spd_fifos[pe]:
-                    if faults is not None and faults.pe_stalled(pe, cycle):
+                    if stalled[pe]:
                         pe_stall_hit = True
                         continue
                     vertex, value = spd_fifos[pe].popleft()
@@ -526,7 +528,7 @@ class CycleAccurateScalaGraph:
                     phase_spd += 1
                     progressed = True
 
-            if faults is not None and (
+            if (
                 pe_stall_hit
                 or network.stats.degraded_cycles > net_degraded_before
             ):
@@ -542,7 +544,7 @@ class CycleAccurateScalaGraph:
                 not progressed
                 and edges_remaining == 0
                 and not any(out_fifos)
-                and not any(pipelines[p].occupancy() for p in pipelines)
+                and not any(p.occupancy() for p in pipelines)
                 and not any(spd_fifos)
                 and not network.total_occupancy()
             ):
@@ -561,7 +563,7 @@ class CycleAccurateScalaGraph:
                 edges_remaining
                 + sum(len(f) for f in out_fifos)
                 + sum(len(f) for f in spd_fifos)
-                + sum(p.occupancy() for p in pipelines.values())
+                + sum(p.occupancy() for p in pipelines)
                 + network.total_occupancy()
             )
             self.sanitizer.check_conservation(

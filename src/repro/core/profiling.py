@@ -19,7 +19,7 @@ one attribute check when profiling is off.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 
 class _BlockTimer:
@@ -109,10 +109,6 @@ class Profiler:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def timer_seconds(self, name: str) -> float:
         entry = self._timers.get(name)
         return entry[1] if entry else 0.0
@@ -159,15 +155,6 @@ class NullProfiler(Profiler):
     def count(self, name: str, amount: float = 1) -> None:
         pass
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
 
 #: Shared no-op instance used as the default by all instrumented models.
 NULL_PROFILER = NullProfiler()
-
-
-def resolve(profiler: Optional[Profiler]) -> Profiler:
-    """``profiler`` itself, or the shared null profiler when None."""
-    return profiler if profiler is not None else NULL_PROFILER

@@ -8,7 +8,7 @@ injects *seeded, replayable* faults into every simulated layer:
 
 * **link outages** — a mesh link goes dead for a bounded window; the
   routers detour around it (XY with one-axis deflection; see
-  :func:`~repro.faults.schedule.route_with_faults`),
+  :func:`~repro.noc.router.route_with_faults`, re-exported here),
 * **FIFO stalls** — a router input FIFO freezes its dequeues for a
   window (it still accepts arrivals),
 * **HBM channel degradation** — pseudo channels drop out, derating
@@ -31,8 +31,8 @@ from repro.faults.schedule import (
     FifoStall,
     LinkOutage,
     PEStallWindow,
-    route_with_faults,
 )
+from repro.noc.router import route_with_faults
 
 __all__ = [
     "FaultConfig",

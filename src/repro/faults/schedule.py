@@ -28,15 +28,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.graph.datasets import stable_seed
 from repro.memory.hbm import HBMConfig
-from repro.noc.router import (
-    EAST,
-    LOCAL,
-    NORTH,
-    NUM_PORTS,
-    SOUTH,
-    WEST,
-    xy_output_port,
-)
+from repro.noc.router import EAST, NORTH, NUM_PORTS, SOUTH, WEST
 from repro.noc.topology import MeshTopology
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -48,7 +40,6 @@ __all__ = [
     "FifoStall",
     "LinkOutage",
     "PEStallWindow",
-    "route_with_faults",
 ]
 
 
@@ -182,13 +173,16 @@ class FaultSchedule:
     same ``(topology, config)`` are identical — :meth:`digest` over
     :meth:`describe` is the replay-determinism witness CI checks.
 
-    Query surface (all pure, cycle-indexed):
+    Query surface (all pure, cycle-indexed, each call building its mask
+    afresh):
 
     * :meth:`link_dead_mask` / :meth:`fifo_stall_mask` — ``(nodes, 5)``
-      boolean matrices for the vectorised engine (the reference engine
-      reads the same masks row-wise, keeping both engines literally on
-      one code path for fault state),
-    * :meth:`pe_stalled` — scalar PE-stall check for the cycle sim,
+      boolean matrices; the vectorised mesh loads them whole and the
+      reference mesh reads the same masks row-wise, once per cycle,
+      keeping both engines literally on one code path for fault state,
+    * :meth:`pe_stall_mask` — ``(nodes,)`` stalled PEs, read once per
+      cycle by both scatter engines,
+    * :meth:`next_boundary_cycle` — where the masks next change,
     * :meth:`degraded_hbm` / :attr:`hbm_bandwidth_fraction` — HBM
       derating for the memory model,
     * :attr:`link_availability` — time-averaged live-link fraction for
@@ -232,51 +226,25 @@ class FaultSchedule:
             self.pe_stalls.append(PEStallWindow(pe, start, end))
 
         self._num_links = len(links)
-        # Per-cycle masks are tiny to rebuild (few faults); a one-entry
-        # cache covers the hot pattern of both engines stepping the same
-        # cycle during differential runs.
-        self._dead_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
-        self._stall_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
-        self._pe_stall_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
 
     # ------------------------------------------------------------------
     # Mesh-facing queries
     # ------------------------------------------------------------------
     def link_dead_mask(self, cycle: int) -> np.ndarray:
         """``(nodes, NUM_PORTS)`` booleans: output links dead at ``cycle``."""
-        cached_cycle, mask = self._dead_cache
-        if cycle != cached_cycle or mask is None:
-            mask = np.zeros(
-                (self.topology.num_nodes, NUM_PORTS), dtype=bool
-            )
-            for outage in self.link_outages:
-                if outage.start <= cycle < outage.end:
-                    mask[outage.node, outage.port] = True
-            self._dead_cache = (cycle, mask)
+        mask = np.zeros((self.topology.num_nodes, NUM_PORTS), dtype=bool)
+        for outage in self.link_outages:
+            if outage.start <= cycle < outage.end:
+                mask[outage.node, outage.port] = True
         return mask
 
     def fifo_stall_mask(self, cycle: int) -> np.ndarray:
         """``(nodes, NUM_PORTS)`` booleans: input FIFOs frozen at ``cycle``."""
-        cached_cycle, mask = self._stall_cache
-        if cycle != cached_cycle or mask is None:
-            mask = np.zeros(
-                (self.topology.num_nodes, NUM_PORTS), dtype=bool
-            )
-            for stall in self.fifo_stalls:
-                if stall.start <= cycle < stall.end:
-                    mask[stall.node, stall.port] = True
-            self._stall_cache = (cycle, mask)
+        mask = np.zeros((self.topology.num_nodes, NUM_PORTS), dtype=bool)
+        for stall in self.fifo_stalls:
+            if stall.start <= cycle < stall.end:
+                mask[stall.node, stall.port] = True
         return mask
-
-    def route(
-        self, node: int, dst: int, cycle: int
-    ) -> Tuple[Optional[int], bool]:
-        """Scalar :func:`route_with_faults` against this schedule's
-        dead-link mask — the reference engine's per-packet entry point
-        (the vectorised engine consumes :meth:`link_dead_mask` whole)."""
-        return route_with_faults(
-            self.topology, node, dst, self.link_dead_mask(cycle)[node]
-        )
 
     def next_boundary_cycle(self, cycle: int) -> Optional[int]:
         """First cycle strictly after ``cycle`` at which any fault
@@ -297,26 +265,15 @@ class FaultSchedule:
         return best
 
     # ------------------------------------------------------------------
-    # Cycle-sim-facing queries
+    # Scatter-engine-facing queries
     # ------------------------------------------------------------------
-    def pe_stalled(self, pe: int, cycle: int) -> bool:
-        """Whether ``pe`` sits in a stall window at ``cycle``."""
-        for stall in self.pe_stalls:
-            if stall.pe == pe and stall.start <= cycle < stall.end:
-                return True
-        return False
-
     def pe_stall_mask(self, cycle: int) -> np.ndarray:
-        """``(nodes,)`` booleans: PEs stalled at ``cycle`` — the whole-
-        mesh form of :meth:`pe_stalled` for the vectorised scatter
-        engine (same one-entry cache pattern as the mesh masks)."""
-        cached_cycle, mask = self._pe_stall_cache
-        if cycle != cached_cycle or mask is None:
-            mask = np.zeros(self.topology.num_nodes, dtype=bool)
-            for stall in self.pe_stalls:
-                if stall.start <= cycle < stall.end:
-                    mask[stall.pe] = True
-            self._pe_stall_cache = (cycle, mask)
+        """``(nodes,)`` booleans: PEs stalled at ``cycle`` (no RU egress,
+        no SPD retire)."""
+        mask = np.zeros(self.topology.num_nodes, dtype=bool)
+        for stall in self.pe_stalls:
+            if stall.start <= cycle < stall.end:
+                mask[stall.pe] = True
         return mask
 
     # ------------------------------------------------------------------
@@ -402,51 +359,3 @@ class FaultSchedule:
         payload = json.dumps(self.describe(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-
-def route_with_faults(
-    topology: MeshTopology,
-    node: int,
-    dst: int,
-    dead_row: np.ndarray,
-) -> Tuple[Optional[int], bool]:
-    """Graceful-degradation routing decision for one head-of-line packet.
-
-    ``dead_row`` is the node's row of :meth:`FaultSchedule.link_dead_mask`
-    for the current cycle.  Policy (mirrored exactly by the vectorised
-    engine — see ``deflect`` in ``repro/noc/meshkernel.c``):
-
-    1. Compute the pure XY port.  LOCAL, or an alive link: use it.
-    2. Dead X-direction link: deflect one hop along Y *toward* the
-       destination row (or toward the mesh interior when already on it).
-    3. Dead Y-direction link (XY guarantees the column already matches):
-       deflect one hop along X toward the mesh interior (EAST when a
-       column exists to the east, else WEST).
-    4. Deflection link also dead: make no request this cycle — the
-       packet waits (fault windows are finite, so waits are bounded).
-
-    Returns ``(out_port or None, hit)`` where ``hit`` flags that a dead
-    link influenced this packet (feeds ``degraded_cycles``).  Deflection
-    can ping-pong while an outage lasts (each retry re-routes from
-    scratch); it terminates because every window is finite.
-    """
-    port = xy_output_port(topology, node, dst)
-    if port == LOCAL or not dead_row[port]:
-        return port, False
-    r, c = topology.coord(node)
-    dr, _dc = topology.coord(dst)
-    if port in (EAST, WEST):
-        if topology.rows == 1:
-            return None, True  # no Y axis to deflect along
-        if r < dr:
-            alt = SOUTH
-        elif r > dr:
-            alt = NORTH
-        else:
-            alt = SOUTH if r + 1 < topology.rows else NORTH
-    else:
-        if topology.cols == 1:
-            return None, True  # no X axis to deflect along
-        alt = EAST if c + 1 < topology.cols else WEST
-    if dead_row[alt]:
-        return None, True
-    return alt, True

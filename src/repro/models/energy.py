@@ -56,9 +56,6 @@ class ComponentPower:
     def total_watts(self) -> float:
         return sum(self.components.values())
 
-    def fraction(self, name: str) -> float:
-        return self.components[name] / self.total_watts
-
     def breakdown(self) -> Dict[str, float]:
         total = self.total_watts
         return {k: v / total for k, v in self.components.items()}

@@ -13,8 +13,8 @@ ScalaGraph replaces the centralised crossbar of prior accelerators with a
 * the Benes network's switch count and depth (:mod:`repro.noc.benes`),
   printed in the Figure 8 frequency comparison,
 * the four-stage aggregation pipeline of Figure 11
-  (:mod:`repro.noc.aggregation`) plus its statistical window model used by
-  the at-scale timing simulations, and
+  (:mod:`repro.noc.aggregation`) plus its statistical window model, a
+  test oracle for the analytic timing model's coalescing rule, and
 * vectorised traffic/link-load accounting (:mod:`repro.noc.traffic`).
 """
 

@@ -11,7 +11,8 @@ pop the first stage and shift the column up systolically.
 Three models live here:
 
 * :class:`AggregationPipeline` — a faithful cycle-level register array,
-  the one the reference cycle engine runs.
+  the one the reference cycle engine runs, one list of registers per
+  column.
 * :class:`BatchedAggregationArray` — every PE's register array as flat
   arrays, offered to and drained by the compiled scatter phase of the
   vectorized cycle engine, with the same semantics.
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # hook is duck-typed; no runtime import needed
     from repro.analysis.sanitizer import SimSanitizer
@@ -78,12 +79,6 @@ def aggregation_geometry(registers: int) -> Tuple[int, int]:
 
 
 @dataclass
-class _Register:
-    vertex: int
-    value: float
-
-
-@dataclass
 class AggregationStats:
     """Counters kept by the cycle-level pipeline."""
 
@@ -99,7 +94,11 @@ class AggregationPipeline:
 
     The paper's default is 4 stages x 4 registers = 16 registers
     (Section V-C: "Consider hardware complexity, we use 16 registers by
-    default").
+    default").  A vertex hashes to column ``vertex % num_columns``.
+    Each column is a list of ``[vertex, value]`` registers, stage 0
+    first: a store fills the first empty stage and a read pops stage 0
+    while the deeper registers shift one stage forward, so the occupied
+    stages are always a prefix of the column.
     """
 
     def __init__(
@@ -107,7 +106,6 @@ class AggregationPipeline:
         num_stages: int = 4,
         num_columns: int = 4,
         reduce_fn: ReduceFn = lambda a, b: a + b,
-        column_hash: Optional[Callable[[int], int]] = None,
         sanitizer: Optional["SimSanitizer"] = None,
     ) -> None:
         if num_stages <= 0 or num_columns <= 0:
@@ -117,12 +115,7 @@ class AggregationPipeline:
         self.reduce_fn = reduce_fn
         #: Optional runtime ledger audit (repro.analysis.sanitizer).
         self.sanitizer = sanitizer
-        self._column_hash = column_hash or (lambda vid: vid % num_columns)
-        # _array[stage][column] is Optional[_Register]; stage 0 is the
-        # output stage.
-        self._array: List[List[Optional[_Register]]] = [
-            [None] * num_columns for _ in range(num_stages)
-        ]
+        self._columns: List[List[list]] = [[] for _ in range(num_columns)]
         self._rr_column = 0
         self.stats = AggregationStats()
 
@@ -131,18 +124,10 @@ class AggregationPipeline:
         return self.num_stages * self.num_columns
 
     def occupancy(self) -> int:
-        return sum(
-            1
-            for stage in self._array
-            for reg in stage
-            if reg is not None
-        )
+        return sum(len(column) for column in self._columns)
 
     def column_of(self, vertex: int) -> int:
-        col = self._column_hash(vertex)
-        if not 0 <= col < self.num_columns:
-            raise ConfigurationError("column_hash out of range")
-        return col
+        return vertex % self.num_columns
 
     # ------------------------------------------------------------------
     # Write path (Figure 11: pipelined compare-and-reduce down a column)
@@ -151,23 +136,25 @@ class AggregationPipeline:
         """Insert one update; returns ``'coalesced'``, ``'stored'`` or
         ``'rejected'`` (column full with no matching vertex — the caller
         must forward the update unaggregated, as a FIFO would)."""
-        self.stats.offered += 1
-        col = self.column_of(vertex)
-        for stage in range(self.num_stages):
-            reg = self._array[stage][col]
-            if reg is None:
-                self._array[stage][col] = _Register(vertex, value)
-                self.stats.stored += 1
-                self._audit()
-                return "stored"
-            if reg.vertex == vertex:
-                reg.value = self.reduce_fn(reg.value, value)
-                self.stats.coalesced += 1
-                self._audit()
-                return "coalesced"
-        self.stats.rejected += 1
+        stats = self.stats
+        stats.offered += 1
+        column = self._columns[self.column_of(vertex)]
+        for register in column:
+            if register[0] == vertex:
+                register[1] = self.reduce_fn(register[1], value)
+                stats.coalesced += 1
+                outcome = "coalesced"
+                break
+        else:
+            if len(column) < self.num_stages:
+                column.append([vertex, value])
+                stats.stored += 1
+                outcome = "stored"
+            else:
+                stats.rejected += 1
+                outcome = "rejected"
         self._audit()
-        return "rejected"
+        return outcome
 
     def _audit(self) -> None:
         if self.sanitizer is not None:
@@ -176,64 +163,29 @@ class AggregationPipeline:
     # ------------------------------------------------------------------
     # Read path (systolic shift toward stage 0)
     # ------------------------------------------------------------------
-    def emit(self, column: Optional[int] = None) -> Optional[Tuple[int, float]]:
-        """Pop the stage-0 register of a column (round-robin when None),
-        shifting the column's deeper registers one stage forward.  Returns
-        ``(vertex, value)`` or None when the chosen column is empty."""
+    def emit(
+        self, column: Optional[int] = None
+    ) -> Optional[Tuple[int, float]]:
+        """Pop the stage-0 register of a column (the next non-empty one
+        in round-robin order when None), shifting the column's deeper
+        registers one stage forward.  Returns ``(vertex, value)`` or
+        None when the chosen column, or with None every column, is
+        empty."""
         if column is None:
-            column = self._next_nonempty_column()
-            if column is None:
+            for step in range(self.num_columns):
+                column = (self._rr_column + step) % self.num_columns
+                if self._columns[column]:
+                    self._rr_column = (column + 1) % self.num_columns
+                    break
+            else:
                 return None
-        out = self._array[0][column]
-        if out is None:
-            # Column may hold data only in deeper stages; compact first.
-            self._shift_up(column)
-            out = self._array[0][column]
-            if out is None:
-                return None
-        self._array[0][column] = None
-        self._shift_up(column)
+        registers = self._columns[column]
+        if not registers:
+            return None
+        vertex, value = registers.pop(0)
         self.stats.emitted += 1
         self._audit()
-        return out.vertex, out.value
-
-    def drain(self) -> List[Tuple[int, float]]:
-        """Emit everything (used at end of a Scatter phase).
-
-        Under the prefix-dense column invariant (stores fill the first
-        empty stage top-down, pops shift deeper stages up) a non-empty
-        pipeline always has an emittable stage-0 register, so a ``None``
-        emit while occupancy remains means registers were corrupted —
-        raise instead of silently dropping the residue.
-        """
-        emitted = []
-        while self.occupancy():
-            item = self.emit()
-            if item is None:
-                raise SimulationError(
-                    f"aggregation drain stuck with {self.occupancy()} "
-                    "registers occupied but nothing emittable; the "
-                    "prefix-dense column invariant was violated"
-                )
-            emitted.append(item)
-        return emitted
-
-    def _shift_up(self, column: int) -> None:
-        for stage in range(self.num_stages - 1):
-            if self._array[stage][column] is None:
-                self._array[stage][column] = self._array[stage + 1][column]
-                self._array[stage + 1][column] = None
-
-    def _next_nonempty_column(self) -> Optional[int]:
-        for step in range(self.num_columns):
-            col = (self._rr_column + step) % self.num_columns
-            if any(
-                self._array[stage][col] is not None
-                for stage in range(self.num_stages)
-            ):
-                self._rr_column = (col + 1) % self.num_columns
-                return col
-        return None
+        return vertex, value
 
 
 class BatchedAggregationArray:
@@ -283,7 +235,7 @@ class BatchedAggregationArray:
 
 
 # ----------------------------------------------------------------------
-# Statistical window model (used at scale)
+# Statistical window model (a test oracle)
 # ----------------------------------------------------------------------
 def window_coalesce_count(vertex_ids: np.ndarray, window: int) -> int:
     """How many updates of a stream coalesce with a residency of

@@ -74,10 +74,9 @@ MeshEngine = Union[MeshNetwork, "FastMeshNetwork"]
 #: Engine-twin declaration consumed by the whole-program analyzer
 #: (:mod:`repro.analysis.project`).  SIM601 audits that this module and
 #: the reference mesh consume the same config fields, emit/read the
-#: same ``MeshStats`` fields, and query the same fault *kinds* (the
-#: query methods may differ — the reference reroutes per-packet via
-#: ``route`` while this engine masks whole links via ``link_dead_mask``;
-#: both consume link-outage faults).
+#: same ``MeshStats`` fields, and query the same fault *kinds* (both
+#: read ``link_dead_mask`` and ``fifo_stall_mask``: this engine loads
+#: them whole, the reference reads them row-wise).
 ENGINE_TWIN = {
     "pair": "noc-engine",
     "reference": "repro.noc.mesh",

@@ -35,11 +35,11 @@ from repro.noc.router import (
     EAST,
     LOCAL,
     NORTH,
+    NUM_PORTS,
     PORT_NAMES,
     SOUTH,
     WEST,
     Router,
-    xy_output_port,
 )
 from repro.noc.topology import MeshTopology
 
@@ -113,12 +113,14 @@ class MeshNetwork:
         #: :mod:`repro.analysis.sanitizer`); None = zero overhead.
         self.sanitizer = sanitizer
         #: Optional fault schedule (see :mod:`repro.faults`); None =
-        #: fault-free, zero overhead.
+        #: fault-free (every mask clear).
         self.faults = faults
         self.routers = [
             Router(node=n, buffer_depth=buffer_depth)
             for n in range(topology.num_nodes)
         ]
+        #: Each router's row of an all-clear fault mask.
+        self._all_clear = [(False,) * NUM_PORTS] * topology.num_nodes
         self.cycle = 0
         self.delivered: List[Packet] = []
         self.stats = MeshStats()
@@ -148,98 +150,66 @@ class MeshNetwork:
     def step(self) -> None:
         """Advance the network by one cycle.
 
-        Phase 1 arbitrates every router; phase 2 reserves downstream
-        space and commits all grants simultaneously (two-phase update so
-        intra-cycle order does not matter); phase 3 applies the moves.
+        The cycle's dead-link and frozen-FIFO masks are read once (all
+        clear without a schedule).  Every router then routes and
+        arbitrates, and a grant whose downstream FIFO is full stalls:
+        every decision reads the buffers as they stood at the start of
+        the cycle.  Finally every accepted grant commits — ejection at
+        the destination, or traversal into the downstream FIFO — so the
+        order in which routers are visited does not matter.
         """
-        # Collect all grants first (read phase).  With a fault schedule
-        # armed, routing goes through the schedule's detour policy,
-        # frozen FIFOs withhold their requests, and any fault that
-        # touched a live packet marks the cycle degraded.
-        moves: List[Tuple[int, int, int]] = []  # (node, out_port, in_port)
-        faults = self.faults
-        fault_seen = False
+        faults, stats = self.faults, self.stats
         if faults is None:
-            for router in self.routers:
-                grants = router.arbitrate(self.topology)
-                for out_port, in_port in grants.items():
-                    moves.append((router.node, out_port, in_port))
+            dead = frozen = self._all_clear
         else:
-            stall_mask = faults.fifo_stall_mask(self.cycle)
+            dead = faults.link_dead_mask(self.cycle).tolist()
+            frozen = faults.fifo_stall_mask(self.cycle).tolist()
+        # Accepted grants: (router, out port, in port, deflected,
+        # downstream router or None on ejection, its input port).
+        accepted: List[
+            Tuple[Router, int, int, bool, Optional[Router], int]
+        ] = []
+        cols = self.topology.cols
+        fault_seen = False
+        for router in self.routers:
+            node = router.node
+            grants, hit = router.arbitrate(
+                self.topology, dead[node], frozen[node]
+            )
+            fault_seen = fault_seen or hit
+            for out_port, in_port, deflected in grants:
+                downstream, dst_in = None, LOCAL
+                if out_port != LOCAL:
+                    dr, dc, dst_in = _LINK_OF_OUTPUT[out_port]
+                    downstream = self.routers[node + dr * cols + dc]
+                    if not downstream.has_space(dst_in):
+                        stats.stalled_moves += 1
+                        continue
+                accepted.append(
+                    (router, out_port, in_port, deflected, downstream, dst_in)
+                )
 
-            def route_fn(node: int, dst: int) -> Optional[int]:
-                nonlocal fault_seen
-                port, hit = faults.route(node, dst, self.cycle)
-                fault_seen = fault_seen or hit
-                return port
-
-            for router in self.routers:
-                stall_row = stall_mask[router.node]
-                frozen: Tuple[int, ...] = ()
-                if stall_row.any():
-                    frozen = tuple(
-                        p
-                        for p in range(len(router.inputs))
-                        if stall_row[p]
-                    )
-                    if any(router.inputs[p] for p in frozen):
-                        fault_seen = True
-                grants = router.arbitrate(self.topology, route_fn, frozen)
-                for out_port, in_port in grants.items():
-                    moves.append((router.node, out_port, in_port))
-
-        # Reserve downstream capacity: at most one packet enters a given
-        # (router, input port) per cycle, and only if space exists *now*.
-        accepted: List[Tuple[int, int, int]] = []
-        for node, out_port, in_port in moves:
-            if out_port == LOCAL:
-                accepted.append((node, out_port, in_port))
-                continue
-            dr, dc, _ = _LINK_OF_OUTPUT[out_port]
-            r, c = self.topology.coord(node)
-            downstream = self.routers[self.topology.node(r + dr, c + dc)]
-            dst_in = _LINK_OF_OUTPUT[out_port][2]
-            if downstream.has_space(dst_in):
-                accepted.append((node, out_port, in_port))
-            else:
-                self.stats.stalled_moves += 1
-
-        # Commit phase.
-        arrivals: List[Tuple[Router, int, Packet]] = []
-        for node, out_port, in_port in accepted:
-            router = self.routers[node]
+        for grant in accepted:
+            router, out_port, in_port, deflected, downstream, dst_in = grant
             packet = router.commit_grant(out_port, in_port)
-            if (
-                faults is not None
-                and out_port != LOCAL
-                and out_port
-                != xy_output_port(self.topology, node, packet.dst)
-            ):
-                # Counted at commit so arbitration losers and
-                # backpressured grants are not double-counted.
-                self.stats.rerouted_packets += 1
-            if out_port == LOCAL:
+            if downstream is None:
                 packet.delivered_cycle = self.cycle
                 self.delivered.append(packet)
-                self.stats.delivered += 1
-                self.stats.total_latency += packet.latency or 0
+                stats.delivered += 1
+                stats.total_latency += packet.latency or 0
             else:
-                dr, dc, dst_in = _LINK_OF_OUTPUT[out_port]
-                r, c = self.topology.coord(node)
-                downstream_node = self.topology.node(r + dr, c + dc)
-                self.stats.total_hops += 1
-                arrivals.append(
-                    (self.routers[downstream_node], dst_in, packet)
-                )
-        for downstream, dst_in, packet in arrivals:
-            downstream.accept(dst_in, packet)
+                # At most one packet enters a FIFO per cycle, and it had
+                # space at the start of the cycle.
+                downstream.accept(dst_in, packet)
+                stats.total_hops += 1
+                stats.rerouted_packets += deflected
         if fault_seen:
-            self.stats.degraded_cycles += 1
+            stats.degraded_cycles += 1
 
         occupancy = sum(r.occupancy() for r in self.routers)
-        self.stats.max_occupancy = max(self.stats.max_occupancy, occupancy)
+        stats.max_occupancy = max(stats.max_occupancy, occupancy)
         self.cycle += 1
-        self.stats.cycles = self.cycle
+        stats.cycles = self.cycle
         if self.sanitizer is not None:
             self._run_sanitizer(occupancy)
 
@@ -249,7 +219,7 @@ class MeshNetwork:
         san = self.sanitizer
         san.check_cycle_monotonic(self.cycle)
         for router in self.routers:
-            for port, depth in enumerate(router.port_occupancy()):
+            for port, depth in enumerate(map(len, router.inputs)):
                 san.check_fifo_depth(
                     depth,
                     self.buffer_depth,

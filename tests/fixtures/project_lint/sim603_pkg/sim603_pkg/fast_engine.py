@@ -1,5 +1,5 @@
-"""Vectorized engine: same knobs, same stats, masks dead links whole
-(same link-outage fault kind as the reference's per-packet reroute)."""
+"""Vectorized engine: same knobs, same stats, loads the dead-link mask
+whole (the same link-outage fault kind as the reference)."""
 
 import numpy as np
 

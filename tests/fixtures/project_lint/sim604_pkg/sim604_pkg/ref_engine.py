@@ -1,5 +1,5 @@
-"""Reference engine: consumes both knobs, emits both stats, reroutes
-around link outages per-packet."""
+"""Reference engine: consumes both knobs, emits both stats, reads the
+dead-link mask row by row."""
 
 from sim604_pkg.config import EngineConfig
 from sim604_pkg.stats import EngineStats
@@ -15,6 +15,6 @@ class RefEngine:
         cfg = self.config
         budget = cfg.window * cfg.depth
         if self.faults is not None:
-            self.faults.route(0, 1, self.stats.cycles)
+            self.faults.link_dead_mask(self.stats.cycles)[0]
         self.stats.cycles += 1
         self.stats.delivered += budget

@@ -30,7 +30,8 @@ def used_in_module():
 
 
 def caller():
-    return used_in_module()
+    total = used_in_module()
+    return total
 
 
 def used_by_consumer():
@@ -80,6 +81,11 @@ class Widget:
     @only_tested_property.setter
     def only_tested_property(self, value):
         pass
+
+    def total(self):
+        """Its name is loaded only bare, as caller()'s local variable:
+        flagged."""
+        return 10
 
     def _private_method(self):
         """Private members are never candidates."""

@@ -6,6 +6,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algorithms import BFS, PageRank
 from repro.analysis.sanitizer import SimSanitizer
@@ -113,6 +115,56 @@ class TestScheduleDeterminism:
         quiet = max(window.end for window in windows) + 1
         assert not schedule.link_dead_mask(quiet).any()
         assert not schedule.fifo_stall_mask(quiet).any()
+
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        counts=st.tuples(*[st.integers(0, 4)] * 3),
+        horizon=st.integers(1, 64),
+        min_duration=st.integers(1, 16),
+        spread=st.integers(0, 32),
+    )
+    def test_masks_constant_between_boundaries(
+        self, rows, cols, seed, counts, horizon, min_duration, spread
+    ):
+        """Every mask is constant on ``[c, next_boundary_cycle(c))`` and
+        all clear once no boundary remains: the vectorised scatter
+        engine runs each such window in one kernel call."""
+        links, fifos, pes = counts
+        schedule = FaultSchedule(
+            MeshTopology(rows, cols),
+            FaultConfig(
+                seed=seed, link_outages=links, fifo_stalls=fifos,
+                pe_stalls=pes, horizon=horizon, min_duration=min_duration,
+                max_duration=min_duration + spread,
+            ),
+        )
+
+        def masks(cycle):
+            return (
+                schedule.link_dead_mask(cycle),
+                schedule.fifo_stall_mask(cycle),
+                schedule.pe_stall_mask(cycle),
+            )
+
+        windows = [
+            *schedule.link_outages, *schedule.fifo_stalls,
+            *schedule.pe_stalls,
+        ]
+        past_last = max((w.end for w in windows), default=0) + 2
+        start, held = 0, masks(0)
+        boundary = schedule.next_boundary_cycle(0)
+        for cycle in range(1, past_last):
+            if cycle == boundary:
+                start, held = cycle, masks(cycle)
+                boundary = schedule.next_boundary_cycle(cycle)
+                continue
+            assert schedule.next_boundary_cycle(cycle) == boundary, cycle
+            for got, want in zip(masks(cycle), held):
+                np.testing.assert_array_equal(got, want, err_msg=str(cycle))
+        assert boundary is None
+        assert not any(mask.any() for mask in held), start
 
 
 class TestFaultEquivalence:

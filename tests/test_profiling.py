@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.algorithms import BFS, PageRank
 from repro.core import (
-    NULL_PROFILER,
     CycleAccurateScalaGraph,
     NullProfiler,
     Profiler,
@@ -104,9 +103,6 @@ class TestNullProfiler:
         prof.add_time("x", 1.0)
         prof.count("y", 5)
         assert prof.to_dict() == {"timers": {}, "counters": {}}
-        assert not prof.enabled
-        assert not NULL_PROFILER.enabled
-        assert Profiler().enabled
 
 
 class TestModelIntegration:

@@ -84,13 +84,15 @@ class TestFixturePairs:
         consumer loads are uses; a re-export, an ``__all__`` string, a
         load inside the definition itself and a ``@dataclass`` are
         not.  Public methods and properties count like module-level
-        names, a property once with its setter; private members never
-        do."""
+        names, a property once with its setter, but only an attribute
+        load (``x.name``) uses one: a local variable of the same name
+        does not.  Private members never count."""
         report = run_fixture("sim605_pkg")
         assert sorted(f.key for f in report.findings) == [
             "test-only:sim605_pkg.helpers:UnusedRecord",
             "test-only:sim605_pkg.helpers:Widget.only_tested_method",
             "test-only:sim605_pkg.helpers:Widget.only_tested_property",
+            "test-only:sim605_pkg.helpers:Widget.total",
             "test-only:sim605_pkg.helpers:only_tested",
             "test-only:sim605_pkg.helpers:recursive",
         ]

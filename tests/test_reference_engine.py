@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, ConnectedComponents, PageRank, run_reference
+from repro.algorithms import (
+    BFS,
+    SSSP,
+    ConnectedComponents,
+    PageRank,
+    SpMV,
+    WidestPath,
+    run_reference,
+)
 from repro.algorithms.reference import gather_frontier_edges
 from repro.graph.csr import CSRGraph
 
@@ -35,6 +43,36 @@ class TestGatherFrontierEdges:
     def test_unweighted_defaults_to_one(self, chain):
         _, _, w = gather_frontier_edges(chain, np.array([0, 1]))
         assert np.all(w == 1)
+
+    @pytest.mark.parametrize("whole_frontier", [True, False])
+    def test_unit_weights_own_no_per_edge_buffer(
+        self, small_rmat, whole_frontier
+    ):
+        """Both paths hand an unweighted graph's programs a read-only
+        zero-stride view of 1, not 8 bytes per edge."""
+        active = np.arange(small_rmat.num_vertices)
+        if not whole_frontier:
+            active = active[::2]
+        src, _, w = gather_frontier_edges(small_rmat, active)
+        assert w.shape == src.shape and src.size > 1
+        assert w.dtype == np.int64 and np.all(w == 1)
+        assert w.strides == (0,)
+        assert not w.flags.writeable
+
+    @pytest.mark.parametrize(
+        "program", [SSSP(source=0), WidestPath(source=0), SpMV()],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_unweighted_runs_equal_unit_weighted_runs(
+        self, small_rmat, program
+    ):
+        unit = small_rmat.with_weights(
+            np.ones(small_rmat.num_edges, dtype=np.int64)
+        )
+        plain = run_reference(program, small_rmat)
+        weighted = run_reference(program, unit)
+        np.testing.assert_array_equal(plain.properties, weighted.properties)
+        assert plain.num_iterations == weighted.num_iterations
 
 
 class TestTraces:

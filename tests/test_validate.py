@@ -1,12 +1,19 @@
 """Validation-utility tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank
 from repro.core import ScalaGraph, ScalaGraphConfig
+from repro.core.cycle_sim import CycleStats
 from repro.graph.generators import rmat_graph
-from repro.validate import validate_report, validate_timing_envelope
+from repro.validate import (
+    scatter_cycles_vs_model,
+    validate_report,
+    validate_timing_envelope,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +52,20 @@ class TestValidateReport:
         assert validate_report(
             report, PageRank(max_iters=4), graph, max_iterations=4
         ).ok
+
+
+class TestScatterCyclesVsModel:
+    def test_overhead_removed_and_each_phase_floored(self):
+        config = ScalaGraphConfig()
+        overhead = config.timing.phase_overhead_cycles
+        stats = CycleStats(scatter_cycles=[30, 5])
+        report = SimpleNamespace(
+            iterations=[
+                SimpleNamespace(scatter_cycles=overhead + 40.0),
+                SimpleNamespace(scatter_cycles=overhead - 3.0),
+            ]
+        )
+        assert scatter_cycles_vs_model(config, stats, report) == (35, 41.0)
 
 
 class TestTimingEnvelope:
