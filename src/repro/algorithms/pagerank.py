@@ -100,8 +100,10 @@ class PageRank(VertexProgram):
     ) -> np.ndarray:
         degrees = ctx.out_degrees[edge_src]
         # Sources with edges always have degree >= 1; guard anyway so a
-        # malformed trace cannot divide by zero.
-        return src_prop / np.maximum(degrees, 1)
+        # malformed trace cannot divide by zero.  The gather is this
+        # call's own copy, so the guard clamps it in place.
+        np.maximum(degrees, 1, out=degrees)
+        return src_prop / degrees
 
     def apply_values(
         self,

@@ -62,7 +62,6 @@ from repro.analysis.simlint import FileContext, Finding, Severity
 
 __all__ = [
     "AttrAccess",
-    "CallSite",
     "AllocationSite",
     "Definition",
     "ClassModel",
@@ -114,15 +113,6 @@ class AttrAccess(NamedTuple):
     lineno: int
     col: int
     is_write: bool
-
-
-class CallSite(NamedTuple):
-    """One method call ``<receiver>.<method>(...)``."""
-
-    method: str
-    receiver: Optional[str]
-    lineno: int
-    col: int
 
 
 class AllocationSite(NamedTuple):
@@ -187,7 +177,6 @@ class ModuleModel:
         self.ctx = ctx
         self.tree = ctx.tree
         self.attr_accesses: List[AttrAccess] = []
-        self.method_calls: List[CallSite] = []
         self.allocations: List[AllocationSite] = []
         self.classes: Dict[str, ClassModel] = {}
         #: public module-level defs and classes, and the public methods
@@ -208,9 +197,8 @@ class ModuleModel:
 
     # -- collection ----------------------------------------------------
     def _collect(self) -> None:
-        accesses, calls, allocs = _collect_accesses(self.tree)
+        accesses, allocs = _collect_accesses(self.tree)
         self.attr_accesses = accesses
-        self.method_calls = calls
         self.allocations = allocs
         self.name_loads = [
             (a.name, a.lineno, True) for a in accesses if not a.is_write
@@ -262,23 +250,19 @@ class ModuleModel:
     # -- queries -------------------------------------------------------
     def scoped_accesses(
         self, scope: Optional[Sequence[str]]
-    ) -> Tuple[List[AttrAccess], List[CallSite]]:
-        """Attribute accesses and calls within the named scopes
-        (qualnames like ``Cls.meth``), or the whole module when
-        ``scope`` is ``None``.  Unknown qualnames are ignored; the
+    ) -> List[AttrAccess]:
+        """Attribute accesses (a method call's included) within the
+        named scopes (qualnames like ``Cls.meth``), or the whole module
+        when ``scope`` is ``None``.  Unknown qualnames are ignored; the
         caller validates them via :meth:`has_scope`."""
         if scope is None:
-            return self.attr_accesses, self.method_calls
+            return self.attr_accesses
         accesses: List[AttrAccess] = []
-        calls: List[CallSite] = []
         for qualname in scope:
             node = self._scopes.get(qualname)
-            if node is None:
-                continue
-            got_a, got_c, _ = _collect_accesses(node)
-            accesses.extend(got_a)
-            calls.extend(got_c)
-        return accesses, calls
+            if node is not None:
+                accesses.extend(_collect_accesses(node)[0])
+        return accesses
 
     def has_scope(self, qualname: str) -> bool:
         return qualname in self._scopes
@@ -382,9 +366,8 @@ def _class_model(node: ast.ClassDef) -> ClassModel:
 
 def _collect_accesses(
     root: ast.AST,
-) -> Tuple[List[AttrAccess], List[CallSite], List[AllocationSite]]:
+) -> Tuple[List[AttrAccess], List[AllocationSite]]:
     accesses: List[AttrAccess] = []
-    calls: List[CallSite] = []
     allocs: List[AllocationSite] = []
     for node in ast.walk(root):
         if isinstance(node, ast.Attribute):
@@ -397,20 +380,9 @@ def _collect_accesses(
                     is_write=isinstance(node.ctx, (ast.Store, ast.Del)),
                 )
             )
-        elif isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ):
-            calls.append(
-                CallSite(
-                    method=node.func.attr,
-                    receiver=_dotted_name(node.func.value),
-                    lineno=node.lineno,
-                    col=node.col_offset,
-                )
-            )
         elif isinstance(node, ast.Assign):
             allocs.extend(_allocation_sites(node))
-    return accesses, calls, allocs
+    return accesses, allocs
 
 
 def _allocation_sites(node: ast.Assign) -> List[AllocationSite]:

@@ -11,7 +11,8 @@ attribute read only counts as a *config-field read* when the receiver
 chain ends in ``config``/``cfg`` (or ``timing`` for ``*Params``), as a
 *stats access* when the receiver ends in ``stats``, and as a *fault
 query* when a known :class:`~repro.faults.schedule.FaultSchedule`
-method is called on a receiver ending in ``faults``/``schedule``.  This
+method or property is read on a receiver ending in
+``faults``/``schedule``.  This
 keeps unrelated attributes that happen to share a field name (e.g. a
 local ``mapping`` object vs the ``ScalaGraphConfig.mapping`` field)
 from polluting the comparison sets.
@@ -51,9 +52,10 @@ FAULT_RECEIVER_TAILS = frozenset({"faults", "schedule", "fault_schedule"})
 #: Receiver tail treated as a stats object.
 STATS_RECEIVER_TAIL = "stats"
 
-#: FaultSchedule query surface, mapped to the fault *kind* it consumes.
-#: SIM601 compares twins at kind granularity, so two engines that read
-#: one kind through different queries are not drift.
+#: FaultSchedule query surface, methods and properties alike, mapped to
+#: the fault *kind* it consumes.  SIM601 compares twins at kind
+#: granularity, so two engines that read one kind through different
+#: queries are not drift.
 FAULT_KIND_BY_METHOD: Dict[str, str] = {
     "link_dead_mask": "link-outage",
     "link_availability": "link-outage",
@@ -147,13 +149,17 @@ def _engine_consumption(
     config_fields = _field_union(model.config_classes(), ("Config",))
     params_fields = _field_union(model.config_classes(), ("Params",))
     stats_fields = _field_union(model.stats_classes(), ("Stats",))
-    accesses, calls = module.scoped_accesses(scope)
     cons = _Consumption()
-    for access in accesses:
+    for access in module.scoped_accesses(scope):
         tail = _tail(access.receiver)
         if tail is None:
             continue
-        if not access.is_write and (
+        if tail in FAULT_RECEIVER_TAILS and not access.is_write:
+            # A query method's call loads it too, so this reads both.
+            kind = FAULT_KIND_BY_METHOD.get(access.name)
+            if kind is not None:
+                cons.add("fault-kind", kind, access.lineno, access.col)
+        elif not access.is_write and (
             (tail in CONFIG_RECEIVER_TAILS and access.name in config_fields)
             or (
                 tail in PARAMS_RECEIVER_TAILS
@@ -166,12 +172,6 @@ def _engine_consumption(
         elif tail == STATS_RECEIVER_TAIL and access.name in stats_fields:
             category = "stats-write" if access.is_write else "stats-read"
             cons.add(category, access.name, access.lineno, access.col)
-    for call in calls:
-        tail = _tail(call.receiver)
-        if tail in FAULT_RECEIVER_TAILS:
-            kind = FAULT_KIND_BY_METHOD.get(call.method)
-            if kind is not None:
-                cons.add("fault-kind", kind, call.lineno, call.col)
     return cons
 
 

@@ -15,7 +15,9 @@ fault-mask loads, the sanitizer hooks and every ``CycleStats`` and
 (the register arrays of
 :class:`~repro.noc.aggregation.BatchedAggregationArray`, the mesh of
 :class:`~repro.noc.fastmesh.FastMeshNetwork`, and the phase buffers of
-:class:`_Phase`) and returns counts.
+:class:`_Phase`) and returns counts.  Its per-edge buffers hold 32-bit
+edge positions and vertex and partial ids (:data:`BUFFER_DTYPES`),
+except the destinations: the graph's int64 ``indices``, read in place.
 
 No decision in a phase reads a value, so the loop carries none: a
 register, an out-queue entry, a packet and an SPD-queue entry carry a
@@ -25,8 +27,10 @@ one more kernel call (``fs_fold``, through :meth:`PhaseRecord.fold`)
 computes each partial from the dispatched values and reduces the
 partials into ``vtemp`` in retire order: the same operands in the same
 order as the reference's in-loop reduces, and the engine's only value
-arithmetic.  It implements ``np.add``, ``np.minimum`` and ``np.maximum``
-exactly; a program with any other reduce runs on the reference.
+arithmetic.  It reads the values through the recorded dispatch order,
+so they are neither copied nor written, and implements ``np.add``,
+``np.minimum`` and ``np.maximum`` exactly; a program with any other
+reduce runs on the reference.
 
 For the same reason a phase's events follow from its edges alone, and
 each phase starts a fresh mesh and register array at cycle 0 (fault
@@ -101,39 +105,44 @@ ENGINE_TWIN = {
 #: Declared dtype contract of the phase buffers (:class:`_Phase` and
 #: :meth:`PhaseRecord.fold`).  SIM604 checks every allocation against
 #: it, and the kernel table is built only from arrays that match it.
+#: The per-edge buffers hold int32 (edge positions, vertex and partial
+#: ids; :class:`_Phase` refuses a phase whose ids would not fit), and
+#: every per-PE, per-vertex and per-packet one int64.
 BUFFER_DTYPES = {
     "group_start": "int64",
     "group_stop": "int64",
     "row_end": "int64",
     "row_group": "int64",
-    "d_edge": "int64",
-    "d_pid": "int64",
-    "d_val": "float64",
+    "d_edge": "int32",
+    "d_pid": "int32",
+    "partial": "float64",
     "home": "int64",
     "pe_stall": "bool",
     "out_end": "int64",
     "out_head": "int64",
     "out_tail": "int64",
-    "out_vid": "int64",
-    "out_pid": "int64",
+    "out_vid": "int32",
+    "out_pid": "int32",
     "spd_end": "int64",
     "spd_head": "int64",
     "spd_tail": "int64",
-    "spd_vid": "int64",
-    "spd_pid": "int64",
+    "spd_vid": "int32",
+    "spd_pid": "int32",
     "free_pkts": "int64",
     # The kernel's table: buffer addresses, settings, state, counts.
     "table": "int64",
 }
 #: The caller's arrays the kernel uses in place: each edge's execution
-#: PE and destination and the edges grouped by the vertex that streams
-#: them, which :func:`_simulate` computes and ``fs_run`` reads, and
-#: ``vtemp`` and the touched marks, which ``CycleAccurateScalaGraph.run``
-#: allocates and the fold writes.
+#: PE and destination (the graph's int64 ``indices`` on an all-active
+#: frontier) and the edges grouped by the vertex that streams them,
+#: which :func:`_simulate` computes and ``fs_run`` reads, and the
+#: scatter values, ``vtemp`` and the touched marks, which the fold
+#: reads and writes.
 _CALLER_DTYPES = {
-    "exec_pe": "int64",
+    "exec_pe": "int32",
     "dst": "int64",
-    "edges": "int64",
+    "edges": "int32",
+    "values": "float64",
     "vtemp": "float64",
     "touched": "bool",
 }
@@ -145,20 +154,25 @@ _DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES, **_CALLER_DTYPES}
 #: :class:`_Phase`, except the fold's.
 _KERNEL_BUFFERS = (
     "exec_pe", "dst", "edges", "group_start", "group_stop", "row_end",
-    "row_group", "d_edge", "d_pid", "d_val", "home", "pe_stall", "vid",
-    "pid", "occ", "rr", "offered", "coalesced", "stored", "rejected",
-    "emitted", "out_end", "out_head", "out_tail", "out_vid", "out_pid",
-    "spd_end", "spd_head", "spd_tail", "spd_vid", "spd_pid", "free_pkts",
-    "vtemp", "touched",
+    "row_group", "d_edge", "d_pid", "values", "partial", "home",
+    "pe_stall", "vid", "pid", "occ", "rr", "offered", "coalesced",
+    "stored", "rejected", "emitted", "out_end", "out_head", "out_tail",
+    "out_vid", "out_pid", "spd_end", "spd_head", "spd_tail", "spd_vid",
+    "spd_pid", "free_pkts", "vtemp", "touched",
 )
 #: The buffers only ``fs_fold`` reads or writes; a :class:`_Phase`
 #: table leaves them unset.
-_FOLD_ONLY = ("d_val", "vtemp", "touched")
+_FOLD_ONLY = ("values", "partial", "vtemp", "touched")
 #: Table slots of the buffers a :class:`PhaseRecord` keeps for the fold.
 _RECORD_SLOTS = [
     _KERNEL_BUFFERS.index(name)
-    for name in ("d_pid", "spd_end", "spd_tail", "spd_vid", "spd_pid")
+    for name in (
+        "d_edge", "d_pid", "spd_end", "spd_tail", "spd_vid", "spd_pid"
+    )
 ]
+#: One past the largest edge position, vertex id and partial id the
+#: int32 per-edge buffers hold.
+_INT32_IDS = 2**31
 #: The same list as the kernel spells it (``MeshKernel.phase_layout``).
 _KERNEL_LAYOUT = tuple(
     (name, np.dtype(_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
@@ -269,6 +283,12 @@ class _Phase:
         _check_layout(self.kernel)
         topology = network.topology
         n = topology.num_nodes
+        updates = dst.size
+        if max(updates, home.size) >= _INT32_IDS:
+            raise ConfigurationError(
+                f"a phase of {updates} updates on {home.size} vertices "
+                f"does not fit the kernel's int32 edge and vertex ids"
+            )
         for role, pes in (("execution", exec_pe), ("home", home)):
             if int(pes.min()) < 0 or int(pes.max()) >= n:
                 raise ConfigurationError(
@@ -281,7 +301,6 @@ class _Phase:
         self.exec_pe = exec_pe
         self.dst = dst
         self.edges = edges
-        updates = dst.size
 
         # The groups lie in ascending vertex order in ``edges``.
         sizes = np.bincount(group, minlength=home.size)
@@ -299,8 +318,8 @@ class _Phase:
         np.cumsum(row_groups, out=self.row_end)
         self.row_group = np.empty(topology.rows, dtype=np.int64)
         self.row_group[:] = self.row_end - row_groups
-        self.d_edge = np.empty(updates, dtype=np.int64)
-        self.d_pid = np.empty(updates, dtype=np.int64)
+        self.d_edge = np.empty(updates, dtype=np.int32)
+        self.d_pid = np.empty(updates, dtype=np.int32)
 
         self.home = np.empty(home.size, dtype=np.int64)
         self.home[:] = home
@@ -311,16 +330,16 @@ class _Phase:
         self.out_head[:] = self.out_end - out_bound
         self.out_tail = np.empty(n, dtype=np.int64)
         self.out_tail[:] = self.out_head
-        self.out_vid = np.empty(updates, dtype=np.int64)
-        self.out_pid = np.empty(updates, dtype=np.int64)
+        self.out_vid = np.empty(updates, dtype=np.int32)
+        self.out_pid = np.empty(updates, dtype=np.int32)
         self.spd_end = np.empty(n, dtype=np.int64)
         np.cumsum(spd_bound, out=self.spd_end)
         self.spd_head = np.empty(n, dtype=np.int64)
         self.spd_head[:] = self.spd_end - spd_bound
         self.spd_tail = np.empty(n, dtype=np.int64)
         self.spd_tail[:] = self.spd_head
-        self.spd_vid = np.empty(updates, dtype=np.int64)
-        self.spd_pid = np.empty(updates, dtype=np.int64)
+        self.spd_vid = np.empty(updates, dtype=np.int32)
+        self.spd_pid = np.empty(updates, dtype=np.int32)
 
         packets = n * NUM_PORTS * network.buffer_depth
         self.free_pkts = np.empty(packets, dtype=np.int64)
@@ -424,7 +443,10 @@ class PhaseRecord:
         """Reduce the phase's scatter ``values`` (one per gathered edge)
         into ``vtemp`` and mark the vertices they reach in ``touched``,
         in place, with the kernel's reduce ``reduce_op``: ``fs_fold``,
-        the engine's only value arithmetic."""
+        the engine's only value arithmetic.  The kernel reads ``values``
+        through :attr:`edge_order` and never writes it; the partials go
+        to a buffer of their own, one slot per update that did not
+        coalesce."""
         if (values.size, vtemp.size, touched.size) != (
             self.updates, self.vertices, self.vertices
         ):
@@ -433,15 +455,15 @@ class PhaseRecord:
                 f"vertices; cannot fold {values.size} values into "
                 f"{vtemp.size} vertex values and {touched.size} marks"
             )
-        d_val = np.empty(self.updates, dtype=np.float64)
-        np.take(values, self.edge_order, out=d_val)
+        partial = np.empty(self.updates - self.coalesced, dtype=np.float64)
         for name, array in (
-            ("d_val", d_val), ("vtemp", vtemp), ("touched", touched)
+            ("values", values), ("partial", partial), ("vtemp", vtemp),
+            ("touched", touched),
         ):
             self.table[_KERNEL_BUFFERS.index(name)] = _address(name, array)
         self.table[_SLOT_REDUCE] = reduce_op
         partials = self.kernel.fold(
-            self._address, self.spd_end.size, self.updates
+            self._address, self.spd_end.size, self.updates, partial.size
         )
         if partials != self.updates - self.coalesced:
             raise SimulationError(
@@ -469,7 +491,7 @@ def _simulate(
     from repro.mapping.destination_oriented import DestinationOrientedMapping
 
     exec_pe = np.ascontiguousarray(
-        mapping.execution_pe(src, dst), dtype=np.int64
+        mapping.execution_pe(src, dst), dtype=np.int32
     )
     dst = np.ascontiguousarray(dst, dtype=np.int64)
     home = np.asarray(
@@ -494,8 +516,9 @@ def _simulate(
     # per-partition CSR groups edges by destination instead.
     group = dst if isinstance(mapping, DestinationOrientedMapping) else src
     phase = _Phase(
-        network, agg, group, np.argsort(group, kind="stable"), exec_pe,
-        dst, home, sim.config.degree_aware_window, max_cycles,
+        network, agg, group,
+        np.argsort(group, kind="stable").astype(np.int32), exec_pe, dst,
+        home, sim.config.degree_aware_window, max_cycles,
         profiler is not None,
     )
     dispatch_lines = coalesced = spd_reduces = stall_degraded = 0
@@ -605,12 +628,13 @@ def scatter_phase_fast(
         sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
     if record is None:
         record = _simulate(sim, graph, src, dst, max_cycles)
-    values = program.scatter_value(ctx, src, weights, props[src])
+    values = np.ascontiguousarray(
+        program.scatter_value(ctx, src, weights, props[src]),
+        dtype=np.float64,
+    )
+    del src, dst, weights  # the gathered edges go before the fold
     record.fold(
-        np.asarray(values, dtype=np.float64),
-        _REDUCE_OPS[program.reduce_ufunc],
-        vtemp,
-        touched_mask,
+        values, _REDUCE_OPS[program.reduce_ufunc], vtemp, touched_mask
     )
 
     updates = record.updates

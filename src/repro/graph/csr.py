@@ -22,6 +22,21 @@ _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.int64
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The stable sort order of integer ``keys`` in ``[0, bound)``.
+
+    A least-significant-digit radix sort: one stable ``argsort`` per
+    16-bit digit, which NumPy runs as a counting sort, so one pass up to
+    2**16 keys and two up to 2**32.  Each pass keeps the order of equal
+    digits, so equal keys keep their input order.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
+        digit = (keys >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """A directed graph in compressed sparse row format.
@@ -189,23 +204,45 @@ class CSRGraph:
             w = np.asarray(weights, dtype=_WEIGHT_DTYPE)
             if w.shape[0] != arr.shape[0]:
                 raise GraphFormatError("weights must align with edges")
+        return cls.from_endpoints(
+            num_vertices, src, dst, weights=w, name=name, dedup=dedup
+        )
 
-        if dedup and arr.size:
-            keys = src * num_vertices + dst
+    @classmethod
+    def from_endpoints(
+        cls,
+        num_vertices: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+        name: str = "graph",
+        dedup: bool = False,
+    ) -> "CSRGraph":
+        """Build a CSR graph from aligned source and destination arrays
+        (any integer dtype) whose ids the caller guarantees lie in
+        ``[0, num_vertices)``: a generator's own draws, or what
+        :meth:`from_edges` has checked.
+
+        Each source's edges keep their input order.  The source order
+        is a radix sort (:func:`_stable_order`) whose int64 buffer
+        becomes the graph's ``indices`` (the destinations are gathered
+        into it), and ``indptr`` is a ``bincount``: no comparison sort
+        and no sorted copy of the sources.
+        """
+        if dedup and src.size:
+            keys = src.astype(_INDEX_DTYPE) * num_vertices + dst
             _, keep = np.unique(keys, return_index=True)
             keep.sort()
             src, dst = src[keep], dst[keep]
-            if w is not None:
-                w = w[keep]
-
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        if w is not None:
-            w = w[order]
+            if weights is not None:
+                weights = weights[keep]
         indptr = np.zeros(num_vertices + 1, dtype=_INDEX_DTYPE)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr=indptr, indices=dst, weights=w, name=name)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
+        indices = _stable_order(src, num_vertices)
+        if weights is not None:
+            weights = weights[indices]
+        indices[:] = dst[indices]
+        return cls(indptr=indptr, indices=indices, weights=weights, name=name)
 
     # ------------------------------------------------------------------
     # Transformations
@@ -233,10 +270,12 @@ class CSRGraph:
 
     def reversed(self) -> "CSRGraph":
         """Return the transpose graph (every edge direction flipped)."""
-        src = self.edge_sources()
-        pairs = np.stack([self.indices, src], axis=1)
-        return CSRGraph.from_edges(
-            self.num_vertices, pairs, weights=self.weights, name=f"{self.name}^T"
+        return CSRGraph.from_endpoints(
+            self.num_vertices,
+            self.indices,
+            self.edge_sources(),
+            weights=self.weights,
+            name=f"{self.name}^T",
         )
 
     def subgraph(self, vertices: np.ndarray) -> "CSRGraph":
@@ -246,10 +285,13 @@ class CSRGraph:
         remap[vertices] = np.arange(vertices.size, dtype=_INDEX_DTYPE)
         src = self.edge_sources()
         keep = (remap[src] >= 0) & (remap[self.indices] >= 0)
-        pairs = np.stack([remap[src[keep]], remap[self.indices[keep]]], axis=1)
         w = self.weights[keep] if self.weights is not None else None
-        return CSRGraph.from_edges(
-            vertices.size, pairs, weights=w, name=f"{self.name}[{vertices.size}]"
+        return CSRGraph.from_endpoints(
+            vertices.size,
+            remap[src[keep]],
+            remap[self.indices[keep]],
+            weights=w,
+            name=f"{self.name}[{vertices.size}]",
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -51,33 +51,39 @@ def rmat_graph(
     num_edges = edge_factor * num_vertices
     rng = np.random.default_rng(seed)
 
-    src = np.zeros(num_edges, dtype=_INDEX_DTYPE)
-    dst = np.zeros(num_edges, dtype=_INDEX_DTYPE)
+    # Vertex IDs fit 32 bits below scale 31.
+    index = np.int32 if scale < 31 else np.int64
+    src = np.zeros(num_edges, dtype=index)
+    dst = np.zeros(num_edges, dtype=index)
     # Each bit of the vertex IDs is chosen independently per RMAT recursion
     # level.  P(src bit = 1) = c + d; P(dst bit = 1 | src bit) follows the
-    # conditional quadrant probabilities.
+    # conditional quadrant probabilities.  Each level draws the source
+    # bits' numbers, then the destination bits', into one reused buffer.
     p_src_hi = c + d
+    p_dst_hi_given_hi = d / (c + d) if (c + d) > 0 else 0.0
+    p_dst_hi_given_lo = b / (a + b) if (a + b) > 0 else 0.0
+    draw = np.empty(num_edges, dtype=np.float64)
+    src_hi = np.empty(num_edges, dtype=bool)
+    dst_hi = np.empty(num_edges, dtype=bool)
     for _ in range(scale):
-        r_src = rng.random(num_edges)
-        r_dst = rng.random(num_edges)
-        src_hi = r_src < p_src_hi
-        # Conditional probability that the destination bit is 1.
-        p_dst_hi = np.where(
-            src_hi,
-            d / (c + d) if (c + d) > 0 else 0.0,
-            b / (a + b) if (a + b) > 0 else 0.0,
-        )
-        dst_hi = r_dst < p_dst_hi
-        src = (src << 1) | src_hi
-        dst = (dst << 1) | dst_hi
+        np.less(rng.random(out=draw), p_src_hi, out=src_hi)
+        rng.random(out=draw)
+        np.less(draw, p_dst_hi_given_lo, out=dst_hi)
+        np.less(draw, p_dst_hi_given_hi, out=dst_hi, where=src_hi)
+        src <<= 1
+        src |= src_hi
+        dst <<= 1
+        dst |= dst_hi
+    del draw, src_hi, dst_hi
 
     # Permute vertex IDs so that high-degree vertices are not clustered at
     # low IDs (Graph500 does the same).
-    perm = rng.permutation(num_vertices).astype(_INDEX_DTYPE)
-    src, dst = perm[src], perm[dst]
-    pairs = np.stack([src, dst], axis=1)
-    return CSRGraph.from_edges(
-        num_vertices, pairs, name=name or f"rmat{scale}", dedup=dedup
+    # One array at a time, so one old id array lives beside the new ones.
+    perm = rng.permutation(num_vertices).astype(index)
+    src = perm[src]
+    dst = perm[dst]
+    return CSRGraph.from_endpoints(
+        num_vertices, src, dst, name=name or f"rmat{scale}", dedup=dedup
     )
 
 
@@ -97,9 +103,8 @@ def erdos_renyi(
     if not allow_self_loops and num_vertices > 1:
         loops = src == dst
         dst[loops] = (dst[loops] + 1) % num_vertices
-    pairs = np.stack([src, dst], axis=1)
-    return CSRGraph.from_edges(
-        num_vertices, pairs, name=name or f"er{num_vertices}"
+    return CSRGraph.from_endpoints(
+        num_vertices, src, dst, name=name or f"er{num_vertices}"
     )
 
 
@@ -127,9 +132,8 @@ def power_law_graph(
     dst = rng.choice(num_vertices, size=num_edges, p=probs).astype(_INDEX_DTYPE)
     # Decorrelate IDs so popularity is not a function of vertex index.
     perm = rng.permutation(num_vertices).astype(_INDEX_DTYPE)
-    pairs = np.stack([perm[src], perm[dst]], axis=1)
-    return CSRGraph.from_edges(
-        num_vertices, pairs, name=name or f"plaw{num_vertices}"
+    return CSRGraph.from_endpoints(
+        num_vertices, perm[src], perm[dst], name=name or f"plaw{num_vertices}"
     )
 
 

@@ -29,9 +29,14 @@
  * Python owns every buffer.  It passes int64 tables: the buffer
  * addresses in the order of BUFFERS (mesh) or PHASE_BUFFERS (phase),
  * then scalar slots (enum slot, enum phase_slot).  fm_layout,
- * fm_table_slots, fs_layout and fs_table_slots spell the tables out, so
- * fastmesh and fastsim can check them against their own declarations
- * before the first call.
+ * fm_table_slots, fs_layout and fs_table_slots spell the tables out,
+ * element types included, so fastmesh and fastsim can check them
+ * against their own declarations before the first call.  The phase's
+ * per-edge id buffers hold int32 (edge positions, PE ids, vertex and
+ * partial ids: fastsim refuses a phase of 2^31 or more updates or
+ * vertices), so every store into one narrows by an explicit cast; the
+ * graph's destinations and every mesh, register-array, per-PE and
+ * per-vertex id buffer hold int64.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c99 */
 #include <stdint.h>
@@ -39,8 +44,10 @@
 
 enum { LOCAL, NORTH, SOUTH, WEST, EAST, NPORTS };
 
-/* Element types: i8 = int64, f8 = double, b1 = one-byte bool. */
+/* Element types: i8 = int64, i4 = int32, f8 = double, b1 = one-byte
+ * bool. */
 typedef int64_t i8;
+typedef int32_t i4;
 typedef double f8;
 typedef uint8_t b1;
 
@@ -241,6 +248,9 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
 /* ------------------------------------------------------------------ */
 
 /* Table order of the phase buffers: Python attribute name, element type.
+ * The per-edge id buffers are int32 (exec_pe, edges, d_edge, d_pid and
+ * the out and SPD queues' vid and pid) but dst, the graph's int64
+ * destinations.
  *   exec_pe, dst, edges  each edge's execution PE and destination, and
  *                        the edges sorted stably by the vertex that
  *                        streams them (the row dispatchers' queues): the
@@ -253,7 +263,9 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
  *                        row_group < row_end);
  *   d_edge, d_pid        each dispatched update's edge and partial id, in
  *                        dispatch order (fs_run);
- *   d_val                the updates' values in dispatch order (fs_fold);
+ *   values, partial      the updates' values, one per edge in the
+ *                        caller's order (read through d_edge), and one
+ *                        slot per partial (fs_fold);
  *   home                 each vertex's home PE;
  *   pe_stall             PEs stalled in the current fault window;
  *   vid .. emitted       every PE's register array (vid -1 = empty; pid,
@@ -266,14 +278,15 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
  *   vtemp, touched       the phase's reduced values and touched marks
  *                        (fs_fold). */
 #define PHASE_BUFFERS(X)                                                   \
-    X(exec_pe, i8) X(dst, i8) X(edges, i8) X(group_start, i8)              \
-    X(group_stop, i8) X(row_end, i8) X(row_group, i8) X(d_edge, i8)        \
-    X(d_pid, i8) X(d_val, f8) X(home, i8) X(pe_stall, b1) X(vid, i8)       \
-    X(pid, i8) X(occ, i8) X(rr, i8) X(offered, i8) X(coalesced, i8)        \
-    X(stored, i8) X(rejected, i8) X(emitted, i8) X(out_end, i8)            \
-    X(out_head, i8) X(out_tail, i8) X(out_vid, i8) X(out_pid, i8)          \
-    X(spd_end, i8) X(spd_head, i8) X(spd_tail, i8) X(spd_vid, i8)          \
-    X(spd_pid, i8) X(free_pkts, i8) X(vtemp, f8) X(touched, b1)
+    X(exec_pe, i4) X(dst, i8) X(edges, i4) X(group_start, i8)              \
+    X(group_stop, i8) X(row_end, i8) X(row_group, i8) X(d_edge, i4)        \
+    X(d_pid, i4) X(values, f8) X(partial, f8) X(home, i8) X(pe_stall, b1)  \
+    X(vid, i8) X(pid, i8) X(occ, i8) X(rr, i8) X(offered, i8)              \
+    X(coalesced, i8) X(stored, i8) X(rejected, i8) X(emitted, i8)          \
+    X(out_end, i8) X(out_head, i8) X(out_tail, i8) X(out_vid, i4)          \
+    X(out_pid, i4) X(spd_end, i8) X(spd_head, i8) X(spd_tail, i8)          \
+    X(spd_vid, i4) X(spd_pid, i4) X(free_pkts, i8) X(vtemp, f8)            \
+    X(touched, b1)
 
 #define AS_PHASE_ENUM(name, type) P_##name,
 #define AS_PHASE_TEXT(name, type) #name ":" #type " "
@@ -311,7 +324,8 @@ const char *fs_layout(void) { return PHASE_BUFFERS(AS_PHASE_TEXT); }
 
 struct queue {
     const i8 *end;
-    i8 *head, *tail, *vid, *pid;
+    i8 *head, *tail;
+    i4 *vid, *pid;
 };
 
 struct regs {
@@ -325,8 +339,8 @@ static int push(struct queue *q, int64_t pe, i8 vertex, i8 pid)
 {
     const int64_t at = q->tail[pe];
     if (at >= q->end[pe]) return 0;
-    q->vid[at] = vertex;
-    q->pid[at] = pid;
+    q->vid[at] = (i4)vertex;
+    q->pid[at] = (i4)pid;
     q->tail[pe] = at + 1;
     return 1;
 }
@@ -420,12 +434,12 @@ static int64_t now_ns(void)
 int64_t fs_run(int64_t *p, int64_t stop)
 {
     int64_t *t = (int64_t *)p[Q_MESH];
-    const i8 *exec_pe = PHASE(exec_pe, i8), *dst = PHASE(dst, i8);
-    const i8 *edges = PHASE(edges, i8), *group_stop = PHASE(group_stop, i8);
+    const i4 *exec_pe = PHASE(exec_pe, i4), *edges = PHASE(edges, i4);
+    const i8 *dst = PHASE(dst, i8), *group_stop = PHASE(group_stop, i8);
     const i8 *row_end = PHASE(row_end, i8);
     i8 *group_start = PHASE(group_start, i8);
     i8 *row_group = PHASE(row_group, i8);
-    i8 *d_edge = PHASE(d_edge, i8), *d_pid = PHASE(d_pid, i8);
+    i4 *d_edge = PHASE(d_edge, i4), *d_pid = PHASE(d_pid, i4);
     const i8 *home = PHASE(home, i8);
     const b1 *stalled = PHASE(pe_stall, b1);
     struct regs r = {
@@ -435,11 +449,11 @@ int64_t fs_run(int64_t *p, int64_t stop)
     };
     struct queue out = {
         PHASE(out_end, i8), PHASE(out_head, i8), PHASE(out_tail, i8),
-        PHASE(out_vid, i8), PHASE(out_pid, i8),
+        PHASE(out_vid, i4), PHASE(out_pid, i4),
     };
     struct queue spd = {
         PHASE(spd_end, i8), PHASE(spd_head, i8), PHASE(spd_tail, i8),
-        PHASE(spd_vid, i8), PHASE(spd_pid, i8),
+        PHASE(spd_vid, i4), PHASE(spd_pid, i4),
     };
     i8 *free_pkts = PHASE(free_pkts, i8);
     const i8 *dlv = BUFFER(dlv_pidx, i8), *pkt_dst = BUFFER(pkt_dst, i8);
@@ -480,7 +494,7 @@ int64_t fs_run(int64_t *p, int64_t stop)
                 const int64_t lo = group_start[g], hi = group_stop[g];
                 const int64_t upto = hi - lo > room ? lo + room : hi;
                 for (int64_t at = lo; at < upto; at++) {
-                    const i8 e = edges[at];
+                    const i4 e = edges[at];
                     const i8 id =
                         aggregate
                             ? offer(&r, &out, exec_pe[e], dst[e], partials)
@@ -490,7 +504,7 @@ int64_t fs_run(int64_t *p, int64_t stop)
                     if (id == partials) partials++;
                     else p[Q_COALESCED]++;
                     d_edge[dispatched] = e;
-                    d_pid[dispatched++] = id;
+                    d_pid[dispatched++] = (i4)id;
                 }
                 room -= upto - lo;
                 if (upto < hi) {
@@ -623,22 +637,24 @@ static f8 reduce(int op, f8 a, f8 b)
  * PEs, with the same operands in the same order as reducing them in the
  * loop would:
  *   1. each partial, in dispatch order: its first member stores its
- *      value, each later one reduces with the partial as the first
- *      operand (as a register coalesces).  d_val is overwritten in
- *      place: partial k lands in d_val[k], and ids are issued in
- *      dispatch order, so k never exceeds its first member's index;
+ *      value in the next of the `slots` entries of partial, each later
+ *      one reduces with the partial as the first operand (as a register
+ *      coalesces).  Dispatched update e carries values[d_edge[e]], so
+ *      values is read in place and never written;
  *   2. each PE's SPD slice in queue order, which is retire order (a
  *      vertex retires only at its home, whose queue is FIFO):
  *      vtemp[v] = reduce(vtemp[v], partial), and v is touched.
- * Reads d_val, d_pid, spd_end, spd_tail, spd_vid, spd_pid and REDUCE of
- * the table and writes vtemp and touched.  Returns the number of
- * partials, or -1 when an id is out of order. */
-int64_t fs_fold(int64_t *p, int64_t pes, int64_t updates)
+ * Reads values, d_edge, d_pid, spd_end, spd_tail, spd_vid, spd_pid and
+ * REDUCE of the table and writes partial, vtemp and touched.  Returns
+ * the number of partials, or -1 when an id is out of order or the
+ * partials do not fit in `slots`. */
+int64_t fs_fold(int64_t *p, int64_t pes, int64_t updates, int64_t slots)
 {
-    f8 *part = PHASE(d_val, f8);
-    const i8 *d_pid = PHASE(d_pid, i8), *end = PHASE(spd_end, i8);
-    const i8 *tail = PHASE(spd_tail, i8), *vid = PHASE(spd_vid, i8);
-    const i8 *pid = PHASE(spd_pid, i8);
+    const f8 *values = PHASE(values, f8);
+    f8 *part = PHASE(partial, f8);
+    const i4 *d_edge = PHASE(d_edge, i4), *d_pid = PHASE(d_pid, i4);
+    const i8 *end = PHASE(spd_end, i8), *tail = PHASE(spd_tail, i8);
+    const i4 *vid = PHASE(spd_vid, i4), *pid = PHASE(spd_pid, i4);
     f8 *vtemp = PHASE(vtemp, f8);
     b1 *touched = PHASE(touched, b1);
     const int op = (int)p[Q_REDUCE];
@@ -646,9 +662,10 @@ int64_t fs_fold(int64_t *p, int64_t pes, int64_t updates)
 
     for (int64_t e = 0; e < updates; e++) {
         const i8 id = d_pid[e];
-        if (id == partials) part[partials++] = part[e];
+        const f8 value = values[d_edge[e]];
+        if (id == partials && partials < slots) part[partials++] = value;
         else if (id >= 0 && id < partials)
-            part[id] = reduce(op, part[id], part[e]);
+            part[id] = reduce(op, part[id], value);
         else return -1;
     }
     for (int64_t pe = 0, at = 0; pe < pes; at = end[pe++]) {

@@ -53,8 +53,8 @@ class MeshKernel:
 
     ``step(table, cycle, delivered_so_far)`` takes the address of the
     mesh's int64 table, ``phase(table, stop_cycle)`` and ``fold(table,
-    pes, updates)`` that of a scatter phase's; ``meshkernel.c``
-    describes both tables.  ``layout`` and
+    pes, updates, partial_slots)`` that of a scatter phase's;
+    ``meshkernel.c`` describes both tables.  ``layout`` and
     ``phase_layout`` are the tables' buffer lists as compiled,
     ``(attribute, element type)`` pairs such as ``("_buf", "i8")``, and
     ``table_slots`` and ``phase_table_slots`` the tables' lengths.
@@ -65,7 +65,7 @@ class MeshKernel:
         self._lib = ctypes.CDLL(str(path))
         self.step = self._function("fm_step", 2)
         self.phase = self._function("fs_run", 1)
-        self.fold = self._function("fs_fold", 2)
+        self.fold = self._function("fs_fold", 3)
         self.table_slots, self.layout = self._table("fm")
         self.phase_table_slots, self.phase_layout = self._table("fs")
 

@@ -1,5 +1,6 @@
 """Reference engine: consumes both knobs, emits both stats, reads the
-dead-link mask row by row."""
+dead-link mask row by row and the HBM bandwidth fraction, a fault
+schedule property its twin never reads."""
 
 from sim601_pkg.config import EngineConfig
 from sim601_pkg.stats import EngineStats
@@ -16,5 +17,7 @@ class RefEngine:
         budget = cfg.window * cfg.depth
         if self.faults is not None:
             self.faults.link_dead_mask(self.stats.cycles)[0]
+            # DRIFT: a fault kind read through a property.
+            budget *= self.faults.hbm_bandwidth_fraction
         self.stats.cycles += 1
         self.stats.delivered += budget

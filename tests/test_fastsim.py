@@ -15,13 +15,15 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.algorithms.reference import gather_frontier_edges
 from repro.algorithms.base import VertexProgram
 from repro.analysis.sanitizer import SimSanitizer
+from repro.core import fastsim
 from repro.core.config import ScalaGraphConfig
 from repro.core.cycle_sim import CycleAccurateScalaGraph
 from repro.core.fastsim import resolve_cycle_engine
 from repro.core.profiling import Profiler
-from repro.errors import ConfigurationError, SanitizerError
+from repro.errors import ConfigurationError, SanitizerError, SimulationError
 from repro.faults.schedule import (
     FaultConfig,
     FaultSchedule,
@@ -31,6 +33,7 @@ from repro.faults.schedule import (
 )
 from repro.graph.generators import rmat_graph, star_graph
 from repro.noc import meshkernel
+from repro.noc.fastmesh import FastMeshNetwork
 from repro.noc.mesh import EAST, SOUTH
 from repro.noc.topology import MeshTopology
 from repro.service.scheduler import _CYCLE_MESH
@@ -575,15 +578,71 @@ class TestStageTimers:
         assert 0 < stages <= timers["cycle_sim.scatter"]["total_seconds"]
 
 
-class TestPhaseMemory:
-    """A simulated phase holds about eleven 8-byte words per edge while
-    the kernel runs: the gathered sources and weights, the execution
-    PEs, the row dispatchers' grouping, the dispatch order, the partial
-    ids and the out and SPD queues.  Copying the execution PEs and the
-    destinations into buffers of the phase's own, or keeping a
-    precomputed dispatch schedule beside them, goes over the budget."""
+class TestFoldBounds:
+    """``fs_fold`` writes one partial per slot of the buffer the record
+    allocates (updates that did not coalesce), so a record whose counts
+    disagree with its partial ids is refused, not written past."""
 
-    BYTES_PER_EDGE = 96
+    def _record(self):
+        config = ScalaGraphConfig(
+            num_tiles=1, pe_rows=4, pe_cols=4, aggregation_registers=16,
+            cycle_engine="vectorized",
+        )
+        sim = CycleAccurateScalaGraph(config, sanitize=False)
+        src, dst, _ = gather_frontier_edges(
+            GRAPH, np.arange(GRAPH.num_vertices)
+        )
+        return fastsim._simulate(sim, GRAPH, src, dst, 100_000)
+
+    def test_the_kernel_stops_at_the_last_slot(self):
+        record = self._record()
+        slots = record.updates - record.coalesced
+        n = GRAPH.num_vertices
+        buffers = {
+            "values": np.ones(record.updates),
+            "partial": np.empty(slots),
+            "vtemp": np.zeros(n),
+            "touched": np.zeros(n, dtype=bool),
+        }
+        for name, array in buffers.items():
+            slot = fastsim._KERNEL_BUFFERS.index(name)
+            record.table[slot] = fastsim._address(name, array)
+
+        def fold(limit):
+            return record.kernel.fold(
+                record.table.ctypes.data, record.spd_end.size,
+                record.updates, limit,
+            )
+
+        assert fold(slots) == slots
+        assert fold(slots - 1) == -1
+
+    @pytest.mark.parametrize("miscount", [1, -1])
+    def test_a_miscounted_record_is_refused(self, miscount):
+        record = self._record()
+        assert record.coalesced > 0
+        record.coalesced += miscount
+        n = GRAPH.num_vertices
+        with pytest.raises(SimulationError, match="compiled fold"):
+            record.fold(
+                np.ones(record.updates), 0, np.zeros(n),
+                np.zeros(n, dtype=bool),
+            )
+
+
+class TestPhaseMemory:
+    """A simulated PageRank phase traces about 48 bytes per edge at its
+    peak, while the program computes the values: the gathered sources
+    (8 bytes), the record's four int32 buffers (dispatch order, partial
+    ids, SPD queue vertices and partial ids: 16 bytes) and
+    ``scatter_value``'s three float64 arrays (24 bytes).  While the
+    kernel runs it holds 40: the sources and eight int32 buffers (the
+    execution PEs, the row dispatchers' grouping, the dispatch order,
+    the partial ids and the out and SPD queues' vertex and partial
+    ids).  With int64 buffers and a dispatch-order copy of the values
+    in the fold, the phase traced 80 bytes per edge."""
+
+    BYTES_PER_EDGE = 56
 
     def test_pagerank_phase_traces_under_the_per_edge_budget(self):
         graph = rmat_graph(12, edge_factor=16, seed=1)
@@ -602,3 +661,19 @@ class TestPhaseMemory:
             tracemalloc.stop()
         assert result.stats.iterations == 1
         assert peak / graph.num_edges <= self.BYTES_PER_EDGE
+
+    @pytest.mark.parametrize("updates,vertices", [(2**31, 4), (4, 2**31)])
+    def test_ids_beyond_int32_are_refused(self, updates, vertices):
+        """The per-edge buffers hold int32 edge positions and vertex and
+        partial ids, so a phase of 2**31 updates or vertices is refused
+        before anything is allocated.  The stand-ins are zero-stride,
+        and the execution PE lies outside the mesh, so a phase without
+        the check fails on that instead of allocating."""
+        network = FastMeshNetwork(MeshTopology(2, 2))
+        dst = np.broadcast_to(np.int64(0), updates)
+        home = np.broadcast_to(np.int64(0), vertices)
+        exec_pe = np.full(1, -1, dtype=np.int32)
+        with pytest.raises(ConfigurationError, match="int32"):
+            fastsim._Phase(
+                network, None, dst, dst, exec_pe, dst, home, 1, 10, False
+            )

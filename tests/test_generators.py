@@ -1,5 +1,7 @@
 """Unit tests for the synthetic graph generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ class TestRmat:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(GraphFormatError):
             rmat_graph(4, a=0.9, b=0.9, c=0.9)
+
+    BYTES_PER_EDGE = 32
+
+    def test_build_traces_under_the_per_edge_budget(self):
+        """The graph keeps 8 bytes per edge (its int64 ``indices``).  The
+        build adds one reused float64 draw buffer, two 32-bit id arrays,
+        two bit masks and the 16-bit radix keys: about 21 bytes per
+        edge at its peak, the graph included.  The int64 ids, (E, 2)
+        edge stack and int64 sort of the original build traced 91."""
+        tracemalloc.start()
+        try:
+            graph = rmat_graph(14, seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / graph.num_edges <= self.BYTES_PER_EDGE
 
 
 class TestErdosRenyi:

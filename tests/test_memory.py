@@ -79,6 +79,23 @@ class TestRequests:
     def test_cachelines_touched_empty(self):
         assert cachelines_touched(np.array([]), 64) == 0
 
+    @pytest.mark.parametrize(
+        "addresses",
+        [
+            np.random.default_rng(0).integers(0, 1 << 20, 5000),
+            np.random.default_rng(1).integers(-(1 << 16), 1 << 16, 3000),
+            np.array([], dtype=np.int64),
+            np.array([100, 101, 127, 64]),
+            np.array([-1, -64, -65, -200, 0, 63]),
+        ],
+        ids=["random", "negative", "empty", "single-line", "around-zero"],
+    )
+    def test_cachelines_touched_counts_distinct_lines(self, addresses):
+        """The count equals the number of distinct line indices."""
+        for line_size in (32, 64):
+            want = np.unique(addresses // line_size).size
+            assert cachelines_touched(addresses, line_size) == want
+
     def test_cachelines_worst_case_amplification(self):
         """Section II-A: up to 129x more traffic when every 4-byte access
         lands on a distinct line — each access moves a full line."""

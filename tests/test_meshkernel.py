@@ -239,7 +239,9 @@ class TestAbiChecks:
         )
         assert dict(kernel.phase_layout)["touched"] == "b1"
         assert dict(kernel.phase_layout)["pid"] == "i8"
-        assert dict(kernel.phase_layout)["d_val"] == "f8"
+        assert dict(kernel.phase_layout)["values"] == "f8"
+        assert dict(kernel.phase_layout)["partial"] == "f8"
+        assert dict(kernel.phase_layout)["d_pid"] == "i4"
         assert dict(kernel.phase_layout)["dst"] == "i8"
 
     @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])

@@ -98,15 +98,17 @@ class TestFixturePairs:
         ]
 
     def test_findings_carry_stable_keys(self):
+        """The reference reads a fault kind through a property, which
+        registers as a query like a method call does."""
         report = run_fixture("sim601_pkg")
-        (finding,) = report.findings
-        assert finding.key == (
-            "fixture-engine:stats-write:delivered:sim601_pkg.ref_engine"
-        )
+        assert sorted(f.key for f in report.findings) == [
+            "fixture-engine:fault-kind:hbm-degradation:sim601_pkg.ref_engine",
+            "fixture-engine:stats-write:delivered:sim601_pkg.ref_engine",
+        ]
 
     def test_baseline_accepts_and_goes_stale(self, tmp_path):
         report = run_fixture("sim601_pkg")
-        (finding,) = report.findings
+        (finding,) = (f for f in report.findings if "delivered" in f.key)
         baseline_file = tmp_path / "baseline.json"
         baseline_file.write_text(
             json.dumps(
