@@ -33,8 +33,6 @@ from repro.analysis.project import (
     BaselineEntry,
     ProjectModel,
     ProjectReport,
-    ProjectRule,
-    all_project_rules,
     analyze_project,
     load_project,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "BaselineEntry",
     "ProjectModel",
     "ProjectReport",
-    "ProjectRule",
-    "all_project_rules",
     "analyze_project",
     "load_project",
 ]

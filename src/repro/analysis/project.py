@@ -7,7 +7,8 @@ consumed by the reference NoC but silently ignored by the vectorized
 twin, a stats counter one engine stopped emitting, or a struct-of-arrays
 buffer whose dtype quietly changed.  This module parses the entire
 package into a :class:`ProjectModel` and runs the SIM6xx project rules
-(:mod:`repro.analysis.project_rules`) over it:
+(:mod:`repro.analysis.project_rules`, registered in simlint's rule
+registry with ``project=True``) over it:
 
 * **SIM601** — engine-twin drift: a config field, stats field, or fault
   kind consumed/emitted by one engine of a declared twin pair but not
@@ -47,7 +48,6 @@ import dataclasses
 import json
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -58,7 +58,13 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.simlint import FileContext, Finding, Severity
+from repro.analysis.simlint import (
+    FileContext,
+    Finding,
+    Severity,
+    all_rules,
+    dotted_name,
+)
 
 __all__ = [
     "AttrAccess",
@@ -68,10 +74,6 @@ __all__ = [
     "ModuleModel",
     "TwinPair",
     "ProjectModel",
-    "ProjectRule",
-    "register_project_rule",
-    "all_project_rules",
-    "find_project_rule",
     "Baseline",
     "BaselineEntry",
     "ProjectReport",
@@ -91,18 +93,6 @@ _ALLOC_DTYPE_POS: Dict[str, int] = {
     "ones": 1,
     "full": 2,
 }
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class AttrAccess(NamedTuple):
@@ -281,7 +271,7 @@ def _definition(
     decorators: List[str] = []
     for deco in node.decorator_list:
         target: ast.AST = deco.func if isinstance(deco, ast.Call) else deco
-        name = _dotted_name(target)
+        name = dotted_name(target)
         if name is not None:
             decorators.append(name.split(".")[-1])
     if owner is not None:
@@ -328,7 +318,7 @@ def _class_model(node: ast.ClassDef) -> ClassModel:
     is_dataclass = False
     for deco in node.decorator_list:
         target: ast.AST = deco.func if isinstance(deco, ast.Call) else deco
-        name = _dotted_name(target)
+        name = dotted_name(target)
         if name is not None and name.split(".")[-1] == "dataclass":
             is_dataclass = True
     fields: Dict[str, int] = {}
@@ -374,7 +364,7 @@ def _collect_accesses(
             accesses.append(
                 AttrAccess(
                     name=node.attr,
-                    receiver=_dotted_name(node.value),
+                    receiver=dotted_name(node.value),
                     lineno=node.lineno,
                     col=node.col_offset,
                     is_write=isinstance(node.ctx, (ast.Store, ast.Del)),
@@ -389,7 +379,7 @@ def _allocation_sites(node: ast.Assign) -> List[AllocationSite]:
     value = node.value
     if not isinstance(value, ast.Call):
         return []
-    func_name = _dotted_name(value.func)
+    func_name = dotted_name(value.func)
     if func_name is None:
         return []
     parts = func_name.split(".")
@@ -434,7 +424,7 @@ def _call_dtype(call: ast.Call, dtype_pos: int) -> Optional[str]:
         return node.value
     if isinstance(node, ast.Name) and node.id == "bool":
         return "bool"
-    dotted = _dotted_name(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     for prefix in ("np.", "numpy."):
@@ -596,73 +586,6 @@ def _meta_finding(
         message=message,
         key=key or f"meta:{module.name}:{message}",
     )
-
-
-# ----------------------------------------------------------------------
-# Project rule registry (separate from the per-file simlint registry so
-# `all_rules()` keeps meaning "per-file rules" for existing callers).
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class ProjectRule:
-    """A registered whole-program rule.
-
-    Like :class:`repro.analysis.simlint.Rule` but checked against the
-    :class:`ProjectModel` rather than a single file.
-
-    Attributes:
-        rule_id: stable identifier used in reports, suppressions, and
-            baseline entries (``SIM6xx``).
-        severity: default severity of the rule's findings.
-        description: one-line summary shown by ``repro lint --list-rules``.
-        check: callable producing the findings for one project model.
-    """
-
-    rule_id: str
-    severity: Severity
-    description: str
-    check: Callable[[ProjectModel], List[Finding]]
-
-
-_PROJECT_REGISTRY: Dict[str, ProjectRule] = {}
-
-
-def register_project_rule(
-    rule_id: str, severity: Severity, description: str
-) -> Callable[[Callable[[ProjectModel], List[Finding]]], ProjectRule]:
-    """Decorator registering a check as a :class:`ProjectRule`."""
-
-    def decorator(
-        check: Callable[[ProjectModel], List[Finding]]
-    ) -> ProjectRule:
-        if rule_id in _PROJECT_REGISTRY:
-            raise ValueError(
-                f"duplicate project rule id {rule_id!r}"
-            )
-        rule = ProjectRule(
-            rule_id=rule_id,
-            severity=severity,
-            description=description,
-            check=check,
-        )
-        _PROJECT_REGISTRY[rule_id] = rule
-        return rule
-
-    return decorator
-
-
-def _ensure_project_rules_loaded() -> None:
-    from repro.analysis import project_rules  # noqa: F401
-
-
-def all_project_rules() -> List[ProjectRule]:
-    """Registered project rules, sorted by id."""
-    _ensure_project_rules_loaded()
-    return [_PROJECT_REGISTRY[k] for k in sorted(_PROJECT_REGISTRY)]
-
-
-def find_project_rule(rule_id: str) -> Optional[ProjectRule]:
-    _ensure_project_rules_loaded()
-    return _PROJECT_REGISTRY.get(rule_id)
 
 
 # ----------------------------------------------------------------------
@@ -906,7 +829,7 @@ def analyze_project(
         source_overrides=source_overrides,
         consumer_roots=consumer_roots,
     )
-    selected = all_project_rules()
+    selected = all_rules(project=True)
     if select is not None:
         wanted = set(select)
         selected = [r for r in selected if r.rule_id in wanted]

@@ -1,10 +1,9 @@
 """The SIM6xx whole-program rules.
 
 Each rule checks the :class:`~repro.analysis.project.ProjectModel`
-rather than a single file; they register into the project registry via
-:func:`~repro.analysis.project.register_project_rule` (kept separate
-from the per-file simlint registry so ``all_rules()`` keeps meaning
-"per-file rules").
+rather than a single file; they register into simlint's one rule
+registry via :func:`~repro.analysis.simlint.register` with
+``project=True``, which ``all_rules(project=...)`` filters on.
 
 What counts as "consumption" is deliberately receiver-based: an
 attribute read only counts as a *config-field read* when the receiver
@@ -31,9 +30,8 @@ from repro.analysis.project import (
     ModuleModel,
     ProjectModel,
     TwinPair,
-    register_project_rule,
 )
-from repro.analysis.simlint import Finding, Severity
+from repro.analysis.simlint import Finding, Severity, register
 
 __all__ = [
     "engine_twin_drift",
@@ -68,7 +66,7 @@ FAULT_KIND_BY_METHOD: Dict[str, str] = {
 
 #: Decorators that store the function they wrap in a registry: callers
 #: reach it through the registry without loading its name (SIM605).
-REGISTERING_DECORATORS = frozenset({"register", "register_project_rule"})
+REGISTERING_DECORATORS = frozenset({"register"})
 
 #: Default dtype numpy gives ``zeros``/``ones``/``empty`` when the call
 #: site omits ``dtype=``; ``full`` infers from the fill value instead,
@@ -183,12 +181,13 @@ _CATEGORY_NOUN = {
 }
 
 
-@register_project_rule(
+@register(
     "SIM601",
     Severity.ERROR,
     "engine-twin drift: config field, stats field, or fault kind "
     "consumed/emitted by one engine of a declared twin pair but not "
     "the other",
+    project=True,
 )
 def engine_twin_drift(model: ProjectModel) -> List[Finding]:
     findings: List[Finding] = []
@@ -240,11 +239,12 @@ def _drift_finding(
 # ----------------------------------------------------------------------
 # SIM602 — dead / phantom config knobs
 # ----------------------------------------------------------------------
-@register_project_rule(
+@register(
     "SIM602",
     Severity.WARNING,
     "dead/phantom config knob: dataclass field never read anywhere, "
     "or config-receiver attribute read matching no declared field",
+    project=True,
 )
 def dead_or_phantom_config_knob(model: ProjectModel) -> List[Finding]:
     findings: List[Finding] = []
@@ -336,11 +336,12 @@ def _field_is_read(
 # ----------------------------------------------------------------------
 # SIM603 — stats-field conservation
 # ----------------------------------------------------------------------
-@register_project_rule(
+@register(
     "SIM603",
     Severity.WARNING,
     "stats-field conservation: stats field written by a twin engine "
     "but never asserted by any sanitizer check or test",
+    project=True,
 )
 def stats_field_conservation(model: ProjectModel) -> List[Finding]:
     if not model.assertion_modules:
@@ -394,11 +395,12 @@ def stats_field_conservation(model: ProjectModel) -> List[Finding]:
 # ----------------------------------------------------------------------
 # SIM604 — dtype contract drift
 # ----------------------------------------------------------------------
-@register_project_rule(
+@register(
     "SIM604",
     Severity.ERROR,
     "dtype contract drift: struct-of-arrays buffer allocated with a "
     "dtype differing from the module's declared BUFFER_DTYPES contract",
+    project=True,
 )
 def dtype_contract_drift(model: ProjectModel) -> List[Finding]:
     findings: List[Finding] = []
@@ -499,12 +501,13 @@ def dtype_contract_drift(model: ProjectModel) -> List[Finding]:
 # ----------------------------------------------------------------------
 # SIM605 — code only tests reach
 # ----------------------------------------------------------------------
-@register_project_rule(
+@register(
     "SIM605",
     Severity.WARNING,
     "only tests reach this: public module-level def or class, or public "
     "method or property of a public class, whose name no other module of "
     "the package or its consumers loads (a member's only as an attribute)",
+    project=True,
 )
 def reached_only_by_tests(model: ProjectModel) -> List[Finding]:
     if not model.consumer_modules:

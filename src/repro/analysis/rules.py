@@ -35,24 +35,13 @@ from repro.analysis.simlint import (
     Finding,
     Rule,
     Severity,
+    dotted_name,
     register,
 )
 
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for Name/Attribute chains, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _walk(tree: ast.AST, *types: type) -> List[ast.AST]:
@@ -110,7 +99,7 @@ def unseeded_rng(ctx: FileContext) -> List[Finding]:
     findings: List[Finding] = []
     for node in _walk(ctx.tree, ast.Call):
         assert isinstance(node, ast.Call)
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         if name is None:
             continue
         parts = name.split(".")
@@ -189,7 +178,7 @@ def wall_clock(ctx: FileContext) -> List[Finding]:
     findings: List[Finding] = []
     for node in _walk(ctx.tree, ast.Call):
         assert isinstance(node, ast.Call)
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         if name in _WALL_CLOCK_CALLS:
             findings.append(
                 ctx.finding(
@@ -367,7 +356,7 @@ def _is_mutable_default(node: ast.AST) -> bool:
                          ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         if name is not None and name.split(".")[-1] in _MUTABLE_FACTORIES:
             return True
     return False
@@ -428,7 +417,7 @@ def overbroad_except(ctx: FileContext) -> List[Finding]:
                 )
             )
             continue
-        name = _dotted_name(node.type)
+        name = dotted_name(node.type)
         if name in ("Exception", "BaseException") and not _handler_reraises(
             node
         ):
@@ -461,7 +450,7 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
         if not isinstance(deco, ast.Call):
             continue
-        name = _dotted_name(deco.func)
+        name = dotted_name(deco.func)
         if name is None or name.split(".")[-1] != "dataclass":
             continue
         for kw in deco.keywords:
@@ -484,11 +473,11 @@ def _dataclass_fields(node: ast.ClassDef) -> List[str]:
         name = stmt.target.id
         if name.startswith("_"):
             continue
-        annotation = _dotted_name(stmt.annotation)
+        annotation = dotted_name(stmt.annotation)
         if annotation and annotation.split(".")[-1] == "ClassVar":
             continue
         if isinstance(stmt.annotation, ast.Subscript):
-            base = _dotted_name(stmt.annotation.value)
+            base = dotted_name(stmt.annotation.value)
             if base and base.split(".")[-1] == "ClassVar":
                 continue
         fields.append(name)
@@ -618,7 +607,7 @@ def unbounded_result_wait(ctx: FileContext) -> List[Finding]:
     bounded: set = set()
     for node in _walk(ctx.tree, ast.Call):
         assert isinstance(node, ast.Call)
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         if name is None or name.split(".")[-1] != "wait_for":
             continue
         if len(node.args) >= 2 or any(
@@ -649,7 +638,7 @@ def unbounded_result_wait(ctx: FileContext) -> List[Finding]:
                     )
                 )
             continue
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         if name is None:
             continue
         last = name.split(".")[-1]
@@ -755,7 +744,7 @@ def blocking_call_in_async(ctx: FileContext) -> List[Finding]:
     findings: List[Finding] = []
     for fn in _walk(ctx.tree, ast.AsyncFunctionDef):
         for node in _async_scope_calls(fn):
-            name = _dotted_name(node.func)
+            name = dotted_name(node.func)
             if name is None:
                 continue
             head, _, rest = name.partition(".")

@@ -219,15 +219,16 @@ class SimSanitizer:
     def check_aggregation_ledger_arrays(
         self, batch: Any, cycle: Optional[int] = None
     ) -> None:
-        """Array form of :meth:`check_aggregation_ledger` for the
-        struct-of-arrays register array
-        (:class:`~repro.noc.aggregation.BatchedAggregationArray`):
-        audits every PE's ledger, occupancy counter, and the
-        prefix-dense column invariant in one call (duck-typed — any
-        object with ``offered``/``coalesced``/``stored``/``rejected``/
-        ``emitted``/``occ``/``vid``/``capacity`` works).
+        """Array form of :meth:`check_aggregation_ledger` for every PE's
+        register array in the compiled scatter phase
+        (:mod:`repro.core.fastsim`): audits every PE's ledger, occupancy
+        counter, and the prefix-dense column invariant in one call
+        (duck-typed — any object with per-PE ``offered``/``coalesced``/
+        ``stored``/``rejected``/``occ`` arrays and ``(pe, column,
+        stage)`` registers ``vid`` works).
         """
         self.checks_run += 1
+        capacity = batch.vid[0].size
         balance = batch.coalesced + batch.stored + batch.rejected
         bad = batch.offered != balance
         if bad.any():
@@ -250,13 +251,13 @@ class SimSanitizer:
                 f"{int(live[pe])} live registers",
                 cycle=cycle,
             )
-        outside = (batch.occ < 0) | (batch.occ > batch.capacity)
+        outside = (batch.occ < 0) | (batch.occ > capacity)
         if outside.any():
             pe = int(outside.argmax())
             self.fail(
                 "aggregation-ledger",
                 f"PE {pe}: occupancy {int(batch.occ[pe])} outside "
-                f"[0, {batch.capacity}]",
+                f"[0, {capacity}]",
                 cycle=cycle,
             )
         # Prefix density: a register below an empty stage of the same

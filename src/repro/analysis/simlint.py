@@ -11,8 +11,11 @@ Architecture:
 
 * :class:`Rule` — one registered check: an id (``SIM...``), a severity,
   a one-line description, and a ``check(FileContext) -> [Finding]``
-  callable.  Rules self-register through the :func:`register` decorator;
-  the shipped rules live in :mod:`repro.analysis.rules`.
+  callable, or for a whole-program rule (``project=True``) a
+  ``check(ProjectModel) -> [Finding]`` one.  Rules self-register through
+  the :func:`register` decorator; the shipped rules live in
+  :mod:`repro.analysis.rules` and, whole-program,
+  :mod:`repro.analysis.project_rules`.
 * :class:`FileContext` — one parsed file handed to every rule: AST,
   source lines, and the per-line suppression table.
 * Suppressions — a trailing ``# simlint: disable=RULE[,RULE...]``
@@ -31,6 +34,7 @@ import json
 import re
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -48,6 +52,7 @@ __all__ = [
     "FileContext",
     "register",
     "all_rules",
+    "dotted_name",
     "get_rule",
     "lint_source",
     "lint_file",
@@ -110,13 +115,18 @@ class Rule:
         rule_id: stable identifier used in reports and suppressions.
         severity: default severity of the rule's findings.
         description: one-line summary shown by ``repro lint --list-rules``.
-        check: callable producing the findings for one file.
+        check: callable producing the findings for one file, or for a
+            project rule for one
+            :class:`~repro.analysis.project.ProjectModel`.
+        project: whether this is a whole-program (SIM6xx) rule, run by
+            ``repro lint --project`` rather than per file.
     """
 
     rule_id: str
     severity: Severity
     description: str
-    check: Callable[["FileContext"], List[Finding]]
+    check: Callable[[Any], List[Finding]]
+    project: bool = False
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -128,11 +138,11 @@ _SUPPRESS_RE = re.compile(
 
 
 def register(
-    rule_id: str, severity: Severity, description: str
-) -> Callable[[Callable[["FileContext"], List[Finding]]], Rule]:
+    rule_id: str, severity: Severity, description: str, project: bool = False
+) -> Callable[[Callable[[Any], List[Finding]]], Rule]:
     """Decorator registering a check function as a :class:`Rule`."""
 
-    def decorator(check: Callable[["FileContext"], List[Finding]]) -> Rule:
+    def decorator(check: Callable[[Any], List[Finding]]) -> Rule:
         if rule_id in _REGISTRY:
             raise ValueError(f"duplicate simlint rule id {rule_id!r}")
         rule = Rule(
@@ -140,6 +150,7 @@ def register(
             severity=severity,
             description=description,
             check=check,
+            project=project,
         )
         _REGISTRY[rule_id] = rule
         return rule
@@ -147,11 +158,16 @@ def register(
     return decorator
 
 
-def all_rules() -> List[Rule]:
-    """Registered rules, sorted by id (registration triggers on import
-    of :mod:`repro.analysis.rules`)."""
+def all_rules(project: Optional[bool] = None) -> List[Rule]:
+    """Registered rules, sorted by id: the per-file ones with
+    ``project=False``, the whole-program ones with ``project=True``,
+    else both (registration triggers on import of the rule modules)."""
     _ensure_rules_loaded()
-    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
+    return [
+        _REGISTRY[k]
+        for k in sorted(_REGISTRY)
+        if project is None or _REGISTRY[k].project == project
+    ]
 
 
 def get_rule(rule_id: str) -> Rule:
@@ -168,7 +184,19 @@ def get_rule(rule_id: str) -> Rule:
 def _ensure_rules_loaded() -> None:
     # Deferred so `import simlint` alone never costs the rule imports,
     # while registry queries always see the shipped rules.
-    from repro.analysis import rules  # noqa: F401
+    from repro.analysis import project_rules, rules  # noqa: F401
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 class FileContext:
@@ -217,8 +245,8 @@ class FileContext:
 
 def _select_rules(select: Optional[Iterable[str]]) -> List[Rule]:
     if select is None:
-        return all_rules()
-    return [get_rule(rule_id) for rule_id in select]
+        return all_rules(project=False)
+    return [rule for rule in map(get_rule, select) if not rule.project]
 
 
 def lint_source(
@@ -309,30 +337,17 @@ def _rule_descriptions(
 ) -> Dict[str, Dict[str, str]]:
     """Severity + description per rule id, for the JSON reporter.
 
-    Looks up the per-file registry first, then the project-analysis
-    registry; unknown ids (e.g. the synthetic ``SIM000``) fall back to a
-    generic stanza so the reporter never crashes on a finding.
+    Unknown ids (e.g. the synthetic ``SIM000``) fall back to a generic
+    stanza so the reporter never crashes on a finding.
     """
+    _ensure_rules_loaded()
     out: Dict[str, Dict[str, str]] = {}
     for rule_id in sorted(set(rule_ids)):
-        _ensure_rules_loaded()
         rule = _REGISTRY.get(rule_id)
         if rule is not None:
             out[rule_id] = {
                 "severity": rule.severity.value,
                 "description": rule.description,
-            }
-            continue
-        # Project rules live in their own registry (see
-        # repro.analysis.project); imported lazily to keep plain file
-        # linting free of that dependency.
-        from repro.analysis import project as _project
-
-        project_rule = _project.find_project_rule(rule_id)
-        if project_rule is not None:
-            out[rule_id] = {
-                "severity": project_rule.severity.value,
-                "description": project_rule.description,
             }
         else:
             out[rule_id] = {

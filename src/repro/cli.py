@@ -26,6 +26,13 @@ from repro.core import (
     ScalaGraph,
     ScalaGraphConfig,
 )
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    GraphFormatError,
+    ServiceError,
+    SynthesisError,
+)
 from repro.experiments import format_table
 from repro.experiments.parallel import RetryPolicy, run_matrix_parallel
 from repro.experiments.runner import (
@@ -821,20 +828,12 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
         render_json,
         render_text,
     )
-    from repro.analysis.project import (
-        Baseline,
-        all_project_rules,
-        analyze_project,
-        find_project_rule,
-    )
+    from repro.analysis.project import Baseline, analyze_project
 
     if args.list_rules:
         rows = [
             [rule.rule_id, rule.severity.value, rule.description]
             for rule in all_rules()
-        ] + [
-            [rule.rule_id, rule.severity.value, rule.description]
-            for rule in all_project_rules()
         ]
         print(
             format_table(["Rule", "Severity", "Description"], rows,
@@ -853,18 +852,9 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
         if args.select
         else None
     )
-    file_select = None
-    project_select = None
-    if select is not None:
-        file_select = [
-            r for r in select if find_project_rule(r) is None
-        ]
-        project_select = [
-            r for r in select if find_project_rule(r) is not None
-        ]
     keep_suppressed = args.format_ == "json"
     findings, files_checked = lint_paths(
-        paths, select=file_select, keep_suppressed=keep_suppressed
+        paths, select=select, keep_suppressed=keep_suppressed
     )
     project_summary = None
     if args.project:
@@ -891,7 +881,7 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
             package_root,
             assertion_roots=assertion_roots,
             baseline=baseline,
-            select=project_select,
+            select=select,
             consumer_roots=[consumers_dir] if consumers_dir.is_dir() else [],
         )
         findings = findings + report.findings
@@ -1067,10 +1057,27 @@ _COMMANDS = {
 }
 
 
+#: Errors in what the user asked for (a configuration, an input graph,
+#: a daemon to reach): :func:`main` prints their message and exits 2, as
+#: argparse does for a usage error.  Any other error, a simulator's
+#: inconsistent state above all, keeps its traceback.
+_USER_ERRORS = (
+    CapacityError,
+    ConfigurationError,
+    GraphFormatError,
+    ServiceError,
+    SynthesisError,
+)
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out or sys.stdout)
+    try:
+        return _COMMANDS[args.command](args, out or sys.stdout)
+    except _USER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

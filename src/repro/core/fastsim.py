@@ -12,10 +12,9 @@ fault-window edge.  Python keeps the set-up (frontier gather, the row
 dispatchers' vertex queues, the execution/home lookup tables), the
 fault-mask loads, the sanitizer hooks and every ``CycleStats`` and
 ``MeshStats`` write; the kernel keeps its state in Python-owned arrays
-(the register arrays of
-:class:`~repro.noc.aggregation.BatchedAggregationArray`, the mesh of
-:class:`~repro.noc.fastmesh.FastMeshNetwork`, and the phase buffers of
-:class:`_Phase`) and returns counts.  Its per-edge buffers hold 32-bit
+(the mesh of :class:`~repro.noc.fastmesh.FastMeshNetwork`, and the
+phase buffers of :class:`_Phase`, every PE's register array among
+them) and returns counts.  Its per-edge buffers hold 32-bit
 edge positions and vertex and partial ids (:data:`BUFFER_DTYPES`),
 except the destinations: the graph's int64 ``indices``, read in place.
 
@@ -60,18 +59,14 @@ raised mid-run reaches the caller of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc import meshkernel
-from repro.noc.aggregation import BUFFER_DTYPES as REGISTER_DTYPES
-from repro.noc.aggregation import (
-    BatchedAggregationArray,
-    aggregation_geometry,
-)
+from repro.noc.aggregation import aggregation_geometry
 from repro.noc.fastmesh import FastMeshNetwork
 from repro.noc.meshkernel import MeshKernel
 from repro.noc.router import NUM_PORTS
@@ -118,6 +113,17 @@ BUFFER_DTYPES = {
     "partial": "float64",
     "home": "int64",
     "pe_stall": "bool",
+    # Every PE's register array: (PE, column, stage) registers and the
+    # per-PE occupancy, read column and ledger.
+    "vid": "int64",
+    "pid": "int64",
+    "occ": "int64",
+    "rr": "int64",
+    "offered": "int64",
+    "coalesced": "int64",
+    "stored": "int64",
+    "rejected": "int64",
+    "emitted": "int64",
     "out_end": "int64",
     "out_head": "int64",
     "out_tail": "int64",
@@ -146,47 +152,24 @@ _CALLER_DTYPES = {
     "vtemp": "float64",
     "touched": "bool",
 }
-_DTYPES = {**REGISTER_DTYPES, **BUFFER_DTYPES, **_CALLER_DTYPES}
+_DTYPES = {**BUFFER_DTYPES, **_CALLER_DTYPES}
 
-#: Buffers of the phase table, in the order of ``PHASE_BUFFERS`` in
-#: ``meshkernel.c``: the register array's (:data:`REGISTER_DTYPES`)
-#: come from :class:`BatchedAggregationArray`, the rest from
-#: :class:`_Phase`, except the fold's.
-_KERNEL_BUFFERS = (
-    "exec_pe", "dst", "edges", "group_start", "group_stop", "row_end",
-    "row_group", "d_edge", "d_pid", "values", "partial", "home",
-    "pe_stall", "vid", "pid", "occ", "rr", "offered", "coalesced",
-    "stored", "rejected", "emitted", "out_end", "out_head", "out_tail",
-    "out_vid", "out_pid", "spd_end", "spd_head", "spd_tail", "spd_vid",
-    "spd_pid", "free_pkts", "vtemp", "touched",
-)
 #: The buffers only ``fs_fold`` reads or writes; a :class:`_Phase`
 #: table leaves them unset.
 _FOLD_ONLY = ("values", "partial", "vtemp", "touched")
-#: Table slots of the buffers a :class:`PhaseRecord` keeps for the fold.
-_RECORD_SLOTS = [
-    _KERNEL_BUFFERS.index(name)
-    for name in (
-        "d_edge", "d_pid", "spd_end", "spd_tail", "spd_vid", "spd_pid"
-    )
-]
 #: One past the largest edge position, vertex id and partial id the
 #: int32 per-edge buffers hold.
 _INT32_IDS = 2**31
-#: The same list as the kernel spells it (``MeshKernel.phase_layout``).
-_KERNEL_LAYOUT = tuple(
-    (name, np.dtype(_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
+#: The slots :meth:`_Phase.run` reads after each ``fs_run`` call: the
+#: cycle reached, then the counts of the call — CycleStats, mesh steps,
+#: MeshStats in :meth:`FastMeshNetwork.record_steps` order, and the
+#: four stage timers.
+_RUN_SLOTS = (
+    "CYCLE", "DISPATCH_LINES", "COALESCED", "SPD_REDUCES",
+    "STALL_DEGRADED", "STEPS", "INJECTED", "DELIVERED", "HOPS", "LATENCY",
+    "STALLED", "REROUTED", "MESH_DEGRADED", "PEAK", "OCCUPANCY",
+    "NS_DISPATCH", "NS_EGRESS", "NS_STEP", "NS_RETIRE",
 )
-#: Table slots after the addresses (``enum phase_slot``): seven
-#: settings, the carried cycle, free-packet count, partial count and
-#: dispatched-update count, then the counts of one call — CycleStats
-#: (4), mesh steps, MeshStats (9), and the four stage timers.
-_SLOT_SETTINGS = len(_KERNEL_BUFFERS)
-_SLOT_REDUCE = _SLOT_SETTINGS + 3
-_SLOT_CYCLE = _SLOT_SETTINGS + 7
-_SLOT_FREE = _SLOT_CYCLE + 1
-_SLOT_COUNTS = _SLOT_CYCLE + 4
-_TABLE_SLOTS = _SLOT_COUNTS + 18
 #: ``fs_run`` results (``RUNNING`` is 0).
 _DRAINED, _OVERRUN, _CORRUPT = 1, 2, 3
 
@@ -236,18 +219,6 @@ def resolve_cycle_engine(
 # ----------------------------------------------------------------------
 # The compiled scatter phase
 # ----------------------------------------------------------------------
-def _check_layout(kernel: MeshKernel) -> None:
-    """Refuse a kernel whose phase table differs from this module's."""
-    if (kernel.phase_layout, kernel.phase_table_slots) != (
-        _KERNEL_LAYOUT, _TABLE_SLOTS
-    ):
-        raise SimulationError(
-            f"phase kernel {kernel.path} does not match fastsim: table "
-            f"{kernel.phase_layout} + {kernel.phase_table_slots} slots, "
-            f"expected {_KERNEL_LAYOUT} + {_TABLE_SLOTS} slots"
-        )
-
-
 class _Phase:
     """One scatter phase's kernel state: the buffers ``fs_run`` reads
     and writes, and the table of their addresses.
@@ -256,8 +227,17 @@ class _Phase:
     by the vertex that streams them (``group``), each vertex group's
     range in it, with the groups in row order and ascending vertex order
     within a row (the order the reference fills its dispatchers), and
-    each row's cursor into the groups.  Every other queue gets one slice
-    per PE, sized by the phase's own bound: an update enters a PE's out
+    each row's cursor into the groups.  Every PE's Figure 11 register
+    array, on which the kernel runs
+    :meth:`~repro.noc.aggregation.AggregationPipeline.offer` and
+    :meth:`~repro.noc.aggregation.AggregationPipeline.emit` in place,
+    is ``(PE, column, stage)`` registers (``vid`` -1 marks an empty one,
+    the occupied stages are a prefix of each column, and ``pid`` names
+    the partial a register accumulates) and, per PE, the live registers
+    ``occ``, the round-robin read column ``rr`` and the ledger counters
+    of :class:`~repro.noc.aggregation.AggregationStats`; without
+    registers it has no columns.  Every other queue gets one slice per
+    PE, sized by the phase's own bound: an update enters a PE's out
     queue at most once (at its execution PE) and its SPD queue at most
     once (at its destination's home), and at most ``nodes x ports x
     depth`` packets fit in the mesh at once, so the kernel never needs
@@ -269,7 +249,7 @@ class _Phase:
     def __init__(
         self,
         network: FastMeshNetwork,
-        agg: Optional[BatchedAggregationArray],
+        registers: int,
         group: np.ndarray,
         edges: np.ndarray,
         exec_pe: np.ndarray,
@@ -280,7 +260,13 @@ class _Phase:
         profiled: bool,
     ) -> None:
         self.kernel = meshkernel.load()
-        _check_layout(self.kernel)
+        layout = self.kernel.phase_layout
+        layout.check(_DTYPES)
+        settings = layout.at(
+            "MESH", "STAGES", "COLUMNS", "REDUCE", "WINDOW", "MAX_CYCLES",
+            "PROFILE", "FREE",
+        )
+        self._run_slots = layout.at(*_RUN_SLOTS)
         topology = network.topology
         n = topology.num_nodes
         updates = dst.size
@@ -324,6 +310,18 @@ class _Phase:
         self.home = np.empty(home.size, dtype=np.int64)
         self.home[:] = home
         self.pe_stall = np.zeros(n, dtype=bool)
+        stages, columns = (
+            aggregation_geometry(registers) if registers > 0 else (0, 0)
+        )
+        self.vid = np.full((n, columns, stages), -1, dtype=np.int64)
+        self.pid = np.zeros((n, columns, stages), dtype=np.int64)
+        self.occ = np.zeros(n, dtype=np.int64)
+        self.rr = np.zeros(n, dtype=np.int64)
+        self.offered = np.zeros(n, dtype=np.int64)
+        self.coalesced = np.zeros(n, dtype=np.int64)
+        self.stored = np.zeros(n, dtype=np.int64)
+        self.rejected = np.zeros(n, dtype=np.int64)
+        self.emitted = np.zeros(n, dtype=np.int64)
         self.out_end = np.empty(n, dtype=np.int64)
         np.cumsum(out_bound, out=self.out_end)
         self.out_head = np.empty(n, dtype=np.int64)
@@ -345,49 +343,35 @@ class _Phase:
         self.free_pkts = np.empty(packets, dtype=np.int64)
         self.free_pkts[:] = np.arange(packets)
 
-        self.table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
-        for slot, name in enumerate(_KERNEL_BUFFERS):
-            owner = agg if name in REGISTER_DTYPES else self
-            # No register array, or a fold buffer: the slot stays 0.
-            if owner is not None and name not in _FOLD_ONLY:
-                self.table[slot] = _address(name, getattr(owner, name))
-        self.table[_SLOT_SETTINGS:_SLOT_CYCLE] = (
-            network.kernel_table(packets),
-            agg.num_stages if agg is not None else 0,
-            agg.num_columns if agg is not None else 0,
+        self.table = np.zeros(layout.size, dtype=np.int64)
+        for at, (name, _) in enumerate(layout.buffers):
+            if name not in _FOLD_ONLY:  # a fold buffer's slot stays 0
+                self.table[at] = meshkernel.address(
+                    name, getattr(self, name), _DTYPES[name]
+                )
+        self.table[settings] = (
+            network.kernel_table(packets), stages, columns,
             0,  # the reduce: the fold's
-            window,
-            max_cycles,
-            profiled,
+            window, max_cycles, profiled, packets,
         )
-        self.table[_SLOT_FREE] = packets
-        self._address = _address("table", self.table)
+        self._address = meshkernel.address(
+            "table", self.table, _DTYPES["table"]
+        )
 
-    def run(self, stop: int) -> int:
+    def run(self, stop: int) -> Tuple[int, List[int]]:
         """Advance the phase until it drains or reaches cycle ``stop``;
-        returns the kernel's status."""
-        return int(self.kernel.phase(self._address, stop))
+        returns the kernel's status and the slots :data:`_RUN_SLOTS`
+        names."""
+        status = int(self.kernel.phase(self._address, stop))
+        return status, self.table[self._run_slots].tolist()
 
-    def queued(self) -> int:
-        """Updates waiting in the out and SPD queues."""
+    def held(self) -> int:
+        """Updates still in the out and SPD queues and the registers."""
         return int(
             (self.out_tail - self.out_head).sum()
             + (self.spd_tail - self.spd_head).sum()
+            + self.occ.sum()
         )
-
-
-def _address(name: str, array: np.ndarray) -> int:
-    """``array``'s data address, once it is checked to be C-contiguous
-    and of the dtype declared for ``name``: the kernel reads it as raw
-    memory of that type."""
-    want = np.dtype(_DTYPES[name])
-    if array.dtype != want or not array.flags.c_contiguous:
-        raise SimulationError(
-            f"phase kernel buffer {name} must be a C-contiguous {want} "
-            f"array, got {array.dtype} "
-            f"(C-contiguous: {array.flags.c_contiguous})"
-        )
-    return int(array.ctypes.data)
 
 
 @dataclass
@@ -423,11 +407,28 @@ class PhaseRecord:
     rerouted_packets: int
     in_flight: int
     #: The fold's table: it holds the addresses of the record's own
-    #: buffers; each fold sets the values, vtemp and the touched marks.
-    table: np.ndarray
+    #: buffers; each fold binds the values, the partials, vtemp and the
+    #: touched marks.
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._address = _address("table", self.table)
+        self.table = np.zeros(self.kernel.phase_layout.size, dtype=np.int64)
+        self.bind(
+            d_edge=self.edge_order, d_pid=self.d_pid, spd_end=self.spd_end,
+            spd_tail=self.spd_tail, spd_vid=self.spd_vid,
+            spd_pid=self.spd_pid,
+        )
+        self._address = meshkernel.address(
+            "table", self.table, _DTYPES["table"]
+        )
+
+    def bind(self, **buffers: np.ndarray) -> None:
+        """Write the addresses of the named buffers into the fold's
+        table."""
+        self.table[self.kernel.phase_layout.at(*buffers)] = [
+            meshkernel.address(name, array, _DTYPES[name])
+            for name, array in buffers.items()
+        ]
 
     @property
     def updates(self) -> int:
@@ -456,12 +457,8 @@ class PhaseRecord:
                 f"{vtemp.size} vertex values and {touched.size} marks"
             )
         partial = np.empty(self.updates - self.coalesced, dtype=np.float64)
-        for name, array in (
-            ("values", values), ("partial", partial), ("vtemp", vtemp),
-            ("touched", touched),
-        ):
-            self.table[_KERNEL_BUFFERS.index(name)] = _address(name, array)
-        self.table[_SLOT_REDUCE] = reduce_op
+        self.bind(values=values, partial=partial, vtemp=vtemp, touched=touched)
+        self.table[self.kernel.phase_layout.at("REDUCE")] = reduce_op
         partials = self.kernel.fold(
             self._address, self.spd_end.size, self.updates, partial.size
         )
@@ -499,13 +496,6 @@ def _simulate(
         dtype=np.int64,
     )
     registers = sim.config.aggregation_registers
-    agg = (
-        BatchedAggregationArray(
-            topology.num_nodes, *aggregation_geometry(registers)
-        )
-        if registers > 0
-        else None
-    )
     network = FastMeshNetwork(
         topology,
         buffer_depth=sim.noc_buffer_depth,
@@ -516,7 +506,7 @@ def _simulate(
     # per-partition CSR groups edges by destination instead.
     group = dst if isinstance(mapping, DestinationOrientedMapping) else src
     phase = _Phase(
-        network, agg, group,
+        network, registers, group,
         np.argsort(group, kind="stable").astype(np.int32), exec_pe, dst,
         home, sim.config.degree_aware_window, max_cycles,
         profiler is not None,
@@ -532,11 +522,11 @@ def _simulate(
         stop = cycle + (1 if sanitizer is not None else _CALL_CYCLES)
         if faults is not None and edge is not None:
             stop = min(stop, edge)
-        status = phase.run(stop)
+        status, counts = phase.run(stop)
         (
-            lines, merged, reduces, stalled, steps, *mesh_counts,
+            reached, lines, merged, reduces, stalled, steps, *mesh_counts,
             ns_dispatch, ns_egress, ns_step, ns_retire,
-        ) = phase.table[_SLOT_COUNTS:].tolist()
+        ) = counts
         network.record_steps(steps, *mesh_counts)
         dispatch_lines += lines
         coalesced += merged
@@ -547,9 +537,9 @@ def _simulate(
             profiler.add_time("cycle_sim.egress", ns_egress * 1e-9, steps)
             profiler.add_time("cycle_sim.noc_step", ns_step * 1e-9, steps)
             profiler.add_time("cycle_sim.retire", ns_retire * 1e-9, steps)
-        if sanitizer is not None and agg is not None:
-            sanitizer.check_aggregation_ledger_arrays(agg, cycle=cycle)
-        cycle = int(phase.table[_SLOT_CYCLE])
+        if sanitizer is not None and registers > 0:
+            sanitizer.check_aggregation_ledger_arrays(phase, cycle=cycle)
+        cycle = reached
         if status == _DRAINED:
             break
         if status == _OVERRUN:
@@ -562,10 +552,6 @@ def _simulate(
                 "or a register array with no live column"
             )
 
-    # The record's buffers are the phase's, whose addresses were
-    # checked when its table was built.
-    table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
-    table[_RECORD_SLOTS] = phase.table[_RECORD_SLOTS]
     return PhaseRecord(
         kernel=phase.kernel,
         vertices=graph.num_vertices,
@@ -584,12 +570,7 @@ def _simulate(
         degraded_cycles=stall_degraded + network.stats.degraded_cycles,
         noc_hops=network.stats.total_hops,
         rerouted_packets=network.stats.rerouted_packets,
-        in_flight=(
-            phase.queued()
-            + (int(agg.occ.sum()) if agg is not None else 0)
-            + network.total_occupancy()
-        ),
-        table=table,
+        in_flight=phase.held() + network.total_occupancy(),
     )
 
 

@@ -30,7 +30,6 @@ from repro.noc.patterns import drain
 from repro.noc.benes import BenesNetwork
 from repro.noc.aggregation import (
     AggregationPipeline,
-    BatchedAggregationArray,
     aggregation_geometry,
     window_coalesce_count,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "drain",
     "BenesNetwork",
     "AggregationPipeline",
-    "BatchedAggregationArray",
     "aggregation_geometry",
     "window_coalesce_count",
     "column_link_loads",

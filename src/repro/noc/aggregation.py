@@ -8,14 +8,13 @@ update is hashed to a register column and flows down the stages until it
 finds a matching vertex ID (coalesce) or an empty register (store); reads
 pop the first stage and shift the column up systolically.
 
-Three models live here:
+Two models live here:
 
 * :class:`AggregationPipeline` — a faithful cycle-level register array,
   the one the reference cycle engine runs, one list of registers per
-  column.
-* :class:`BatchedAggregationArray` — every PE's register array as flat
-  arrays, offered to and drained by the compiled scatter phase of the
-  vectorized cycle engine, with the same semantics.
+  column.  The vectorized cycle engine's compiled scatter phase runs
+  the same offer and emit on every PE's register array held as flat
+  arrays (:mod:`repro.core.fastsim`).
 * :func:`window_coalesce_count` / :func:`window_coalesce` — the
   statistical window model, kept as a test oracle: with ``R`` registers
   of residency an update coalesces iff the previous update to the same
@@ -40,24 +39,6 @@ if TYPE_CHECKING:  # hook is duck-typed; no runtime import needed
     from repro.analysis.sanitizer import SimSanitizer
 
 ReduceFn = Callable[[float, float], float]
-
-#: Declared dtype contract of :class:`BatchedAggregationArray`, whose
-#: arrays the compiled scatter phase reads and writes as raw memory.
-#: SIM604 checks every allocation below against it, and
-#: :mod:`repro.core.fastsim` checks every array against it before
-#: handing it to the kernel.
-BUFFER_DTYPES = {
-    "vid": "int64",
-    "pid": "int64",
-    "occ": "int64",
-    "rr": "int64",
-    "offered": "int64",
-    "coalesced": "int64",
-    "stored": "int64",
-    "rejected": "int64",
-    "emitted": "int64",
-}
-
 
 def aggregation_geometry(registers: int) -> Tuple[int, int]:
     """``(num_stages, num_columns)`` of the register array holding
@@ -186,52 +167,6 @@ class AggregationPipeline:
         self.stats.emitted += 1
         self._audit()
         return vertex, value
-
-
-class BatchedAggregationArray:
-    """Every PE's Figure 11 register array in one struct-of-arrays state.
-
-    Semantically this is ``num_pes`` independent
-    :class:`AggregationPipeline` instances (same geometry, same default
-    ``vid % num_columns`` column hash, same round-robin read pointer),
-    held as the arrays the compiled scatter phase
-    (:mod:`repro.core.fastsim`) offers updates to and drains: the
-    kernel runs :meth:`AggregationPipeline.offer` and
-    :meth:`AggregationPipeline.emit` on them in place.
-
-    Registers are ``(num_pes, num_columns, num_stages)`` arrays with
-    ``vid == -1`` marking an empty register; columns are prefix-dense
-    (occupied stages first), mirroring the reference invariant.  A
-    register holds no value: ``pid`` names the partial it accumulates,
-    whose value the kernel computes after the phase.  ``occ``
-    counts live registers per PE, ``rr`` is each PE's round-robin read
-    column, and the per-PE ledger counters mean what
-    :class:`AggregationStats` does; the sanitizer audits all of them
-    (``check_aggregation_ledger_arrays``).
-    """
-
-    def __init__(
-        self, num_pes: int, num_stages: int, num_columns: int
-    ) -> None:
-        if num_pes <= 0 or num_stages <= 0 or num_columns <= 0:
-            raise ConfigurationError("array dimensions must be positive")
-        self.num_pes = num_pes
-        self.num_stages = num_stages
-        self.num_columns = num_columns
-        shape = (num_pes, num_columns, num_stages)
-        self.vid = np.full(shape, -1, dtype=np.int64)
-        self.pid = np.zeros(shape, dtype=np.int64)
-        self.occ = np.zeros(num_pes, dtype=np.int64)
-        self.rr = np.zeros(num_pes, dtype=np.int64)
-        self.offered = np.zeros(num_pes, dtype=np.int64)
-        self.coalesced = np.zeros(num_pes, dtype=np.int64)
-        self.stored = np.zeros(num_pes, dtype=np.int64)
-        self.rejected = np.zeros(num_pes, dtype=np.int64)
-        self.emitted = np.zeros(num_pes, dtype=np.int64)
-
-    @property
-    def capacity(self) -> int:
-        return self.num_stages * self.num_columns
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.noc import meshkernel
 from repro.noc.mesh import MeshNetwork, MeshStats
 from repro.noc.packet import Packet
@@ -86,8 +86,8 @@ ENGINE_TWIN = {
 #: SIM604 checks every ``np.zeros/full/empty/ones`` call site assigned
 #: to these attributes against this table, so a dtype change must be
 #: made here — visibly — rather than slipping through one allocation.
-#: :meth:`FastMeshNetwork._bind` checks every buffer handed to the C
-#: kernel against it at run time.
+#: The constructor checks the kernel's mesh table against it, and
+#: :meth:`FastMeshNetwork._bind` every buffer handed to the kernel.
 BUFFER_DTYPES = {
     "_buf": "int64",
     "_head": "int64",
@@ -111,35 +111,6 @@ BUFFER_DTYPES = {
     # The kernel's table: buffer addresses, geometry, step counters.
     "_table": "int64",
 }
-
-#: Buffers handed to the kernel, in the order of ``BUFFERS`` in
-#: ``meshkernel.c``; the table holds their addresses in this order.
-_KERNEL_BUFFERS = (
-    "_buf", "_head", "_count", "_rr",
-    "_pkt_dst", "_pkt_injected", "_pkt_vertex", "_pkt_pid",
-    "_dlv_pidx", "_dead", "_stall", "_moves",
-)
-#: The same list as the kernel spells it (``MeshKernel.layout``): each
-#: buffer with its element kind and size, e.g. ``("_dead", "b1")`` (a
-#: dtype's ``str`` minus its byte-order character).
-_KERNEL_LAYOUT = tuple(
-    (name, np.dtype(BUFFER_DTYPES[name]).str[1:]) for name in _KERNEL_BUFFERS
-)
-#: Table slots after the addresses (``enum slot``): geometry, then the
-#: seven counters ``fm_step`` reports.
-_SLOT_GEOMETRY = len(_KERNEL_BUFFERS)
-_SLOT_COUNTS = _SLOT_GEOMETRY + 4
-_TABLE_SLOTS = _SLOT_COUNTS + 7
-
-
-def _check_layout(kernel: meshkernel.MeshKernel) -> None:
-    """Refuse a kernel whose mesh table differs from this module's."""
-    if (kernel.layout, kernel.table_slots) != (_KERNEL_LAYOUT, _TABLE_SLOTS):
-        raise SimulationError(
-            f"mesh kernel {kernel.path} does not match fastmesh: table "
-            f"{kernel.layout} + {kernel.table_slots} slots, expected "
-            f"{_KERNEL_LAYOUT} + {_TABLE_SLOTS} slots"
-        )
 
 
 class FastMeshNetwork:
@@ -168,7 +139,13 @@ class FastMeshNetwork:
         if buffer_depth <= 0:
             raise ConfigurationError("buffer_depth must be positive")
         self._kernel = meshkernel.load()
-        _check_layout(self._kernel)
+        layout = self._kernel.mesh_layout
+        layout.check(BUFFER_DTYPES)
+        #: Table positions of the counts ``fm_step`` reports.
+        self._counts = layout.at(
+            "DELIVERED", "HOPS", "LATENCY", "STALLED", "REROUTED",
+            "DEGRADED", "OCCUPANCY",
+        )
         self.topology = topology
         self.buffer_depth = buffer_depth
         #: Optional runtime invariant checker (see
@@ -219,35 +196,29 @@ class FastMeshNetwork:
         self._dead = np.zeros((n, NUM_PORTS), dtype=bool)
         self._stall = np.zeros((n, NUM_PORTS), dtype=bool)
         self._moves = np.zeros(n * NUM_PORTS, dtype=np.int64)
-        self._table = np.zeros(_TABLE_SLOTS, dtype=np.int64)
-        self._table[_SLOT_GEOMETRY:_SLOT_COUNTS] = (
+        self._table = np.zeros(layout.size, dtype=np.int64)
+        self._table[layout.at("NODES", "ROWS", "COLS", "DEPTH")] = (
             n, topology.rows, topology.cols, depth
         )
         self._bind()
 
     def _bind(self) -> None:
-        """Write the kernel table's buffer addresses.
+        """Write the kernel table's buffer addresses, in the kernel's
+        order.
 
         Runs before the first kernel call and after every reallocation,
         before the next kernel call: the table holds raw addresses of
-        the arrays these attributes reference.  A buffer of the wrong
-        dtype or layout would be read as raw memory by the kernel, so
-        each is checked against :data:`BUFFER_DTYPES` first (the
-        constructor has checked that the kernel expects those dtypes).
+        the arrays these attributes reference, each checked against
+        :data:`BUFFER_DTYPES` first.
         """
-        arrays = tuple(getattr(self, name) for name in _KERNEL_BUFFERS)
-        for name, arr in zip(
-            _KERNEL_BUFFERS + ("_table",), arrays + (self._table,)
-        ):
-            want = np.dtype(BUFFER_DTYPES[name])
-            if arr.dtype != want or not arr.flags.c_contiguous:
-                raise SimulationError(
-                    f"mesh kernel buffer {name} must be a C-contiguous "
-                    f"{want} array, got {arr.dtype} "
-                    f"(C-contiguous: {arr.flags.c_contiguous})"
-                )
-        self._table[:_SLOT_GEOMETRY] = [a.ctypes.data for a in arrays]
-        self._table_addr = self._table.ctypes.data
+        buffers = self._kernel.mesh_layout.buffers
+        self._table[: len(buffers)] = [
+            meshkernel.address(name, getattr(self, name), BUFFER_DTYPES[name])
+            for name, _ in buffers
+        ]
+        self._table_addr = meshkernel.address(
+            "_table", self._table, BUFFER_DTYPES["_table"]
+        )
 
     # ------------------------------------------------------------------
     # Injection
@@ -289,7 +260,7 @@ class FastMeshNetwork:
         self._kernel.step(self._table_addr, self.cycle, n0)
         (
             delivered, hops, latency, stalled, rerouted, degraded, occupancy,
-        ) = self._table[_SLOT_COUNTS:].tolist()
+        ) = self._table[self._counts].tolist()
         self._dlv_n = n0 + delivered
         if delivered:
             self._materialise_deliveries(n0)

@@ -26,12 +26,15 @@
  * queue entry each carry a partial id, and fs_fold computes the values
  * once the phase has drained (see "The fold").
  *
- * Python owns every buffer.  It passes int64 tables: the buffer
- * addresses in the order of BUFFERS (mesh) or PHASE_BUFFERS (phase),
- * then scalar slots (enum slot, enum phase_slot).  fm_layout,
- * fm_table_slots, fs_layout and fs_table_slots spell the tables out,
- * element types included, so fastmesh and fastsim can check them
- * against their own declarations before the first call.  The phase's
+ * Python owns every buffer.  It passes int64 tables, each declared once
+ * here by one X-macro (MESH_TABLE, PHASE_TABLE): every buffer's address
+ * with its element type, in the order listed, then every scalar slot.
+ * The same macro generates the C enums, the buffers' element types
+ * (BUFFER(name) and PHASE(name) are typed by the declaration alone)
+ * and the layout strings fm_layout and fs_layout, from which
+ * repro.noc.meshkernel maps each name to its position; fastmesh and
+ * fastsim check their buffer dtypes against them, then bind buffers in
+ * the listed order and set and read slots by name.  The phase's
  * per-edge id buffers hold int32 (edge positions, PE ids, vertex and
  * partial ids: fastsim refuses a phase of 2^31 or more updates or
  * vertices), so every store into one narrows by an explicit cast; the
@@ -51,32 +54,34 @@ typedef int32_t i4;
 typedef double f8;
 typedef uint8_t b1;
 
-/* Table order of the buffers: fastmesh attribute name, element type. */
-#define BUFFERS(X)                                                         \
-    X(buf, i8) X(head, i8) X(count, i8) X(rr, i8) X(pkt_dst, i8)           \
-    X(pkt_injected, i8) X(pkt_vertex, i8) X(pkt_pid, i8) X(dlv_pidx, i8)   \
-    X(dead, b1) X(stall, b1) X(moves, i8)
+/* The mesh table: fastmesh's buffers (attribute name without its
+ * leading underscore, element type), then the geometry fastmesh sets
+ * and the counts of the last step. */
+#define MESH_TABLE(BUF, SLOT)                                              \
+    BUF(buf, i8) BUF(head, i8) BUF(count, i8) BUF(rr, i8)                  \
+    BUF(pkt_dst, i8) BUF(pkt_injected, i8) BUF(pkt_vertex, i8)             \
+    BUF(pkt_pid, i8) BUF(dlv_pidx, i8) BUF(dead, b1) BUF(stall, b1)        \
+    BUF(moves, i8)                                                         \
+    SLOT(NODES) SLOT(ROWS) SLOT(COLS) SLOT(DEPTH)                          \
+    SLOT(DELIVERED) SLOT(HOPS) SLOT(LATENCY) SLOT(STALLED) SLOT(REROUTED)  \
+    SLOT(DEGRADED) SLOT(OCCUPANCY)
 
-#define AS_ENUM(name, type) B_##name,
-#define AS_TEXT(name, type) "_" #name ":" #type " "
-enum buffer { BUFFERS(AS_ENUM) NBUFFERS };
+#define MESH_ENUM(name, type) B_##name,
+#define MESH_SLOT_ENUM(name) S_##name,
+#define MESH_TYPE(name, type) typedef type B_##name##_t;
+#define MESH_TEXT(name, type) "_" #name ":" #type " "
+#define NO_SLOT(name)
+#define SLOT_TEXT(name) #name " "
+enum mesh_entry { MESH_TABLE(MESH_ENUM, MESH_SLOT_ENUM) };
+MESH_TABLE(MESH_TYPE, NO_SLOT)
 
-/* Buffer `name` of table t, as an array of `type`. */
-#define BUFFER(name, type) ((type *)t[B_##name])
-
-enum slot {
-    S_NODES = NBUFFERS, S_ROWS, S_COLS, S_DEPTH,
-    S_DELIVERED, S_HOPS, S_LATENCY, S_STALLED, S_REROUTED, S_DEGRADED,
-    S_OCCUPANCY,
-    NSLOTS
-};
+/* Buffer `name` of mesh table t, as an array of its element type. */
+#define BUFFER(name) ((B_##name##_t *)t[B_##name])
 
 /* Input port seen by the downstream router of each output port. */
 static const int DOWN_IN[NPORTS] = {-1, SOUTH, NORTH, EAST, WEST};
 
-int64_t fm_table_slots(void) { return NSLOTS; }
-
-const char *fm_layout(void) { return BUFFERS(AS_TEXT); }
+const char *fm_layout(void) { return MESH_TABLE(MESH_TEXT, SLOT_TEXT); }
 
 /* XY output port at node (column c) for a packet to dst (column dc). */
 static int xy_route(int64_t node, int64_t c, int64_t dst, int64_t dc)
@@ -127,11 +132,11 @@ static int64_t tail_slot(int64_t head, int64_t count, int64_t depth)
 
 static int64_t mesh_step(int64_t *t, int64_t cycle, int64_t ndlv)
 {
-    i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
-    i8 *count = BUFFER(count, i8), *rr = BUFFER(rr, i8);
-    const i8 *dst = BUFFER(pkt_dst, i8), *injected = BUFFER(pkt_injected, i8);
-    i8 *dlv = BUFFER(dlv_pidx, i8), *moves = BUFFER(moves, i8);
-    const b1 *dead = BUFFER(dead, b1), *stall = BUFFER(stall, b1);
+    i8 *buf = BUFFER(buf), *head = BUFFER(head);
+    i8 *count = BUFFER(count), *rr = BUFFER(rr);
+    const i8 *dst = BUFFER(pkt_dst), *injected = BUFFER(pkt_injected);
+    i8 *dlv = BUFFER(dlv_pidx), *moves = BUFFER(moves);
+    const b1 *dead = BUFFER(dead), *stall = BUFFER(stall);
     const int64_t n = t[S_NODES], rows = t[S_ROWS], cols = t[S_COLS];
     const int64_t depth = t[S_DEPTH];
     /* Node indices fit 32 bits, whose divide is far cheaper. */
@@ -230,16 +235,16 @@ int64_t fm_step(int64_t *t, int64_t cycle, int64_t ndlv)
 static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
                  i8 vertex, i8 pid, int64_t cycle)
 {
-    i8 *buf = BUFFER(buf, i8), *head = BUFFER(head, i8);
-    i8 *count = BUFFER(count, i8);
+    i8 *buf = BUFFER(buf), *head = BUFFER(head);
+    i8 *count = BUFFER(count);
     const int64_t depth = t[S_DEPTH], f = src * NPORTS; /* LOCAL FIFO */
     if (count[f] >= depth) return 0;
     buf[f * depth + tail_slot(head[f], count[f], depth)] = pidx;
     count[f]++;
-    BUFFER(pkt_dst, i8)[pidx] = dst;
-    BUFFER(pkt_injected, i8)[pidx] = cycle;
-    BUFFER(pkt_vertex, i8)[pidx] = vertex;
-    BUFFER(pkt_pid, i8)[pidx] = pid;
+    BUFFER(pkt_dst)[pidx] = dst;
+    BUFFER(pkt_injected)[pidx] = cycle;
+    BUFFER(pkt_vertex)[pidx] = vertex;
+    BUFFER(pkt_pid)[pidx] = pid;
     return 1;
 }
 
@@ -247,10 +252,10 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
 /* The scatter phase                                                   */
 /* ------------------------------------------------------------------ */
 
-/* Table order of the phase buffers: Python attribute name, element type.
- * The per-edge id buffers are int32 (exec_pe, edges, d_edge, d_pid and
- * the out and SPD queues' vid and pid) but dst, the graph's int64
- * destinations.
+/* The phase table: fastsim's buffers (attribute name, element type),
+ * then its scalar slots.  The per-edge id buffers are int32 (exec_pe,
+ * edges, d_edge, d_pid and the out and SPD queues' vid and pid) but
+ * dst, the graph's int64 destinations.
  *   exec_pe, dst, edges  each edge's execution PE and destination, and
  *                        the edges sorted stably by the vertex that
  *                        streams them (the row dispatchers' queues): the
@@ -268,59 +273,60 @@ static int place(int64_t *t, int64_t pidx, int64_t src, int64_t dst,
  *                        slot per partial (fs_fold);
  *   home                 each vertex's home PE;
  *   pe_stall             PEs stalled in the current fault window;
- *   vid .. emitted       every PE's register array (vid -1 = empty; pid,
- *                        the partial each register holds) and ledger
- *                        (repro.noc.aggregation);
+ *   vid .. emitted       every PE's register array, (PE, column, stage)
+ *                        registers (vid -1 = empty; pid, the partial
+ *                        each register holds), and its ledger, as
+ *                        repro.noc.aggregation.AggregationPipeline keeps
+ *                        them;
  *   out_*, spd_*         each PE's egress and SPD queue of (vertex,
  *                        partial id): one slice per PE ending at
  *                        *_end[pe], live in [head, tail);
  *   free_pkts            mesh packet indices not in flight (a stack);
  *   vtemp, touched       the phase's reduced values and touched marks
- *                        (fs_fold). */
-#define PHASE_BUFFERS(X)                                                   \
-    X(exec_pe, i4) X(dst, i8) X(edges, i4) X(group_start, i8)              \
-    X(group_stop, i8) X(row_end, i8) X(row_group, i8) X(d_edge, i4)        \
-    X(d_pid, i4) X(values, f8) X(partial, f8) X(home, i8) X(pe_stall, b1)  \
-    X(vid, i8) X(pid, i8) X(occ, i8) X(rr, i8) X(offered, i8)              \
-    X(coalesced, i8) X(stored, i8) X(rejected, i8) X(emitted, i8)          \
-    X(out_end, i8) X(out_head, i8) X(out_tail, i8) X(out_vid, i4)          \
-    X(out_pid, i4) X(spd_end, i8) X(spd_head, i8) X(spd_tail, i8)          \
-    X(spd_vid, i4) X(spd_pid, i4) X(free_pkts, i8) X(vtemp, f8)            \
-    X(touched, b1)
+ *                        (fs_fold).
+ * The slots: set up by Python once per phase, MESH (the mesh's table),
+ * STAGES and COLUMNS (COLUMNS 0 means no register array), REDUCE (0
+ * for np.add, 1 for np.minimum, 2 for np.maximum), WINDOW (the most
+ * vertex groups one line draws from), MAX_CYCLES and PROFILE; carried
+ * from call to call, the cycle, the free packet indices, the partial
+ * ids issued and the updates dispatched; then the counts of the last
+ * call, which fs_run zeroes first: CycleStats (STALL_DEGRADED counts
+ * the cycles a stalled PE held work while the mesh met no fault), then
+ * MeshStats, then the nanoseconds of each stage when PROFILE is set. */
+#define PHASE_TABLE(BUF, SLOT)                                             \
+    BUF(exec_pe, i4) BUF(dst, i8) BUF(edges, i4) BUF(group_start, i8)      \
+    BUF(group_stop, i8) BUF(row_end, i8) BUF(row_group, i8)                \
+    BUF(d_edge, i4) BUF(d_pid, i4) BUF(values, f8) BUF(partial, f8)        \
+    BUF(home, i8) BUF(pe_stall, b1) BUF(vid, i8) BUF(pid, i8) BUF(occ, i8) \
+    BUF(rr, i8) BUF(offered, i8) BUF(coalesced, i8) BUF(stored, i8)        \
+    BUF(rejected, i8) BUF(emitted, i8) BUF(out_end, i8) BUF(out_head, i8)  \
+    BUF(out_tail, i8) BUF(out_vid, i4) BUF(out_pid, i4) BUF(spd_end, i8)   \
+    BUF(spd_head, i8) BUF(spd_tail, i8) BUF(spd_vid, i4) BUF(spd_pid, i4)  \
+    BUF(free_pkts, i8) BUF(vtemp, f8) BUF(touched, b1)                     \
+    SLOT(MESH) SLOT(STAGES) SLOT(COLUMNS) SLOT(REDUCE) SLOT(WINDOW)        \
+    SLOT(MAX_CYCLES) SLOT(PROFILE)                                         \
+    SLOT(CYCLE) SLOT(FREE) SLOT(PARTIALS) SLOT(DISPATCHED)                 \
+    SLOT(DISPATCH_LINES) SLOT(COALESCED) SLOT(SPD_REDUCES)                 \
+    SLOT(STALL_DEGRADED) SLOT(STEPS) SLOT(INJECTED) SLOT(DELIVERED)        \
+    SLOT(HOPS) SLOT(LATENCY) SLOT(STALLED) SLOT(REROUTED)                  \
+    SLOT(MESH_DEGRADED) SLOT(PEAK) SLOT(OCCUPANCY) SLOT(NS_DISPATCH)       \
+    SLOT(NS_EGRESS) SLOT(NS_STEP) SLOT(NS_RETIRE)
 
-#define AS_PHASE_ENUM(name, type) P_##name,
-#define AS_PHASE_TEXT(name, type) #name ":" #type " "
-enum phase_buffer { PHASE_BUFFERS(AS_PHASE_ENUM) NPHASE_BUFFERS };
+#define PHASE_ENUM(name, type) P_##name,
+#define PHASE_SLOT_ENUM(name) Q_##name,
+#define PHASE_TYPE(name, type) typedef type P_##name##_t;
+#define PHASE_TEXT(name, type) #name ":" #type " "
+enum phase_entry { PHASE_TABLE(PHASE_ENUM, PHASE_SLOT_ENUM) PHASE_ENTRIES };
+PHASE_TABLE(PHASE_TYPE, NO_SLOT)
 
-#define PHASE(name, type) ((type *)p[P_##name])
-
-enum phase_slot {
-    /* Set up by Python once per phase.  MESH is the mesh's table;
-     * COLUMNS 0 means no register array (its buffers are unset);
-     * REDUCE is 0 for np.add, 1 for np.minimum, 2 for np.maximum;
-     * WINDOW is the most vertex groups one line draws from. */
-    Q_MESH = NPHASE_BUFFERS, Q_STAGES, Q_COLUMNS, Q_REDUCE,
-    Q_WINDOW, Q_MAX_CYCLES, Q_PROFILE,
-    /* Carried from call to call: the cycle, the free packet indices, the
-     * partial ids issued and the updates dispatched. */
-    Q_CYCLE, Q_FREE, Q_PARTIALS, Q_DISPATCHED,
-    /* Counts of the last call: CycleStats (STALL_DEGRADED counts the
-     * cycles a stalled PE held work while the mesh met no fault), then
-     * MeshStats, then the nanoseconds of each stage when PROFILE is set. */
-    Q_DISPATCH_LINES, Q_COALESCED, Q_SPD_REDUCES, Q_STALL_DEGRADED, Q_STEPS,
-    Q_INJECTED, Q_DELIVERED, Q_HOPS, Q_LATENCY, Q_STALLED, Q_REROUTED,
-    Q_MESH_DEGRADED, Q_PEAK, Q_OCCUPANCY,
-    Q_NS_DISPATCH, Q_NS_EGRESS, Q_NS_STEP, Q_NS_RETIRE,
-    NPHASE_SLOTS
-};
+/* Buffer `name` of phase table p, as an array of its element type. */
+#define PHASE(name) ((P_##name##_t *)p[P_##name])
 
 /* fs_run's results: stopped at the named cycle, drained, ran past
  * MAX_CYCLES, or found a queue or register array inconsistent. */
 enum { RUNNING, DRAINED, OVERRUN, CORRUPT };
 
-int64_t fs_table_slots(void) { return NPHASE_SLOTS; }
-
-const char *fs_layout(void) { return PHASE_BUFFERS(AS_PHASE_TEXT); }
+const char *fs_layout(void) { return PHASE_TABLE(PHASE_TEXT, SLOT_TEXT); }
 
 struct queue {
     const i8 *end;
@@ -434,31 +440,31 @@ static int64_t now_ns(void)
 int64_t fs_run(int64_t *p, int64_t stop)
 {
     int64_t *t = (int64_t *)p[Q_MESH];
-    const i4 *exec_pe = PHASE(exec_pe, i4), *edges = PHASE(edges, i4);
-    const i8 *dst = PHASE(dst, i8), *group_stop = PHASE(group_stop, i8);
-    const i8 *row_end = PHASE(row_end, i8);
-    i8 *group_start = PHASE(group_start, i8);
-    i8 *row_group = PHASE(row_group, i8);
-    i4 *d_edge = PHASE(d_edge, i4), *d_pid = PHASE(d_pid, i4);
-    const i8 *home = PHASE(home, i8);
-    const b1 *stalled = PHASE(pe_stall, b1);
+    const i4 *exec_pe = PHASE(exec_pe), *edges = PHASE(edges);
+    const i8 *dst = PHASE(dst), *group_stop = PHASE(group_stop);
+    const i8 *row_end = PHASE(row_end);
+    i8 *group_start = PHASE(group_start);
+    i8 *row_group = PHASE(row_group);
+    i4 *d_edge = PHASE(d_edge), *d_pid = PHASE(d_pid);
+    const i8 *home = PHASE(home);
+    const b1 *stalled = PHASE(pe_stall);
     struct regs r = {
-        PHASE(vid, i8), PHASE(pid, i8), PHASE(occ, i8), PHASE(rr, i8),
-        PHASE(offered, i8), PHASE(coalesced, i8), PHASE(stored, i8),
-        PHASE(rejected, i8), PHASE(emitted, i8), p[Q_STAGES], p[Q_COLUMNS],
+        PHASE(vid), PHASE(pid), PHASE(occ), PHASE(rr),
+        PHASE(offered), PHASE(coalesced), PHASE(stored),
+        PHASE(rejected), PHASE(emitted), p[Q_STAGES], p[Q_COLUMNS],
     };
     struct queue out = {
-        PHASE(out_end, i8), PHASE(out_head, i8), PHASE(out_tail, i8),
-        PHASE(out_vid, i4), PHASE(out_pid, i4),
+        PHASE(out_end), PHASE(out_head), PHASE(out_tail),
+        PHASE(out_vid), PHASE(out_pid),
     };
     struct queue spd = {
-        PHASE(spd_end, i8), PHASE(spd_head, i8), PHASE(spd_tail, i8),
-        PHASE(spd_vid, i4), PHASE(spd_pid, i4),
+        PHASE(spd_end), PHASE(spd_head), PHASE(spd_tail),
+        PHASE(spd_vid), PHASE(spd_pid),
     };
-    i8 *free_pkts = PHASE(free_pkts, i8);
-    const i8 *dlv = BUFFER(dlv_pidx, i8), *pkt_dst = BUFFER(pkt_dst, i8);
-    const i8 *pkt_vertex = BUFFER(pkt_vertex, i8);
-    const i8 *pkt_pid = BUFFER(pkt_pid, i8);
+    i8 *free_pkts = PHASE(free_pkts);
+    const i8 *dlv = BUFFER(dlv_pidx), *pkt_dst = BUFFER(pkt_dst);
+    const i8 *pkt_vertex = BUFFER(pkt_vertex);
+    const i8 *pkt_pid = BUFFER(pkt_pid);
     const int64_t n = t[S_NODES], rows = t[S_ROWS], cols = t[S_COLS];
     const int64_t window = p[Q_WINDOW];
     const int aggregate = r.columns > 0, profile = p[Q_PROFILE] != 0;
@@ -469,7 +475,7 @@ int64_t fs_run(int64_t *p, int64_t stop)
 
     for (int64_t row = 0; row < rows; row++)
         busy += row_group[row] < row_end[row];
-    for (int slot = Q_DISPATCH_LINES; slot < NPHASE_SLOTS; slot++)
+    for (int slot = Q_DISPATCH_LINES; slot < PHASE_ENTRIES; slot++)
         p[slot] = 0;
     while (cycle < stop) {
         int progressed = 0, stall_hit = 0;
@@ -650,13 +656,13 @@ static f8 reduce(int op, f8 a, f8 b)
  * partials do not fit in `slots`. */
 int64_t fs_fold(int64_t *p, int64_t pes, int64_t updates, int64_t slots)
 {
-    const f8 *values = PHASE(values, f8);
-    f8 *part = PHASE(partial, f8);
-    const i4 *d_edge = PHASE(d_edge, i4), *d_pid = PHASE(d_pid, i4);
-    const i8 *end = PHASE(spd_end, i8), *tail = PHASE(spd_tail, i8);
-    const i4 *vid = PHASE(spd_vid, i4), *pid = PHASE(spd_pid, i4);
-    f8 *vtemp = PHASE(vtemp, f8);
-    b1 *touched = PHASE(touched, b1);
+    const f8 *values = PHASE(values);
+    f8 *part = PHASE(partial);
+    const i4 *d_edge = PHASE(d_edge), *d_pid = PHASE(d_pid);
+    const i8 *end = PHASE(spd_end), *tail = PHASE(spd_tail);
+    const i4 *vid = PHASE(spd_vid), *pid = PHASE(spd_pid);
+    f8 *vtemp = PHASE(vtemp);
+    b1 *touched = PHASE(touched);
     const int op = (int)p[Q_REDUCE];
     int64_t partials = 0;
 

@@ -8,7 +8,11 @@ vectorized scatter phase (:mod:`repro.core.fastsim`) runs its whole
 cycle loop there too, stepping the mesh with the same code.
 The source is compiled once per machine with the system ``cc`` and
 called through :mod:`ctypes`, so NumPy stays the only Python
-dependency.
+dependency.  The kernel declares each table it reads (buffer addresses,
+then int64 scalar slots) and spells it out at run time; a
+:class:`TableLayout` maps that spelling to positions, so the engines
+bind buffers and set and read slots by name, never by a count of their
+own.
 
 The shared library lives in a per-user cache, ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``), named by a hash of the source, the
@@ -36,16 +40,98 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError
+import numpy as np
 
-__all__ = ["CFLAGS", "SOURCE", "MeshKernel", "build", "cache_dir", "load"]
+from repro.errors import ConfigurationError, SimulationError
+
+__all__ = [
+    "CFLAGS",
+    "SOURCE",
+    "MeshKernel",
+    "TableLayout",
+    "address",
+    "build",
+    "cache_dir",
+    "load",
+]
 
 #: The kernel source, installed as package data next to this module.
 SOURCE = Path(__file__).with_name("meshkernel.c")
 #: Compiler flags; part of the library's cache key.
 CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+
+
+class TableLayout:
+    """One kernel table as compiled: the addresses of its buffers in
+    the kernel's order, then its int64 scalar slots.
+
+    ``spelling`` is the kernel's own, ``name:type`` for each buffer
+    (``type`` a dtype's ``str`` minus its byte-order character, such as
+    ``b1``) and a bare name for each slot; ``buffers`` lists the buffers
+    as ``(name, type)`` pairs, ``size`` is the table's length in int64
+    entries, and :meth:`at` finds any buffer or slot by name.  An engine
+    builds a table per phase or mesh, so the layout remembers the
+    declarations it last accepted and the positions it found.
+    """
+
+    def __init__(self, title: str, spelling: str) -> None:
+        self.title = title
+        self.spelling = spelling
+        entries = [entry.partition(":") for entry in spelling.split()]
+        self.buffers = tuple(
+            (name, kind) for name, _, kind in entries if kind
+        )
+        self._positions = {
+            name: at for at, (name, _, _) in enumerate(entries)
+        }
+        self.size = len(entries)
+        self._accepted: Optional[Mapping[str, str]] = None
+        self._found: Dict[Tuple[str, ...], np.ndarray] = {}
+
+    def check(self, dtypes: Mapping[str, str]) -> None:
+        """Refuse a table with a buffer that ``dtypes``, a module's
+        buffer declarations, lacks or declares of another type."""
+        if dtypes is self._accepted:
+            return
+        for name, kind in self.buffers:
+            declared = dtypes.get(name)
+            if declared is None or np.dtype(declared).str[1:] != kind:
+                raise SimulationError(
+                    f"{self.title} reads buffer {name} as {kind}, but "
+                    f"it is declared {declared or 'nowhere'}"
+                )
+        self._accepted = dtypes
+
+    def at(self, *names: str) -> np.ndarray:
+        """Positions of the named buffers and slots in the table (an
+        array the caller must not write)."""
+        found = self._found.get(names)
+        if found is None:
+            missing = [n for n in names if n not in self._positions]
+            if missing:
+                raise SimulationError(
+                    f"{self.title} has no slot {', '.join(missing)}"
+                )
+            found = np.array(
+                [self._positions[name] for name in names], dtype=np.intp
+            )
+            self._found[names] = found
+        return found
+
+
+def address(name: str, array: np.ndarray, dtype: str) -> int:
+    """``array``'s data address, once it is checked to be C-contiguous
+    and of ``dtype``, the type declared for buffer ``name``: the kernel
+    reads it as raw memory of that type."""
+    want = np.dtype(dtype)
+    if array.dtype != want or not array.flags.c_contiguous:
+        raise SimulationError(
+            f"kernel buffer {name} must be a C-contiguous {want} array, "
+            f"got {array.dtype} (C-contiguous: {array.flags.c_contiguous})"
+        )
+    return int(array.ctypes.data)
 
 
 class MeshKernel:
@@ -54,10 +140,8 @@ class MeshKernel:
     ``step(table, cycle, delivered_so_far)`` takes the address of the
     mesh's int64 table, ``phase(table, stop_cycle)`` and ``fold(table,
     pes, updates, partial_slots)`` that of a scatter phase's;
-    ``meshkernel.c`` describes both tables.  ``layout`` and
-    ``phase_layout`` are the tables' buffer lists as compiled,
-    ``(attribute, element type)`` pairs such as ``("_buf", "i8")``, and
-    ``table_slots`` and ``phase_table_slots`` the tables' lengths.
+    ``mesh_layout`` and ``phase_layout`` are those tables as compiled
+    (``meshkernel.c`` declares them).
     """
 
     def __init__(self, path: Path) -> None:
@@ -66,8 +150,8 @@ class MeshKernel:
         self.step = self._function("fm_step", 2)
         self.phase = self._function("fs_run", 1)
         self.fold = self._function("fs_fold", 3)
-        self.table_slots, self.layout = self._table("fm")
-        self.phase_table_slots, self.phase_layout = self._table("fs")
+        self.mesh_layout = self._layout("fm", "mesh")
+        self.phase_layout = self._layout("fs", "phase")
 
     def _function(self, name: str, scalars: int) -> Any:
         """Kernel entry ``name``: a table address, then ``scalars``
@@ -77,19 +161,12 @@ class MeshKernel:
         function.restype = ctypes.c_int64
         return function
 
-    def _table(self, prefix: str) -> Tuple[int, Tuple[Tuple[str, str], ...]]:
-        """Length and buffer layout of the ``prefix`` table."""
-        slots = getattr(self._lib, f"{prefix}_table_slots")
-        slots.argtypes = []
-        slots.restype = ctypes.c_int64
-        layout = getattr(self._lib, f"{prefix}_layout")
-        layout.argtypes = []
-        layout.restype = ctypes.c_char_p
-        return int(slots()), tuple(
-            (name, kind)
-            for name, _, kind in (
-                entry.partition(":") for entry in layout().decode().split()
-            )
+    def _layout(self, prefix: str, table: str) -> TableLayout:
+        spell = getattr(self._lib, f"{prefix}_layout")
+        spell.argtypes = []
+        spell.restype = ctypes.c_char_p
+        return TableLayout(
+            f"{table} table of {self.path.name}", spell().decode()
         )
 
 

@@ -198,3 +198,35 @@ class TestParser:
         assert args.algorithm == "spmv"
         args = build_parser().parse_args(["run", "-a", "sswp"])
         assert args.algorithm == "sswp"
+
+
+class TestUserErrors:
+    """A user error prints one ``error:`` line on stderr and exits 2, as
+    argparse does; a simulator fault keeps its traceback."""
+
+    def test_bad_pe_count(self, capsys):
+        code, text = run_cli("run", "--pes", "100")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: 50 PEs/tile is not a whole number of 16-PE columns\n"
+        )
+
+    def test_no_daemon(self, tmp_path, capsys):
+        state = tmp_path / "missing"
+        assert run_cli("submit", "--state-dir", str(state)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: no daemon endpoint at {state / 'service.json'} "
+        )
+        assert err.count("\n") == 1
+
+    def test_simulation_error_propagates(self, monkeypatch):
+        from repro import cli
+        from repro.errors import SimulationError
+
+        def broken(args, out):
+            raise SimulationError("inconsistent state")
+
+        monkeypatch.setitem(cli._COMMANDS, "datasets", broken)
+        with pytest.raises(SimulationError, match="inconsistent state"):
+            run_cli("datasets")

@@ -598,15 +598,13 @@ class TestFoldBounds:
         record = self._record()
         slots = record.updates - record.coalesced
         n = GRAPH.num_vertices
-        buffers = {
+        buffers = {  # held here: the table keeps only their addresses
             "values": np.ones(record.updates),
             "partial": np.empty(slots),
             "vtemp": np.zeros(n),
             "touched": np.zeros(n, dtype=bool),
         }
-        for name, array in buffers.items():
-            slot = fastsim._KERNEL_BUFFERS.index(name)
-            record.table[slot] = fastsim._address(name, array)
+        record.bind(**buffers)
 
         def fold(limit):
             return record.kernel.fold(

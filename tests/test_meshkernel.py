@@ -21,7 +21,6 @@ import pytest
 
 from repro.algorithms import BFS
 from repro.core import CycleAccurateScalaGraph, ScalaGraph, ScalaGraphConfig
-from repro.core import fastsim
 from repro.core.fastsim import resolve_cycle_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.generators import rmat_graph
@@ -35,7 +34,6 @@ from repro.noc import (
     meshkernel,
     resolve_engine,
 )
-from repro.noc import fastmesh
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -70,7 +68,7 @@ class TestBuild:
         assert files[0].suffix == ".so"
         assert {out.split()[2] for out, _ in outputs} == {str(files[0])}
         kernel = meshkernel.MeshKernel(files[0])
-        assert kernel.table_slots > 0
+        assert kernel.mesh_layout.size > 0
 
     def test_source_hash_names_the_library(self, tmp_path):
         path = meshkernel.build(tmp_path)
@@ -90,7 +88,7 @@ class TestBuild:
         target.write_bytes(b"not a shared library")
         kernel = meshkernel.load()
         assert kernel.path == target
-        assert kernel.table_slots > 0
+        assert kernel.mesh_layout.size > 0
         assert sorted(target.parent.iterdir()) == [target]
 
     @pytest.mark.parametrize("mode", [0o777, 0o770])
@@ -206,66 +204,81 @@ def test_analytic_and_reference_engines_never_compile(tmp_path, monkeypatch):
     assert not (tmp_path / "repro").exists()
 
 
-class TestAbiChecks:
-    def test_buffer_layout_matches_the_kernel(self):
-        kernel = meshkernel.load()
-        assert [name for name, _ in kernel.layout] == list(
-            fastmesh._KERNEL_BUFFERS
-        )
-        assert dict(kernel.layout)["_dead"] == "b1"
-        assert dict(kernel.layout)["_pkt_pid"] == "i8"
+def _no_kernel_call(*args):
+    raise AssertionError("kernel called before its table was checked")
 
-    @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])
-    def test_layout_mismatch_rejected(self, monkeypatch, change):
-        kernel = meshkernel.load()
-        layout = list(kernel.layout)
-        names = [name for name, _ in layout]
-        dlv, dead = names.index("_dlv_pidx"), names.index("_dead")
-        if change == "reorder":  # same count, two buffers swapped
-            layout[dlv], layout[dead] = layout[dead], layout[dlv]
-            monkeypatch.setattr(kernel, "layout", tuple(layout))
-        elif change == "retype":
-            layout[dead] = ("_dead", "i8")
-            monkeypatch.setattr(kernel, "layout", tuple(layout))
-        else:
-            monkeypatch.setattr(kernel, "table_slots", kernel.table_slots + 1)
-        with pytest.raises(SimulationError, match="does not match"):
-            FastMeshNetwork(MeshTopology(2, 2))
+
+class TestAbiChecks:
+    """Each table is declared once, in ``meshkernel.c``: fastmesh and
+    fastsim take its layout from the kernel and, before any kernel
+    call, refuse a buffer they do not declare, or declare of another
+    element type, and a slot they name that the kernel lacks."""
+
+    def test_buffer_layout_matches_the_kernel(self):
+        mesh = meshkernel.load().mesh_layout
+        assert dict(mesh.buffers)["_dead"] == "b1"
+        assert dict(mesh.buffers)["_pkt_pid"] == "i8"
+        # The scalar slots follow the buffer addresses.
+        assert mesh.at("NODES")[0] == len(mesh.buffers)
 
     def test_phase_layout_matches_the_kernel(self):
-        kernel = meshkernel.load()
-        assert [name for name, _ in kernel.phase_layout] == list(
-            fastsim._KERNEL_BUFFERS
-        )
-        assert dict(kernel.phase_layout)["touched"] == "b1"
-        assert dict(kernel.phase_layout)["pid"] == "i8"
-        assert dict(kernel.phase_layout)["values"] == "f8"
-        assert dict(kernel.phase_layout)["partial"] == "f8"
-        assert dict(kernel.phase_layout)["d_pid"] == "i4"
-        assert dict(kernel.phase_layout)["dst"] == "i8"
+        phase = meshkernel.load().phase_layout
+        kinds = dict(phase.buffers)
+        assert [kinds[name] for name in ("touched", "pid", "values",
+                                         "partial", "d_pid", "dst")] == [
+            "b1", "i8", "f8", "f8", "i4", "i8",
+        ]
+        assert phase.at("MESH")[0] == len(phase.buffers)
+        assert phase.size == phase.at("NS_RETIRE")[0] + 1
 
-    @pytest.mark.parametrize("change", ["reorder", "retype", "slots"])
+    @staticmethod
+    def _break(monkeypatch, kernel, table, change, buffer, kind, slot):
+        """Give ``kernel`` a ``table`` layout that disagrees with
+        Python's declarations, as a kernel built from another source
+        would spell it; returns the entry the refusal must name."""
+        layout = getattr(kernel, table)
+        entries = layout.spelling.split()
+        if change == "undeclared":
+            entries.insert(0, "extra:i8")
+            name = "extra"
+        elif change == "retype":
+            entries = [
+                f"{buffer}:{kind}" if entry.startswith(buffer + ":")
+                else entry
+                for entry in entries
+            ]
+            name = buffer
+        else:
+            entries.remove(slot)
+            name = slot
+        broken = meshkernel.TableLayout(layout.title, " ".join(entries))
+        monkeypatch.setattr(kernel, table, broken)
+        return name
+
+    @pytest.mark.parametrize("change", ["undeclared", "retype", "slots"])
+    def test_layout_mismatch_rejected(self, monkeypatch, change):
+        kernel = meshkernel.load()
+        monkeypatch.setattr(kernel, "step", _no_kernel_call)
+        name = self._break(
+            monkeypatch, kernel, "mesh_layout", change, "_dead", "i8",
+            "DELIVERED",
+        )
+        with pytest.raises(SimulationError, match=name):
+            FastMeshNetwork(MeshTopology(2, 2))
+
+    @pytest.mark.parametrize("change", ["undeclared", "retype", "slots"])
     def test_phase_layout_mismatch_rejected(self, monkeypatch, change):
         kernel = meshkernel.load()
-        layout = list(kernel.phase_layout)
-        names = [name for name, _ in layout]
-        stall, vid, pid = (
-            names.index(name) for name in ("pe_stall", "vid", "pid")
+        monkeypatch.setattr(kernel, "phase", _no_kernel_call)
+        monkeypatch.setattr(kernel, "fold", _no_kernel_call)
+        name = self._break(
+            monkeypatch, kernel, "phase_layout", change, "pid", "f8",
+            "REDUCE",
         )
-        if change == "reorder":  # same count, two buffers swapped
-            layout[stall], layout[vid] = layout[vid], layout[stall]
-            monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
-        elif change == "retype":
-            layout[pid] = ("pid", "f8")
-            monkeypatch.setattr(kernel, "phase_layout", tuple(layout))
-        else:
-            monkeypatch.setattr(
-                kernel, "phase_table_slots", kernel.phase_table_slots + 1
-            )
         config = ScalaGraphConfig(
             num_tiles=1, pe_rows=2, pe_cols=2, cycle_engine="vectorized"
         )
-        with pytest.raises(SimulationError, match="does not match"):
+        with pytest.raises(SimulationError, match=name):
             CycleAccurateScalaGraph(config).run(
                 BFS(), rmat_graph(4, edge_factor=4, seed=3)
             )
