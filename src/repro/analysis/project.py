@@ -652,10 +652,11 @@ class Baseline:
         return cls(entries=entries, path=str(path))
 
     def split(
-        self, findings: Sequence[Finding]
+        self, findings: Sequence[Finding], rules_run: Set[str]
     ) -> Tuple[List[Finding], List[Finding], List[BaselineEntry]]:
         """Partition findings into (fresh, accepted) and report stale
-        entries that matched nothing."""
+        entries: those of a rule in ``rules_run`` that matched nothing
+        (an entry of a rule that did not run cannot match)."""
         by_key: Dict[Tuple[str, str], BaselineEntry] = {
             (e.rule, e.key): e for e in self.entries
         }
@@ -672,7 +673,9 @@ class Baseline:
             else:
                 fresh.append(finding)
         stale = [
-            e for e in self.entries if (e.rule, e.key) not in used
+            e
+            for e in self.entries
+            if e.rule in rules_run and (e.rule, e.key) not in used
         ]
         return fresh, accepted, stale
 
@@ -821,7 +824,8 @@ def analyze_project(
     Findings suppressed inline (``# simlint: disable=SIM60x`` on the
     anchored line) are dropped; findings matching a ``baseline`` entry
     are moved to ``ProjectReport.baselined``.  ``select`` restricts to
-    the named rule ids (meta-findings always survive).
+    the named rule ids (meta-findings always survive); a baseline entry
+    is reported stale only when its rule ran.
     """
     model = load_project(
         package_root,
@@ -851,7 +855,9 @@ def analyze_project(
     if baseline is None:
         fresh, accepted, stale = kept, [], []
     else:
-        fresh, accepted, stale = baseline.split(kept)
+        fresh, accepted, stale = baseline.split(
+            kept, {META_RULE_ID} | {rule.rule_id for rule in selected}
+        )
         for entry in stale:
             fresh.append(
                 Finding(

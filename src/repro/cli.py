@@ -42,6 +42,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import ResultCache
 from repro.graph.datasets import DATASETS
+from repro.mapping import MAPPINGS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--mapping",
         default="rom",
-        choices=["rom", "som", "dom", "rom-torus"],
+        choices=list(MAPPINGS),
     )
     run_p.add_argument("--registers", type=int, default=16,
                        help="aggregation pipeline registers")

@@ -31,15 +31,13 @@ from repro.core.dispatcher import (
     pipeline_schedule,
     scatter_compute_cycles,
 )
-from repro.core.noc_model import apply_noc_service_cycles, scatter_noc_stats
 from repro.core.prefetcher import Prefetcher
 from repro.core.profiling import NULL_PROFILER, Profiler
 from repro.core.stats import IterationStats, PhaseCycles, SimulationReport
 from repro.errors import CapacityError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import slice_intervals
-from repro.mapping import make_mapping
-from repro.mapping.destination_oriented import DestinationOrientedMapping
+from repro.mapping import MappingTraffic, make_mapping
 from repro.memory.hbm import HBMModel
 from repro.noc.topology import MeshTopology
 from repro.util import unique_id_counts
@@ -118,9 +116,7 @@ class ScalaGraph:
         self.mapping = make_mapping(self.config.mapping, self.topology)
         hbm_model = HBMModel(self.config.hbm, self.config.clock_hz)
         self.prefetcher = Prefetcher(
-            hbm_model,
-            edge_bytes=self.config.edge_bytes,
-            vertex_bytes=self.config.vertex_bytes,
+            hbm_model, vertex_bytes=self.config.vertex_bytes
         )
 
     # ------------------------------------------------------------------
@@ -242,8 +238,8 @@ class ScalaGraph:
                 phase = scatter_phases[p]
                 scatter_cycles += phase["cycles"].total
                 compute_cycle_total += phase["cycles"].compute
-                messages += phase["noc"].messages
-                hops += int(phase["noc"].total_hops)
+                messages += phase["noc"].num_messages
+                hops += phase["noc"].total_hops
                 coalesced += phase["noc"].coalesced
                 offchip += phase["offchip_bytes"]
                 bottleneck = phase["cycles"].bottleneck
@@ -358,21 +354,15 @@ class ScalaGraph:
         cfg = self.config
         timing = cfg.timing
         if src.size == 0:
-            from repro.core.noc_model import ScatterNocStats
-
             return {
                 "cycles": PhaseCycles(0, 0, 0, 0, timing.phase_overhead_cycles),
-                "noc": ScatterNocStats(0, 0.0, 0, 0.0, 0.0),
+                "noc": MappingTraffic(0, 0),
                 "offchip_bytes": 0.0,
             }
 
-        # Dispatch grouping: ROM/SOM group edges by source vertex (each
-        # vertex's edges stream to its home row); DOM groups by
-        # destination (per-partition CSR).
-        group = (
-            dst if isinstance(self.mapping, DestinationOrientedMapping) else src
+        vertices, degrees = unique_id_counts(
+            self.mapping.dispatch_group(src, dst)
         )
-        vertices, degrees = unique_id_counts(group)
         rows = self.topology.rows_of(self.mapping.home(vertices))
         compute = scatter_compute_cycles(
             degrees,
@@ -383,8 +373,7 @@ class ScalaGraph:
             dispatch_efficiency=timing.dispatch_efficiency,
         )
 
-        noc = scatter_noc_stats(
-            self.mapping,
+        noc = self.mapping.scatter_traffic(
             src,
             dst,
             window,
@@ -394,31 +383,23 @@ class ScalaGraph:
         # updates per cycle; the phase additionally pays the mapping's
         # average routing latency once (pipeline fill — a property of the
         # route geometry, independent of how much traffic coalesced).
-        noc_service = noc.service_cycles / timing.noc_link_updates_per_cycle
+        noc_service = noc.max_link_load / timing.noc_link_updates_per_cycle
         noc_fill = (
             self.mapping.average_route_distance()
             + timing.noc_pipeline_latency
         )
 
-        traffic = self.prefetcher.scatter_traffic(
-            num_active=int(active.size),
-            num_edges=int(src.size),
-            offchip_multiplier=self._offchip_vertex_multiplier(),
+        offchip = self.mapping.offchip_bytes(
+            int(active.size), int(src.size), cfg.vertex_bytes, cfg.edge_bytes
         )
-        memory = self.prefetcher.cycles(traffic)
-
         cycles = PhaseCycles(
             compute=compute,
             noc=noc_service + noc_fill,
-            spd=noc.spd_service_cycles,
-            memory=memory,
+            spd=noc.spd_load,
+            memory=self.prefetcher.hbm.stream_cycles(offchip),
             overhead=timing.phase_overhead_cycles,
         )
-        return {
-            "cycles": cycles,
-            "noc": noc,
-            "offchip_bytes": traffic.total_bytes,
-        }
+        return {"cycles": cycles, "noc": noc, "offchip_bytes": offchip}
 
     def _apply_compute(self, dst: np.ndarray) -> float:
         """Apply's compute bound: the busiest node's touched vertices."""
@@ -429,7 +410,7 @@ class ScalaGraph:
 
     def _apply_phase(self, compute: float, num_updates: int) -> dict:
         cfg = self.config
-        noc = apply_noc_service_cycles(self.mapping, num_updates)
+        noc = self.mapping.apply_service_cycles(num_updates)
         traffic = self.prefetcher.apply_traffic(num_updates)
         memory = self.prefetcher.cycles(traffic)
         cycles = max(compute, noc, memory) + cfg.timing.phase_overhead_cycles
@@ -460,12 +441,6 @@ class ScalaGraph:
                     f"card (Section V-A: two 4 GB stacks)"
                 )
         return slice_intervals(graph, cfg.spd.capacity_vertices)
-
-    def _offchip_vertex_multiplier(self) -> float:
-        """DOM re-streams per-partition vertex structures: O(N*K)."""
-        if isinstance(self.mapping, DestinationOrientedMapping):
-            return float(self.mapping.num_pes)
-        return 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.mapping import MAPPINGS
 from repro.memory.hbm import HBMConfig
 from repro.memory.spd import ScratchpadConfig
 from repro.models.frequency import Interconnect, max_frequency_mhz
@@ -89,7 +90,9 @@ class ScalaGraphConfig:
             adds or removes columns, Section V-E).
         frequency_mhz: operating clock; None selects the conservative
             250 MHz the paper uses, capped by the synthesis model.
-        mapping: workload-PE mapping ('rom', 'som', or 'dom').
+        mapping: workload-PE mapping, a key of
+            :data:`repro.mapping.MAPPINGS` ('rom', 'som', 'dom' or
+            'rom-torus').
         aggregation_registers: registers in each RU's aggregation
             pipeline (paper default 16; 0 degrades to a FIFO).
         degree_aware_window: max low-degree vertices packed into one
@@ -140,10 +143,9 @@ class ScalaGraphConfig:
             raise ConfigurationError("num_tiles must be positive")
         if self.pe_rows <= 0 or self.pe_cols <= 0:
             raise ConfigurationError("PE matrix dimensions must be positive")
-        if self.mapping.lower() not in ("rom", "som", "dom", "rom-torus"):
+        if self.mapping.lower() not in MAPPINGS:
             raise ConfigurationError(
-                f"unknown mapping {self.mapping!r} "
-                "(rom/som/dom/rom-torus)"
+                f"unknown mapping {self.mapping!r} ({'/'.join(MAPPINGS)})"
             )
         if self.noc_engine.lower() not in ("auto", "reference", "vectorized"):
             raise ConfigurationError(
@@ -196,10 +198,8 @@ class ScalaGraphConfig:
 
     @property
     def interconnect(self) -> Interconnect:
-        """The NoC implied by the mapping (torus for 'rom-torus')."""
-        if self.mapping.lower() == "rom-torus":
-            return Interconnect.TORUS
-        return Interconnect.MESH
+        """The NoC the mapping routes over (torus for 'rom-torus')."""
+        return MAPPINGS[self.mapping.lower()].interconnect
 
     @property
     def clock_mhz(self) -> float:

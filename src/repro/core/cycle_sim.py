@@ -366,22 +366,13 @@ class CycleAccurateScalaGraph:
             np.arange(graph.num_vertices, dtype=np.int64)
         ).tolist()
 
-        # Fill each row's dispatcher with its vertices' edge groups:
-        # ROM/SOM stream a vertex's out-edges to its home row; DOM's
-        # per-partition CSR groups edges by destination instead.
-        from repro.mapping.destination_oriented import (
-            DestinationOrientedMapping,
-        )
-
+        # Fill each row's dispatcher with its vertices' edge groups, in
+        # the groups the mapping names.
         dispatchers = [
             _RowDispatcher(self.topology.cols, cfg.degree_aware_window)
             for _ in range(self.topology.rows)
         ]
-        group = (
-            dst
-            if isinstance(self.mapping, DestinationOrientedMapping)
-            else src
-        )
+        group = self.mapping.dispatch_group(src, dst)
         order = np.argsort(group, kind="stable")
         sorted_group = group[order]
         boundaries = np.flatnonzero(

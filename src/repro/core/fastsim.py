@@ -259,7 +259,7 @@ class _Phase:
         max_cycles: int,
         profiled: bool,
     ) -> None:
-        self.kernel = meshkernel.load()
+        self.kernel = network.kernel
         layout = self.kernel.phase_layout
         layout.check(_DTYPES)
         settings = layout.at(
@@ -485,8 +485,6 @@ def _simulate(
     faults = sim.faults
     profiler = sim.profiler
 
-    from repro.mapping.destination_oriented import DestinationOrientedMapping
-
     exec_pe = np.ascontiguousarray(
         mapping.execution_pe(src, dst), dtype=np.int32
     )
@@ -502,9 +500,7 @@ def _simulate(
         sanitizer=sanitizer,
         faults=faults,
     )
-    # ROM and SOM stream a vertex's out-edges to its home row; DOM's
-    # per-partition CSR groups edges by destination instead.
-    group = dst if isinstance(mapping, DestinationOrientedMapping) else src
+    group = mapping.dispatch_group(src, dst)
     phase = _Phase(
         network, registers, group,
         np.argsort(group, kind="stable").astype(np.int32), exec_pe, dst,

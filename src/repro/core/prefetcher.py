@@ -4,8 +4,10 @@ Each tile's prefetcher module binds vertex and edge prefetchers to HBM
 pseudo channels and streams (a) the active-vertex records (vertex ID +
 edge memory address) and (b) the associated edge lists.  Because
 ScalaGraph keeps vertex properties on-chip, its off-chip traffic per
-iteration is the sequential O(N + M) stream of Table II; the model
-converts those bytes to cycles through :class:`~repro.memory.hbm.HBMModel`.
+iteration is the sequential O(N + M) stream of Table II (the mapping
+counts a Scatter phase's bytes: :meth:`repro.mapping.Mapping.
+offchip_bytes`); the model converts bytes to cycles through
+:class:`~repro.memory.hbm.HBMModel`.
 """
 
 from __future__ import annotations
@@ -31,28 +33,9 @@ class PhaseTraffic:
 class Prefetcher:
     """Streams graph data from HBM and accounts the cycles it takes."""
 
-    def __init__(
-        self,
-        hbm: HBMModel,
-        edge_bytes: int,
-        vertex_bytes: int,
-    ) -> None:
+    def __init__(self, hbm: HBMModel, vertex_bytes: int) -> None:
         self.hbm = hbm
-        self.edge_bytes = edge_bytes
         self.vertex_bytes = vertex_bytes
-
-    def scatter_traffic(
-        self, num_active: int, num_edges: int, offchip_multiplier: float = 1.0
-    ) -> PhaseTraffic:
-        """Scatter phase: active-vertex records plus edge stream.
-
-        ``offchip_multiplier`` folds in mapping-specific amplification
-        (DOM re-streams per-partition vertex structures: O(N*K + M)).
-        """
-        return PhaseTraffic(
-            vertex_bytes=num_active * self.vertex_bytes * offchip_multiplier,
-            edge_bytes=num_edges * self.edge_bytes,
-        )
 
     def apply_traffic(self, num_updates: int) -> PhaseTraffic:
         """Apply phase: write-back of the new active-vertex list."""

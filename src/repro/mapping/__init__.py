@@ -20,16 +20,17 @@ from repro.mapping.row_oriented import RowOrientedMapping
 from repro.mapping.row_oriented_torus import RowOrientedTorusMapping
 from repro.mapping.source_oriented import SourceOrientedMapping
 
+#: Every mapping by name, in the order configuration errors list them.
 MAPPINGS = {
+    "rom": RowOrientedMapping,
     "som": SourceOrientedMapping,
     "dom": DestinationOrientedMapping,
-    "rom": RowOrientedMapping,
     "rom-torus": RowOrientedTorusMapping,
 }
 
 
 def make_mapping(name: str, topology) -> Mapping:
-    """Instantiate a mapping by its paper abbreviation (som/dom/rom)."""
+    """Instantiate a mapping by its name (rom/som/dom/rom-torus)."""
     key = name.lower()
     if key not in MAPPINGS:
         raise KeyError(f"unknown mapping {name!r}; known: {sorted(MAPPINGS)}")

@@ -25,11 +25,28 @@ class DestinationOrientedMapping(Mapping):
     ) -> np.ndarray:
         return self.home(edge_dst)
 
-    def scatter_traffic(
+    def dispatch_group(
         self, edge_src: np.ndarray, edge_dst: np.ndarray
+    ) -> np.ndarray:
+        """The per-partition CSR groups edges by destination."""
+        return edge_dst
+
+    def scatter_traffic(
+        self,
+        edge_src: np.ndarray,
+        edge_dst: np.ndarray,
+        window: float = 0.0,
+        spd_forwarding_window: float = 0.0,
     ) -> MappingTraffic:
-        # Source replicas and the destination property are both local.
-        return MappingTraffic(num_messages=0, total_hops=0)
+        """Source replicas and the destination property are both local,
+        so nothing is routed or coalesced; same-vertex reduces serialise
+        at the owning PE but need no aggregation hardware (they are
+        already grouped per partition)."""
+        return MappingTraffic(
+            num_messages=0,
+            total_hops=0,
+            spd_load=self._busiest_pe_load(self.home(edge_dst)),
+        )
 
     def apply_traffic(self, updated_vertices: np.ndarray) -> MappingTraffic:
         """Replica refresh: each updated vertex reaches all other PEs.
@@ -43,6 +60,17 @@ class DestinationOrientedMapping(Mapping):
             num_messages=count * max(k - 1, 0),
             total_hops=count * max(k - 1, 0),
         )
+
+    def apply_service_cycles(self, num_updates: int) -> float:
+        """Every PE ingests all ``num_updates`` replica writes (one per
+        cycle), and the flood's K - 1 hops per update also occupy the
+        mesh links."""
+        if num_updates <= 0:
+            return 0.0
+        rows, cols = self.topology.rows, self.topology.cols
+        links = 2 * (rows * (cols - 1) + cols * (rows - 1))
+        hops = num_updates * max(self.num_pes - 1, 0)
+        return max(float(num_updates), hops / max(links, 1))
 
     def offchip_bytes(
         self,

@@ -15,13 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mapping.base import Mapping, MappingTraffic
-from repro.noc.traffic import column_link_loads
+from repro.noc.traffic import LinkLoadReport, column_link_loads
 
 
 class RowOrientedMapping(Mapping):
     """Edges execute at (row of source home, column of destination home)."""
 
     name = "rom"
+    #: Link loads of column-only traffic; the torus variant swaps in the
+    #: shortest-ring version.
+    column_link_loads = staticmethod(column_link_loads)
 
     def execution_pe(
         self, edge_src: np.ndarray, edge_dst: np.ndarray
@@ -30,26 +33,26 @@ class RowOrientedMapping(Mapping):
         dst_col = self.topology.cols_of(self.home(edge_dst))
         return src_row * self.topology.cols + dst_col
 
-    def scatter_traffic(
-        self, edge_src: np.ndarray, edge_dst: np.ndarray
-    ) -> MappingTraffic:
-        src_home = self.home(edge_src)
-        dst_home = self.home(edge_dst)
-        src_row = self.topology.rows_of(src_home)
-        dst_row = self.topology.rows_of(dst_home)
-        dst_col = self.topology.cols_of(dst_home)
-        remote = src_row != dst_row  # same-row accesses became local
-        report = column_link_loads(
-            rows=self.topology.rows,
+    def link_loads(
+        self,
+        src_home: np.ndarray,
+        dst_home: np.ndarray,
+        dst_col: np.ndarray,
+        keep: np.ndarray,
+    ) -> LinkLoadReport:
+        """Surviving updates travel only along their destination column,
+        and only when the destination lies in another row: same-row
+        accesses became local."""
+        topology = self.topology
+        src_row = topology.rows_of(src_home)
+        dst_row = topology.rows_of(dst_home)
+        remote = (src_row != dst_row) & keep
+        return self.column_link_loads(
+            rows=topology.rows,
             column=dst_col[remote],
             src_row=src_row[remote],
             dst_row=dst_row[remote],
-            num_cols=self.topology.cols,
-        )
-        return MappingTraffic(
-            num_messages=int(np.count_nonzero(remote)),
-            total_hops=report.total_flit_hops,
-            link_report=report,
+            num_cols=topology.cols,
         )
 
     def apply_traffic(self, updated_vertices: np.ndarray) -> MappingTraffic:

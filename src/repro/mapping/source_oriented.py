@@ -11,32 +11,51 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mapping.base import Mapping, MappingTraffic
-from repro.noc.traffic import mesh_link_loads
+from repro.noc.traffic import LinkLoadReport, mesh_link_loads
 
 
 class SourceOrientedMapping(Mapping):
     """Edges execute at the source vertex's home PE."""
 
     name = "som"
+    #: Updates to one vertex converge only on the destination column's
+    #: final segment, so the register arrays see them later than under
+    #: ROM.
+    aggregation_effectiveness = 0.5
 
     def execution_pe(
         self, edge_src: np.ndarray, edge_dst: np.ndarray
     ) -> np.ndarray:
         return self.home(edge_src)
 
-    def scatter_traffic(
-        self, edge_src: np.ndarray, edge_dst: np.ndarray
-    ) -> MappingTraffic:
-        src_node = self.home(edge_src)
-        dst_node = self.home(edge_dst)
-        remote = src_node != dst_node
-        report = mesh_link_loads(
-            self.topology, src_node[remote], dst_node[remote]
+    def link_loads(
+        self,
+        src_home: np.ndarray,
+        dst_home: np.ndarray,
+        dst_col: np.ndarray,
+        keep: np.ndarray,
+    ) -> LinkLoadReport:
+        """Every remote update crosses its source row, since aggregation
+        merges only in the destination column; the survivors alone
+        continue along the column."""
+        topology = self.topology
+        remote = src_home != dst_home
+        full = mesh_link_loads(topology, src_home[remote], dst_home[remote])
+        kept = remote & keep
+        survivors = mesh_link_loads(topology, src_home[kept], dst_home[kept])
+        hops = (
+            full.east.sum()
+            + full.west.sum()
+            + survivors.south.sum()
+            + survivors.north.sum()
         )
-        return MappingTraffic(
-            num_messages=int(np.count_nonzero(remote)),
-            total_hops=report.total_flit_hops,
-            link_report=report,
+        return LinkLoadReport(
+            east=full.east,
+            west=full.west,
+            south=survivors.south,
+            north=survivors.north,
+            total_flit_hops=int(hops),
+            num_packets=full.num_packets,
         )
 
     def apply_traffic(self, updated_vertices: np.ndarray) -> MappingTraffic:

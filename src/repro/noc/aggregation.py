@@ -15,19 +15,20 @@ Two models live here:
   column.  The vectorized cycle engine's compiled scatter phase runs
   the same offer and emit on every PE's register array held as flat
   arrays (:mod:`repro.core.fastsim`).
-* :func:`window_coalesce_count` / :func:`window_coalesce` — the
-  statistical window model, kept as a test oracle: with ``R`` registers
+* :func:`survivor_mask` — the statistical window model the analytic
+  timing model runs per column stream
+  (:meth:`repro.mapping.Mapping.scatter_traffic`): with ``R`` registers
   of residency an update coalesces iff the previous update to the same
-  vertex lies within the last ``R`` slots of the stream.  The analytic
-  timing model runs the same rule per column stream through
-  :func:`repro.core.noc_model.survivor_mask`, which
-  ``tests/test_noc_model.py`` checks against
-  :func:`window_coalesce_count`; ``tests/test_aggregation.py`` checks
-  the two functions against each other.
+  vertex lies within the last ``R`` slots of its stream.
+  :func:`window_coalesce_count` / :func:`window_coalesce` are its test
+  oracles on one stream: ``tests/test_noc_model.py`` checks it against
+  :func:`window_coalesce_count`, and ``tests/test_aggregation.py``
+  checks the two oracles against each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -170,8 +171,74 @@ class AggregationPipeline:
 
 
 # ----------------------------------------------------------------------
-# Statistical window model (a test oracle)
+# Statistical window model and its test oracles
 # ----------------------------------------------------------------------
+def survivor_mask(
+    edge_dst: np.ndarray,
+    dst_col: np.ndarray,
+    window: float,
+) -> np.ndarray:
+    """Which updates survive window-coalescing in their column stream.
+
+    An update is coalesced into a resident predecessor when the previous
+    update to the same destination vertex lies at most ``window``
+    positions earlier within the same column's stream; the first
+    occurrence (and any occurrence after a longer gap) survives.  This is
+    the statistical counterpart of the Figure 11 register array, with
+    ``window`` proportional to the register count.
+
+    Window semantics for fractional windows (which arise when a caller
+    scales an integer register window by an effectiveness factor, e.g.
+    :attr:`~repro.mapping.Mapping.aggregation_effectiveness`) are
+    **floor**: the register window holds a whole number of slots, so
+    ``window`` is floored before use.  Positional gaps are integers,
+    hence ``window=1.5`` behaves exactly like ``window=1.0``, and any
+    ``window < 1`` (``0.5`` floors to ``0``) disables coalescing
+    entirely — no update can be resident for a fraction of a slot.
+
+    The grouping takes one sort.  A stable (radix) argsort of the column
+    index in its narrowest dtype lines each column's stream up in order;
+    update ``i`` of that column order then gets the packed int64 key
+    ``(col * (V + 1) + dst) * n + i``, with ``V`` the largest vertex id.
+    Sorting the keys puts each (column, vertex) pair's occurrences next
+    to each other in stream order, and the gap between two of them is
+    the difference of their keys' low digits ``i`` (positions within
+    one column differ by the same amount as positions in column order).
+    The largest key is ``(max col + 1) * (V + 1) * n - 1``, so ids must
+    be non-negative and that product at most ``2**63``; other inputs
+    raise :class:`ValueError` rather than wrap around.
+    """
+    n = int(edge_dst.size)
+    mask = np.ones(n, dtype=bool)
+    window = math.floor(window)
+    if n == 0 or window < 1:
+        return mask
+    edge_dst = np.asarray(edge_dst, dtype=np.int64)
+    dst_col = np.asarray(dst_col, dtype=np.int64)
+    if min(int(edge_dst.min()), int(dst_col.min())) < 0:
+        raise ValueError("survivor_mask: vertex and column ids must be >= 0")
+    span = int(edge_dst.max()) + 1
+    max_col = int(dst_col.max())
+    if (max_col + 1) * span * n > 2**63:
+        raise ValueError(
+            f"survivor_mask: {n} updates over {span} vertices and "
+            f"{max_col + 1} columns overflow the int64 sort key"
+        )
+    col_order = np.argsort(
+        dst_col.astype(np.min_scalar_type(max_col)), kind="stable"
+    )
+    key = dst_col[col_order] * span
+    key += edge_dst[col_order]
+    key *= n
+    key += np.arange(n, dtype=np.int64)
+    key.sort()
+    group, pos = np.divmod(key, n)
+    survives = np.ones(n, dtype=bool)
+    survives[1:] = (group[1:] != group[:-1]) | (pos[1:] - pos[:-1] > window)
+    mask[col_order[pos]] = survives
+    return mask
+
+
 def window_coalesce_count(vertex_ids: np.ndarray, window: int) -> int:
     """How many updates of a stream coalesce with a residency of
     ``window`` slots.

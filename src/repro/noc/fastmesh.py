@@ -138,8 +138,10 @@ class FastMeshNetwork:
     ) -> None:
         if buffer_depth <= 0:
             raise ConfigurationError("buffer_depth must be positive")
-        self._kernel = meshkernel.load()
-        layout = self._kernel.mesh_layout
+        #: The compiled kernel this mesh steps with; the scatter phase
+        #: that runs on the mesh (:mod:`repro.core.fastsim`) shares it.
+        self.kernel = meshkernel.load()
+        layout = self.kernel.mesh_layout
         layout.check(BUFFER_DTYPES)
         #: Table positions of the counts ``fm_step`` reports.
         self._counts = layout.at(
@@ -211,7 +213,7 @@ class FastMeshNetwork:
         the arrays these attributes reference, each checked against
         :data:`BUFFER_DTYPES` first.
         """
-        buffers = self._kernel.mesh_layout.buffers
+        buffers = self.kernel.mesh_layout.buffers
         self._table[: len(buffers)] = [
             meshkernel.address(name, getattr(self, name), BUFFER_DTYPES[name])
             for name, _ in buffers
@@ -257,7 +259,7 @@ class FastMeshNetwork:
             # and a step appends at most one delivery per node.
             self._dlv_pidx = np.resize(self._dlv_pidx, 2 * self._dlv_pidx.size)
             self._bind()
-        self._kernel.step(self._table_addr, self.cycle, n0)
+        self.kernel.step(self._table_addr, self.cycle, n0)
         (
             delivered, hops, latency, stalled, rerouted, degraded, occupancy,
         ) = self._table[self._counts].tolist()

@@ -31,7 +31,7 @@ from repro.faults.schedule import (
     LinkOutage,
     PEStallWindow,
 )
-from repro.graph.generators import rmat_graph, star_graph
+from repro.graph.generators import grid_graph, rmat_graph, star_graph
 from repro.noc import meshkernel
 from repro.noc.fastmesh import FastMeshNetwork
 from repro.noc.mesh import EAST, SOUTH
@@ -626,6 +626,29 @@ class TestFoldBounds:
                 np.ones(record.updates), 0, np.zeros(n),
                 np.zeros(n, dtype=bool),
             )
+
+
+class TestKernelLoads:
+    def test_one_load_per_phase(self, monkeypatch):
+        """Each simulated phase's mesh loads the kernel, and the scatter
+        phase runs on the mesh's copy; the run resolves the engine with
+        one more load.  ``load`` hashes ``meshkernel.c`` on every call,
+        so a second load per phase costs a read and a hash of the
+        source.  A 6-phase BFS makes 7 calls (13 with two per phase)."""
+        calls = []
+        load = meshkernel.load
+
+        def counted_load():
+            calls.append(1)
+            return load()
+
+        monkeypatch.setattr(meshkernel, "load", counted_load)
+        result = _run(
+            "vectorized", rows=4, cols=4, algorithm="bfs",
+            graph=grid_graph(3, 4),
+        )
+        assert len(result.stats.scatter_cycles) == 6
+        assert len(calls) == 7
 
 
 class TestPhaseMemory:

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import make_algorithm
 from repro.algorithms.reference import gather_frontier_edges
+from repro.core import CycleAccurateScalaGraph, ScalaGraph, ScalaGraphConfig
 from repro.graph.generators import rmat_graph
 from repro.mapping import (
+    MAPPINGS,
     DestinationOrientedMapping,
+    Mapping,
     RowOrientedMapping,
     SourceOrientedMapping,
     make_mapping,
@@ -151,3 +155,94 @@ class TestTableIIOrdering:
             )
         assert totals["rom"] < totals["som"]
         assert totals["rom"] < totals["dom"]
+
+
+class _DomByMethods(Mapping):
+    """A DOM in every method and attribute, each read from the DOM it
+    wraps, but not a :class:`DestinationOrientedMapping` by class."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.dom = DestinationOrientedMapping(topology)
+
+    def __getattribute__(self, name):
+        if name.startswith("__") or name == "dom":
+            return object.__getattribute__(self, name)
+        return getattr(self.dom, name)
+
+    # The lookup above forwards these too; the class defines them only
+    # because an abstract method must be overridden to instantiate.
+    def execution_pe(self, edge_src, edge_dst):
+        raise AssertionError("not forwarded")
+
+    def apply_traffic(self, updated_vertices):
+        raise AssertionError("not forwarded")
+
+
+class TestMappingDefinedByMethods:
+    """The models ask the mapping, never its class: a mapping that
+    behaves as DOM is timed as DOM by every model."""
+
+    GRAPH = rmat_graph(6, edge_factor=8, seed=3)
+
+    @staticmethod
+    def config(**kwargs):
+        return ScalaGraphConfig(
+            num_tiles=1, pe_rows=4, pe_cols=4, mapping="dom", **kwargs
+        )
+
+    @staticmethod
+    def program(algorithm):
+        kwargs = {"max_iters": 2} if algorithm == "pagerank" else {}
+        return make_algorithm(algorithm, **kwargs)
+
+    @pytest.fixture
+    def dom_by_methods(self, monkeypatch):
+        def use_it():
+            monkeypatch.setitem(MAPPINGS, "dom", _DomByMethods)
+
+        return use_it
+
+    def test_not_a_dom_by_class(self, topo):
+        mapping = _DomByMethods(topo)
+        assert not isinstance(mapping, DestinationOrientedMapping)
+        assert mapping.name == "dom"
+
+    @pytest.mark.parametrize("algorithm", ["bfs", "pagerank"])
+    def test_analytic_report_is_doms(self, dom_by_methods, algorithm):
+        def report():
+            sim = ScalaGraph(self.config(), enforce_capacity=False)
+            result = sim.run(self.program(algorithm), self.GRAPH)
+            return type(sim.mapping), result.to_dict(include_iterations=True)
+
+        dom_class, dom = report()
+        dom_by_methods()
+        forwarding_class, forwarding = report()
+        assert (dom_class, forwarding_class) == (
+            DestinationOrientedMapping, _DomByMethods
+        )
+        assert forwarding == dom
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("algorithm", ["bfs", "pagerank"])
+    def test_cycle_engines_run_it_as_dom(
+        self, dom_by_methods, engine, algorithm
+    ):
+        def run():
+            sim = CycleAccurateScalaGraph(self.config(cycle_engine=engine))
+            result = sim.run(self.program(algorithm), self.GRAPH)
+            stats = {
+                name: value
+                for name, value in vars(result.stats).items()
+                if isinstance(value, (int, float, list))
+            }
+            return type(sim.mapping), stats, result.properties
+
+        dom_class, dom_stats, dom_props = run()
+        dom_by_methods()
+        forwarding_class, stats, props = run()
+        assert (dom_class, forwarding_class) == (
+            DestinationOrientedMapping, _DomByMethods
+        )
+        assert stats == dom_stats
+        np.testing.assert_array_equal(props, dom_props)

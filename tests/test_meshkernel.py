@@ -43,7 +43,7 @@ _CHILD = textwrap.dedent(
     from repro.noc import FastMeshNetwork, MeshTopology, Packet, drain
     net = FastMeshNetwork(MeshTopology(3, 3))
     stats = drain(net, [Packet(src=0, dst=8, vertex=1)])
-    print(stats.delivered, stats.total_hops, net._kernel.path)
+    print(stats.delivered, stats.total_hops, net.kernel.path)
     """
 )
 

@@ -1,4 +1,5 @@
-"""Analytic NoC model tests, cross-checked against the detailed simulators."""
+"""Analytic NoC model tests: each mapping's routing, coalescing and
+Apply bound, and the survivor mask against its oracles."""
 
 import json
 import math
@@ -8,19 +9,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import repro.core.noc_model as noc_model
+import repro.mapping.base as mapping_base
 from repro.algorithms.reference import gather_frontier_edges
-from repro.core.noc_model import (
-    apply_noc_service_cycles,
-    scatter_noc_stats,
-    survivor_mask,
-)
 from repro.mapping import (
     DestinationOrientedMapping,
     RowOrientedMapping,
     SourceOrientedMapping,
 )
-from repro.noc.aggregation import window_coalesce_count
+from repro.noc.aggregation import survivor_mask, window_coalesce_count
 from repro.noc.topology import MeshTopology
 
 
@@ -247,7 +243,7 @@ class TestSurvivorMaskOracle:
             calls.append(1)
             return survivor_mask_oracle(*args)
 
-        monkeypatch.setattr(noc_model, "survivor_mask", oracle)
+        monkeypatch.setattr(mapping_base, "survivor_mask", oracle)
         assert dicts(run_matrix(scale_shift=-6)) == production
         assert calls and len(production) == 100
 
@@ -255,64 +251,53 @@ class TestSurvivorMaskOracle:
 class TestScatterStats:
     def test_dom_has_no_noc_traffic(self, topo, medium_rmat):
         src, dst = frontier_edges(medium_rmat)
-        stats = scatter_noc_stats(DestinationOrientedMapping(topo), src, dst, 16)
-        assert stats.messages == 0
-        assert stats.service_cycles == 0.0
-        assert stats.spd_service_cycles > 0
+        stats = DestinationOrientedMapping(topo).scatter_traffic(src, dst, 16)
+        assert stats.num_messages == 0
+        assert stats.max_link_load == 0
+        assert stats.spd_load > 0
 
     def test_rom_less_traffic_than_som(self, topo, medium_rmat):
         src, dst = frontier_edges(medium_rmat)
-        rom = scatter_noc_stats(RowOrientedMapping(topo), src, dst, 0)
-        som = scatter_noc_stats(SourceOrientedMapping(topo), src, dst, 0)
+        rom = RowOrientedMapping(topo).scatter_traffic(src, dst, 0)
+        som = SourceOrientedMapping(topo).scatter_traffic(src, dst, 0)
         assert rom.total_hops < som.total_hops
 
     def test_aggregation_reduces_hops_and_spd(self, topo, medium_rmat):
         src, dst = frontier_edges(medium_rmat)
-        off = scatter_noc_stats(RowOrientedMapping(topo), src, dst, 0)
-        on = scatter_noc_stats(RowOrientedMapping(topo), src, dst, 64)
+        off = RowOrientedMapping(topo).scatter_traffic(src, dst, 0)
+        on = RowOrientedMapping(topo).scatter_traffic(src, dst, 64)
         assert on.coalesced > 0
         assert on.total_hops < off.total_hops
-        assert on.spd_service_cycles <= off.spd_service_cycles
+        assert on.spd_load <= off.spd_load
         assert off.coalesced == 0
 
     def test_som_horizontal_links_not_relieved(self, topo, medium_rmat):
         """Aggregation merges on the destination column, so SOM's
         horizontal traffic stays put while vertical shrinks."""
         src, dst = frontier_edges(medium_rmat)
-        off = scatter_noc_stats(SourceOrientedMapping(topo), src, dst, 0)
-        on = scatter_noc_stats(SourceOrientedMapping(topo), src, dst, 64)
+        off = SourceOrientedMapping(topo).scatter_traffic(src, dst, 0)
+        on = SourceOrientedMapping(topo).scatter_traffic(src, dst, 64)
         assert on.total_hops < off.total_hops
-        assert on.messages == off.messages  # injection unchanged for SOM
+        assert on.num_messages == off.num_messages  # injection unchanged
 
     def test_empty_phase(self, topo):
-        stats = scatter_noc_stats(
-            RowOrientedMapping(topo),
+        stats = RowOrientedMapping(topo).scatter_traffic(
             np.array([], dtype=np.int64),
             np.array([], dtype=np.int64),
             16,
         )
-        assert stats.messages == 0
-        assert stats.service_cycles == 0.0
-
-    def test_hops_match_mapping_accounting_without_aggregation(
-        self, topo, medium_rmat
-    ):
-        src, dst = frontier_edges(medium_rmat)
-        mapping = RowOrientedMapping(topo)
-        stats = scatter_noc_stats(mapping, src, dst, 0)
-        traffic = mapping.scatter_traffic(src, dst)
-        assert stats.total_hops == traffic.total_hops
-        assert stats.messages == traffic.num_messages
+        assert stats.num_messages == 0
+        assert stats.max_link_load == 0
 
 
 class TestApplyService:
     def test_som_rom_free(self, topo):
-        assert apply_noc_service_cycles(SourceOrientedMapping(topo), 100) == 0
-        assert apply_noc_service_cycles(RowOrientedMapping(topo), 100) == 0
+        assert SourceOrientedMapping(topo).apply_service_cycles(100) == 0
+        assert RowOrientedMapping(topo).apply_service_cycles(100) == 0
 
     def test_dom_ingest_bound(self, topo):
         dom = DestinationOrientedMapping(topo)
-        assert apply_noc_service_cycles(dom, 100) >= 100
+        assert dom.apply_service_cycles(100) >= 100
 
     def test_dom_zero_updates(self, topo):
-        assert apply_noc_service_cycles(DestinationOrientedMapping(topo), 0) == 0
+        assert DestinationOrientedMapping(topo).apply_service_cycles(0) == 0

@@ -9,25 +9,10 @@ from repro.memory.hbm import HBMConfig, HBMModel
 
 @pytest.fixture
 def prefetcher():
-    return Prefetcher(
-        HBMModel(HBMConfig(), 250e6), edge_bytes=4, vertex_bytes=8
-    )
+    return Prefetcher(HBMModel(HBMConfig(), 250e6), vertex_bytes=8)
 
 
 class TestPrefetcher:
-    def test_scatter_traffic_volumes(self, prefetcher):
-        traffic = prefetcher.scatter_traffic(num_active=100, num_edges=1000)
-        assert traffic.vertex_bytes == 800
-        assert traffic.edge_bytes == 4000
-        assert traffic.total_bytes == 4800
-
-    def test_dom_multiplier(self, prefetcher):
-        traffic = prefetcher.scatter_traffic(
-            num_active=100, num_edges=1000, offchip_multiplier=16
-        )
-        assert traffic.vertex_bytes == 800 * 16
-        assert traffic.edge_bytes == 4000  # edges not replicated
-
     def test_apply_traffic(self, prefetcher):
         traffic = prefetcher.apply_traffic(num_updates=50)
         assert traffic.writeback_bytes == 400

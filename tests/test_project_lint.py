@@ -188,6 +188,18 @@ class TestRealRepoClean:
         # Every baseline entry is a real, currently-matching finding.
         assert len(report.baselined) == len(baseline.entries)
 
+    def test_select_reports_no_entry_of_an_unrun_rule_stale(
+        self, monkeypatch
+    ):
+        """Every baseline entry is SIM605's: selecting other rules on
+        the clean repo finds nothing, rather than a stale entry each."""
+        monkeypatch.chdir(REPO_ROOT)
+        code, output = run_cli(
+            "lint", "--project", "--select", "SIM604,SIM101"
+        )
+        assert code == 0, output
+        assert "stale" not in output
+
     def test_repo_declares_both_twin_pairs(self):
         report = analyze_project(PACKAGE_ROOT)
         pairs = {p.name for p in report.model.twin_pairs()}
