@@ -6,11 +6,14 @@ an unchanged version would have the cache serve stale cells as current.
 
     python .github/model_outputs.py BASE_SRC HEAD_SRC
 
-runs the Fig. 14 matrix at scale shift -6 (100 reports) on the
-``repro`` package under each source directory, each in its own
-process, and compares the ``to_dict(include_iterations=True)`` JSON of
-every report.  It exits 1 when the outputs differ while the two trees
-declare the same ``CODE_MODEL_VERSION``, and 0 otherwise.
+runs the Fig. 14 matrix at scale shift -6 (100 reports) and a few
+runs the matrix never takes (a faulted ScalaGraph, graphs split into
+several scratchpad partitions, an explicit direction-optimizing BFS
+workload, and the Fig. 4 crossbar variants) on the ``repro`` package
+under each source directory, each in its own process, and compares
+the ``to_dict(include_iterations=True)`` JSON of every report.  It
+exits 1 when the outputs differ while the two trees declare the same
+``CODE_MODEL_VERSION``, and 0 otherwise.
 """
 
 import json
@@ -19,19 +22,87 @@ import subprocess
 import sys
 
 
+def extra_reports() -> dict:
+    """Reports of the runs outside the Fig. 14 matrix, by label."""
+    from dataclasses import replace
+
+    from repro.algorithms import BFS, PageRank, run_reference
+    from repro.algorithms.dobfs import (
+        as_workload,
+        run_direction_optimizing_bfs,
+    )
+    from repro.baselines import AccuGraph, GraphDynS
+    from repro.core import ScalaGraph, ScalaGraphConfig
+    from repro.experiments import load_benchmark_graph
+    from repro.faults import FaultConfig, FaultSchedule
+    from repro.memory.spd import ScratchpadConfig
+    from repro.noc.topology import MeshTopology
+
+    graph = load_benchmark_graph("PK", "bfs", -4)
+    config = ScalaGraphConfig()
+    # A quarter of the vertices fit on chip: four partitions.
+    sliced = ScratchpadConfig(total_bytes=graph.num_vertices * 2)
+    faults = FaultSchedule(
+        MeshTopology(config.pe_rows, config.total_cols),
+        FaultConfig(seed=2, link_outages=3, hbm_disabled_channels=16),
+    )
+    gd512 = GraphDynS.with_512_pes().config
+    systems = {
+        "ScalaGraph-512-faulted": lambda: ScalaGraph(config, faults=faults),
+        "ScalaGraph-512-sliced": lambda: ScalaGraph(
+            replace(config, spd=sliced)
+        ),
+        "ScalaGraph-512-sliced-faulted": lambda: ScalaGraph(
+            replace(config, spd=sliced), faults=faults
+        ),
+        "GraphDynS-512-sliced": lambda: GraphDynS(replace(gd512, spd=sliced)),
+        "AccuGraph-128": AccuGraph,
+        "AccuGraph-512-no-crossbar": lambda: AccuGraph.with_pes(
+            512, with_crossbar=False
+        ),
+        "GraphDynS-512-no-crossbar": lambda: GraphDynS.with_pes(
+            512, with_crossbar=False
+        ),
+    }
+    reports = {}
+    for program in (BFS(), PageRank(max_iters=4)):
+        reference = run_reference(program, graph)
+        for label, build in systems.items():
+            reports[f"PK-4/{program.name}/{label}"] = build().run(
+                program, graph, reference=reference
+            )
+    dobfs = run_direction_optimizing_bfs(graph)
+    reports["PK-4/dobfs/ScalaGraph-512"] = ScalaGraph(config).run_trace(
+        graph,
+        as_workload(dobfs),
+        algorithm="dobfs",
+        monotonic=True,
+        properties=dobfs.depths,
+    )
+    return reports
+
+
 def dump() -> None:
     """Print this process's ``CODE_MODEL_VERSION`` on one line and the
-    matrix's reports as JSON on the next."""
+    reports as JSON on the next."""
     from repro.experiments import run_matrix
     from repro.experiments.store import CODE_MODEL_VERSION
 
     matrix = run_matrix(scale_shift=-6)
     reports = {
-        "/".join(key): report.to_dict(include_iterations=True)
-        for key, report in matrix.reports.items()
+        "/".join(key): report for key, report in matrix.reports.items()
     }
+    reports.update(extra_reports())
     print(CODE_MODEL_VERSION)
-    print(json.dumps(reports, sort_keys=True))
+    print(
+        json.dumps(
+            {
+                label: report.to_dict(include_iterations=True)
+                for label, report in reports.items()
+            },
+            sort_keys=True,
+        )
+    )
 
 
 def outputs(src: str) -> tuple:

@@ -140,10 +140,11 @@ def test_validation_cycle_accurate_vs_analytic(benchmark):
             f"(emission-tail serialisation the analytic model omits)."
         )
     emit("validation_cycle_sim", text)
+    counts = profile.to_dict()
     emit_json(
         "validation_cycle_sim",
         {
-            "schema": "repro-validation/2",
+            "schema": "repro-validation/3",
             "workloads": [
                 {
                     "label": label,
@@ -156,7 +157,15 @@ def test_validation_cycle_accurate_vs_analytic(benchmark):
             ],
             "geomean_ratio": geometric_mean(ratios),
             "paper_scale": paper_scale,
-            "profile": profile.to_dict(),
+            # Counts only, no wall-clock seconds: a rerun writes the
+            # same bytes.
+            "profile": {
+                "counters": counts["counters"],
+                "timer_calls": {
+                    name: timer["calls"]
+                    for name, timer in counts["timers"].items()
+                },
+            },
         },
     )
 

@@ -173,7 +173,7 @@ def run_direction_optimizing_bfs(
 def as_workload(result: DirectionOptimizingResult):
     """Convert a DOBFS trace into :class:`WorkloadIteration` items for
     :meth:`repro.core.ScalaGraph.run_trace`."""
-    from repro.core.accelerator import WorkloadIteration
+    from repro.core.replay import WorkloadIteration
 
     return [
         WorkloadIteration(

@@ -13,16 +13,15 @@ pay for the inter-tile traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import VertexProgram
-from repro.algorithms.reference import (
-    ReferenceResult,
-    gather_frontier_edges,
-    repeats_previous,
-    run_reference,
+from repro.core.replay import (
+    ModelledSystem,
+    PhaseModel,
+    Replay,
+    WorkloadIteration,
 )
 from repro.core.stats import IterationStats, PhaseCycles, SimulationReport
 from repro.errors import ConfigurationError
@@ -108,105 +107,17 @@ class CrossbarAcceleratorConfig:
         return self.clock_mhz * 1e6
 
 
-class CrossbarAccelerator:
+class CrossbarAccelerator(ModelledSystem):
     """Cycle-approximate model of a crossbar-based accelerator."""
 
     def __init__(self, config: CrossbarAcceleratorConfig) -> None:
         self.config = config
         self._hbm = HBMModel(config.hbm, config.clock_hz)
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        program: VertexProgram,
-        graph: CSRGraph,
-        max_iterations: Optional[int] = None,
-        reference: Optional[ReferenceResult] = None,
-    ) -> SimulationReport:
-        cfg = self.config
-        ref = reference or run_reference(program, graph, max_iterations)
-        partitions = slice_intervals(graph, cfg.spd.capacity_vertices)
-
-        iteration_stats: list[IterationStats] = []
-        total_cycles = 0.0
-        compute_cycle_total = 0.0
-        # Per partition, the current frontier's Scatter phase, edge count
-        # and Apply PE load: modelled once per run of repeated frontiers.
-        modelled: list[tuple[PhaseCycles, int, float]] = []
-        previous = None
-        for trace in ref.iterations:
-            active = trace.active_vertices
-            if not repeats_previous(previous, (active,)):
-                src, dst, _ = gather_frontier_edges(graph, active)
-                modelled = []
-                for part in partitions:
-                    if len(partitions) == 1:
-                        src_p, dst_p = src, dst
-                    else:
-                        mask = part.mask(dst)
-                        src_p, dst_p = src[mask], dst[mask]
-                    modelled.append(
-                        (
-                            self._scatter_phase(active, src_p, dst_p),
-                            src_p.size,
-                            self._apply_load(dst_p),
-                        )
-                    )
-            previous = (active,)
-            scatter = apply = offchip = 0.0
-            bottleneck = "compute"
-            for phase, num_edges, load in modelled:
-                scatter += phase.total
-                compute_cycle_total += phase.compute
-                bottleneck = phase.bottleneck
-                apply_cycles, apply_bytes = self._apply_phase(
-                    load, trace.num_updates
-                )
-                apply += apply_cycles
-                offchip += (
-                    num_edges * cfg.edge_bytes
-                    + active.size * cfg.vertex_bytes
-                    + apply_bytes
-                )
-            total_cycles += scatter + apply
-            iteration_stats.append(
-                IterationStats(
-                    index=trace.index,
-                    num_active=int(active.size),
-                    num_edges=trace.num_edges,
-                    scatter_cycles=scatter,
-                    apply_cycles=apply,
-                    offchip_bytes=offchip,
-                    scatter_bottleneck=bottleneck,
-                )
-            )
-
-        from repro.models.energy import accelerator_power_watts
-
-        power = accelerator_power_watts(
-            cfg.num_pes,
-            Interconnect.CROSSBAR if cfg.with_crossbar else Interconnect.MESH,
-            cfg.clock_mhz,
-        ).total_watts
-
-        return SimulationReport(
-            accelerator=f"{cfg.name}-{cfg.num_pes}",
-            algorithm=program.name,
-            graph_name=graph.name,
-            num_pes=cfg.num_pes,
-            frequency_mhz=cfg.clock_mhz,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            total_edges_traversed=ref.total_edges_traversed,
-            total_cycles=total_cycles,
-            iterations=iteration_stats,
-            properties=ref.properties,
-            num_partitions=len(partitions),
-            power_watts=power,
-            extra={"scatter_compute_cycles": compute_cycle_total},
-        )
+    def phase_model(self, graph: CSRGraph) -> PhaseModel:
+        """This design's phase bounds over ``graph``, for
+        :func:`~repro.core.replay.replay`."""
+        return _CrossbarModel(self, graph)
 
     # ------------------------------------------------------------------
     # Phase models
@@ -276,3 +187,80 @@ class CrossbarAccelerator:
             _INTER_TILE_LINKS * cfg.inter_tile_link_updates_per_cycle
         )
         return link_cycles
+
+
+class _CrossbarModel(PhaseModel):
+    """One :class:`CrossbarAccelerator` run, as
+    :func:`~repro.core.replay.replay` walks it."""
+
+    def __init__(self, system: CrossbarAccelerator, graph: CSRGraph) -> None:
+        capacity = system.config.spd.capacity_vertices
+        super().__init__(system, slice_intervals(graph, capacity))
+        self.compute_cycles = 0.0
+
+    def frontier(
+        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> Tuple[PhaseCycles, int, float]:
+        """The partition's Scatter phase, edge count and Apply PE load."""
+        return (
+            self.system._scatter_phase(active, src, dst),
+            src.size,
+            self.system._apply_load(dst),
+        )
+
+    def iteration(
+        self,
+        index: int,
+        step: WorkloadIteration,
+        terms: Sequence[Tuple[PhaseCycles, int, float]],
+    ) -> IterationStats:
+        cfg = self.system.config
+        num_active = step.active_vertices.size
+        scatter = apply = offchip = 0.0
+        bottleneck = "compute"
+        for phase, edges, load in terms:
+            scatter += phase.total
+            self.compute_cycles += phase.compute
+            bottleneck = phase.bottleneck
+            apply_cycles, apply_bytes = self.system._apply_phase(
+                load, step.num_updates
+            )
+            apply += apply_cycles
+            offchip += (
+                edges * cfg.edge_bytes
+                + num_active * cfg.vertex_bytes
+                + apply_bytes
+            )
+        return IterationStats(
+            index=index,
+            num_active=num_active,
+            num_edges=step.edge_src.size,
+            scatter_cycles=scatter,
+            apply_cycles=apply,
+            offchip_bytes=offchip,
+            scatter_bottleneck=bottleneck,
+        )
+
+    def report(self, graph: CSRGraph, run: Replay) -> SimulationReport:
+        from repro.models.energy import accelerator_power_watts
+
+        cfg = self.system.config
+        total_cycles = 0.0
+        for stats in self.iterations:
+            total_cycles += stats.scatter_cycles + stats.apply_cycles
+        return run.report(
+            graph,
+            self,
+            accelerator=f"{cfg.name}-{cfg.num_pes}",
+            num_pes=cfg.num_pes,
+            frequency_mhz=cfg.clock_mhz,
+            total_cycles=total_cycles,
+            power_watts=accelerator_power_watts(
+                cfg.num_pes,
+                Interconnect.CROSSBAR
+                if cfg.with_crossbar
+                else Interconnect.MESH,
+                cfg.clock_mhz,
+            ).total_watts,
+            extra={"scatter_compute_cycles": self.compute_cycles},
+        )

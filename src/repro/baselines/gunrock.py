@@ -19,18 +19,20 @@ what erodes Gunrock's BFS performance on high-diameter frontiers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
-from repro.algorithms.base import VertexProgram
-from repro.algorithms.reference import (
-    ReferenceResult,
-    gather_frontier_edges,
-    repeats_previous,
-    run_reference,
+import numpy as np
+
+from repro.core.replay import (
+    ModelledSystem,
+    PhaseModel,
+    Replay,
+    WorkloadIteration,
 )
 from repro.core.stats import IterationStats, SimulationReport
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.graph.partition import Partition
 from repro.memory.request import cachelines_touched
 from repro.models.energy import gpu_power_watts
 
@@ -74,7 +76,7 @@ class GunrockConfig:
         return self.peak_bandwidth_gbs * GB * self.bandwidth_efficiency
 
 
-class Gunrock:
+class Gunrock(ModelledSystem):
     """Analytic Gunrock/V100 model producing the same report type."""
 
     name = "Gunrock"
@@ -82,56 +84,10 @@ class Gunrock:
     def __init__(self, config: Optional[GunrockConfig] = None) -> None:
         self.config = config or GunrockConfig()
 
-    def run(
-        self,
-        program: VertexProgram,
-        graph: CSRGraph,
-        max_iterations: Optional[int] = None,
-        reference: Optional[ReferenceResult] = None,
-    ) -> SimulationReport:
-        cfg = self.config
-        ref = reference or run_reference(program, graph, max_iterations)
-
-        iteration_stats: list[IterationStats] = []
-        total_seconds = 0.0
-        previous = None
-        for trace in ref.iterations:
-            active = trace.active_vertices
-            if not repeats_previous(previous, (active,)):
-                _, dst, _ = gather_frontier_edges(graph, active)
-                num_edges = int(dst.size)
-                lines = cachelines_touched(dst * 4, cfg.sector_bytes)
-            previous = (active,)
-            seconds, traffic = self._iteration_seconds(
-                int(active.size), num_edges, lines, trace.num_updates
-            )
-            total_seconds += seconds
-            iteration_stats.append(
-                IterationStats(
-                    index=trace.index,
-                    num_active=int(trace.active_vertices.size),
-                    num_edges=trace.num_edges,
-                    scatter_cycles=seconds * cfg.clock_mhz * 1e6,
-                    apply_cycles=0.0,
-                    offchip_bytes=traffic,
-                )
-            )
-
-        total_cycles = total_seconds * cfg.clock_mhz * 1e6
-        return SimulationReport(
-            accelerator="Gunrock-V100",
-            algorithm=program.name,
-            graph_name=graph.name,
-            num_pes=80 * 64,  # V100: 80 SMs x 64 FP32 lanes
-            frequency_mhz=cfg.clock_mhz,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            total_edges_traversed=ref.total_edges_traversed,
-            total_cycles=total_cycles,
-            iterations=iteration_stats,
-            properties=ref.properties,
-            power_watts=gpu_power_watts(),
-        )
+    def phase_model(self, graph: CSRGraph) -> PhaseModel:
+        """The GPU's per-iteration time over ``graph``, for
+        :func:`~repro.core.replay.replay`."""
+        return _GunrockModel(self, graph)
 
     # ------------------------------------------------------------------
     # Per-iteration time
@@ -160,3 +116,54 @@ class Gunrock:
         compute_s = num_edges / (cfg.sm_throughput_gteps * 1e9)
         body_s = max(memory_s, compute_s) * cfg.atomic_stall_factor
         return body_s + cfg.kernel_launch_us * 1e-6, total_bytes
+
+
+class _GunrockModel(PhaseModel):
+    """One :class:`Gunrock` run, as :func:`~repro.core.replay.replay`
+    walks it."""
+
+    def __init__(self, system: Gunrock, graph: CSRGraph) -> None:
+        # The GPU's memory holds every vertex: one partition.
+        whole = Partition(0, 0, graph.num_vertices, graph.num_edges)
+        super().__init__(system, [whole])
+        self.seconds = 0.0
+
+    def frontier(
+        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> Tuple[int, int]:
+        """The frontier's edge count and its distinct 32-B sectors."""
+        sector_bytes = self.system.config.sector_bytes
+        return dst.size, cachelines_touched(dst * 4, sector_bytes)
+
+    def iteration(
+        self,
+        index: int,
+        step: WorkloadIteration,
+        terms: Sequence[Tuple[int, int]],
+    ) -> IterationStats:
+        ((edges, lines),) = terms
+        num_active = step.active_vertices.size
+        seconds, traffic = self.system._iteration_seconds(
+            num_active, edges, lines, step.num_updates
+        )
+        self.seconds += seconds
+        return IterationStats(
+            index=index,
+            num_active=num_active,
+            num_edges=step.edge_src.size,
+            scatter_cycles=seconds * self.system.config.clock_mhz * 1e6,
+            apply_cycles=0.0,
+            offchip_bytes=traffic,
+        )
+
+    def report(self, graph: CSRGraph, run: Replay) -> SimulationReport:
+        cfg = self.system.config
+        return run.report(
+            graph,
+            self,
+            accelerator="Gunrock-V100",
+            num_pes=80 * 64,  # V100: 80 SMs x 64 FP32 lanes
+            frequency_mhz=cfg.clock_mhz,
+            total_cycles=self.seconds * cfg.clock_mhz * 1e6,
+            power_watts=gpu_power_watts(),
+        )

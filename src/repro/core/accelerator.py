@@ -13,26 +13,24 @@ Scatter for monotonic algorithms on graphs that fit in one partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import VertexProgram
-from repro.algorithms.reference import (
-    ReferenceResult,
-    gather_frontier_edges,
-    repeats_previous,
-    run_reference,
-)
 from repro.core.config import ScalaGraphConfig
 from repro.core.dispatcher import (
     apply_compute_cycles,
     pipeline_schedule,
     scatter_compute_cycles,
 )
-from repro.core.prefetcher import Prefetcher
 from repro.core.profiling import NULL_PROFILER, Profiler
+from repro.core.replay import (
+    ModelledSystem,
+    PhaseModel,
+    Replay,
+    WorkloadIteration,
+    replay,
+)
 from repro.core.stats import IterationStats, PhaseCycles, SimulationReport
 from repro.errors import CapacityError
 from repro.graph.csr import CSRGraph
@@ -46,28 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultSchedule
 
 
-@dataclass(frozen=True)
-class WorkloadIteration:
-    """One iteration's explicit workload for :meth:`ScalaGraph.run_trace`.
-
-    Lets callers drive the timing model with workloads the standard
-    push-based reference engine cannot express (e.g. the pull phases of
-    direction-optimizing BFS, where the edge set is not the frontier's
-    out-edges).
-
-    Attributes:
-        active_vertices: vertices whose records stream from HBM.
-        edge_src / edge_dst: the edge workloads processed this iteration.
-        num_updates: vertices whose property changes (next frontier size).
-    """
-
-    active_vertices: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    num_updates: int
-
-
-class ScalaGraph:
+class ScalaGraph(ModelledSystem):
     """The ScalaGraph accelerator (Sections III-IV).
 
     Args:
@@ -114,60 +91,15 @@ class ScalaGraph:
             rows=self.config.pe_rows, cols=self.config.total_cols
         )
         self.mapping = make_mapping(self.config.mapping, self.topology)
-        hbm_model = HBMModel(self.config.hbm, self.config.clock_hz)
-        self.prefetcher = Prefetcher(
-            hbm_model, vertex_bytes=self.config.vertex_bytes
-        )
+        self.hbm = HBMModel(self.config.hbm, self.config.clock_hz)
 
     # ------------------------------------------------------------------
-    # Public API
+    # Public API (``run`` is ModelledSystem's)
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: VertexProgram,
-        graph: CSRGraph,
-        max_iterations: Optional[int] = None,
-        reference: Optional[ReferenceResult] = None,
-    ) -> SimulationReport:
-        """Simulate one algorithm run.
-
-        Args:
-            program: the vertex program.
-            graph: the input graph.
-            max_iterations: optional iteration cap.
-            reference: a pre-computed functional run to replay (lets
-                sweeps share one reference execution).
-
-        Returns:
-            A :class:`SimulationReport` carrying the gold properties and
-            the timing accounting.
-        """
-        prof = self.profiler or NULL_PROFILER
-        with prof.timer("analytic.reference"):
-            ref = reference or run_reference(program, graph, max_iterations)
-        with prof.timer("analytic.workload_build"):
-            workload: list[WorkloadIteration] = []
-            previous = None
-            for trace in ref.iterations:
-                active = trace.active_vertices
-                if not repeats_previous(previous, (active,)):
-                    src, dst, _ = gather_frontier_edges(graph, active)
-                previous = (active,)
-                workload.append(
-                    WorkloadIteration(active, src, dst, trace.num_updates)
-                )
-        return self.run_trace(
-            graph,
-            workload,
-            algorithm=program.name,
-            monotonic=program.monotonic,
-            properties=ref.properties,
-        )
-
     def run_trace(
         self,
         graph: CSRGraph,
-        workload: Sequence[WorkloadIteration],
+        workload: Iterable[WorkloadIteration],
         algorithm: str = "trace",
         monotonic: bool = False,
         properties: Optional[np.ndarray] = None,
@@ -187,159 +119,20 @@ class ScalaGraph:
             monotonic: whether inter-phase pipelining is allowed.
             properties: optional gold results to attach.
         """
-        cfg = self.config
-        prof = self.profiler or NULL_PROFILER
-        partitions = self._partitions(graph)
+        return replay(
+            graph, workload, [self], algorithm, monotonic, properties
+        )[0]
 
-        use_pipelining = (
-            cfg.inter_phase_pipelining
-            and monotonic
-            and len(partitions) == 1
-        )
-        window = cfg.aggregation_registers * cfg.timing.agg_window_per_register
-
-        scatter_totals: list[float] = []
-        apply_totals: list[float] = []
-        iteration_stats: list[IterationStats] = []
-        compute_cycle_total = 0.0
-        # Per partition, the current frontier's Scatter phase and Apply
-        # compute bound: modelled once per run of repeated iterations.
-        scatter_phases: list[dict] = []
-        apply_computes: list[float] = []
-        previous = None
-
-        for index, item in enumerate(workload):
-            active = np.asarray(item.active_vertices, dtype=np.int64)
-            src = np.asarray(item.edge_src, dtype=np.int64)
-            dst = np.asarray(item.edge_dst, dtype=np.int64)
-            repeat = repeats_previous(previous, (active, src, dst))
-            previous = (active, src, dst)
-            if repeat:
-                prof.count("analytic.scatter_phases_reused", len(partitions))
-            else:
-                scatter_phases, apply_computes = [], []
-            scatter_cycles = 0.0
-            apply_cycles = 0.0
-            messages = hops = coalesced = 0
-            offchip = 0.0
-            bottleneck = "compute"
-
-            for p, part in enumerate(partitions):
-                if not repeat:
-                    if len(partitions) == 1:
-                        src_p, dst_p = src, dst
-                    else:
-                        mask = part.mask(dst)
-                        src_p, dst_p = src[mask], dst[mask]
-                    with prof.timer("analytic.scatter_model"):
-                        scatter_phases.append(
-                            self._scatter_phase(active, src_p, dst_p, window)
-                        )
-                phase = scatter_phases[p]
-                scatter_cycles += phase["cycles"].total
-                compute_cycle_total += phase["cycles"].compute
-                messages += phase["noc"].num_messages
-                hops += phase["noc"].total_hops
-                coalesced += phase["noc"].coalesced
-                offchip += phase["offchip_bytes"]
-                bottleneck = phase["cycles"].bottleneck
-
-                with prof.timer("analytic.apply_model"):
-                    if not repeat:
-                        apply_computes.append(self._apply_compute(dst_p))
-                    apply_phase = self._apply_phase(
-                        apply_computes[p], item.num_updates
-                    )
-                apply_cycles += apply_phase["cycles"]
-                offchip += apply_phase["offchip_bytes"]
-
-            scatter_totals.append(scatter_cycles)
-            apply_totals.append(apply_cycles)
-            iteration_stats.append(
-                IterationStats(
-                    index=index,
-                    num_active=int(active.size),
-                    num_edges=int(src.size),
-                    scatter_cycles=scatter_cycles,
-                    apply_cycles=apply_cycles,
-                    noc_messages=messages,
-                    noc_hops=hops,
-                    coalesced_updates=coalesced,
-                    offchip_bytes=offchip,
-                    scatter_bottleneck=bottleneck,
-                )
-            )
-
-        total_cycles, overlaps = pipeline_schedule(
-            scatter_totals,
-            apply_totals,
-            enabled=use_pipelining,
-            efficiency=cfg.timing.pipelining_efficiency,
-        )
-        for stats, overlap in zip(iteration_stats, overlaps):
-            stats.overlap_cycles = overlap
-
-        from repro.models.energy import accelerator_power_watts
-
-        power = accelerator_power_watts(
-            cfg.num_pes, cfg.interconnect, cfg.clock_mhz
-        ).total_watts
-
-        extra = {
-            "pipelining_used": float(use_pipelining),
-            "aggregation_window": float(window),
-            "scatter_compute_cycles": compute_cycle_total,
-        }
+    def phase_model(self, graph: CSRGraph) -> PhaseModel:
+        """This machine's phase bounds over ``graph``, for
+        :func:`~repro.core.replay.replay`.  Under faults the model walks
+        a clean twin beside it, whose cycles give ``degraded_cycles``."""
+        twin = None
         if self.faults is not None:
-            # Slowdown attributable to the faults: re-run the (cheap,
-            # analytic) timing model on an identical clean twin and take
-            # the cycle delta.  The twin shares this instance's workload
-            # so the comparison is exact.
-            clean = ScalaGraph(
+            twin = ScalaGraph(
                 self._clean_config, enforce_capacity=self.enforce_capacity
-            ).run_trace(
-                graph, workload, algorithm=algorithm, monotonic=monotonic
-            )
-            extra["degraded_cycles"] = max(
-                0.0, total_cycles - clean.total_cycles
-            )
-            extra["fault_seed"] = float(self.faults.seed)
-            extra["hbm_bandwidth_fraction"] = (
-                self.faults.hbm_bandwidth_fraction
-            )
-            extra["link_availability"] = self.faults.link_availability
-
-        prof.count("analytic.iterations", len(workload))
-        prof.count(
-            "analytic.scatter_phases", len(workload) * len(partitions)
-        )
-        prof.count("analytic.partitions", len(partitions))
-        prof.count(
-            "analytic.edges_traversed",
-            sum(int(np.asarray(w.edge_src).size) for w in workload),
-        )
-
-        return SimulationReport(
-            accelerator=f"{self.name}-{cfg.num_pes}",
-            algorithm=algorithm,
-            graph_name=graph.name,
-            num_pes=cfg.num_pes,
-            frequency_mhz=cfg.clock_mhz,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            total_edges_traversed=sum(
-                int(np.asarray(w.edge_src).size) for w in workload
-            ),
-            total_cycles=total_cycles,
-            iterations=iteration_stats,
-            properties=properties,
-            num_partitions=len(partitions),
-            power_watts=power,
-            extra=extra,
-            profile=(
-                self.profiler.to_dict() if self.profiler is not None else None
-            ),
-        )
+            ).phase_model(graph)
+        return _ScalaGraphModel(self, graph, twin)
 
     # ------------------------------------------------------------------
     # Phase models
@@ -396,7 +189,7 @@ class ScalaGraph:
             compute=compute,
             noc=noc_service + noc_fill,
             spd=noc.spd_load,
-            memory=self.prefetcher.hbm.stream_cycles(offchip),
+            memory=self.hbm.stream_cycles(offchip),
             overhead=timing.phase_overhead_cycles,
         )
         return {"cycles": cycles, "noc": noc, "offchip_bytes": offchip}
@@ -408,13 +201,19 @@ class ScalaGraph:
             self.mapping.home(touched), self.topology.num_nodes
         )
 
-    def _apply_phase(self, compute: float, num_updates: int) -> dict:
+    def _apply_phase(
+        self, compute: float, num_updates: int
+    ) -> Tuple[float, float]:
+        """Apply's cycles and off-chip bytes: the busiest node's
+        compute, the mapping's flood, and the write-back of the new
+        active list.  Prefetching hides the stream's latency (Section
+        III-A), so only its bandwidth occupancy is charged."""
         cfg = self.config
         noc = self.mapping.apply_service_cycles(num_updates)
-        traffic = self.prefetcher.apply_traffic(num_updates)
-        memory = self.prefetcher.cycles(traffic)
+        writeback = float(num_updates * cfg.vertex_bytes)
+        memory = self.hbm.stream_cycles(writeback)
         cycles = max(compute, noc, memory) + cfg.timing.phase_overhead_cycles
-        return {"cycles": cycles, "offchip_bytes": traffic.total_bytes}
+        return cycles, writeback
 
     # ------------------------------------------------------------------
     # Capacity / partitioning
@@ -447,4 +246,131 @@ class ScalaGraph:
             f"ScalaGraph(pes={self.config.num_pes}, "
             f"mapping={self.config.mapping}, "
             f"clock={self.config.clock_mhz:.0f}MHz)"
+        )
+
+
+class _ScalaGraphModel(PhaseModel):
+    """One :class:`ScalaGraph` run, as :func:`~repro.core.replay.replay`
+    walks it."""
+
+    def __init__(
+        self, system: ScalaGraph, graph: CSRGraph, twin: Optional[PhaseModel]
+    ) -> None:
+        super().__init__(system, system._partitions(graph), twin)
+        self.prof = system.profiler or NULL_PROFILER
+        cfg = system.config
+        self.window = (
+            cfg.aggregation_registers * cfg.timing.agg_window_per_register
+        )
+        self.compute_cycles = 0.0
+
+    def frontier(
+        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> Tuple[dict, float]:
+        """The partition's Scatter phase and its Apply compute bound."""
+        with self.prof.timer("analytic.scatter_model"):
+            return (
+                self.system._scatter_phase(active, src, dst, self.window),
+                self.system._apply_compute(dst),
+            )
+
+    def iteration(
+        self,
+        index: int,
+        step: WorkloadIteration,
+        terms: Sequence[Tuple[dict, float]],
+    ) -> IterationStats:
+        scatter_cycles = 0.0
+        apply_cycles = 0.0
+        messages = hops = coalesced = 0
+        offchip = 0.0
+        bottleneck = "compute"
+        for phase, apply_compute in terms:
+            scatter_cycles += phase["cycles"].total
+            self.compute_cycles += phase["cycles"].compute
+            messages += phase["noc"].num_messages
+            hops += phase["noc"].total_hops
+            coalesced += phase["noc"].coalesced
+            offchip += phase["offchip_bytes"]
+            bottleneck = phase["cycles"].bottleneck
+            with self.prof.timer("analytic.apply_model"):
+                cycles, writeback = self.system._apply_phase(
+                    apply_compute, step.num_updates
+                )
+            apply_cycles += cycles
+            offchip += writeback
+        return IterationStats(
+            index=index,
+            num_active=step.active_vertices.size,
+            num_edges=step.edge_src.size,
+            scatter_cycles=scatter_cycles,
+            apply_cycles=apply_cycles,
+            noc_messages=messages,
+            noc_hops=hops,
+            coalesced_updates=coalesced,
+            offchip_bytes=offchip,
+            scatter_bottleneck=bottleneck,
+        )
+
+    def report(self, graph: CSRGraph, run: Replay) -> SimulationReport:
+        from repro.models.energy import accelerator_power_watts
+
+        system, prof = self.system, self.prof
+        cfg = system.config
+        partitions = len(self.partitions)
+        use_pipelining = (
+            cfg.inter_phase_pipelining and run.monotonic and partitions == 1
+        )
+        total_cycles, overlaps = pipeline_schedule(
+            [stats.scatter_cycles for stats in self.iterations],
+            [stats.apply_cycles for stats in self.iterations],
+            enabled=use_pipelining,
+            efficiency=cfg.timing.pipelining_efficiency,
+        )
+        for stats, overlap in zip(self.iterations, overlaps):
+            stats.overlap_cycles = overlap
+
+        extra = {
+            "pipelining_used": float(use_pipelining),
+            "aggregation_window": float(self.window),
+            "scatter_compute_cycles": self.compute_cycles,
+        }
+        if self.twin is not None:
+            # Slowdown attributable to the faults: the clean twin walked
+            # the same workload, so the comparison is exact.
+            faults = system.faults
+            clean = self.twin.report(graph, run)
+            extra["degraded_cycles"] = max(
+                0.0, total_cycles - clean.total_cycles
+            )
+            extra["fault_seed"] = float(faults.seed)
+            extra["hbm_bandwidth_fraction"] = faults.hbm_bandwidth_fraction
+            extra["link_availability"] = faults.link_availability
+
+        iterations = len(self.iterations)
+        prof.count("analytic.iterations", iterations)
+        prof.count("analytic.scatter_phases", iterations * partitions)
+        if run.repeats:
+            prof.count(
+                "analytic.scatter_phases_reused", run.repeats * partitions
+            )
+        prof.count("analytic.partitions", partitions)
+        prof.count("analytic.edges_traversed", run.edges_traversed)
+
+        return run.report(
+            graph,
+            self,
+            accelerator=f"{system.name}-{cfg.num_pes}",
+            num_pes=cfg.num_pes,
+            frequency_mhz=cfg.clock_mhz,
+            total_cycles=total_cycles,
+            power_watts=accelerator_power_watts(
+                cfg.num_pes, cfg.interconnect, cfg.clock_mhz
+            ).total_watts,
+            extra=extra,
+            profile=(
+                system.profiler.to_dict()
+                if system.profiler is not None
+                else None
+            ),
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -11,9 +12,15 @@ from repro.algorithms import make_algorithm
 from repro.algorithms.reference import run_reference
 from repro.baselines import GraphDynS, Gunrock
 from repro.core import ScalaGraph, ScalaGraphConfig
+from repro.core.replay import replay_reference
 from repro.core.stats import SimulationReport
 from repro.graph.csr import CSRGraph
-from repro.graph.datasets import DATASET_ORDER, load_dataset
+from repro.graph.datasets import (
+    DATASET_ORDER,
+    _resolve,
+    load_dataset,
+    stable_seed,
+)
 
 #: Orders used by the paper's figures.
 GRAPH_ORDER: Tuple[str, ...] = DATASET_ORDER
@@ -48,12 +55,29 @@ WEIGHTED_ALGORITHMS = frozenset({"sssp", "sswp", "spmv"})
 def load_benchmark_graph(
     name: str, algorithm: str, scale_shift: int = 0
 ) -> CSRGraph:
-    """A dataset stand-in, weighted when the algorithm needs it."""
-    return load_dataset(
-        name,
-        scale_shift=scale_shift,
-        weighted=(algorithm.lower() in WEIGHTED_ALGORITHMS),
-    )
+    """A dataset stand-in, weighted when the algorithm needs it.
+
+    The process keeps the last unweighted stand-in it built (one graph,
+    keyed by dataset and scale shift), so a sweep, which runs a
+    dataset's cells together, builds it once; a weighted stand-in adds
+    ``load_dataset(weighted=True)``'s weights to it.  The arrays are
+    read-only, since every caller shares the kept graph.
+    """
+    key = _resolve(name).key
+    graph = _standin(key, scale_shift)
+    if algorithm.lower() not in WEIGHTED_ALGORITHMS:
+        return graph
+    weighted = graph.with_random_weights(seed=stable_seed(key) + 1)
+    weighted.weights.flags.writeable = False
+    return weighted
+
+
+@functools.lru_cache(maxsize=1)
+def _standin(key: str, scale_shift: int) -> CSRGraph:
+    graph = load_dataset(key, scale_shift=scale_shift)
+    for array in (graph.indptr, graph.indices):
+        array.flags.writeable = False
+    return graph
 
 
 @dataclass
@@ -117,8 +141,9 @@ def execute_cell(
 ) -> List[Tuple[str, SimulationReport]]:
     """Run the given systems on one (graph, algorithm) cell.
 
-    The functional reference execution is computed once and shared by
-    all systems, so a cell's cost is dominated by the timing models.
+    The functional reference execution is computed once, and one
+    :func:`~repro.core.replay.replay` walk hands each of its frontiers
+    to every system, so a cell gathers each frontier's edges once.
     This is the unit of work both the serial and the parallel runner
     fan out (the arguments are all picklable primitives, so it can
     cross a process boundary).
@@ -126,15 +151,10 @@ def execute_cell(
     graph = load_benchmark_graph(graph_name, algorithm_name, scale_shift)
     program = make_algorithm(algorithm_name)
     reference = run_reference(program, graph, max_iterations)
-    return [
-        (
-            system_label,
-            build_system(system_label).run(
-                program, graph, reference=reference
-            ),
-        )
-        for system_label in systems
-    ]
+    reports = replay_reference(
+        program, graph, reference, [build_system(label) for label in systems]
+    )
+    return list(zip(systems, reports))
 
 
 def cached_cell(

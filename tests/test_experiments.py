@@ -1,7 +1,13 @@
 """Experiment harness tests: registry, runner, formatting."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
+import repro.experiments.runner as runner
+import repro.graph.datasets as datasets
 from repro.experiments import (
     build_system,
     format_series,
@@ -73,6 +79,61 @@ class TestRunner:
         assert not load_benchmark_graph(
             "PK", "bfs", scale_shift=-5
         ).is_weighted
+
+
+class TestKeptStandin:
+    """`load_benchmark_graph` keeps the last unweighted stand-in."""
+
+    @pytest.fixture(autouse=True)
+    def forget(self):
+        runner._standin.cache_clear()
+        yield
+        runner._standin.cache_clear()
+
+    def test_matrix_builds_each_dataset_once(self, monkeypatch):
+        builds = []
+        rmat = datasets.rmat_graph
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs["name"])
+            return rmat(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "rmat_graph", counting)
+        matrix = run_matrix(
+            graphs=["PK", "LJ"],
+            systems=["GraphDynS-128", "ScalaGraph-512"],
+            scale_shift=-6,
+        )
+        assert len(matrix.cells()) == 8
+        assert builds == ["PK", "LJ"]
+
+    def test_weighted_equals_load_dataset(self):
+        weighted = runner.load_benchmark_graph("OR", "sssp", scale_shift=-5)
+        fresh = datasets.load_dataset("OR", scale_shift=-5, weighted=True)
+        assert weighted.name == fresh.name
+        for name in ("indptr", "indices", "weights"):
+            kept, built = getattr(weighted, name), getattr(fresh, name)
+            assert kept.dtype == built.dtype
+            assert np.array_equal(kept, built)
+
+    def test_keeps_one_graph(self):
+        first = runner.load_benchmark_graph("PK", "bfs", scale_shift=-5)
+        assert runner.load_benchmark_graph("pk", "cc", -5) is first
+        held = weakref.ref(first)
+        del first
+        runner.load_benchmark_graph("LJ", "bfs", scale_shift=-5)
+        gc.collect()
+        assert held() is None
+
+    @pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
+    def test_shared_arrays_are_read_only(self, algorithm):
+        graph = runner.load_benchmark_graph("PK", algorithm, scale_shift=-5)
+        arrays = [graph.indptr, graph.indices]
+        if graph.weights is not None:
+            arrays.append(graph.weights)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestGeometricMean:

@@ -1,30 +1,67 @@
-"""Unit tests for the prefetcher model and the stats primitives."""
+"""Unit tests for the prefetchers' HBM streams and the stats primitives."""
 
+import numpy as np
 import pytest
 
-from repro.core.prefetcher import PhaseTraffic, Prefetcher
+from repro.core import ScalaGraph, ScalaGraphConfig
+from repro.core.replay import WorkloadIteration
 from repro.core.stats import IterationStats, PhaseCycles, SimulationReport
-from repro.memory.hbm import HBMConfig, HBMModel
-
-
-@pytest.fixture
-def prefetcher():
-    return Prefetcher(HBMModel(HBMConfig(), 250e6), vertex_bytes=8)
+from repro.graph.generators import path_graph
 
 
 class TestPrefetcher:
-    def test_apply_traffic(self, prefetcher):
-        traffic = prefetcher.apply_traffic(num_updates=50)
-        assert traffic.writeback_bytes == 400
-        assert traffic.total_bytes == 400
+    def test_apply_traffic(self):
+        """The prefetchers write the new active list back to HBM
+        (Section III-A): 50 updates of 8-byte records are 400 B, and
+        the Apply phase charges their stream cycles."""
+        config = ScalaGraphConfig()
+        accel = ScalaGraph(config)
+        none = np.empty(0, dtype=np.int64)
+        report = accel.run_trace(
+            path_graph(4), [WorkloadIteration(none, none, none, 50)]
+        )
+        (stats,) = report.iterations
+        assert stats.offchip_bytes == 400.0
+        assert stats.apply_cycles >= (
+            accel.hbm.stream_cycles(400) + config.timing.phase_overhead_cycles
+        )
 
-    def test_cycles_proportional_to_bytes(self, prefetcher):
-        one = prefetcher.cycles(PhaseTraffic(edge_bytes=1 << 20))
-        two = prefetcher.cycles(PhaseTraffic(edge_bytes=2 << 20))
-        assert two == pytest.approx(2 * one)
+    @staticmethod
+    def _scatter_stream(accel, num_active, degree):
+        active = np.arange(num_active, dtype=np.int64)
+        src = np.repeat(active, degree)
+        dst = (src * 7 + np.tile(np.arange(degree), num_active)) % (
+            2 * num_active
+        )
+        return accel._scatter_phase(active, src, dst, window=1.0)
 
-    def test_empty_phase_free(self, prefetcher):
-        assert prefetcher.cycles(PhaseTraffic()) == 0.0
+    def test_cycles_proportional_to_bytes(self):
+        """The prefetchers stream the active records and their edge
+        lists (O(N + M), Table II) and only the bandwidth occupancy is
+        charged: twice the bytes take twice the memory cycles."""
+        accel = ScalaGraph(ScalaGraphConfig())
+        one = self._scatter_stream(accel, 1024, 16)
+        two = self._scatter_stream(accel, 2048, 16)
+        assert one["offchip_bytes"] == 1024 * 8 + 1024 * 16 * 4
+        assert two["offchip_bytes"] == 2 * one["offchip_bytes"]
+        assert one["cycles"].memory == accel.hbm.stream_cycles(
+            one["offchip_bytes"]
+        )
+        assert two["cycles"].memory == pytest.approx(2 * one["cycles"].memory)
+
+    def test_empty_phase_free(self):
+        """A phase that streams nothing costs no memory cycles: an empty
+        Scatter and an Apply with no updates move zero bytes."""
+        accel = ScalaGraph(ScalaGraphConfig())
+        none = np.empty(0, dtype=np.int64)
+        scatter = accel._scatter_phase(none, none, none, window=1.0)
+        assert scatter["offchip_bytes"] == 0.0
+        assert scatter["cycles"].memory == 0.0
+        report = accel.run_trace(
+            path_graph(4), [WorkloadIteration(none, none, none, 0)]
+        )
+        (stats,) = report.iterations
+        assert stats.offchip_bytes == 0.0
 
 
 class TestPhaseCycles:
