@@ -9,10 +9,13 @@ an unchanged version would have the cache serve stale cells as current.
 runs the Fig. 14 matrix at scale shift -6 (100 reports) and a few
 runs the matrix never takes (a faulted ScalaGraph, graphs split into
 several scratchpad partitions, an explicit direction-optimizing BFS
-workload, and the Fig. 4 crossbar variants) on the ``repro`` package
-under each source directory, each in its own process, and compares
-the ``to_dict(include_iterations=True)`` JSON of every report.  It
-exits 1 when the outputs differ while the two trees declare the same
+workload, the Fig. 4 crossbar variants, and SSWP and SpMV on the five
+Fig. 14 systems) on the ``repro`` package under each source directory,
+each in its own process, and compares the
+``to_dict(include_iterations=True)`` JSON of every report.  It also
+compares every program's ``CycleStats`` and property bytes on both
+cycle engines at 4x4, BFS also under faults.  It exits 1 when the
+outputs differ while the two trees declare the same
 ``CODE_MODEL_VERSION``, and 0 otherwise.
 """
 
@@ -34,6 +37,7 @@ def extra_reports() -> dict:
     from repro.baselines import AccuGraph, GraphDynS
     from repro.core import ScalaGraph, ScalaGraphConfig
     from repro.experiments import load_benchmark_graph
+    from repro.experiments.runner import SYSTEM_ORDER, execute_cell
     from repro.faults import FaultConfig, FaultSchedule
     from repro.memory.spd import ScratchpadConfig
     from repro.noc.topology import MeshTopology
@@ -79,7 +83,48 @@ def extra_reports() -> dict:
         monotonic=True,
         properties=dobfs.depths,
     )
+    for algorithm in ("sswp", "spmv"):
+        for label, report in execute_cell("PK", algorithm, SYSTEM_ORDER, -4):
+            reports[f"PK-4/{algorithm}/{label}"] = report
     return reports
+
+
+def cycle_outputs() -> dict:
+    """Every program's ``CycleStats`` and property bytes on both cycle
+    engines at 4x4 (PK at -4), by label; BFS also runs faulted."""
+    from dataclasses import asdict
+
+    from repro.algorithms import ALGORITHMS, make_algorithm
+    from repro.core import CycleAccurateScalaGraph, ScalaGraphConfig
+    from repro.experiments import load_benchmark_graph
+    from repro.faults import FaultConfig, FaultSchedule
+    from repro.noc.topology import MeshTopology
+
+    faults = FaultConfig(seed=2, link_outages=2, fifo_stalls=2, pe_stalls=2)
+    outputs = {}
+    for name in sorted(ALGORITHMS):
+        graph = load_benchmark_graph("PK", name, -4)
+        kwargs = {"max_iters": 4} if name == "pagerank" else {}
+        for engine in ("reference", "vectorized"):
+            config = ScalaGraphConfig(
+                num_tiles=1, pe_rows=4, pe_cols=4,
+                cycle_engine=engine, noc_engine=engine,
+            )
+            for faulted in (False, True) if name == "bfs" else (False,):
+                schedule = (
+                    FaultSchedule(MeshTopology(4, 4), faults)
+                    if faulted
+                    else None
+                )
+                result = CycleAccurateScalaGraph(
+                    config, faults=schedule
+                ).run(make_algorithm(name, **kwargs), graph)
+                suffix = "-faulted" if faulted else ""
+                outputs[f"PK-4/{name}/cycle-4x4-{engine}{suffix}"] = {
+                    "stats": asdict(result.stats),
+                    "properties": result.properties.tobytes().hex(),
+                }
+    return outputs
 
 
 def dump() -> None:
@@ -93,16 +138,13 @@ def dump() -> None:
         "/".join(key): report for key, report in matrix.reports.items()
     }
     reports.update(extra_reports())
+    outputs = {
+        label: report.to_dict(include_iterations=True)
+        for label, report in reports.items()
+    }
+    outputs.update(cycle_outputs())
     print(CODE_MODEL_VERSION)
-    print(
-        json.dumps(
-            {
-                label: report.to_dict(include_iterations=True)
-                for label, report in reports.items()
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(outputs, sort_keys=True))
 
 
 def outputs(src: str) -> tuple:

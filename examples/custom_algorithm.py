@@ -30,6 +30,10 @@ class WidestPath(VertexProgram):
     Process emits ``min(width(src), edge_weight)``; Reduce keeps the
     maximum; Apply adopts wider paths.  The source starts at +inf (its
     own bottleneck is unconstrained), everything else at 0.
+
+    ``scatter_value`` receives every vertex's property: it gathers the
+    sources' widths once (``edge_src`` may be int32, so it only indexes)
+    and returns one value per edge.
     """
 
     name = "widest_path"
@@ -56,8 +60,9 @@ class WidestPath(VertexProgram):
     def reduce_identity(self) -> float:
         return 0.0
 
-    def scatter_value(self, ctx, edge_src, edge_weight, src_prop):
-        return np.minimum(src_prop, edge_weight)
+    def scatter_value(self, ctx, edge_src, edge_weight, props):
+        widths = props[edge_src]  # one gather: this call's own copy
+        return np.minimum(widths, edge_weight, out=widths)
 
     def apply_values(self, ctx, props, vtemp):
         return np.maximum(props, vtemp)

@@ -5,7 +5,10 @@ paper's programming model, all vectorised over numpy arrays so that a whole
 iteration's Scatter phase is one array expression:
 
 * ``scatter_value`` — the *Process* function: per-edge value produced from
-  the edge weight and the source vertex property.
+  the edge weight and the source vertex property.  It receives the whole
+  property array and gathers ``props[edge_src]`` itself, so a program
+  computes what depends only on the source once per vertex (PageRank's
+  rank over out-degree) and gathers once per edge.
 * ``reduce_ufunc`` — the *Reduce* function as a numpy ufunc (``np.minimum``
   for BFS/SSSP/CC, ``np.add`` for PageRank), applied into ``V_temp``.
 * ``apply_values`` — the *Apply* function combining old properties and
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 
 
@@ -93,9 +97,17 @@ class VertexProgram(abc.ABC):
         ctx: ProgramContext,
         edge_src: np.ndarray,
         edge_weight: np.ndarray,
-        src_prop: np.ndarray,
+        props: np.ndarray,
     ) -> np.ndarray:
-        """The Process function, vectorised over one iteration's edges."""
+        """The Process function, vectorised over one iteration's edges.
+
+        ``props`` is the whole ``V_prop`` array (one value per vertex),
+        ``edge_src`` the source of every edge (int64 or int32: the
+        vectorized cycle engine narrows its sources) and ``edge_weight``
+        its weight.  Gather ``props[edge_src]`` once and return one value
+        per edge; work that depends only on the source is cheaper done on
+        ``props`` before the gather.  Neither input may be written.
+        """
 
     @abc.abstractmethod
     def apply_values(
@@ -126,3 +138,28 @@ class VertexProgram(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def scatter_values(
+    program: VertexProgram,
+    ctx: ProgramContext,
+    edge_src: np.ndarray,
+    edge_weight: np.ndarray,
+    props: np.ndarray,
+) -> np.ndarray:
+    """``program``'s Process over one frontier's edges: every engine's
+    one call of :meth:`VertexProgram.scatter_value`.
+
+    Raises :class:`ConfigurationError` naming the program unless it
+    returns one value per edge, which is what a program written to take
+    the gathered ``props[edge_src]`` does not do when handed ``props``.
+    """
+    values = program.scatter_value(ctx, edge_src, edge_weight, props)
+    if np.shape(values) != edge_src.shape:
+        raise ConfigurationError(
+            f"{type(program).__name__}.scatter_value returned "
+            f"{np.shape(values)} values for {edge_src.size} edges: it "
+            f"takes the whole property array, must gather props[edge_src] "
+            f"and return one value per edge"
+        )
+    return values

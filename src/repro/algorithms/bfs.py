@@ -57,9 +57,9 @@ class BFS(VertexProgram):
         ctx: ProgramContext,
         edge_src: np.ndarray,
         edge_weight: np.ndarray,
-        src_prop: np.ndarray,
+        props: np.ndarray,
     ) -> np.ndarray:
-        return src_prop + 1.0
+        return (props + 1.0)[edge_src]
 
     def apply_values(
         self,

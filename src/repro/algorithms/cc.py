@@ -45,9 +45,9 @@ class ConnectedComponents(VertexProgram):
         ctx: ProgramContext,
         edge_src: np.ndarray,
         edge_weight: np.ndarray,
-        src_prop: np.ndarray,
+        props: np.ndarray,
     ) -> np.ndarray:
-        return src_prop
+        return props[edge_src]
 
     def apply_values(
         self,

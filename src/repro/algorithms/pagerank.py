@@ -96,14 +96,12 @@ class PageRank(VertexProgram):
         ctx: ProgramContext,
         edge_src: np.ndarray,
         edge_weight: np.ndarray,
-        src_prop: np.ndarray,
+        props: np.ndarray,
     ) -> np.ndarray:
-        degrees = ctx.out_degrees[edge_src]
+        # Each vertex's share once per vertex, then one gather per edge.
         # Sources with edges always have degree >= 1; guard anyway so a
-        # malformed trace cannot divide by zero.  The gather is this
-        # call's own copy, so the guard clamps it in place.
-        np.maximum(degrees, 1, out=degrees)
-        return src_prop / degrees
+        # malformed trace cannot divide by zero.
+        return (props / np.maximum(ctx.out_degrees, 1))[edge_src]
 
     def apply_values(
         self,

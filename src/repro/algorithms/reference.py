@@ -17,7 +17,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms.base import ProgramContext, VertexProgram
+from repro.algorithms.base import (
+    ProgramContext,
+    VertexProgram,
+    scatter_values,
+)
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.util import grouped_arange_from_counts
@@ -169,7 +173,7 @@ def run_reference(
             graph.num_vertices, program.reduce_identity, dtype=np.float64
         )
         if src.size:
-            values = program.scatter_value(ctx, src, weights, props[src])
+            values = scatter_values(program, ctx, src, weights, props)
             program.reduce_ufunc.at(vtemp, dst, values)
 
         # --- Apply phase (Figure 1, lines 9-15) ---

@@ -60,9 +60,11 @@ class SSSP(VertexProgram):
         ctx: ProgramContext,
         edge_src: np.ndarray,
         edge_weight: np.ndarray,
-        src_prop: np.ndarray,
+        props: np.ndarray,
     ) -> np.ndarray:
-        return src_prop + edge_weight
+        values = props[edge_src]
+        values += edge_weight
+        return values
 
     def apply_values(
         self,

@@ -61,9 +61,10 @@ class WidestPath(VertexProgram):
         ctx: ProgramContext,
         edge_src: np.ndarray,
         edge_weight: np.ndarray,
-        src_prop: np.ndarray,
+        props: np.ndarray,
     ) -> np.ndarray:
-        return np.minimum(src_prop, edge_weight)
+        values = props[edge_src]
+        return np.minimum(values, edge_weight, out=values)
 
     def apply_values(
         self,

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.replay import (
     ModelledSystem,
+    PartitionEdges,
     PhaseModel,
     Replay,
     WorkloadIteration,
@@ -30,7 +31,6 @@ from repro.graph.partition import slice_intervals
 from repro.memory.hbm import HBMConfig, HBMModel
 from repro.memory.spd import ScratchpadConfig
 from repro.models.frequency import Interconnect, max_frequency_mhz
-from repro.util import unique_id_counts
 
 #: Average tile-to-tile hops of crossing traffic on the 2x2 tile mesh
 #: (8 of 12 ordered tile pairs are adjacent, 4 are diagonal).
@@ -151,10 +151,10 @@ class CrossbarAccelerator(ModelledSystem):
             overhead=cfg.phase_overhead_cycles,
         )
 
-    def _apply_load(self, dst: np.ndarray) -> float:
-        """Apply's PE bound: the busiest PE's touched-vertex count."""
+    def _apply_load(self, touched: np.ndarray) -> float:
+        """Apply's PE bound: the busiest PE's count of the ``touched``
+        vertices (distinct)."""
         cfg = self.config
-        touched, _ = unique_id_counts(dst)
         if not touched.size:
             return 0.0
         loads = np.bincount(touched % cfg.num_pes, minlength=cfg.num_pes)
@@ -199,13 +199,13 @@ class _CrossbarModel(PhaseModel):
         self.compute_cycles = 0.0
 
     def frontier(
-        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
+        self, active: np.ndarray, edges: PartitionEdges
     ) -> Tuple[PhaseCycles, int, float]:
         """The partition's Scatter phase, edge count and Apply PE load."""
         return (
-            self.system._scatter_phase(active, src, dst),
-            src.size,
-            self.system._apply_load(dst),
+            self.system._scatter_phase(active, edges.src, edges.dst),
+            edges.src.size,
+            self.system._apply_load(edges.touched),
         )
 
     def iteration(

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.replay import (
     ModelledSystem,
+    PartitionEdges,
     PhaseModel,
     Replay,
     WorkloadIteration,
@@ -124,15 +125,16 @@ class _GunrockModel(PhaseModel):
 
     def __init__(self, system: Gunrock, graph: CSRGraph) -> None:
         # The GPU's memory holds every vertex: one partition.
-        whole = Partition(0, 0, graph.num_vertices, graph.num_edges)
+        whole = Partition(0, 0, graph.num_vertices)
         super().__init__(system, [whole])
         self.seconds = 0.0
 
     def frontier(
-        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
+        self, active: np.ndarray, edges: PartitionEdges
     ) -> Tuple[int, int]:
         """The frontier's edge count and its distinct 32-B sectors."""
         sector_bytes = self.system.config.sector_bytes
+        dst = edges.dst
         return dst.size, cachelines_touched(dst * 4, sector_bytes)
 
     def iteration(

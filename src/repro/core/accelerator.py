@@ -26,6 +26,7 @@ from repro.core.dispatcher import (
 from repro.core.profiling import NULL_PROFILER, Profiler
 from repro.core.replay import (
     ModelledSystem,
+    PartitionEdges,
     PhaseModel,
     Replay,
     WorkloadIteration,
@@ -194,9 +195,9 @@ class ScalaGraph(ModelledSystem):
         )
         return {"cycles": cycles, "noc": noc, "offchip_bytes": offchip}
 
-    def _apply_compute(self, dst: np.ndarray) -> float:
-        """Apply's compute bound: the busiest node's touched vertices."""
-        touched, _ = unique_id_counts(dst)
+    def _apply_compute(self, touched: np.ndarray) -> float:
+        """Apply's compute bound: the busiest node's share of the
+        ``touched`` vertices (distinct, ascending)."""
         return apply_compute_cycles(
             self.mapping.home(touched), self.topology.num_nodes
         )
@@ -265,13 +266,15 @@ class _ScalaGraphModel(PhaseModel):
         self.compute_cycles = 0.0
 
     def frontier(
-        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
+        self, active: np.ndarray, edges: PartitionEdges
     ) -> Tuple[dict, float]:
         """The partition's Scatter phase and its Apply compute bound."""
         with self.prof.timer("analytic.scatter_model"):
             return (
-                self.system._scatter_phase(active, src, dst, self.window),
-                self.system._apply_compute(dst),
+                self.system._scatter_phase(
+                    active, edges.src, edges.dst, self.window
+                ),
+                self.system._apply_compute(edges.touched),
             )
 
     def iteration(

@@ -35,7 +35,11 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import ProgramContext, VertexProgram
+from repro.algorithms.base import (
+    ProgramContext,
+    VertexProgram,
+    scatter_values,
+)
 from repro.algorithms.reference import gather_frontier_edges, repeats_previous
 from repro.analysis.sanitizer import SimSanitizer, maybe_sanitizer
 from repro.core.config import ScalaGraphConfig
@@ -355,7 +359,7 @@ class CycleAccurateScalaGraph:
             stats.phase_coalesced.append(0)
             stats.phase_spd_reduces.append(0)
             return 0
-        values = program.scatter_value(ctx, src, weights, props[src])
+        values = scatter_values(program, ctx, src, weights, props)
         exec_pe = self.mapping.execution_pe(src, dst)
         reduce_ufunc = program.reduce_ufunc
         reduce_fn = lambda a, b: float(reduce_ufunc(a, b))

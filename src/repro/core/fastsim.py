@@ -219,6 +219,16 @@ def resolve_cycle_engine(
 # ----------------------------------------------------------------------
 # The compiled scatter phase
 # ----------------------------------------------------------------------
+def _check_int32_ids(updates: int, vertices: int) -> None:
+    """Refuse a phase whose edge positions or vertex ids would not fit
+    the int32 per-edge buffers."""
+    if max(updates, vertices) >= _INT32_IDS:
+        raise ConfigurationError(
+            f"a phase of {updates} updates on {vertices} vertices "
+            f"does not fit the kernel's int32 edge and vertex ids"
+        )
+
+
 class _Phase:
     """One scatter phase's kernel state: the buffers ``fs_run`` reads
     and writes, and the table of their addresses.
@@ -270,11 +280,7 @@ class _Phase:
         topology = network.topology
         n = topology.num_nodes
         updates = dst.size
-        if max(updates, home.size) >= _INT32_IDS:
-            raise ConfigurationError(
-                f"a phase of {updates} updates on {home.size} vertices "
-                f"does not fit the kernel's int32 edge and vertex ids"
-            )
+        _check_int32_ids(updates, home.size)
         for role, pes in (("execution", exec_pe), ("home", home)):
             if int(pes.min()) < 0 or int(pes.max()) >= n:
                 raise ConfigurationError(
@@ -592,6 +598,7 @@ def scatter_phase_fast(
     and adds the record's counts.  Returns the phase's cycles and its
     record (None for a phase without edges).
     """
+    from repro.algorithms.base import scatter_values
     from repro.algorithms.reference import gather_frontier_edges
 
     sanitizer = sim.sanitizer
@@ -601,13 +608,17 @@ def scatter_phase_fast(
         stats.phase_coalesced.append(0)
         stats.phase_spd_reduces.append(0)
         return 0, None
+    # The sources narrow to the kernel's int32 vertex ids before anything
+    # else is built, so their int64 gather is gone while the kernel runs;
+    # the check comes first, so the narrowing cannot wrap.
+    _check_int32_ids(src.size, graph.num_vertices)
+    src = src.astype(np.int32)
     if sanitizer is not None:
         sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
     if record is None:
         record = _simulate(sim, graph, src, dst, max_cycles)
     values = np.ascontiguousarray(
-        program.scatter_value(ctx, src, weights, props[src]),
-        dtype=np.float64,
+        scatter_values(program, ctx, src, weights, props), dtype=np.float64
     )
     del src, dst, weights  # the gathered edges go before the fold
     record.fold(

@@ -4,15 +4,27 @@
 system's :class:`PhaseModel`, so the systems of one (graph, algorithm)
 cell share each frontier's edge gather, and one frontier's edges exist
 at a time.  The driver owns the loop, repeat detection, the split of a
-frontier's edges by partition and the read-only views the models get (a
-model that writes its input raises); a model supplies its phase bounds.
+frontier's edges by partition (with each partition's distinct
+destinations, computed once for every model) and the read-only views the
+models get (a model that writes its input raises); a model supplies its
+phase bounds.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -27,6 +39,7 @@ from repro.core.profiling import NULL_PROFILER, Profiler
 from repro.core.stats import IterationStats, SimulationReport
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition
+from repro.util import unique_id_counts
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,29 @@ class WorkloadIteration:
     edge_src: np.ndarray
     edge_dst: np.ndarray
     num_updates: int
+
+
+class PartitionEdges:
+    """One partition's share of a frontier's edges, read-only.
+
+    :func:`replay` builds one per changed frontier and destination
+    interval, and every model with a partition of that interval gets the
+    same one.
+
+    Attributes:
+        src / dst: the share's edge sources and destinations.
+    """
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        self.src = src
+        self.dst = dst
+
+    @functools.cached_property
+    def touched(self) -> np.ndarray:
+        """The distinct destinations, ascending: the vertices the Apply
+        phase visits.  Computed on first use, once for every model."""
+        touched, _ = unique_id_counts(self.dst)
+        return _read_only(touched)
 
 
 @dataclass(frozen=True)
@@ -107,9 +143,7 @@ class PhaseModel(abc.ABC):
         self.iterations: List[IterationStats] = []
 
     @abc.abstractmethod
-    def frontier(
-        self, active: np.ndarray, src: np.ndarray, dst: np.ndarray
-    ) -> Any:
+    def frontier(self, active: np.ndarray, edges: PartitionEdges) -> Any:
         """One partition's terms that depend only on the frontier and
         the partition's edges: computed once per run of repeats."""
 
@@ -173,7 +207,9 @@ def replay(
 
     An iteration whose ``active_vertices``, ``edge_src`` and
     ``edge_dst`` equal the previous one's reuses every model's frontier
-    terms; only :meth:`PhaseModel.iteration` runs again.
+    terms; only :meth:`PhaseModel.iteration` runs again.  Models whose
+    partitions share a destination interval share its
+    :class:`PartitionEdges`.
     """
     models = [system.phase_model(graph) for system in systems]
     walked = models + [m.twin for m in models if m.twin is not None]
@@ -194,10 +230,11 @@ def replay(
                 *(_read_only(array.view()) for array in current),
                 item.num_updates,
             )
+            shares: Dict[Tuple[int, int], PartitionEdges] = {}
             for m, model in enumerate(walked):
                 terms[m] = [
-                    model.frontier(step.active_vertices, src, dst)
-                    for src, dst in _split(model.partitions, step)
+                    model.frontier(step.active_vertices, edges)
+                    for edges in _split(graph, model.partitions, step, shares)
                 ]
         previous = current
         for m, model in enumerate(walked):
@@ -213,16 +250,23 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _split(
-    partitions: Sequence[Partition], step: WorkloadIteration
-) -> Iterator[Any]:
-    """Each partition's share of ``step``'s edges, read-only."""
-    src, dst = step.edge_src, step.edge_dst
-    if len(partitions) == 1:
-        yield src, dst
-        return
+    graph: CSRGraph,
+    partitions: Sequence[Partition],
+    step: WorkloadIteration,
+    shares: Dict[Tuple[int, int], PartitionEdges],
+) -> Iterator[PartitionEdges]:
+    """Each partition's share of ``step``'s edges, read-only, built once
+    per destination interval in ``shares``; a partition that covers
+    every vertex takes the edges whole."""
     for part in partitions:
-        mask = part.mask(dst)
-        yield _read_only(src[mask]), _read_only(dst[mask])
+        key = (part.lo, part.hi)
+        if key not in shares:
+            src, dst = step.edge_src, step.edge_dst
+            if part.lo > 0 or part.hi < graph.num_vertices:
+                mask = part.mask(dst)
+                src, dst = _read_only(src[mask]), _read_only(dst[mask])
+            shares[key] = PartitionEdges(src, dst)
+        yield shares[key]
 
 
 def replay_reference(

@@ -29,13 +29,11 @@ class Partition:
         index: partition position in round-robin order.
         lo: first destination vertex ID (inclusive).
         hi: last destination vertex ID (exclusive).
-        edge_mask_count: number of edges whose destination lies inside.
     """
 
     index: int
     lo: int
     hi: int
-    edge_mask_count: int
 
     @property
     def num_vertices(self) -> int:
@@ -73,13 +71,7 @@ def slice_intervals(
     """
     count = num_partitions_for(graph.num_vertices, spd_capacity_vertices)
     bounds = np.linspace(0, graph.num_vertices, count + 1).astype(np.int64)
-    partitions = []
-    for i in range(count):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        edges_in = int(
-            np.count_nonzero((graph.indices >= lo) & (graph.indices < hi))
-        )
-        partitions.append(
-            Partition(index=i, lo=lo, hi=hi, edge_mask_count=edges_in)
-        )
-    return partitions
+    return [
+        Partition(index=i, lo=int(bounds[i]), hi=int(bounds[i + 1]))
+        for i in range(count)
+    ]

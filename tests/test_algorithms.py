@@ -1,10 +1,13 @@
 """Unit tests for the four vertex programs, cross-checked with networkx."""
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.algorithms import (
+    ALGORITHMS,
     BFS,
     SSSP,
     ConnectedComponents,
@@ -12,7 +15,9 @@ from repro.algorithms import (
     make_algorithm,
     run_reference,
 )
-from repro.algorithms.base import ProgramContext
+from repro.algorithms.base import ProgramContext, scatter_values
+from repro.algorithms.reference import gather_frontier_edges
+from repro.core import CycleAccurateScalaGraph, ScalaGraphConfig
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
@@ -215,3 +220,63 @@ class TestProgramContext:
         ctx = ProgramContext(graph=tiny_graph)
         assert np.array_equal(ctx.out_degrees, tiny_graph.out_degrees)
         assert ctx.num_vertices == 5
+
+
+class _OldSignature(ConnectedComponents):
+    """Connected components written to take the gathered
+    ``props[edge_src]``: handed the whole property array, it returns one
+    value per vertex."""
+
+    def scatter_value(self, ctx, edge_src, edge_weight, src_prop):
+        return src_prop
+
+
+class TestScatterValues:
+    """Every engine computes a frontier's values through
+    :func:`scatter_values`, which hands the program the whole property
+    array."""
+
+    GRAPH = rmat_graph(12, edge_factor=16, seed=1)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_one_frontier_traces_one_value_per_edge(self, name, weighted):
+        """A program gathers once per edge: computing an all-active
+        frontier's values traces the values (8 bytes per edge) plus at
+        most 32 bytes per vertex (a per-vertex array or two, and NumPy's
+        64 KiB buffer when it combines the values with int64 weights in
+        place).  Gathering ``props[src]`` before the call, PageRank held
+        three per-edge float64 arrays here, and BFS, SSSP, SSWP and SpMV
+        two."""
+        graph = self.GRAPH
+        if weighted:
+            graph = graph.with_random_weights(seed=2)
+        ctx = ProgramContext(graph=graph)
+        src, _, weights = gather_frontier_edges(
+            graph, np.arange(graph.num_vertices)
+        )
+        program = make_algorithm(name)
+        props = program.initial_properties(ctx)
+        tracemalloc.start()
+        try:
+            values = scatter_values(program, ctx, src, weights, props)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == src.shape
+        assert peak <= 8 * src.size + 32 * graph.num_vertices
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_the_cycle_engines_refuse_the_old_signature(self, engine):
+        config = ScalaGraphConfig(
+            num_tiles=1, pe_rows=4, pe_cols=4, cycle_engine=engine,
+            noc_engine=engine,
+        )
+        graph = rmat_graph(6, edge_factor=8, seed=3)
+        with pytest.raises(ConfigurationError, match="_OldSignature"):
+            CycleAccurateScalaGraph(config).run(_OldSignature(), graph)
+
+    def test_the_reference_refuses_the_old_signature(self):
+        graph = rmat_graph(6, edge_factor=8, seed=3)
+        with pytest.raises(ConfigurationError, match="_OldSignature"):
+            run_reference(_OldSignature(), graph)

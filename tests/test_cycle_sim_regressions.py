@@ -46,7 +46,7 @@ class ZeroContribution(VertexProgram):
     def reduce_identity(self):
         return 0.0
 
-    def scatter_value(self, ctx, edge_src, edge_weight, src_prop):
+    def scatter_value(self, ctx, edge_src, edge_weight, props):
         return np.zeros(edge_src.size, dtype=np.float64)
 
     def apply_values(self, ctx, props, vtemp):

@@ -11,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 import repro.graph
+from repro.algorithms import make_algorithm, run_reference
 from repro.graph import load_dataset, stable_seed
 from repro.graph.datasets import _stable_seed
 from repro.graph.generators import erdos_renyi, power_law_graph, rmat_graph
@@ -148,3 +150,36 @@ _PINNED_GRAPHS = {
 def test_graph_bytes_are_pinned(name):
     build, digest = _PINNED_GRAPHS[name]
     assert _graph_digest(build()) == digest
+
+
+#: A program's values are the reference every model is checked against:
+#: a rewrite of a program's arithmetic must reproduce every bit.  Each
+#: digest is the sha256 of ``run_reference``'s properties on a 1,024-vertex
+#: R-MAT, weighted for the programs that read weights, rooted at its
+#: highest out-degree vertex, as computed when each program was still
+#: handed the gathered source properties.
+_PINNED_PROPERTIES = {
+    "bfs": "6deab568800d11c69432d6a3544762656ede5e2e4a3012b537dc0792d709c329",
+    "cc": "15582ea82a4a465a287bd41cca3337412283f46c3a568691e0744037894ea99c",
+    "pagerank": (
+        "3d7f6616694d1fd2479d44fbf6e04db65a689152effac7f9c1b3be0b3e8f782f"
+    ),
+    "spmv": "4b4aeac7e70850c37c6670eb819c91ab69af0185f4fd03b0ee4938c56f02b766",
+    "sssp": "9c0fd5838958f9a2b604389ecb26845cf5e3efe225b10f8e5aeb9601cb7d2fb1",
+    "sswp": "7c2288817c23e480b091ce210864d55265b4d395740a3fdfc5dbdf32df2ff9bc",
+}
+_ROOTED = {"bfs": "root", "sssp": "source", "sswp": "source"}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PROPERTIES))
+def test_program_values_are_pinned(name):
+    graph = rmat_graph(10, edge_factor=8, seed=11)
+    kwargs = {}
+    if name in _ROOTED:
+        kwargs[_ROOTED[name]] = int(np.argmax(graph.out_degrees))
+    program = make_algorithm(name, **kwargs)
+    if program.needs_weights:
+        graph = graph.with_random_weights(seed=12)
+    properties = run_reference(program, graph).properties
+    digest = hashlib.sha256(properties.tobytes()).hexdigest()
+    assert digest == _PINNED_PROPERTIES[name]

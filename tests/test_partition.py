@@ -41,21 +41,26 @@ class TestSlicing:
 
     def test_edge_counts_sum(self, medium_rmat):
         parts = slice_intervals(medium_rmat, 100)
-        assert sum(p.edge_mask_count for p in parts) == medium_rmat.num_edges
+        dst = medium_rmat.indices
+        masks = np.array([p.mask(dst) for p in parts])
+        assert masks.sum() == medium_rmat.num_edges
+        assert np.all(masks.sum(axis=0) == 1)  # each edge in one partition
 
     def test_single_partition_when_fits(self, medium_rmat):
         parts = slice_intervals(medium_rmat, medium_rmat.num_vertices)
         assert len(parts) == 1
-        assert parts[0].edge_mask_count == medium_rmat.num_edges
+        assert parts[0].mask(medium_rmat.indices).all()
 
     def test_mask_selects_partition_edges(self, medium_rmat):
         parts = slice_intervals(medium_rmat, 300)
         dst = medium_rmat.indices
+        selected = 0
         for p in parts:
             mask = p.mask(dst)
-            assert mask.sum() == p.edge_mask_count
+            selected += int(mask.sum())
             assert np.all(dst[mask] >= p.lo)
             assert np.all(dst[mask] < p.hi)
+        assert selected == medium_rmat.num_edges
 
     def test_contains(self):
         g = rmat_graph(5, edge_factor=2, seed=0)

@@ -90,10 +90,10 @@ class _WritingModel(PhaseModel):
     """A model that (wrongly) writes the frontier it is handed."""
 
     def __init__(self, graph):
-        super().__init__(None, [Partition(0, 0, graph.num_vertices, 0)])
+        super().__init__(None, [Partition(0, 0, graph.num_vertices)])
 
-    def frontier(self, active, src, dst):
-        dst[:] = 0
+    def frontier(self, active, edges):
+        edges.dst[:] = 0
 
     def iteration(self, index, step, terms):
         raise AssertionError("unreachable: frontier() raised")
@@ -123,7 +123,7 @@ class TestReadOnlyInputs:
         class Sliced(_WritingModel):
             def __init__(self, graph):
                 PhaseModel.__init__(
-                    self, None, [Partition(0, 0, 2, 0), Partition(1, 2, 5, 0)]
+                    self, None, [Partition(0, 0, 2), Partition(1, 2, 5)]
                 )
 
         class System:
